@@ -1,0 +1,66 @@
+"""Branching bisimilarity on totally normed BPA systems.
+
+Partition refinement over decomposition bases decides the equivalence in
+polynomial time; an independent game oracle refutes, certifies refutations,
+and stress-tests the engine.
+"""
+
+from .base import DecompositionBase, base_equal, initial_base
+from .engine import (
+    CandidateMode,
+    Verdict,
+    VerdictKind,
+    check_equivalence,
+    compute_bisimilarity_base,
+)
+from .model import BpaSystem, ParseError, parse_process, parse_system, serialize_system
+from .normalization import (
+    NotTotallyNormedError,
+    StandardSystem,
+    SystemView,
+    compute_norms,
+    standardize,
+    view,
+)
+from .oracle import (
+    Distinction,
+    GenParams,
+    differential_run,
+    find_distinction,
+    random_system,
+    replay_distinction,
+    verify_base_generators,
+)
+from .strings import NormedString
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "BpaSystem",
+    "CandidateMode",
+    "DecompositionBase",
+    "Distinction",
+    "GenParams",
+    "NormedString",
+    "NotTotallyNormedError",
+    "ParseError",
+    "StandardSystem",
+    "SystemView",
+    "Verdict",
+    "VerdictKind",
+    "base_equal",
+    "check_equivalence",
+    "compute_bisimilarity_base",
+    "compute_norms",
+    "differential_run",
+    "find_distinction",
+    "initial_base",
+    "parse_process",
+    "parse_system",
+    "random_system",
+    "replay_distinction",
+    "serialize_system",
+    "standardize",
+    "verify_base_generators",
+    "view",
+]

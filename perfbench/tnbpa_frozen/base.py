@@ -1,0 +1,135 @@
+"""Decomposition bases: prime sets plus norm-preserving equations.
+
+A base splits the constants into primes and composites and equips every
+composite ``X_i`` with an equation ``X_i = alpha`` over strictly smaller
+primes.  The congruence it generates relates two processes exactly when their
+prime decompositions coincide, so equivalence checking reduces to string
+equality after the homomorphic ``dcmp`` map.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Mapping, Union
+
+from .model import Process
+from .normalization import StandardSystem
+from .strings import NormedString
+
+Decomposable = Union[Process, NormedString]
+
+
+class InvalidBaseError(ValueError):
+    pass
+
+
+def dcmp_ids(primes: frozenset[int] | set[int], equations: Mapping[int, NormedString], p: Iterable[int]) -> list[int]:
+    """Homomorphic prime decomposition as a raw id list.
+
+    Equations already store right-hand sides in prime form, so a composite
+    expands by one table lookup, never a recursive rewrite.
+    """
+    out: list[int] = []
+    for c in p:
+        if c in primes:
+            out.append(c)
+        else:
+            out.extend(equations[c].ids)
+    return out
+
+
+class DecompositionBase:
+    """An immutable base (primes, equations) over a standard system."""
+
+    __slots__ = ("n", "primes", "equations", "norms")
+
+    def __init__(
+        self,
+        n: int,
+        primes: Iterable[int],
+        equations: Mapping[int, NormedString],
+        norms: tuple[int, ...],
+    ):
+        self.n = n
+        self.primes = frozenset(primes)
+        self.equations = dict(equations)
+        self.norms = norms
+        self._validate()
+
+    def _validate(self) -> None:
+        if self.primes & self.equations.keys():
+            raise InvalidBaseError("a constant cannot be both prime and composite")
+        if self.primes | self.equations.keys() != set(range(self.n)):
+            raise InvalidBaseError("every constant must be prime or have an equation")
+        if self.n and 0 not in self.primes:
+            raise InvalidBaseError("the first constant is always prime")
+        for i, rhs in self.equations.items():
+            if rhs.norm != self.norms[i]:
+                raise InvalidBaseError(f"equation for constant {i} is not norm-preserving")
+            for c in rhs.ids:
+                if c not in self.primes:
+                    raise InvalidBaseError(f"equation for constant {i} mentions non-prime {c}")
+                if c >= i:
+                    raise InvalidBaseError(f"equation for constant {i} mentions index {c} >= {i}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DecompositionBase):
+            return NotImplemented
+        return self.n == other.n and self.primes == other.primes and self.equations == other.equations
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.primes))
+
+    def __repr__(self) -> str:
+        return f"DecompositionBase(primes={sorted(self.primes)}, composites={sorted(self.equations)})"
+
+    def dcmp(self, p: Decomposable) -> NormedString:
+        ids = p.ids if isinstance(p, NormedString) else p
+        return NormedString(tuple(dcmp_ids(self.primes, self.equations, ids)), self.norms)
+
+    def equivalent(self, p1: Decomposable, p2: Decomposable) -> bool:
+        return self.dcmp(p1) == self.dcmp(p2)
+
+    def lpf(self, cid: int) -> int:
+        """Leftmost prime factor of a constant; the constant itself if prime."""
+        if cid in self.primes:
+            return cid
+        return self.equations[cid].ids[0]
+
+    def lpfindex(self, cid: int) -> int:
+        # Ids double as standard indices, so the factor is its own index.
+        return self.lpf(cid)
+
+
+def base_equal(b1: DecompositionBase, b2: DecompositionBase) -> bool:
+    return b1 == b2
+
+
+def initial_base(std: StandardSystem) -> DecompositionBase:
+    """The norm-equality congruence: X_i = X_1 ** norm(X_i) for every i > 0."""
+    equations = {
+        i: NormedString((0,) * std.norms[i], std.norms)
+        for i in range(1, std.n)
+    }
+    return DecompositionBase(std.n, [0] if std.n else [], equations, std.norms)
+
+
+def render_base(std: StandardSystem, base: DecompositionBase) -> str:
+    """One line per constant in index order: 'prime X' or 'X = Y Z Z'."""
+    lines = []
+    for i in range(std.n):
+        name = std.sys.name(i)
+        if i in base.primes:
+            lines.append(f"prime {name}")
+        else:
+            lines.append(f"{name} = {base.equations[i].to_text(std.sys.name)}")
+    return "\n".join(lines)
+
+
+def base_to_json(std: StandardSystem, base: DecompositionBase) -> dict:
+    return {
+        "primes": [std.sys.name(i) for i in sorted(base.primes)],
+        "equations": {
+            std.sys.name(i): [std.sys.name(c) for c in base.equations[i].ids]
+            for i in sorted(base.equations)
+        },
+    }

@@ -1,0 +1,502 @@
+"""Partition refinement over decomposition bases.
+
+Starting from the norm-equality base, each pass rebuilds the equations bottom
+up: for every composite it generates a handful of candidate decompositions
+(the previous leftmost prime factor, plus any new primes between that factor
+and the constant) and runs a six-step single-transition test against the
+previous base and the partially built new base.  Constants with no accepted
+candidate become prime; the run stops when a pass adds no prime.
+
+An exhaustive candidate mode enumerates every norm-matching prime string
+instead; it exists to validate the pruned candidate set and is guarded to desk
+scale.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+from .base import DecompositionBase, initial_base
+from .model import Process, Rule, is_silent
+from .normalization import StandardSystem
+from .strings import NormedString
+
+DEFAULT_MAX_EXHAUSTIVE = 100_000
+
+
+class EngineInternalError(AssertionError):
+    """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+class ExhaustiveGuardError(RuntimeError):
+    """The exhaustive candidate count exceeded the configured guard."""
+
+
+class CandidateMode(str, enum.Enum):
+    PRUNED = "pruned"
+    EXHAUSTIVE = "exhaustive"
+
+
+class VerdictKind(str, enum.Enum):
+    BISIMILAR = "bisimilar"
+    NOT_BISIMILAR = "not-bisimilar"
+    UNKNOWN = "unknown-at-bound"
+
+
+@dataclass
+class Verdict:
+    """Three-valued outcome; the engine never returns UNKNOWN, oracle-only
+    queries do (a bounded search that found nothing proves nothing)."""
+
+    kind: VerdictKind
+    base: DecompositionBase | None = None
+    bound: int | None = None
+
+
+def select_decreasing_rules(std: StandardSystem) -> tuple[Rule, ...]:
+    """Fix one decreasing rule per constant (silent is allowed).
+
+    Deterministic tie-break: visible before silent, then action name, then the
+    right-hand side as an id sequence.
+    """
+    chosen = []
+    for i in range(std.n):
+        rules = std.dec_rules(i)
+        assert rules, f"constant {std.sys.name(i)} has no decreasing rule"
+        chosen.append(min(rules, key=lambda r: (is_silent(r.label), r.label, r.rhs)))
+    return tuple(chosen)
+
+
+class _PartialBase:
+    """The bottom-up profile of the next base during one refinement pass.
+
+    While constant i is being treated, every constant below i is settled:
+    either marked prime or given its new equation.  Decomposing anything that
+    mentions an unsettled constant is a bug (it would contradict the index
+    discipline of decreasing rules).
+    """
+
+    __slots__ = ("norms", "primes", "equations")
+
+    def __init__(self, norms: tuple[int, ...]):
+        self.norms = norms
+        self.primes: set[int] = set()
+        self.equations: dict[int, NormedString] = {}
+
+    def dcmp(self, p: Process | NormedString) -> NormedString:
+        ids = p.ids if isinstance(p, NormedString) else p
+        out: list[int] = []
+        for c in ids:
+            if c in self.primes:
+                out.append(c)
+            elif c in self.equations:
+                out.extend(self.equations[c].ids)
+            else:
+                raise EngineInternalError(
+                    f"decomposition over the new base demanded for unsettled constant {c}"
+                )
+        return NormedString(tuple(out), self.norms)
+
+
+@dataclass(frozen=True)
+class TestResult:
+    accepted: bool
+    step: int  # accepting step (4 early, 7 full) or the step that rejected
+
+
+def lpftest(
+    std: StandardSystem,
+    base: DecompositionBase,
+    partial: _PartialBase,
+    i: int,
+    delta: NormedString,
+    skip_steps: frozenset[int] = frozenset(),
+) -> TestResult:
+    """Single-transition test deciding whether delta decomposes constant i.
+
+    Steps, in order: (1) old-base decompositions agree; (2) every decreasing
+    move of the constant is matched silently-in-place or by a decreasing move
+    of delta under the new base; (3) every increasing move is matched under
+    the old base; (4) a silent decreasing move that lands exactly on delta
+    accepts immediately; otherwise (5) and (6) check delta's decreasing and
+    increasing moves symmetrically.  `skip_steps` exists for the mutation
+    harness only.
+    """
+    d_proc = delta.ids
+    if 1 not in skip_steps:
+        if not d_proc or base.dcmp((i,)) != base.dcmp(d_proc):
+            return TestResult(False, 1)
+
+    d_tail = d_proc[1:]
+    delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(d_proc[0])]
+    delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc_rules(d_proc[0])]
+
+    new_cache: dict[Process, NormedString] = {}
+    old_cache: dict[Process, NormedString] = {}
+
+    def dnew(p: Process) -> NormedString:
+        if p not in new_cache:
+            new_cache[p] = partial.dcmp(p)
+        return new_cache[p]
+
+    def dold(p: Process) -> NormedString:
+        if p not in old_cache:
+            old_cache[p] = base.dcmp(p)
+        return old_cache[p]
+
+    if 2 not in skip_steps:
+        for r in std.dec_rules(i):
+            da = dnew(r.rhs)
+            if is_silent(r.label) and da == delta:
+                continue
+            if any(lab == r.label and da == dnew(beta) for lab, beta in delta_dec):
+                continue
+            return TestResult(False, 2)
+
+    if 3 not in skip_steps:
+        for r in std.inc_rules(i):
+            da = dold(r.rhs)
+            if any(lab == r.label and da == dold(beta) for lab, beta in delta_inc):
+                continue
+            return TestResult(False, 3)
+
+    if 4 not in skip_steps:
+        if any(is_silent(r.label) and dnew(r.rhs) == delta for r in std.dec_rules(i)):
+            return TestResult(True, 4)
+
+    if 5 not in skip_steps:
+        for lab, beta in delta_dec:
+            db = dnew(beta)
+            if any(r.label == lab and dnew(r.rhs) == db for r in std.dec_rules(i)):
+                continue
+            return TestResult(False, 5)
+
+    if 6 not in skip_steps:
+        for lab, beta in delta_inc:
+            db = dold(beta)
+            if any(r.label == lab and dold(r.rhs) == db for r in std.inc_rules(i)):
+                continue
+            return TestResult(False, 6)
+
+    return TestResult(True, 7)
+
+
+def lpftest_realtime(
+    std: StandardSystem,
+    base: DecompositionBase,
+    partial: _PartialBase,
+    i: int,
+    delta: NormedString,
+) -> TestResult:
+    """Literal transcription of the five-step test for silent-free systems.
+
+    Kept independent of `lpftest` so the two can be compared per candidate on
+    realtime inputs; with no silent rules the general test must take exactly
+    these decisions.
+    """
+    d_proc = delta.ids
+    if not d_proc or base.dcmp((i,)) != base.dcmp(d_proc):
+        return TestResult(False, 1)
+
+    d_tail = d_proc[1:]
+    delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(d_proc[0])]
+    delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc_rules(d_proc[0])]
+
+    for r in std.dec_rules(i):
+        da = partial.dcmp(r.rhs)
+        if not any(lab == r.label and da == partial.dcmp(beta) for lab, beta in delta_dec):
+            return TestResult(False, 2)
+
+    for r in std.inc_rules(i):
+        da = base.dcmp(r.rhs)
+        if not any(lab == r.label and da == base.dcmp(beta) for lab, beta in delta_inc):
+            return TestResult(False, 3)
+
+    for lab, beta in delta_dec:
+        db = partial.dcmp(beta)
+        if not any(r.label == lab and partial.dcmp(r.rhs) == db for r in std.dec_rules(i)):
+            return TestResult(False, 4)
+
+    for lab, beta in delta_inc:
+        db = base.dcmp(beta)
+        if not any(r.label == lab and base.dcmp(r.rhs) == db for r in std.inc_rules(i)):
+            return TestResult(False, 5)
+
+    return TestResult(True, 6)
+
+
+def _count_norm_strings(norms_of_alphabet: list[int], total: int) -> int:
+    counts = [0] * (total + 1)
+    counts[0] = 1
+    for m in range(1, total + 1):
+        counts[m] = sum(counts[m - w] for w in norms_of_alphabet if w <= m)
+    return counts[total]
+
+
+def _norm_strings(alphabet: list[int], norms: tuple[int, ...], total: int) -> Iterator[Process]:
+    # Depth-first over the id-sorted alphabet yields lexicographic order; all
+    # results have the exact target norm, so none is a prefix of another.
+    prefix: list[int] = []
+
+    def rec(remaining: int) -> Iterator[Process]:
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for a in alphabet:
+            if norms[a] <= remaining:
+                prefix.append(a)
+                yield from rec(remaining - norms[a])
+                prefix.pop()
+
+    return rec(total)
+
+
+def candidates_for(
+    std: StandardSystem,
+    base: DecompositionBase,
+    partial: _PartialBase,
+    i: int,
+    fixed: tuple[Rule, ...],
+    mode: CandidateMode = CandidateMode.PRUNED,
+    max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
+) -> Iterable[NormedString]:
+    """Candidate decompositions for constant i.
+
+    Pruned: the previous leftmost prime factor and every new prime strictly
+    between it and i, each extended with the norm-matching suffix of the fixed
+    decreasing rule's decomposition; candidates whose suffix boundary does not
+    exist are skipped silently.  Exhaustive: every string over the settled
+    primes below i with the constant's norm, in lexicographic order.
+    """
+    if mode is CandidateMode.EXHAUSTIVE:
+        alphabet = [j for j in range(i) if j in partial.primes]
+        count = _count_norm_strings([std.norms[j] for j in alphabet], std.norms[i])
+        if count > max_exhaustive:
+            raise ExhaustiveGuardError(
+                f"{count} exhaustive candidates for constant {std.sys.name(i)} "
+                f"exceed the guard ({max_exhaustive})"
+            )
+        return (NormedString(ids, std.norms) for ids in _norm_strings(alphabet, std.norms, std.norms[i]))
+
+    s = partial.dcmp(fixed[i].rhs)
+    k = base.lpfindex(i)
+    heads = [base.lpf(i)]
+    heads += [j for j in range(k + 1, i) if j in partial.primes and j not in base.primes]
+    out = []
+    for j in heads:
+        if j not in partial.primes:
+            raise EngineInternalError(
+                f"old prime {std.sys.name(j)} left the refined prime set"
+            )
+        if std.norms[j] > std.norms[i]:
+            continue
+        tail = s.suffix_with_norm(std.norms[i] - std.norms[j])
+        if tail is None:
+            continue
+        out.append(NormedString((j, *tail.ids), std.norms))
+    return out
+
+
+@dataclass
+class CandidateOutcome:
+    delta: Process
+    accepted: bool
+    step: int
+    realtime_accepted: bool | None = None
+
+
+@dataclass
+class ConstantOutcome:
+    constant: int
+    outcome: str  # "equation" | "prime"
+    equation: Process | None
+    candidates: list[CandidateOutcome]
+
+
+@dataclass
+class IterationRecord:
+    number: int
+    primes_before: tuple[int, ...]
+    primes_after: tuple[int, ...]
+    new_primes: tuple[int, ...]
+    constants: list[ConstantOutcome]
+    divergences: int = 0  # general-vs-realtime decision mismatches
+
+
+RefinementTrace = list
+
+
+def refine(
+    std: StandardSystem,
+    base: DecompositionBase,
+    fixed: tuple[Rule, ...],
+    mode: CandidateMode = CandidateMode.PRUNED,
+    *,
+    max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
+    compare_realtime: bool = False,
+    skip_steps: frozenset[int] = frozenset(),
+) -> tuple[DecompositionBase, IterationRecord]:
+    """One refinement pass: rebuild all equations bottom-up against `base`.
+
+    Primes of the previous base stay prime.  In pruned mode every candidate is
+    scanned and a second acceptance raises (two accepted equations would
+    contradict unique decomposition); exhaustive mode stops at the first
+    acceptance, relying on mode agreement for that check.
+    """
+    if compare_realtime:
+        assert std.is_realtime, "realtime comparison requested on a system with silent rules"
+    scan_all = mode is CandidateMode.PRUNED
+    partial = _PartialBase(std.norms)
+    outcomes: list[ConstantOutcome] = []
+    divergences = 0
+
+    for i in range(std.n):
+        if i in base.primes:
+            partial.primes.add(i)
+            continue
+        accepted: NormedString | None = None
+        records: list[CandidateOutcome] = []
+        for delta in candidates_for(std, base, partial, i, fixed, mode, max_exhaustive):
+            res = lpftest(std, base, partial, i, delta, skip_steps)
+            rt: bool | None = None
+            if compare_realtime:
+                rt = lpftest_realtime(std, base, partial, i, delta).accepted
+                if rt != res.accepted:
+                    divergences += 1
+            records.append(CandidateOutcome(delta.ids, res.accepted, res.step, rt))
+            if res.accepted:
+                if accepted is not None:
+                    raise EngineInternalError(
+                        f"two candidates accepted for {std.sys.name(i)}: "
+                        f"unique decomposition violated"
+                    )
+                accepted = delta
+                if not scan_all:
+                    break
+        if accepted is not None:
+            partial.equations[i] = accepted
+            outcomes.append(ConstantOutcome(i, "equation", accepted.ids, records))
+        else:
+            partial.primes.add(i)
+            outcomes.append(ConstantOutcome(i, "prime", None, records))
+
+    new_base = DecompositionBase(std.n, partial.primes, partial.equations, std.norms)
+    if not base.primes <= new_base.primes:
+        raise EngineInternalError("prime set shrank during refinement")
+    record = IterationRecord(
+        number=0,
+        primes_before=tuple(sorted(base.primes)),
+        primes_after=tuple(sorted(new_base.primes)),
+        new_primes=tuple(sorted(new_base.primes - base.primes)),
+        constants=outcomes,
+        divergences=divergences,
+    )
+    return new_base, record
+
+
+def compute_bisimilarity_base(
+    std: StandardSystem,
+    mode: CandidateMode = CandidateMode.PRUNED,
+    *,
+    fixed: tuple[Rule, ...] | None = None,
+    max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
+    compare_realtime: bool = False,
+    skip_steps: frozenset[int] = frozenset(),
+) -> tuple[DecompositionBase, RefinementTrace]:
+    """Iterate refinement from the norm-equality base until the primes freeze.
+
+    Convergence takes at most n passes: every non-final pass adds a prime.
+    On the final pass the whole base must be unchanged, not just the prime
+    set; that is asserted rather than trusted.
+    """
+    if fixed is None:
+        fixed = select_decreasing_rules(std)
+    current = initial_base(std)
+    trace: RefinementTrace = []
+    if std.n == 0:
+        return current, trace
+    for number in range(1, std.n + 1):
+        refined, record = refine(
+            std,
+            current,
+            fixed,
+            mode,
+            max_exhaustive=max_exhaustive,
+            compare_realtime=compare_realtime,
+            skip_steps=skip_steps,
+        )
+        record.number = number
+        trace.append(record)
+        if refined.primes == current.primes:
+            if refined != current:
+                raise EngineInternalError(
+                    "prime set stabilized but equations changed"
+                )
+            return refined, trace
+        if not current.primes < refined.primes:
+            raise EngineInternalError("refinement pass added no prime yet changed the prime set")
+        current = refined
+    raise EngineInternalError(f"no fixpoint within {std.n} refinement passes")
+
+
+def check_equivalence(
+    std: StandardSystem,
+    p1: Process,
+    p2: Process,
+    *,
+    mode: CandidateMode = CandidateMode.PRUNED,
+    base: DecompositionBase | None = None,
+    max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
+) -> Verdict:
+    """Decide branching bisimilarity of two processes over `std`.
+
+    Two processes are bisimilar exactly when their decompositions under the
+    final base coincide; the base is attached to the verdict as evidence.
+    """
+    if base is None:
+        base, _ = compute_bisimilarity_base(std, mode, max_exhaustive=max_exhaustive)
+    kind = VerdictKind.BISIMILAR if base.equivalent(p1, p2) else VerdictKind.NOT_BISIMILAR
+    return Verdict(kind, base=base)
+
+
+def trace_to_json(std: StandardSystem, trace: RefinementTrace) -> list[dict]:
+    name = std.sys.name
+
+    def render(ids: Process) -> list[str]:
+        return [name(c) for c in ids]
+
+    out = []
+    for rec in trace:
+        out.append(
+            {
+                "iteration": rec.number,
+                "primes_before": render(rec.primes_before),
+                "primes_after": render(rec.primes_after),
+                "new_primes": render(rec.new_primes),
+                "divergences": rec.divergences,
+                "constants": [
+                    {
+                        "constant": name(c.constant),
+                        "outcome": c.outcome,
+                        "equation": render(c.equation) if c.equation is not None else None,
+                        "candidates": [
+                            {
+                                "delta": render(cand.delta),
+                                "accepted": cand.accepted,
+                                "step": cand.step,
+                                **(
+                                    {"realtime_accepted": cand.realtime_accepted}
+                                    if cand.realtime_accepted is not None
+                                    else {}
+                                ),
+                            }
+                            for cand in c.candidates
+                        ],
+                    }
+                    for c in rec.constants
+                ],
+            }
+        )
+    return out

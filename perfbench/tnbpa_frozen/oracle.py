@@ -1,0 +1,990 @@
+"""Independent ground truth for the refinement engine.
+
+Three ingredients: exact silent-decreasing closures (finite in a totally
+normed system because silent norm-preserving steps never shorten a process
+and lengths are bounded by norms); stratified rounds of the branching
+bisimulation game, whose failure at a finite level soundly refutes
+bisimilarity; and replayable attacker strategy trees extracted from a failing
+level, machine-checked against nothing but the transition semantics.
+
+A bounded search that finds no distinction proves nothing and is always
+reported as such.  The module also houses the random system generator and the
+differential harness that cross-checks the engine against the game.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
+
+from .base import DecompositionBase, base_equal
+from .model import TAU, BpaSystem, Process, Rule, is_silent
+from .normalization import (
+    SystemView,
+    check_totally_normed,
+    compute_norms,
+    standardize,
+)
+from . import engine as _engine
+
+
+class GuardExceeded(RuntimeError):
+    pass
+
+
+class ClosureGuardExceeded(GuardExceeded):
+    pass
+
+
+class StateGuardExceeded(GuardExceeded):
+    pass
+
+
+class ReplayError(AssertionError):
+    """A distinction certificate failed to replay against the semantics."""
+
+
+# ---------------------------------------------------------------------------
+# silent closures
+
+
+@dataclass(frozen=True)
+class SilentClosure:
+    """All processes reachable by silent decreasing steps, with step parents."""
+
+    source: Process
+    states: tuple[Process, ...]
+    parents: dict[Process, Process | None]
+
+
+def silent_closure_dec(view: SystemView, p: Process, limit: int = 10_000) -> SilentClosure:
+    """Exact BFS closure under silent norm-preserving steps.
+
+    The guard is a tripwire, not a truncation: exceeding it raises, because a
+    closure this large indicates a generator or normalization bug.
+    """
+    parents: dict[Process, Process | None] = {p: None}
+    order = [p]
+    frontier = [p]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for succ in view.silent_dec_transitions(q):
+                if succ not in parents:
+                    parents[succ] = q
+                    order.append(succ)
+                    nxt.append(succ)
+                    if len(order) > limit:
+                        raise ClosureGuardExceeded(
+                            f"silent closure of {p} exceeded {limit} states"
+                        )
+        frontier = nxt
+    return SilentClosure(p, tuple(order), parents)
+
+
+# ---------------------------------------------------------------------------
+# stratified game rounds
+
+
+@dataclass
+class DefenderReply:
+    kind: str  # "stay" | "move"
+    intermediate: Process | None
+    result: Process | None
+    child: "Distinction"
+
+
+@dataclass
+class Distinction:
+    """A node of an attacker strategy.
+
+    The attacker moves `side`'s process with `action` to `target`; every
+    legal defender reply is listed with the continuation the attacker picks.
+    A node with a visible action and no replies is a winning leaf: the
+    defender cannot match at all.  Extraction shares equal subgames, so the
+    strategy is a DAG; replay rejects cycles, which keeps sharing sound.
+    """
+
+    left: Process
+    right: Process
+    side: str  # "left" | "right"
+    action: str
+    target: Process
+    replies: tuple[DefenderReply, ...]
+
+    def size(self) -> int:
+        seen: set[int] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(r.child for r in node.replies)
+        return len(seen)
+
+
+class GameContext:
+    """Memoized stratified rounds of the branching game over one system.
+
+    Level 0 relates exactly the norm-equal pairs, so every level is
+    norm-preserving; level k demands one more round of matching in which
+    defender replies run through exact silent-decreasing closures.  Failure at
+    any finite level refutes bisimilarity; success at a bound proves nothing.
+
+    `norm_budget`, when set, treats pairs whose norm exceeds it as related
+    without exploring them.  That only coarsens the levels, so refutations
+    stay sound and extracted certificates still replay; it bounds the blowup
+    that norm-increasing rules otherwise cause (each round can pump the pairs
+    higher).  Searches that return nothing are honest either way: they never
+    claim bisimilarity.
+    """
+
+    def __init__(
+        self,
+        view: SystemView,
+        *,
+        closure_limit: int = 10_000,
+        memo_limit: int = 400_000,
+        node_limit: int = 200_000,
+        norm_budget: int | None = None,
+    ):
+        self.view = view
+        self.closure_limit = closure_limit
+        self.memo_limit = memo_limit
+        self.node_limit = node_limit
+        self.norm_budget = norm_budget
+        self._closures: dict[Process, SilentClosure] = {}
+        self._memo: dict[tuple[Process, Process, int], bool] = {}
+        self._refutations: dict[tuple[Process, Process, int], Distinction] = {}
+        self._descents: dict[tuple[Process, Process], Distinction] = {}
+
+    def closure(self, p: Process) -> SilentClosure:
+        hit = self._closures.get(p)
+        if hit is None:
+            hit = silent_closure_dec(self.view, p, self.closure_limit)
+            self._closures[p] = hit
+        return hit
+
+    def related(self, p: Process, q: Process, k: int) -> bool:
+        # Shared suffixes cancel exactly at every level: silent steps never
+        # erase, so play over "alpha tail" vs "beta tail" projects onto play
+        # over "alpha" vs "beta" and back.  Stripping them collapses the
+        # pumped pairs that otherwise blow up the memo table.
+        common = 0
+        limit = min(len(p), len(q))
+        while common < limit and p[-1 - common] == q[-1 - common]:
+            common += 1
+        if common:
+            p, q = p[: len(p) - common], q[: len(q) - common]
+        if p == q:
+            return True
+        norm = self.view.norm_of(p)
+        if norm != self.view.norm_of(q):
+            return False
+        if k <= 0:
+            return True
+        if self.norm_budget is not None and norm > self.norm_budget:
+            return True
+        # Shared prefixes are sound one way only: play on "head tail1" vs
+        # "head tail2" can mirror the head move-for-move without spending
+        # rounds, so related tails imply related wholes.  Failing tails imply
+        # nothing (cancelling a prefix may cost rounds), so fall through.
+        if p[0] == q[0]:
+            common = 1
+            limit = min(len(p), len(q))
+            while common < limit and p[common] == q[common]:
+                common += 1
+            if self.related(p[common:], q[common:], k):
+                return True
+        key = (p, q, k) if p <= q else (q, p, k)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if len(self._memo) >= self.memo_limit:
+            raise StateGuardExceeded(f"approximant memo exceeded {self.memo_limit} entries")
+        relate = lambda a, b: self.related(a, b, k - 1)
+        res = self.expansion_holds(relate, p, q)
+        self._memo[key] = res
+        return res
+
+    def expansion_holds(
+        self, relate: Callable[[Process, Process], bool], p: Process, q: Process
+    ) -> bool:
+        """One full round of the branching game with a given relatedness.
+
+        Every move of either process must be matched: a silent move vacuously
+        (successor related to the opponent) or by a closure-then-action reply
+        whose pre-action state is related to the mover's source and whose
+        post-action state is related to the mover's target.
+        """
+        return self._half_round(relate, p, q) and self._half_round(
+            lambda b, a: relate(a, b), q, p
+        )
+
+    def _half_round(self, relate, mover: Process, defender: Process) -> bool:
+        for label, t in self.view.transitions(mover):
+            if is_silent(label) and relate(t, defender):
+                continue
+            if self._has_reply(relate, mover, t, label, defender):
+                continue
+            return False
+        return True
+
+    def _has_reply(self, relate, mover, target, label, defender) -> bool:
+        for mid in self.closure(defender).states:
+            if not relate(mover, mid):
+                continue
+            for lab, res in self.view.transitions(mid):
+                if lab == label and relate(target, res):
+                    return True
+        return False
+
+    # -- certificate extraction ------------------------------------------
+
+    def find_distinction(self, p: Process, q: Process, k_max: int) -> Distinction | None:
+        """A replayable attacker strategy refuting p ~ q, or None at the bound."""
+        if self.related(p, q, k_max):
+            return None
+        k = 0
+        while self.related(p, q, k):
+            k += 1
+        return self._refute(p, q, k)
+
+    def refutation_level(self, p: Process, q: Process, k_max: int) -> int | None:
+        if self.related(p, q, k_max):
+            return None
+        k = 0
+        while self.related(p, q, k):
+            k += 1
+        return k
+
+    def _check_node_budget(self) -> None:
+        if len(self._refutations) + len(self._descents) > self.node_limit:
+            raise StateGuardExceeded(f"strategy extraction exceeded {self.node_limit} nodes")
+
+    def _refute(self, p: Process, q: Process, k: int) -> Distinction:
+        view = self.view
+        if view.norm_of(p) != view.norm_of(q):
+            return self._norm_descent(p, q)
+        key = (p, q, k)
+        hit = self._refutations.get(key)
+        if hit is not None:
+            return hit
+        assert k >= 1, "norm-equal pair cannot fail at level 0"
+        km1 = k - 1
+        for side, att, dfd in (("left", p, q), ("right", q, p)):
+            for label, t in view.transitions(att):
+                if is_silent(label) and self.related(t, dfd, km1):
+                    continue
+                if self._has_reply(lambda a, b: self.related(a, b, km1), att, t, label, dfd):
+                    continue
+                node = self._node(side, p, q, att, dfd, label, t, km1)
+                self._refutations[key] = node
+                self._check_node_budget()
+                return node
+        raise AssertionError("approximant failed but every transition is matched")
+
+    def _node(self, side, p, q, att, dfd, label, t, km1) -> Distinction:
+        replies: list[DefenderReply] = []
+        if is_silent(label):
+            stay_pair = (t, q) if side == "left" else (p, t)
+            replies.append(DefenderReply("stay", None, None, self._refute(*stay_pair, km1)))
+        for mid in self.closure(dfd).states:
+            for lab, res in self.view.transitions(mid):
+                if lab != label:
+                    continue
+                if not self.related(att, mid, km1):
+                    pair = (p, mid) if side == "left" else (mid, q)
+                elif not self.related(t, res, km1):
+                    pair = (t, res) if side == "left" else (res, t)
+                else:
+                    raise AssertionError("witness transition has an answered reply")
+                replies.append(DefenderReply("move", mid, res, self._refute(*pair, km1)))
+        return Distinction(p, q, side, label, t, tuple(replies))
+
+    def _witness_step(self, p: Process) -> tuple[str, Process]:
+        # The norm fixpoint's witness rule of the head; witness rules form a
+        # well-founded descent even on systems that were never standardized.
+        r = self.view.sys.rules[self.view.witness[p[0]]]
+        return r.label, r.rhs + p[1:]
+
+    def _norm_descent(self, p: Process, q: Process) -> Distinction:
+        """Attacker strategy for a norm-unequal pair.
+
+        Descend the smaller side's norm-witness path; every defender reply
+        keeps the norms unequal.  Once one side is empty, descend the other:
+        its first visible witness step cannot be answered by the empty
+        process.
+        """
+        view = self.view
+        key = (p, q)
+        hit = self._descents.get(key)
+        if hit is not None:
+            return hit
+        np_, nq = view.norm_of(p), view.norm_of(q)
+        assert np_ != nq
+        if not p:
+            side, att, dfd = "right", q, p
+        elif not q:
+            side, att, dfd = "left", p, q
+        elif np_ < nq:
+            side, att, dfd = "left", p, q
+        else:
+            side, att, dfd = "right", q, p
+
+        label, t = self._witness_step(att)
+        replies: list[DefenderReply] = []
+        if is_silent(label):
+            stay_pair = (t, q) if side == "left" else (p, t)
+            replies.append(DefenderReply("stay", None, None, self._norm_descent(*stay_pair)))
+        for mid in self.closure(dfd).states:
+            for lab, res in view.transitions(mid):
+                if lab != label:
+                    continue
+                pair = (t, res) if side == "left" else (res, t)
+                replies.append(DefenderReply("move", mid, res, self._norm_descent(*pair)))
+        node = Distinction(p, q, side, label, t, tuple(replies))
+        self._descents[key] = node
+        self._check_node_budget()
+        return node
+
+
+def approximant_related(view: SystemView, p: Process, q: Process, k: int, **guards) -> bool:
+    return GameContext(view, **guards).related(p, q, k)
+
+
+def find_distinction(view: SystemView, p: Process, q: Process, k_max: int, **guards) -> Distinction | None:
+    return GameContext(view, **guards).find_distinction(p, q, k_max)
+
+
+def expansion_holds(
+    view: SystemView, relate: Callable[[Process, Process], bool], p: Process, q: Process
+) -> bool:
+    return GameContext(view).expansion_holds(relate, p, q)
+
+
+# ---------------------------------------------------------------------------
+# certificate replay
+
+
+def replay_distinction(view: SystemView, d: Distinction, closure_limit: int = 10_000) -> None:
+    """Machine-check a distinction against the transition semantics alone.
+
+    Verifies that the attacked transition exists, that the certificate covers
+    every legal defender option (and nothing else), that each continuation
+    pair is one the rules of the game allow, and that leaves really are stuck
+    defender positions.  The strategy may share subgames; a cycle would let
+    the defender survive forever, so cycles are rejected, after which one
+    check per distinct node covers every play.  Raises ReplayError otherwise.
+    """
+    verified: set[int] = set()
+    on_path: set[int] = set()
+
+    def check(node: Distinction) -> None:
+        if id(node) in on_path:
+            raise ReplayError("strategy contains a cycle; the defender could play it forever")
+        if id(node) in verified:
+            return
+        on_path.add(id(node))
+
+        att, dfd = (node.left, node.right) if node.side == "left" else (node.right, node.left)
+        if (node.action, node.target) not in view.transitions(att):
+            raise ReplayError(f"attacked transition {node.action} not available from {att}")
+
+        options: list[tuple[str, Process | None, Process | None]] = []
+        if is_silent(node.action):
+            options.append(("stay", None, None))
+        closure = silent_closure_dec(view, dfd, closure_limit)
+        for mid in closure.states:
+            for lab, res in view.transitions(mid):
+                if lab == node.action:
+                    options.append(("move", mid, res))
+
+        listed = [(r.kind, r.intermediate, r.result) for r in node.replies]
+        if sorted(listed, key=repr) != sorted(options, key=repr):
+            missing = [o for o in options if o not in listed]
+            extra = [o for o in listed if o not in options]
+            raise ReplayError(f"defender options mismatch: missing={missing} extra={extra}")
+
+        for r in node.replies:
+            child_pair = (r.child.left, r.child.right)
+            if r.kind == "stay":
+                legal = [(node.target, node.right) if node.side == "left" else (node.left, node.target)]
+            elif node.side == "left":
+                legal = [(node.left, r.intermediate), (node.target, r.result)]
+            else:
+                legal = [(r.intermediate, node.right), (r.result, node.target)]
+            if child_pair not in legal:
+                raise ReplayError(f"continuation {child_pair} is not a legal game position")
+            check(r.child)
+
+        on_path.discard(id(node))
+        verified.add(id(node))
+
+    check(d)
+
+
+def distinction_to_json(view: SystemView, d: Distinction) -> dict:
+    """Render a strategy as a node table with child indices (subgames shared)."""
+    name = view.sys.name
+
+    def proc(p: Process | None) -> str | None:
+        if p is None:
+            return None
+        return " ".join(name(c) for c in p) if p else "eps"
+
+    index: dict[int, int] = {}
+    nodes: list[Distinction] = []
+
+    def number(node: Distinction) -> int:
+        if id(node) in index:
+            return index[id(node)]
+        index[id(node)] = len(nodes)
+        nodes.append(node)
+        for r in node.replies:
+            number(r.child)
+        return index[id(node)]
+
+    number(d)
+    return {
+        "root": 0,
+        "nodes": [
+            {
+                "left": proc(n.left),
+                "right": proc(n.right),
+                "side": n.side,
+                "action": n.action,
+                "target": proc(n.target),
+                "replies": [
+                    {
+                        "kind": r.kind,
+                        "intermediate": proc(r.intermediate),
+                        "result": proc(r.result),
+                        "child": index[id(r.child)],
+                    }
+                    for r in n.replies
+                ],
+            }
+            for n in nodes
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# base verification
+
+
+@dataclass
+class GeneratorCheck:
+    kind: str  # "equation" | "structural" | "sample"
+    subject: str
+    ok: bool
+    distinction: Distinction | None = None
+    detail: str = ""
+
+
+@dataclass
+class GeneratorReport:
+    checks: list[GeneratorCheck]
+    k_max: int
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    @property
+    def failures(self) -> list[GeneratorCheck]:
+        return [c for c in self.checks if not c.ok]
+
+
+def verify_base_generators(
+    std,
+    base: DecompositionBase,
+    k_max: int = 16,
+    sample_budget: int = 50,
+    seed: int = 0,
+    ctx: GameContext | None = None,
+    norm_budget: int | None = 24,
+) -> GeneratorReport:
+    """Attack a base's generators with the game oracle.
+
+    Checks, in order: no equation pair can be distinguished up to k_max; for
+    every prime, no decreasing rule decomposes back onto the prime itself (its
+    decomposition stays strictly below the prime's index); and a sample of
+    decomposition-equal process pairs is likewise undistinguished.  Failures
+    carry replayable certificates; a clean report is strong evidence, not a
+    proof.
+    """
+    if ctx is None:
+        ctx = GameContext(std, norm_budget=norm_budget)
+    name = std.sys.name
+    checks: list[GeneratorCheck] = []
+
+    for i in sorted(base.equations):
+        rhs = base.equations[i]
+        d = ctx.find_distinction((i,), rhs.ids, k_max)
+        checks.append(
+            GeneratorCheck(
+                "equation",
+                f"{name(i)} = {rhs.to_text(name)}",
+                ok=d is None,
+                distinction=d,
+            )
+        )
+
+    for i in sorted(base.primes):
+        for r in std.dec_rules(i):
+            d = base.dcmp(r.rhs)
+            ok = d.ids != (i,) and all(c < i for c in d.ids)
+            checks.append(
+                GeneratorCheck(
+                    "structural",
+                    f"prime {name(i)} -{r.label}-> {d.to_text(name)}",
+                    ok=ok,
+                    detail="" if ok else "decreasing step decomposes onto the prime itself",
+                )
+            )
+
+    def proc_text(p: Process) -> str:
+        return " ".join(name(c) for c in p) if p else "eps"
+
+    rng = random.Random(seed)
+    for _ in range(sample_budget):
+        p, q = sample_dcmp_equal_pair(std, base, rng)
+        d = ctx.find_distinction(p, q, k_max)
+        checks.append(
+            GeneratorCheck(
+                "sample",
+                f"{proc_text(p)} vs {proc_text(q)}",
+                ok=d is None,
+                distinction=d,
+            )
+        )
+
+    return GeneratorReport(checks, k_max)
+
+
+def _fold_composites(base: DecompositionBase, ids: Sequence[int], rng: random.Random, rounds: int = 4) -> Process:
+    cur = list(ids)
+    composites = sorted(base.equations)
+    if not composites:
+        return tuple(cur)
+    for _ in range(rounds):
+        x = rng.choice(composites)
+        pat = base.equations[x].ids
+        width = len(pat)
+        spots = [j for j in range(len(cur) - width + 1) if tuple(cur[j : j + width]) == pat]
+        if not spots:
+            continue
+        j = rng.choice(spots)
+        cur[j : j + width] = [x]
+    return tuple(cur)
+
+
+def sample_dcmp_equal_pair(std, base: DecompositionBase, rng: random.Random, max_len: int = 3) -> tuple[Process, Process]:
+    """Two processes with equal decompositions: independent refoldings of one."""
+    if std.n == 0:
+        return (), ()
+    seed_proc = tuple(rng.randrange(std.n) for _ in range(rng.randint(0, max_len)))
+    prime_form = base.dcmp(seed_proc).ids
+    return (
+        _fold_composites(base, prime_form, rng),
+        _fold_composites(base, prime_form, rng),
+    )
+
+
+# ---------------------------------------------------------------------------
+# random systems
+
+
+@dataclass(frozen=True)
+class GenParams:
+    """Knobs for the random tnBPA generator; output is a pure function of these.
+
+    `composite_prob` is the chance a constant is built as an exact clone of a
+    product of earlier constants; without planted clones almost every random
+    constant is prime and the decomposition machinery sits idle.
+    """
+
+    constants: int = 6
+    max_rhs_len: int = 3
+    alphabet: int = 2
+    silent_prob: float = 0.3
+    norm_cap: int = 4
+    extra_rules: int = 2
+    composite_prob: float = 0.35
+    seed: int = 0
+
+
+def _action_names(count: int) -> list[str]:
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    return [letters[i] if i < 26 else f"a{i}" for i in range(count)]
+
+
+def random_system(params: GenParams) -> BpaSystem:
+    """Generate a totally normed system, deterministically in the seed.
+
+    Constants are built in rounds.  A clone constant copies the rule set of an
+    earlier head with a fixed tail appended, so it is bisimilar to that product
+    by construction.  Every other constant receives one visible rule whose
+    right-hand side uses only earlier constants within the norm budget, which
+    bounds every norm by the cap and rules out unnormed constants; silent
+    extras are biased toward norm-preserving single-constant chains.  Extra
+    rules may point anywhere; silent ones never erase.  A norm cap of 1
+    forces unit norms.
+    """
+    assert params.constants >= 1 and params.alphabet >= 1 and params.norm_cap >= 1
+    rng = random.Random(params.seed)
+    actions = _action_names(params.alphabet)
+    names = [f"C{i + 1}" for i in range(params.constants)]
+    provisional = [0] * params.constants
+    rules: list[Rule] = []
+    rules_of: list[list[Rule]] = [[] for _ in range(params.constants)]
+
+    def add(rule: Rule) -> None:
+        rules.append(rule)
+        rules_of[rule.lhs].append(rule)
+
+    for k in range(params.constants):
+        if k > 0 and rng.random() < params.composite_prob:
+            head = rng.randrange(k)
+            if len(rules_of[head]) <= 10:
+                budget = params.norm_cap - provisional[head]
+                tail: list[int] = []
+                for _ in range(rng.randint(0, max(0, params.max_rhs_len - 1))):
+                    options = [j for j in range(k) if provisional[j] <= budget]
+                    if not options:
+                        break
+                    j = rng.choice(options)
+                    tail.append(j)
+                    budget -= provisional[j]
+                for r in rules_of[head]:
+                    add(Rule(k, r.label, r.rhs + tuple(tail)))
+                provisional[k] = provisional[head] + sum(provisional[j] for j in tail)
+                continue
+
+        budget = params.norm_cap - 1
+        rhs: list[int] = []
+        for _ in range(rng.randint(0, params.max_rhs_len)):
+            options = [j for j in range(k) if provisional[j] <= budget]
+            if not options:
+                break
+            j = rng.choice(options)
+            rhs.append(j)
+            budget -= provisional[j]
+        add(Rule(k, rng.choice(actions), tuple(rhs)))
+        provisional[k] = 1 + sum(provisional[j] for j in rhs)
+
+        for _ in range(rng.randint(0, params.extra_rules)):
+            silent = rng.random() < params.silent_prob
+            if silent:
+                peers = [j for j in range(k) if provisional[j] == provisional[k]]
+                if peers and rng.random() < 0.5:
+                    extra_rhs: tuple[int, ...] = (rng.choice(peers),)
+                else:
+                    length = rng.randint(1, params.max_rhs_len)
+                    extra_rhs = tuple(rng.randrange(params.constants) for _ in range(length))
+                label = TAU
+            else:
+                length = rng.randint(0, params.max_rhs_len)
+                extra_rhs = tuple(rng.randrange(params.constants) for _ in range(length))
+                label = rng.choice(actions)
+            add(Rule(k, label, extra_rhs))
+
+    sys = BpaSystem(names, rules)
+    table = compute_norms(sys)
+    assert not check_totally_normed(sys, table), "generator produced a non-tn system"
+    return sys
+
+
+# ---------------------------------------------------------------------------
+# differential harness
+
+
+@dataclass
+class PairCheck:
+    left: Process
+    right: Process
+    engine: str  # "bisimilar" | "not-bisimilar"
+    oracle: str  # "confirmed" | "none-found" | "refuted" | "guard"
+    level: int | None = None
+    confirmed_at: int | None = None
+    certificate: str | None = None  # "replayed" | "skipped" (extraction over budget)
+
+
+@dataclass
+class TrialReport:
+    seed: int
+    constants: int
+    rules: int
+    realtime: bool
+    iterations: int
+    primes: int
+    mode_agree: bool | None
+    generator_ok: bool
+    generator_failures: int
+    realtime_divergences: int | None
+    engine_error: str | None = None
+    pairs: list[PairCheck] = field(default_factory=list)
+    errors: list[str] = field(default_factory=list)
+
+    @property
+    def refutations(self) -> int:
+        return sum(1 for p in self.pairs if p.oracle == "refuted")
+
+    @property
+    def flagged(self) -> list[PairCheck]:
+        return [
+            p
+            for p in self.pairs
+            if p.engine == "not-bisimilar" and p.oracle in ("none-found", "guard")
+        ]
+
+    def to_json(self) -> dict:
+        return {
+            "seed": self.seed,
+            "constants": self.constants,
+            "rules": self.rules,
+            "realtime": self.realtime,
+            "iterations": self.iterations,
+            "primes": self.primes,
+            "mode_agree": self.mode_agree,
+            "generator_ok": self.generator_ok,
+            "generator_failures": self.generator_failures,
+            "realtime_divergences": self.realtime_divergences,
+            "refutations": self.refutations,
+            "flagged": len(self.flagged),
+            "pairs_checked": len(self.pairs),
+            "certificates_replayed": sum(1 for p in self.pairs if p.certificate == "replayed"),
+            "certificates_skipped": sum(1 for p in self.pairs if p.certificate == "skipped"),
+            "engine_error": self.engine_error,
+            "errors": self.errors,
+        }
+
+
+@dataclass
+class DifferentialReport:
+    trials: list[TrialReport]
+    k_max: int
+
+    @property
+    def pairs_checked(self) -> int:
+        return sum(len(t.pairs) for t in self.trials)
+
+    @property
+    def refutations(self) -> int:
+        return sum(t.refutations for t in self.trials)
+
+    @property
+    def not_bisimilar_pairs(self) -> int:
+        return sum(
+            1 for t in self.trials for p in t.pairs if p.engine == "not-bisimilar"
+        )
+
+    @property
+    def flagged(self) -> list[PairCheck]:
+        return [p for t in self.trials for p in t.flagged]
+
+    @property
+    def flag_rate(self) -> float:
+        total = self.not_bisimilar_pairs
+        return len(self.flagged) / total if total else 0.0
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.refutations == 0
+            and all(t.generator_ok for t in self.trials)
+            and all(t.engine_error is None for t in self.trials)
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "trials": len(self.trials),
+            "k_max": self.k_max,
+            "pairs_checked": self.pairs_checked,
+            "refutations": self.refutations,
+            "not_bisimilar_pairs": self.not_bisimilar_pairs,
+            "flagged": len(self.flagged),
+            "flag_rate": self.flag_rate,
+            "mode_mismatches": sum(1 for t in self.trials if t.mode_agree is False),
+            "generator_failures": sum(t.generator_failures for t in self.trials),
+            "realtime_divergences": sum(t.realtime_divergences or 0 for t in self.trials),
+            "errors": sum(len(t.errors) for t in self.trials),
+            "ok": self.ok,
+        }
+
+
+def _sample_pairs(std, rng: random.Random, count: int, max_norm: int = 12) -> list[tuple[Process, Process]]:
+    """Random norm-bounded pairs, biased toward norm-equal (the hard case)."""
+    n = std.n
+    pool: list[Process] = [(i,) for i in range(n)]
+    for _ in range(4 * count):
+        length = rng.randint(0, 3)
+        pool.append(tuple(rng.randrange(n) for _ in range(length)))
+    pool = [p for p in pool if std.norm_of(p) <= max_norm]
+    buckets: dict[int, list[Process]] = {}
+    for p in pool:
+        buckets.setdefault(std.norm_of(p), []).append(p)
+    rich = [b for b in buckets.values() if len(b) >= 2]
+    pairs = []
+    for _ in range(count):
+        if rich and rng.random() < 0.85:
+            bucket = rng.choice(rich)
+            pairs.append((rng.choice(bucket), rng.choice(bucket)))
+        else:
+            pairs.append((rng.choice(pool), rng.choice(pool)))
+    return pairs
+
+
+def differential_trial(
+    params: GenParams,
+    k_max: int = 16,
+    pairs_per_trial: int = 20,
+    *,
+    check_modes: bool = True,
+    confirm_k: int | None = 24,
+    generator_samples: int = 10,
+    norm_budget: int | None = 24,
+    skip_steps: frozenset[int] = frozenset(),
+) -> TrialReport:
+    """Generate one system and cross-check the engine against the oracle."""
+    sys = random_system(params)
+    std = standardize(sys)
+    compare_rt = std.is_realtime
+
+    try:
+        base, trace = _engine.compute_bisimilarity_base(
+            std, compare_realtime=compare_rt, skip_steps=skip_steps
+        )
+    except AssertionError as exc:
+        # A fuzz harness records engine failures instead of dying on them;
+        # a non-empty engine_error fails the whole report.
+        return TrialReport(
+            seed=params.seed,
+            constants=std.n,
+            rules=len(std.sys.rules),
+            realtime=std.is_realtime,
+            iterations=0,
+            primes=0,
+            mode_agree=None,
+            generator_ok=False,
+            generator_failures=0,
+            realtime_divergences=None,
+            engine_error=str(exc),
+        )
+    divergences = sum(rec.divergences for rec in trace) if compare_rt else None
+
+    mode_agree: bool | None = None
+    errors: list[str] = []
+    if check_modes:
+        try:
+            base_ex, _ = _engine.compute_bisimilarity_base(
+                std, _engine.CandidateMode.EXHAUSTIVE, skip_steps=skip_steps
+            )
+            mode_agree = base_equal(base, base_ex)
+        except _engine.ExhaustiveGuardError as exc:
+            errors.append(f"exhaustive guard: {exc}")
+
+    ctx = GameContext(std, norm_budget=norm_budget)
+    gen_report = verify_base_generators(
+        std, base, k_max=k_max, sample_budget=generator_samples, seed=params.seed, ctx=ctx
+    )
+
+    report = TrialReport(
+        seed=params.seed,
+        constants=std.n,
+        rules=len(std.sys.rules),
+        realtime=std.is_realtime,
+        iterations=len(trace),
+        primes=len(base.primes),
+        mode_agree=mode_agree,
+        generator_ok=gen_report.ok,
+        generator_failures=len(gen_report.failures),
+        realtime_divergences=divergences,
+        errors=errors,
+    )
+
+    def try_certificate(p: Process, q: Process, bound: int) -> str:
+        # A certificate is evidence over and above the sound level verdict;
+        # extraction can exceed the node budget on wildly pumping systems, in
+        # which case only the certificate is skipped, not the confirmation.
+        try:
+            d = ctx.find_distinction(p, q, bound)
+            assert d is not None
+            replay_distinction(std, d)
+            return "replayed"
+        except StateGuardExceeded:
+            return "skipped"
+
+    rng = random.Random(f"pairs-{params.seed}")
+    for p, q in _sample_pairs(std, rng, pairs_per_trial):
+        engine_verdict = "bisimilar" if base.equivalent(p, q) else "not-bisimilar"
+        oracle_verdict = "none-found"
+        level: int | None = None
+        confirmed_at: int | None = None
+        certificate: str | None = None
+        try:
+            level = ctx.refutation_level(p, q, k_max)
+            if level is not None:
+                oracle_verdict = "refuted" if engine_verdict == "bisimilar" else "confirmed"
+                certificate = try_certificate(p, q, k_max)
+            elif engine_verdict == "not-bisimilar" and confirm_k and confirm_k > k_max:
+                confirmed_at = ctx.refutation_level(p, q, confirm_k)
+                if confirmed_at is not None:
+                    certificate = try_certificate(p, q, confirm_k)
+        except GuardExceeded as exc:
+            oracle_verdict = "guard"
+            errors.append(f"oracle guard on {p} vs {q}: {exc}")
+        report.pairs.append(
+            PairCheck(p, q, engine_verdict, oracle_verdict, level, confirmed_at, certificate)
+        )
+    return report
+
+
+def differential_run(
+    params: GenParams,
+    trials: int,
+    k_max: int = 16,
+    *,
+    pairs_per_trial: int = 20,
+    check_modes: bool = True,
+    confirm_k: int | None = 24,
+    jobs: int = 1,
+    skip_steps: frozenset[int] = frozenset(),
+) -> DifferentialReport:
+    """Run independent trials with derived seeds; optionally in parallel."""
+    args = [
+        (
+            dataclasses.replace(params, seed=params.seed + t),
+            k_max,
+            pairs_per_trial,
+            check_modes,
+            confirm_k,
+            skip_steps,
+        )
+        for t in range(trials)
+    ]
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            reports = list(pool.map(_trial_worker, args))
+    else:
+        reports = [_trial_worker(a) for a in args]
+    return DifferentialReport(reports, k_max)
+
+
+def _trial_worker(packed) -> TrialReport:
+    params, k_max, pairs_per_trial, check_modes, confirm_k, skip_steps = packed
+    return differential_trial(
+        params,
+        k_max,
+        pairs_per_trial,
+        check_modes=check_modes,
+        confirm_k=confirm_k,
+        skip_steps=skip_steps,
+    )
