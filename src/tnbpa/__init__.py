@@ -5,7 +5,7 @@ polynomial time; an independent game oracle refutes, certifies refutations,
 and stress-tests the engine.
 """
 
-from .base import DecompositionBase, base_equal, initial_base
+from .base import DecompositionBase, initial_base
 from .engine import (
     CandidateMode,
     Verdict,
@@ -48,7 +48,6 @@ __all__ = [
     "SystemView",
     "Verdict",
     "VerdictKind",
-    "base_equal",
     "check_equivalence",
     "compute_bisimilarity_base",
     "compute_norms",

@@ -95,14 +95,6 @@ class DecompositionBase:
             return cid
         return self.equations[cid].ids[0]
 
-    def lpfindex(self, cid: int) -> int:
-        # Ids double as standard indices, so the factor is its own index.
-        return self.lpf(cid)
-
-
-def base_equal(b1: DecompositionBase, b2: DecompositionBase) -> bool:
-    return b1 == b2
-
 
 def initial_base(std: StandardSystem) -> DecompositionBase:
     """The norm-equality congruence: X_i = X_1 ** norm(X_i) for every i > 0."""

@@ -18,16 +18,12 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .base import DecompositionBase, initial_base
+from .base import DecompositionBase, dcmp_ids, initial_base
 from .model import Process, Rule, is_silent
-from .normalization import StandardSystem
+from .normalization import EngineInternalError, StandardSystem
 from .strings import NormedString
 
 DEFAULT_MAX_EXHAUSTIVE = 100_000
-
-
-class EngineInternalError(AssertionError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
 
 
 class ExhaustiveGuardError(RuntimeError):
@@ -42,17 +38,14 @@ class CandidateMode(str, enum.Enum):
 class VerdictKind(str, enum.Enum):
     BISIMILAR = "bisimilar"
     NOT_BISIMILAR = "not-bisimilar"
-    UNKNOWN = "unknown-at-bound"
 
 
 @dataclass
 class Verdict:
-    """Three-valued outcome; the engine never returns UNKNOWN, oracle-only
-    queries do (a bounded search that found nothing proves nothing)."""
+    """The engine's decision, with the final base as evidence."""
 
     kind: VerdictKind
     base: DecompositionBase | None = None
-    bound: int | None = None
 
 
 def select_decreasing_rules(std: StandardSystem) -> tuple[Rule, ...]:
@@ -87,17 +80,12 @@ class _PartialBase:
 
     def dcmp(self, p: Process | NormedString) -> NormedString:
         ids = p.ids if isinstance(p, NormedString) else p
-        out: list[int] = []
-        for c in ids:
-            if c in self.primes:
-                out.append(c)
-            elif c in self.equations:
-                out.extend(self.equations[c].ids)
-            else:
-                raise EngineInternalError(
-                    f"decomposition over the new base demanded for unsettled constant {c}"
-                )
-        return NormedString(tuple(out), self.norms)
+        try:
+            return NormedString(tuple(dcmp_ids(self.primes, self.equations, ids)), self.norms)
+        except KeyError as exc:
+            raise EngineInternalError(
+                f"decomposition over the new base demanded for unsettled constant {exc.args[0]}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -112,7 +100,6 @@ def lpftest(
     partial: _PartialBase,
     i: int,
     delta: NormedString,
-    skip_steps: frozenset[int] = frozenset(),
 ) -> TestResult:
     """Single-transition test deciding whether delta decomposes constant i.
 
@@ -121,13 +108,11 @@ def lpftest(
     of delta under the new base; (3) every increasing move is matched under
     the old base; (4) a silent decreasing move that lands exactly on delta
     accepts immediately; otherwise (5) and (6) check delta's decreasing and
-    increasing moves symmetrically.  `skip_steps` exists for the mutation
-    harness only.
+    increasing moves symmetrically.
     """
     d_proc = delta.ids
-    if 1 not in skip_steps:
-        if not d_proc or base.dcmp((i,)) != base.dcmp(d_proc):
-            return TestResult(False, 1)
+    if not d_proc or base.dcmp((i,)) != base.dcmp(d_proc):
+        return TestResult(False, 1)
 
     d_tail = d_proc[1:]
     delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(d_proc[0])]
@@ -146,39 +131,34 @@ def lpftest(
             old_cache[p] = base.dcmp(p)
         return old_cache[p]
 
-    if 2 not in skip_steps:
-        for r in std.dec_rules(i):
-            da = dnew(r.rhs)
-            if is_silent(r.label) and da == delta:
-                continue
-            if any(lab == r.label and da == dnew(beta) for lab, beta in delta_dec):
-                continue
-            return TestResult(False, 2)
+    for r in std.dec_rules(i):
+        da = dnew(r.rhs)
+        if is_silent(r.label) and da == delta:
+            continue
+        if any(lab == r.label and da == dnew(beta) for lab, beta in delta_dec):
+            continue
+        return TestResult(False, 2)
 
-    if 3 not in skip_steps:
-        for r in std.inc_rules(i):
-            da = dold(r.rhs)
-            if any(lab == r.label and da == dold(beta) for lab, beta in delta_inc):
-                continue
-            return TestResult(False, 3)
+    for r in std.inc_rules(i):
+        da = dold(r.rhs)
+        if any(lab == r.label and da == dold(beta) for lab, beta in delta_inc):
+            continue
+        return TestResult(False, 3)
 
-    if 4 not in skip_steps:
-        if any(is_silent(r.label) and dnew(r.rhs) == delta for r in std.dec_rules(i)):
-            return TestResult(True, 4)
+    if any(is_silent(r.label) and dnew(r.rhs) == delta for r in std.dec_rules(i)):
+        return TestResult(True, 4)
 
-    if 5 not in skip_steps:
-        for lab, beta in delta_dec:
-            db = dnew(beta)
-            if any(r.label == lab and dnew(r.rhs) == db for r in std.dec_rules(i)):
-                continue
-            return TestResult(False, 5)
+    for lab, beta in delta_dec:
+        db = dnew(beta)
+        if any(r.label == lab and dnew(r.rhs) == db for r in std.dec_rules(i)):
+            continue
+        return TestResult(False, 5)
 
-    if 6 not in skip_steps:
-        for lab, beta in delta_inc:
-            db = dold(beta)
-            if any(r.label == lab and dold(r.rhs) == db for r in std.inc_rules(i)):
-                continue
-            return TestResult(False, 6)
+    for lab, beta in delta_inc:
+        db = dold(beta)
+        if any(r.label == lab and dold(r.rhs) == db for r in std.inc_rules(i)):
+            continue
+        return TestResult(False, 6)
 
     return TestResult(True, 7)
 
@@ -281,8 +261,8 @@ def candidates_for(
         return (NormedString(ids, std.norms) for ids in _norm_strings(alphabet, std.norms, std.norms[i]))
 
     s = partial.dcmp(fixed[i].rhs)
-    k = base.lpfindex(i)
-    heads = [base.lpf(i)]
+    k = base.lpf(i)
+    heads = [k]
     heads += [j for j in range(k + 1, i) if j in partial.primes and j not in base.primes]
     out = []
     for j in heads:
@@ -325,9 +305,6 @@ class IterationRecord:
     divergences: int = 0  # general-vs-realtime decision mismatches
 
 
-RefinementTrace = list
-
-
 def refine(
     std: StandardSystem,
     base: DecompositionBase,
@@ -336,7 +313,6 @@ def refine(
     *,
     max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
     compare_realtime: bool = False,
-    skip_steps: frozenset[int] = frozenset(),
 ) -> tuple[DecompositionBase, IterationRecord]:
     """One refinement pass: rebuild all equations bottom-up against `base`.
 
@@ -359,7 +335,7 @@ def refine(
         accepted: NormedString | None = None
         records: list[CandidateOutcome] = []
         for delta in candidates_for(std, base, partial, i, fixed, mode, max_exhaustive):
-            res = lpftest(std, base, partial, i, delta, skip_steps)
+            res = lpftest(std, base, partial, i, delta)
             rt: bool | None = None
             if compare_realtime:
                 rt = lpftest_realtime(std, base, partial, i, delta).accepted
@@ -403,8 +379,7 @@ def compute_bisimilarity_base(
     fixed: tuple[Rule, ...] | None = None,
     max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
     compare_realtime: bool = False,
-    skip_steps: frozenset[int] = frozenset(),
-) -> tuple[DecompositionBase, RefinementTrace]:
+) -> tuple[DecompositionBase, list[IterationRecord]]:
     """Iterate refinement from the norm-equality base until the primes freeze.
 
     Convergence takes at most n passes: every non-final pass adds a prime.
@@ -414,7 +389,7 @@ def compute_bisimilarity_base(
     if fixed is None:
         fixed = select_decreasing_rules(std)
     current = initial_base(std)
-    trace: RefinementTrace = []
+    trace: list[IterationRecord] = []
     if std.n == 0:
         return current, trace
     for number in range(1, std.n + 1):
@@ -425,7 +400,6 @@ def compute_bisimilarity_base(
             mode,
             max_exhaustive=max_exhaustive,
             compare_realtime=compare_realtime,
-            skip_steps=skip_steps,
         )
         record.number = number
         trace.append(record)
@@ -461,7 +435,7 @@ def check_equivalence(
     return Verdict(kind, base=base)
 
 
-def trace_to_json(std: StandardSystem, trace: RefinementTrace) -> list[dict]:
+def trace_to_json(std: StandardSystem, trace: list[IterationRecord]) -> list[dict]:
     name = std.sys.name
 
     def render(ids: Process) -> list[str]:

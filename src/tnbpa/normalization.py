@@ -17,8 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import networkx as nx
+from typing import Iterator
 
 from .model import (
     BpaSystem,
@@ -30,6 +29,10 @@ from .model import (
 )
 
 UNNORMED = math.inf
+
+
+class EngineInternalError(AssertionError):
+    """An internal consistency check failed; indicates a bug, not bad input."""
 
 
 class NotTotallyNormedError(ValueError):
@@ -58,9 +61,6 @@ class NormTable:
 
     values: tuple[int | float, ...]
     witness: tuple[int | None, ...]
-
-    def norm(self, cid: int) -> int | float:
-        return self.values[cid]
 
     def norm_of(self, p: Process) -> int | float:
         return sum(self.values[c] for c in p)
@@ -139,19 +139,85 @@ def classify_rules(sys: BpaSystem, norms: NormTable) -> tuple[RuleClass, ...]:
         classes.append(RuleClass.DECREASING if dec else RuleClass.INCREASING)
         has_dec[r.lhs] = has_dec[r.lhs] or dec
     for c in sys.constants:
-        assert has_dec[c.id], f"constant {c.name} has no decreasing rule (norm bug)"
+        if not has_dec[c.id]:
+            raise EngineInternalError(f"constant {c.name} has no decreasing rule (norm bug)")
     return tuple(classes)
 
 
-def _unary_silent_dec_edges(sys: BpaSystem, norms: NormTable) -> list[tuple[int, int]]:
+def _silent_successors(sys: BpaSystem, norms: NormTable) -> list[list[int]]:
     # Only rules X -tau-> Y with a single, norm-equal constant can take part
     # in silent norm-preserving loops: silent rules never erase, so a longer
     # right-hand side can never shrink back to a single constant.
-    return [
-        (r.lhs, r.rhs[0])
-        for r in sys.rules
-        if is_silent(r.label) and len(r.rhs) == 1 and norms.values[r.lhs] == norms.values[r.rhs[0]]
-    ]
+    succ: list[list[int]] = [[] for _ in range(sys.n)]
+    for r in sys.rules:
+        if is_silent(r.label) and len(r.rhs) == 1 and norms.values[r.lhs] == norms.values[r.rhs[0]]:
+            succ[r.lhs].append(r.rhs[0])
+    return succ
+
+
+def _components(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of a digraph, sinks first.
+
+    Tarjan's algorithm (1972) with an explicit stack, so long silent chains
+    cannot exhaust the interpreter's recursion limit.  A component is emitted
+    only after every component reachable from it.
+    """
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    out: list[list[int]] = []
+    visited = 0
+
+    def enter(v: int) -> tuple[int, Iterator[int]]:
+        nonlocal visited
+        index[v] = low[v] = visited
+        visited += 1
+        stack.append(v)
+        on_stack[v] = True
+        return v, iter(succ[v])
+
+    for root in range(len(succ)):
+        if index[root] >= 0:
+            continue
+        work = [enter(root)]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    work.append(enter(w))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                    out.append(component)
+    return out
+
+
+def _chain_depths(succ: list[list[int]]) -> list[int]:
+    """Longest path below each node of an acyclic digraph.
+
+    Components come sinks first, so every successor's depth is final before
+    its sources read it.  A component that is not a single node without a
+    self-edge is a cycle, which contraction should have removed.
+    """
+    depth = [0] * len(succ)
+    for scc in _components(succ):
+        v = scc[0]
+        if len(scc) > 1 or v in succ[v]:
+            raise EngineInternalError("silent loop survived contraction")
+        depth[v] = max((depth[w] + 1 for w in succ[v]), default=0)
+    return depth
 
 
 def contract_loops(sys: BpaSystem, norms: NormTable) -> tuple[BpaSystem, dict[str, str]]:
@@ -163,12 +229,8 @@ def contract_loops(sys: BpaSystem, norms: NormTable) -> tuple[BpaSystem, dict[st
     duplicates are dropped.  Returns the contracted system and the map from
     every original name to its representative's name.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(sys.n))
-    graph.add_edges_from(_unary_silent_dec_edges(sys, norms))
-
     rep = list(range(sys.n))
-    for scc in nx.strongly_connected_components(graph):
+    for scc in _components(_silent_successors(sys, norms)):
         keep = min(scc)
         for member in scc:
             rep[member] = keep
@@ -207,9 +269,6 @@ class SystemView:
     def n(self) -> int:
         return self.sys.n
 
-    def norm(self, cid: int) -> int:
-        return self.norms[cid]
-
     def norm_of(self, p: Process) -> int:
         return sum(self.norms[c] for c in p)
 
@@ -229,18 +288,6 @@ class SystemView:
 
     def transitions(self, p: Process) -> list[tuple[str, Process]]:
         return transitions_of(self.sys, p)
-
-    def dec_transitions(self, p: Process) -> list[tuple[str, Process]]:
-        if not p:
-            return []
-        tail = p[1:]
-        return [(r.label, r.rhs + tail) for r in self.dec_rules(p[0])]
-
-    def inc_transitions(self, p: Process) -> list[tuple[str, Process]]:
-        if not p:
-            return []
-        tail = p[1:]
-        return [(r.label, r.rhs + tail) for r in self.inc_rules(p[0])]
 
     def silent_dec_transitions(self, p: Process) -> list[Process]:
         if not p:
@@ -306,21 +353,13 @@ def standardize(sys: BpaSystem) -> StandardSystem:
 
     contracted, name_map = contract_loops(sys, table)
     table2 = compute_norms(contracted)
-    assert not check_totally_normed(contracted, table2)
+    if check_totally_normed(contracted, table2):
+        raise EngineInternalError("contraction broke total normedness")
     for c in contracted.constants:
-        assert table2.values[c.id] == table.values[sys.constant_id(c.name)], (
-            f"contraction changed the norm of {c.name}"
-        )
+        if table2.values[c.id] != table.values[sys.constant_id(c.name)]:
+            raise EngineInternalError(f"contraction changed the norm of {c.name}")
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(contracted.n))
-    graph.add_edges_from(_unary_silent_dec_edges(contracted, table2))
-    assert nx.is_directed_acyclic_graph(graph), "silent loop survived contraction"
-
-    depth = [0] * contracted.n
-    for v in reversed(list(nx.topological_sort(graph))):
-        depth[v] = max((depth[w] + 1 for w in graph.successors(v)), default=0)
-
+    depth = _chain_depths(_silent_successors(contracted, table2))
     order = sorted(range(contracted.n), key=lambda c: (table2.values[c], depth[c], c))
     new_id = {old: new for new, old in enumerate(order)}
     names = [contracted.name(old) for old in order]
@@ -334,12 +373,13 @@ def standardize(sys: BpaSystem) -> StandardSystem:
     norms = tuple(int(v) for v in table3.values)
     classes = classify_rules(std_sys, table3)
 
-    for i in range(1, std_sys.n):
-        assert norms[i - 1] <= norms[i]
+    if any(norms[i - 1] > norms[i] for i in range(1, std_sys.n)):
+        raise EngineInternalError("standard order is not sorted by norm")
     for ri, r in enumerate(std_sys.rules):
-        assert not (is_silent(r.label) and r.rhs == (r.lhs,))
-        if classes[ri] is RuleClass.DECREASING:
-            assert all(c < r.lhs for c in r.rhs), (
+        if is_silent(r.label) and r.rhs == (r.lhs,):
+            raise EngineInternalError(f"silent self rule of {std_sys.name(r.lhs)} survived contraction")
+        if classes[ri] is RuleClass.DECREASING and any(c >= r.lhs for c in r.rhs):
+            raise EngineInternalError(
                 f"decreasing rule of {std_sys.name(r.lhs)} escapes its index prefix"
             )
 

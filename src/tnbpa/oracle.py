@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .base import DecompositionBase, base_equal
+from .base import DecompositionBase
 from .model import TAU, BpaSystem, Process, Rule, is_silent
 from .normalization import (
     SystemView,
@@ -352,18 +352,8 @@ class GameContext:
         return node
 
 
-def approximant_related(view: SystemView, p: Process, q: Process, k: int, **guards) -> bool:
-    return GameContext(view, **guards).related(p, q, k)
-
-
 def find_distinction(view: SystemView, p: Process, q: Process, k_max: int, **guards) -> Distinction | None:
     return GameContext(view, **guards).find_distinction(p, q, k_max)
-
-
-def expansion_holds(
-    view: SystemView, relate: Callable[[Process, Process], bool], p: Process, q: Process
-) -> bool:
-    return GameContext(view).expansion_holds(relate, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +839,6 @@ def differential_trial(
     confirm_k: int | None = 24,
     generator_samples: int = 10,
     norm_budget: int | None = 24,
-    skip_steps: frozenset[int] = frozenset(),
 ) -> TrialReport:
     """Generate one system and cross-check the engine against the oracle."""
     sys = random_system(params)
@@ -857,9 +846,7 @@ def differential_trial(
     compare_rt = std.is_realtime
 
     try:
-        base, trace = _engine.compute_bisimilarity_base(
-            std, compare_realtime=compare_rt, skip_steps=skip_steps
-        )
+        base, trace = _engine.compute_bisimilarity_base(std, compare_realtime=compare_rt)
     except AssertionError as exc:
         # A fuzz harness records engine failures instead of dying on them;
         # a non-empty engine_error fails the whole report.
@@ -882,10 +869,8 @@ def differential_trial(
     errors: list[str] = []
     if check_modes:
         try:
-            base_ex, _ = _engine.compute_bisimilarity_base(
-                std, _engine.CandidateMode.EXHAUSTIVE, skip_steps=skip_steps
-            )
-            mode_agree = base_equal(base, base_ex)
+            base_ex, _ = _engine.compute_bisimilarity_base(std, _engine.CandidateMode.EXHAUSTIVE)
+            mode_agree = base == base_ex
         except _engine.ExhaustiveGuardError as exc:
             errors.append(f"exhaustive guard: {exc}")
 
@@ -954,7 +939,6 @@ def differential_run(
     check_modes: bool = True,
     confirm_k: int | None = 24,
     jobs: int = 1,
-    skip_steps: frozenset[int] = frozenset(),
 ) -> DifferentialReport:
     """Run independent trials with derived seeds; optionally in parallel."""
     args = [
@@ -964,7 +948,6 @@ def differential_run(
             pairs_per_trial,
             check_modes,
             confirm_k,
-            skip_steps,
         )
         for t in range(trials)
     ]
@@ -979,12 +962,7 @@ def differential_run(
 
 
 def _trial_worker(packed) -> TrialReport:
-    params, k_max, pairs_per_trial, check_modes, confirm_k, skip_steps = packed
+    params, k_max, pairs_per_trial, check_modes, confirm_k = packed
     return differential_trial(
-        params,
-        k_max,
-        pairs_per_trial,
-        check_modes=check_modes,
-        confirm_k=confirm_k,
-        skip_steps=skip_steps,
+        params, k_max, pairs_per_trial, check_modes=check_modes, confirm_k=confirm_k
     )

@@ -84,10 +84,3 @@ class NormedString:
     def to_text(self, name_of: Callable[[int], str]) -> str:
         return " ".join(name_of(c) for c in self.ids) if self.ids else "eps"
 
-
-def empty_string(norms: tuple[int, ...]) -> NormedString:
-    return NormedString((), norms)
-
-
-def from_process(norms: tuple[int, ...], p: Process) -> NormedString:
-    return NormedString(p, norms)

@@ -4,6 +4,7 @@ import heapq
 
 import pytest
 
+from tnbpa import engine
 from tnbpa.model import BpaSystem, is_silent, parse_system, transitions_of
 from tnbpa.normalization import standardize
 
@@ -110,3 +111,59 @@ def base_as_names(std, base) -> tuple[set[str], dict[str, tuple[str, ...]]]:
         for i, rhs in base.equations.items()
     }
     return primes, equations
+
+
+def _lpftest_skipping(steps: frozenset[int]):
+    """A mutant of `engine.lpftest` that leaves out the given steps.
+
+    The body follows `engine.lpftest` step by step; a skipped step neither
+    rejects nor accepts, so the candidate falls through to the next one.
+    """
+
+    def mutant(std, base, partial, i, delta):
+        d_proc = delta.ids
+        if 1 not in steps:
+            if not d_proc or base.dcmp((i,)) != base.dcmp(d_proc):
+                return engine.TestResult(False, 1)
+        d_tail = d_proc[1:]
+        delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(d_proc[0])]
+        delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc_rules(d_proc[0])]
+        dnew, dold = partial.dcmp, base.dcmp
+        if 2 not in steps:
+            for r in std.dec_rules(i):
+                da = dnew(r.rhs)
+                if is_silent(r.label) and da == delta:
+                    continue
+                if not any(lab == r.label and da == dnew(beta) for lab, beta in delta_dec):
+                    return engine.TestResult(False, 2)
+        if 3 not in steps:
+            for r in std.inc_rules(i):
+                da = dold(r.rhs)
+                if not any(lab == r.label and da == dold(beta) for lab, beta in delta_inc):
+                    return engine.TestResult(False, 3)
+        if 4 not in steps:
+            if any(is_silent(r.label) and dnew(r.rhs) == delta for r in std.dec_rules(i)):
+                return engine.TestResult(True, 4)
+        if 5 not in steps:
+            for lab, beta in delta_dec:
+                db = dnew(beta)
+                if not any(r.label == lab and dnew(r.rhs) == db for r in std.dec_rules(i)):
+                    return engine.TestResult(False, 5)
+        if 6 not in steps:
+            for lab, beta in delta_inc:
+                db = dold(beta)
+                if not any(r.label == lab and dold(r.rhs) == db for r in std.inc_rules(i)):
+                    return engine.TestResult(False, 6)
+        return engine.TestResult(True, 7)
+
+    return mutant
+
+
+@pytest.fixture
+def skip_lpftest_steps(monkeypatch):
+    """Call with step numbers to run the engine on a mutant that skips them."""
+
+    def install(*steps: int) -> None:
+        monkeypatch.setattr(engine, "lpftest", _lpftest_skipping(frozenset(steps)))
+
+    return install

@@ -6,7 +6,6 @@ from conftest import base_as_names
 from tnbpa.base import (
     DecompositionBase,
     InvalidBaseError,
-    base_equal,
     base_to_json,
     initial_base,
     render_base,
@@ -71,7 +70,7 @@ def test_lpf(sysb_std):
     init = initial_base(sysb_std)
     assert init.lpf(0) == 0  # prime is its own factor
     for i in range(1, sysb_std.n):
-        assert init.lpf(i) == 0 and init.lpfindex(i) == 0
+        assert init.lpf(i) == 0
     final, _ = compute_bisimilarity_base(sysb_std)
     x = sysb_std.sys.constant_id("X")
     assert sysb_std.sys.name(final.lpf(x)) == "B"
@@ -80,14 +79,14 @@ def test_lpf(sysb_std):
 def test_base_equality(ex1_std):
     b1 = initial_base(ex1_std)
     b2 = initial_base(ex1_std)
-    assert base_equal(b1, b2)
+    assert b1 == b2
     changed = DecompositionBase(
         ex1_std.n,
         b1.primes | {1},
         {i: rhs for i, rhs in b1.equations.items() if i != 1},
         ex1_std.norms,
     )
-    assert not base_equal(b1, changed)
+    assert b1 != changed
 
 
 def test_validation_rejects_malformed_bases(ex1_std):

@@ -1,13 +1,22 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import tnbpa
 from conftest import brute_force_norm, naive_norm_values
-from tnbpa.model import parse_process, parse_system, serialize_system
+from tnbpa.model import TAU, BpaSystem, Rule, parse_process, parse_system, serialize_system
 from tnbpa.normalization import (
+    EngineInternalError,
     NotTotallyNormedError,
     RuleClass,
     UNNORMED,
+    _chain_depths,
+    _components,
     check_totally_normed,
     classify_rules,
     compute_norms,
@@ -192,3 +201,128 @@ def test_single_constant_and_empty_systems():
     assert std1.norms == (1,)
     std0 = standardize(parse_system("constants:\n"))
     assert std0.n == 0
+
+
+@st.composite
+def digraphs(draw, acyclic: bool = False):
+    """Successor lists over at most 8 nodes; acyclic ones are relabelled
+    so that edges run from a higher to a lower rank in a random ranking."""
+    n = draw(st.integers(0, 8))
+    rank = draw(st.permutations(range(n)))
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        below = [w for w in range(n) if rank[w] < rank[v]] if acyclic else list(range(n))
+        if below:
+            succ[v] = draw(st.lists(st.sampled_from(below), max_size=3))
+    return succ
+
+
+def _reachable(succ: list[list[int]]) -> list[set[int]]:
+    """Nodes reachable from each node in zero or more steps, by plain search."""
+    out = []
+    for v in range(len(succ)):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        out.append(seen)
+    return out
+
+
+@given(digraphs())
+def test_components_are_mutual_reachability_classes_sinks_first(succ):
+    reach = _reachable(succ)
+    comps = _components(succ)
+    expected = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(len(succ))}
+    assert {frozenset(c) for c in comps} == expected
+    assert sorted(v for c in comps for v in c) == list(range(len(succ)))
+    position = {v: k for k, c in enumerate(comps) for v in c}
+    for v, ws in enumerate(succ):
+        assert all(position[w] <= position[v] for w in ws)
+
+
+@given(digraphs(acyclic=True))
+def test_chain_depths_are_longest_paths(succ):
+    def longest(v: int) -> int:
+        return max((1 + longest(w) for w in succ[v]), default=0)
+
+    assert _chain_depths(succ) == [longest(v) for v in range(len(succ))]
+
+
+@given(digraphs())
+def test_chain_depths_reject_cycles(succ):
+    reach = _reachable(succ)
+    if any(v in reach[w] for v, ws in enumerate(succ) for w in ws):
+        with pytest.raises(EngineInternalError, match="silent loop"):
+            _chain_depths(succ)
+    else:
+        assert len(_chain_depths(succ)) == len(succ)
+
+
+LONG = 5_000
+
+
+def test_standardize_long_silent_chain():
+    # C(i) -tau-> C(i-1) down to C0 -a-> eps, declared in reverse, so only the
+    # chain depth puts C0 first.
+    names = [f"C{i}" for i in reversed(range(LONG))]
+    ids = {name: k for k, name in enumerate(names)}
+    rules = [Rule(ids["C0"], "a", ())]
+    rules += [Rule(ids[f"C{i}"], TAU, (ids[f"C{i - 1}"],)) for i in range(1, LONG)]
+    std = standardize(BpaSystem(names, rules))
+    assert [c.name for c in std.sys.constants] == [f"C{i}" for i in range(LONG)]
+
+
+def test_standardize_long_silent_cycle():
+    names = [f"C{i}" for i in range(LONG)]
+    rules = [Rule(0, "a", ())] + [Rule(i, TAU, ((i + 1) % LONG,)) for i in range(LONG)]
+    std = standardize(BpaSystem(names, rules))
+    assert [c.name for c in std.sys.constants] == ["C0"]
+    assert set(std.name_map.values()) == {"C0"}
+
+
+def _python(code: str, *flags: str) -> str:
+    src = Path(tnbpa.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.strip()
+
+
+def test_import_needs_no_networkx():
+    code = "import sys, tnbpa, tnbpa.cli; print('networkx' in sys.modules)"
+    assert _python(code) == "False"
+
+
+def test_invariant_checks_survive_python_o():
+    # With contraction disabled a silent 2-cycle reaches the standard order,
+    # and a wrong norm table leaves a constant without a decreasing rule.
+    code = """
+from tnbpa import normalization as nz
+from tnbpa.model import parse_system
+
+def outcome(call):
+    try:
+        call()
+    except nz.EngineInternalError as exc:
+        return f"raised: {exc}"
+    return "passed"
+
+nz.contract_loops = lambda sys, norms: (sys, {c.name: c.name for c in sys.constants})
+cycle = parse_system("constants: A B\\nA -tau-> B\\nB -tau-> A\\nA -a-> eps\\n")
+single = parse_system("constants: K\\nK -a-> eps\\n")
+print(__debug__)
+print(outcome(lambda: nz.standardize(cycle)))
+print(outcome(lambda: nz.classify_rules(single, nz.NormTable((5,), (0,)))))
+"""
+    assert _python(code, "-O").splitlines() == [
+        "False",
+        "raised: silent loop survived contraction",
+        "raised: constant K has no decreasing rule (norm bug)",
+    ]

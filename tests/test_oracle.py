@@ -293,16 +293,16 @@ def test_differential_run_parallel_matches_serial():
     assert [t.to_json() for t in serial.trials] == [t.to_json() for t in parallel.trials]
 
 
-def test_differential_catches_mutated_engine():
+def test_differential_catches_mutated_engine(skip_lpftest_steps):
     # Dropping the increasing-transition step must surface somewhere across a
     # small batch: either a generator failure or an oracle refutation.
+    skip_lpftest_steps(3)
     report = differential_run(
         GenParams(constants=6, silent_prob=0.5, seed=900),
         trials=10,
         k_max=12,
         pairs_per_trial=10,
         check_modes=False,
-        skip_steps=frozenset({3}),
     )
     assert (not report.ok) or report.refutations > 0
 

@@ -9,7 +9,6 @@ oracle on four process pairs.
 
 import itertools
 
-from tnbpa.base import base_equal
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base
 from tnbpa.model import BpaSystem, Rule, TAU
 from tnbpa.normalization import check_totally_normed, compute_norms, standardize
@@ -39,7 +38,7 @@ def test_every_small_system_agrees_with_the_oracle():
             std = standardize(sys)
             base, _ = compute_bisimilarity_base(std)
             exhaustive, _ = compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)
-            assert base_equal(base, exhaustive)
+            assert base == exhaustive
             ctx = GameContext(std, norm_budget=16)
             for lt, rt in PAIR_TEXTS:
                 p, q = std.parse_process(lt), std.parse_process(rt)

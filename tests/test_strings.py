@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tnbpa.strings import NormedString, empty_string, from_process
+from tnbpa.strings import NormedString
 
 NORMS = (1, 2, 3)
 
@@ -13,8 +13,8 @@ def ns(*ids):
 
 def test_concat_identity():
     s = ns(0, 1)
-    assert empty_string(NORMS).concat(s) == s
-    assert s.concat(empty_string(NORMS)) == s
+    assert ns().concat(s) == s
+    assert s.concat(ns()) == s
 
 
 def test_concat_norm_additive():
@@ -49,8 +49,8 @@ def test_split_no_boundary():
 
 def test_split_extremes():
     s = ns(0, 1)
-    assert s.split_at_norm(0) == (s, empty_string(NORMS))
-    assert s.split_at_norm(s.norm) == (empty_string(NORMS), s)
+    assert s.split_at_norm(0) == (s, ns())
+    assert s.split_at_norm(s.norm) == (ns(), s)
 
 
 def test_split_out_of_range():
@@ -102,13 +102,13 @@ def test_unequal_norm_fast_path():
 
 
 def test_norm_and_length():
-    assert empty_string(NORMS).norm == 0
-    assert len(empty_string(NORMS)) == 0
+    assert ns().norm == 0
+    assert len(ns()) == 0
     assert ns(2).norm == NORMS[2]
     rng = random.Random(3)
     for _ in range(50):
         ids = tuple(rng.randrange(len(NORMS)) for _ in range(rng.randint(0, 6)))
-        s = from_process(NORMS, ids)
+        s = NormedString(ids, NORMS)
         assert s.norm == sum(NORMS[c] for c in ids)
         assert len(s) == len(ids)
 
@@ -120,4 +120,4 @@ def test_hash_and_iter():
 
 def test_to_text():
     assert ns(0, 0).to_text(lambda c: f"K{c}") == "K0 K0"
-    assert empty_string(NORMS).to_text(str) == "eps"
+    assert ns().to_text(str) == "eps"
