@@ -26,7 +26,6 @@ from .oracle import (
     Distinction,
     GenParams,
     differential_run,
-    find_distinction,
     random_system,
     replay_distinction,
     verify_base_generators,
@@ -52,7 +51,6 @@ __all__ = [
     "compute_bisimilarity_base",
     "compute_norms",
     "differential_run",
-    "find_distinction",
     "initial_base",
     "parse_process",
     "parse_system",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are part of the contract: 0 bisimilar / success, 1 not bisimilar or
-refutation found, 2 input error, 3 internal assertion failure.  Output is
+refutation found, 2 input error, 3 internal assertion failure or exhausted
+resource guard (the interpreter's recursion limit included).  Output is
 deterministic for fixed inputs and flags (no timestamps in machine formats).
 """
 
@@ -13,8 +14,7 @@ import sys as _sys
 from pathlib import Path
 
 from . import engine, oracle
-from .base import DecompositionBase, base_to_json, initial_base, render_base
-from .strings import NormedString
+from .base import base_to_json, render_base
 from .model import (
     BpaSystem,
     ParseError,
@@ -142,18 +142,11 @@ def cmd_base(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         if args.iterations:
-            current = initial_base(std)
+            initial, *after = engine.pass_bases(std, trace)
             print("== initial base ==")
-            print(render_base(std, current))
-            for rec in trace:
+            print(render_base(std, initial))
+            for rec, snapshot in zip(trace, after):
                 print(f"== after iteration {rec.number} ==")
-                primes = set(rec.primes_after)
-                eqs = {
-                    c.constant: NormedString(c.equation, std.norms)
-                    for c in rec.constants
-                    if c.equation is not None
-                }
-                snapshot = DecompositionBase(std.n, primes, eqs, std.norms)
                 print(render_base(std, snapshot))
         print(render_base(std, final))
     return EXIT_OK
@@ -198,8 +191,8 @@ def cmd_standardize(args) -> int:
     return EXIT_OK
 
 
-def cmd_gen(args) -> int:
-    params = oracle.GenParams(
+def _gen_params(args) -> oracle.GenParams:
+    return oracle.GenParams(
         constants=args.constants,
         max_rhs_len=args.max_rhs_len,
         alphabet=args.alphabet,
@@ -209,7 +202,10 @@ def cmd_gen(args) -> int:
         composite_prob=args.composite_prob,
         seed=args.seed,
     )
-    text = serialize_system(oracle.random_system(params))
+
+
+def cmd_gen(args) -> int:
+    text = serialize_system(oracle.random_system(_gen_params(args)))
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -222,7 +218,7 @@ def cmd_oracle(args) -> int:
     sem = view(sys)
     left = parse_process(args.left, sys)
     right = parse_process(args.right, sys)
-    distinction = oracle.find_distinction(sem, left, right, args.k)
+    distinction = oracle.GameContext(sem).find_distinction(left, right, args.k)
     if distinction is None:
         if args.json:
             print(json.dumps({"result": "no-distinction-found", "k": args.k}))
@@ -252,18 +248,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    params = oracle.GenParams(
-        constants=args.constants,
-        max_rhs_len=args.max_rhs_len,
-        alphabet=args.alphabet,
-        silent_prob=args.silent_prob,
-        norm_cap=args.norm_cap,
-        extra_rules=args.extra_rules,
-        composite_prob=args.composite_prob,
-        seed=args.seed,
-    )
     report = oracle.differential_run(
-        params,
+        _gen_params(args),
         args.trials,
         args.k,
         pairs_per_trial=args.pairs,
@@ -361,10 +347,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NotTotallyNormedError, engine.ExhaustiveGuardError) as exc:
+    except (
+        ParseError,
+        NotTotallyNormedError,
+        engine.ExhaustiveGuardError,
+        oracle.InvalidParamsError,
+    ) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
-    except oracle.GuardExceeded as exc:
+    except (oracle.GuardExceeded, RecursionError) as exc:
         print(f"resource guard: {exc}", file=_sys.stderr)
         return EXIT_INTERNAL
     except (AssertionError, engine.EngineInternalError) as exc:

@@ -57,7 +57,8 @@ def select_decreasing_rules(std: StandardSystem) -> tuple[Rule, ...]:
     chosen = []
     for i in range(std.n):
         rules = std.dec_rules(i)
-        assert rules, f"constant {std.sys.name(i)} has no decreasing rule"
+        if not rules:
+            raise EngineInternalError(f"constant {std.sys.name(i)} has no decreasing rule")
         chosen.append(min(rules, key=lambda r: (is_silent(r.label), r.label, r.rhs)))
     return tuple(chosen)
 
@@ -166,15 +167,15 @@ def lpftest(
 def lpftest_realtime(
     std: StandardSystem,
     base: DecompositionBase,
-    partial: _PartialBase,
+    partial: _PartialBase | DecompositionBase,
     i: int,
     delta: NormedString,
 ) -> TestResult:
     """Literal transcription of the five-step test for silent-free systems.
 
     Kept independent of `lpftest` so the two can be compared per candidate on
-    realtime inputs; with no silent rules the general test must take exactly
-    these decisions.
+    realtime inputs (`realtime_divergences`); with no silent rules the
+    general test must take exactly these decisions.
     """
     d_proc = delta.ids
     if not d_proc or base.dcmp((i,)) != base.dcmp(d_proc):
@@ -284,7 +285,6 @@ class CandidateOutcome:
     delta: Process
     accepted: bool
     step: int
-    realtime_accepted: bool | None = None
 
 
 @dataclass
@@ -302,7 +302,6 @@ class IterationRecord:
     primes_after: tuple[int, ...]
     new_primes: tuple[int, ...]
     constants: list[ConstantOutcome]
-    divergences: int = 0  # general-vs-realtime decision mismatches
 
 
 def refine(
@@ -312,7 +311,6 @@ def refine(
     mode: CandidateMode = CandidateMode.PRUNED,
     *,
     max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-    compare_realtime: bool = False,
 ) -> tuple[DecompositionBase, IterationRecord]:
     """One refinement pass: rebuild all equations bottom-up against `base`.
 
@@ -321,12 +319,9 @@ def refine(
     contradict unique decomposition); exhaustive mode stops at the first
     acceptance, relying on mode agreement for that check.
     """
-    if compare_realtime:
-        assert std.is_realtime, "realtime comparison requested on a system with silent rules"
     scan_all = mode is CandidateMode.PRUNED
     partial = _PartialBase(std.norms)
     outcomes: list[ConstantOutcome] = []
-    divergences = 0
 
     for i in range(std.n):
         if i in base.primes:
@@ -336,12 +331,7 @@ def refine(
         records: list[CandidateOutcome] = []
         for delta in candidates_for(std, base, partial, i, fixed, mode, max_exhaustive):
             res = lpftest(std, base, partial, i, delta)
-            rt: bool | None = None
-            if compare_realtime:
-                rt = lpftest_realtime(std, base, partial, i, delta).accepted
-                if rt != res.accepted:
-                    divergences += 1
-            records.append(CandidateOutcome(delta.ids, res.accepted, res.step, rt))
+            records.append(CandidateOutcome(delta.ids, res.accepted, res.step))
             if res.accepted:
                 if accepted is not None:
                     raise EngineInternalError(
@@ -367,7 +357,6 @@ def refine(
         primes_after=tuple(sorted(new_base.primes)),
         new_primes=tuple(sorted(new_base.primes - base.primes)),
         constants=outcomes,
-        divergences=divergences,
     )
     return new_base, record
 
@@ -376,9 +365,7 @@ def compute_bisimilarity_base(
     std: StandardSystem,
     mode: CandidateMode = CandidateMode.PRUNED,
     *,
-    fixed: tuple[Rule, ...] | None = None,
     max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-    compare_realtime: bool = False,
 ) -> tuple[DecompositionBase, list[IterationRecord]]:
     """Iterate refinement from the norm-equality base until the primes freeze.
 
@@ -386,21 +373,13 @@ def compute_bisimilarity_base(
     On the final pass the whole base must be unchanged, not just the prime
     set; that is asserted rather than trusted.
     """
-    if fixed is None:
-        fixed = select_decreasing_rules(std)
+    fixed = select_decreasing_rules(std)
     current = initial_base(std)
     trace: list[IterationRecord] = []
     if std.n == 0:
         return current, trace
     for number in range(1, std.n + 1):
-        refined, record = refine(
-            std,
-            current,
-            fixed,
-            mode,
-            max_exhaustive=max_exhaustive,
-            compare_realtime=compare_realtime,
-        )
+        refined, record = refine(std, current, fixed, mode, max_exhaustive=max_exhaustive)
         record.number = number
         trace.append(record)
         if refined.primes == current.primes:
@@ -415,14 +394,46 @@ def compute_bisimilarity_base(
     raise EngineInternalError(f"no fixpoint within {std.n} refinement passes")
 
 
+def pass_bases(std: StandardSystem, trace: list[IterationRecord]) -> list[DecompositionBase]:
+    """The bases a run went through: the initial base, then one per pass."""
+    bases = [initial_base(std)]
+    for rec in trace:
+        equations = {
+            c.constant: NormedString(c.equation, std.norms)
+            for c in rec.constants
+            if c.equation is not None
+        }
+        bases.append(DecompositionBase(std.n, rec.primes_after, equations, std.norms))
+    return bases
+
+
+def realtime_divergences(std: StandardSystem, trace: list[IterationRecord]) -> int:
+    """Count the recorded decisions `lpftest_realtime` would have taken otherwise.
+
+    Each candidate of a pass is re-tested against that pass's old base and
+    the base it produced.  The latter stands in exactly for the partial base
+    the engine used: deciding constant i reads only constants below i, which
+    were settled before i and kept their values to the end of the pass.
+    """
+    if not std.is_realtime:
+        raise ValueError("realtime comparison requested on a system with silent rules")
+    bases = pass_bases(std, trace)
+    divergences = 0
+    for rec, old, new in zip(trace, bases, bases[1:]):
+        for c in rec.constants:
+            for cand in c.candidates:
+                delta = NormedString(cand.delta, std.norms)
+                if lpftest_realtime(std, old, new, c.constant, delta).accepted != cand.accepted:
+                    divergences += 1
+    return divergences
+
+
 def check_equivalence(
     std: StandardSystem,
     p1: Process,
     p2: Process,
     *,
-    mode: CandidateMode = CandidateMode.PRUNED,
     base: DecompositionBase | None = None,
-    max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
 ) -> Verdict:
     """Decide branching bisimilarity of two processes over `std`.
 
@@ -430,7 +441,7 @@ def check_equivalence(
     final base coincide; the base is attached to the verdict as evidence.
     """
     if base is None:
-        base, _ = compute_bisimilarity_base(std, mode, max_exhaustive=max_exhaustive)
+        base, _ = compute_bisimilarity_base(std)
     kind = VerdictKind.BISIMILAR if base.equivalent(p1, p2) else VerdictKind.NOT_BISIMILAR
     return Verdict(kind, base=base)
 
@@ -449,7 +460,6 @@ def trace_to_json(std: StandardSystem, trace: list[IterationRecord]) -> list[dic
                 "primes_before": render(rec.primes_before),
                 "primes_after": render(rec.primes_after),
                 "new_primes": render(rec.new_primes),
-                "divergences": rec.divergences,
                 "constants": [
                     {
                         "constant": name(c.constant),
@@ -460,11 +470,6 @@ def trace_to_json(std: StandardSystem, trace: list[IterationRecord]) -> list[dic
                                 "delta": render(cand.delta),
                                 "accepted": cand.accepted,
                                 "step": cand.step,
-                                **(
-                                    {"realtime_accepted": cand.realtime_accepted}
-                                    if cand.realtime_accepted is not None
-                                    else {}
-                                ),
                             }
                             for cand in c.candidates
                         ],

@@ -20,14 +20,24 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .base import DecompositionBase
-from .model import TAU, BpaSystem, Process, Rule, is_silent
+from .model import TAU, BpaSystem, Process, Rule, format_process, is_silent
 from .normalization import (
+    EngineInternalError,
     SystemView,
     check_totally_normed,
     compute_norms,
     standardize,
 )
 from . import engine as _engine
+
+# Resource guards: exceeding one raises a GuardExceeded.
+CLOSURE_LIMIT = 10_000
+MEMO_LIMIT = 400_000
+NODE_LIMIT = 200_000
+# Generator checks assume pairs above this norm related (see `GameContext`);
+# a differential trial's generator check samples this many pairs.
+NORM_BUDGET = 24
+GENERATOR_SAMPLES = 10
 
 
 class GuardExceeded(RuntimeError):
@@ -59,7 +69,7 @@ class SilentClosure:
     parents: dict[Process, Process | None]
 
 
-def silent_closure_dec(view: SystemView, p: Process, limit: int = 10_000) -> SilentClosure:
+def silent_closure_dec(view: SystemView, p: Process) -> SilentClosure:
     """Exact BFS closure under silent norm-preserving steps.
 
     The guard is a tripwire, not a truncation: exceeding it raises, because a
@@ -76,9 +86,9 @@ def silent_closure_dec(view: SystemView, p: Process, limit: int = 10_000) -> Sil
                     parents[succ] = q
                     order.append(succ)
                     nxt.append(succ)
-                    if len(order) > limit:
+                    if len(order) > CLOSURE_LIMIT:
                         raise ClosureGuardExceeded(
-                            f"silent closure of {p} exceeded {limit} states"
+                            f"silent closure of {p} exceeded {CLOSURE_LIMIT} states"
                         )
         frontier = nxt
     return SilentClosure(p, tuple(order), parents)
@@ -142,19 +152,8 @@ class GameContext:
     claim bisimilarity.
     """
 
-    def __init__(
-        self,
-        view: SystemView,
-        *,
-        closure_limit: int = 10_000,
-        memo_limit: int = 400_000,
-        node_limit: int = 200_000,
-        norm_budget: int | None = None,
-    ):
+    def __init__(self, view: SystemView, *, norm_budget: int | None = None):
         self.view = view
-        self.closure_limit = closure_limit
-        self.memo_limit = memo_limit
-        self.node_limit = node_limit
         self.norm_budget = norm_budget
         self._closures: dict[Process, SilentClosure] = {}
         self._memo: dict[tuple[Process, Process, int], bool] = {}
@@ -164,7 +163,7 @@ class GameContext:
     def closure(self, p: Process) -> SilentClosure:
         hit = self._closures.get(p)
         if hit is None:
-            hit = silent_closure_dec(self.view, p, self.closure_limit)
+            hit = silent_closure_dec(self.view, p)
             self._closures[p] = hit
         return hit
 
@@ -203,8 +202,8 @@ class GameContext:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if len(self._memo) >= self.memo_limit:
-            raise StateGuardExceeded(f"approximant memo exceeded {self.memo_limit} entries")
+        if len(self._memo) >= MEMO_LIMIT:
+            raise StateGuardExceeded(f"approximant memo exceeded {MEMO_LIMIT} entries")
         relate = lambda a, b: self.related(a, b, k - 1)
         res = self.expansion_holds(relate, p, q)
         self._memo[key] = res
@@ -262,8 +261,8 @@ class GameContext:
         return k
 
     def _check_node_budget(self) -> None:
-        if len(self._refutations) + len(self._descents) > self.node_limit:
-            raise StateGuardExceeded(f"strategy extraction exceeded {self.node_limit} nodes")
+        if len(self._refutations) + len(self._descents) > NODE_LIMIT:
+            raise StateGuardExceeded(f"strategy extraction exceeded {NODE_LIMIT} nodes")
 
     def _refute(self, p: Process, q: Process, k: int) -> Distinction:
         view = self.view
@@ -273,7 +272,8 @@ class GameContext:
         hit = self._refutations.get(key)
         if hit is not None:
             return hit
-        assert k >= 1, "norm-equal pair cannot fail at level 0"
+        if k < 1:
+            raise AssertionError("norm-equal pair cannot fail at level 0")
         km1 = k - 1
         for side, att, dfd in (("left", p, q), ("right", q, p)):
             for label, t in view.transitions(att):
@@ -325,7 +325,8 @@ class GameContext:
         if hit is not None:
             return hit
         np_, nq = view.norm_of(p), view.norm_of(q)
-        assert np_ != nq
+        if np_ == nq:
+            raise AssertionError("norm descent on a norm-equal pair")
         if not p:
             side, att, dfd = "right", q, p
         elif not q:
@@ -352,15 +353,11 @@ class GameContext:
         return node
 
 
-def find_distinction(view: SystemView, p: Process, q: Process, k_max: int, **guards) -> Distinction | None:
-    return GameContext(view, **guards).find_distinction(p, q, k_max)
-
-
 # ---------------------------------------------------------------------------
 # certificate replay
 
 
-def replay_distinction(view: SystemView, d: Distinction, closure_limit: int = 10_000) -> None:
+def replay_distinction(view: SystemView, d: Distinction) -> None:
     """Machine-check a distinction against the transition semantics alone.
 
     Verifies that the attacked transition exists, that the certificate covers
@@ -387,7 +384,7 @@ def replay_distinction(view: SystemView, d: Distinction, closure_limit: int = 10
         options: list[tuple[str, Process | None, Process | None]] = []
         if is_silent(node.action):
             options.append(("stay", None, None))
-        closure = silent_closure_dec(view, dfd, closure_limit)
+        closure = silent_closure_dec(view, dfd)
         for mid in closure.states:
             for lab, res in view.transitions(mid):
                 if lab == node.action:
@@ -419,13 +416,7 @@ def replay_distinction(view: SystemView, d: Distinction, closure_limit: int = 10
 
 def distinction_to_json(view: SystemView, d: Distinction) -> dict:
     """Render a strategy as a node table with child indices (subgames shared)."""
-    name = view.sys.name
-
-    def proc(p: Process | None) -> str | None:
-        if p is None:
-            return None
-        return " ".join(name(c) for c in p) if p else "eps"
-
+    sys = view.sys
     index: dict[int, int] = {}
     nodes: list[Distinction] = []
 
@@ -443,16 +434,18 @@ def distinction_to_json(view: SystemView, d: Distinction) -> dict:
         "root": 0,
         "nodes": [
             {
-                "left": proc(n.left),
-                "right": proc(n.right),
+                "left": format_process(sys, n.left),
+                "right": format_process(sys, n.right),
                 "side": n.side,
                 "action": n.action,
-                "target": proc(n.target),
+                "target": format_process(sys, n.target),
                 "replies": [
                     {
                         "kind": r.kind,
-                        "intermediate": proc(r.intermediate),
-                        "result": proc(r.result),
+                        "intermediate": (
+                            None if r.intermediate is None else format_process(sys, r.intermediate)
+                        ),
+                        "result": None if r.result is None else format_process(sys, r.result),
                         "child": index[id(r.child)],
                     }
                     for r in n.replies
@@ -497,7 +490,6 @@ def verify_base_generators(
     sample_budget: int = 50,
     seed: int = 0,
     ctx: GameContext | None = None,
-    norm_budget: int | None = 24,
 ) -> GeneratorReport:
     """Attack a base's generators with the game oracle.
 
@@ -509,7 +501,7 @@ def verify_base_generators(
     proof.
     """
     if ctx is None:
-        ctx = GameContext(std, norm_budget=norm_budget)
+        ctx = GameContext(std, norm_budget=NORM_BUDGET)
     name = std.sys.name
     checks: list[GeneratorCheck] = []
 
@@ -538,9 +530,6 @@ def verify_base_generators(
                 )
             )
 
-    def proc_text(p: Process) -> str:
-        return " ".join(name(c) for c in p) if p else "eps"
-
     rng = random.Random(seed)
     for _ in range(sample_budget):
         p, q = sample_dcmp_equal_pair(std, base, rng)
@@ -548,7 +537,7 @@ def verify_base_generators(
         checks.append(
             GeneratorCheck(
                 "sample",
-                f"{proc_text(p)} vs {proc_text(q)}",
+                f"{format_process(std.sys, p)} vs {format_process(std.sys, q)}",
                 ok=d is None,
                 distinction=d,
             )
@@ -590,6 +579,10 @@ def sample_dcmp_equal_pair(std, base: DecompositionBase, rng: random.Random, max
 # random systems
 
 
+class InvalidParamsError(ValueError):
+    """A generator parameter is outside its range."""
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Knobs for the random tnBPA generator; output is a pure function of these.
@@ -607,6 +600,17 @@ class GenParams:
     extra_rules: int = 2
     composite_prob: float = 0.35
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # A silent extra rule has a non-empty right-hand side, hence the
+        # minimum of 1 for max_rhs_len.
+        minima = {"constants": 1, "max_rhs_len": 1, "alphabet": 1, "norm_cap": 1, "extra_rules": 0}
+        for name, low in minima.items():
+            if getattr(self, name) < low:
+                raise InvalidParamsError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name in ("silent_prob", "composite_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InvalidParamsError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
 def _action_names(count: int) -> list[str]:
@@ -626,7 +630,6 @@ def random_system(params: GenParams) -> BpaSystem:
     rules may point anywhere; silent ones never erase.  A norm cap of 1
     forces unit norms.
     """
-    assert params.constants >= 1 and params.alphabet >= 1 and params.norm_cap >= 1
     rng = random.Random(params.seed)
     actions = _action_names(params.alphabet)
     names = [f"C{i + 1}" for i in range(params.constants)]
@@ -686,7 +689,8 @@ def random_system(params: GenParams) -> BpaSystem:
 
     sys = BpaSystem(names, rules)
     table = compute_norms(sys)
-    assert not check_totally_normed(sys, table), "generator produced a non-tn system"
+    if check_totally_normed(sys, table):
+        raise EngineInternalError("generator produced a non-tn system")
     return sys
 
 
@@ -837,16 +841,13 @@ def differential_trial(
     *,
     check_modes: bool = True,
     confirm_k: int | None = 24,
-    generator_samples: int = 10,
-    norm_budget: int | None = 24,
 ) -> TrialReport:
     """Generate one system and cross-check the engine against the oracle."""
     sys = random_system(params)
     std = standardize(sys)
-    compare_rt = std.is_realtime
 
     try:
-        base, trace = _engine.compute_bisimilarity_base(std, compare_realtime=compare_rt)
+        base, trace = _engine.compute_bisimilarity_base(std)
     except AssertionError as exc:
         # A fuzz harness records engine failures instead of dying on them;
         # a non-empty engine_error fails the whole report.
@@ -863,7 +864,7 @@ def differential_trial(
             realtime_divergences=None,
             engine_error=str(exc),
         )
-    divergences = sum(rec.divergences for rec in trace) if compare_rt else None
+    divergences = _engine.realtime_divergences(std, trace) if std.is_realtime else None
 
     mode_agree: bool | None = None
     errors: list[str] = []
@@ -874,9 +875,9 @@ def differential_trial(
         except _engine.ExhaustiveGuardError as exc:
             errors.append(f"exhaustive guard: {exc}")
 
-    ctx = GameContext(std, norm_budget=norm_budget)
+    ctx = GameContext(std, norm_budget=NORM_BUDGET)
     gen_report = verify_base_generators(
-        std, base, k_max=k_max, sample_budget=generator_samples, seed=params.seed, ctx=ctx
+        std, base, k_max=k_max, sample_budget=GENERATOR_SAMPLES, seed=params.seed, ctx=ctx
     )
 
     report = TrialReport(
@@ -899,7 +900,8 @@ def differential_trial(
         # which case only the certificate is skipped, not the confirmation.
         try:
             d = ctx.find_distinction(p, q, bound)
-            assert d is not None
+            if d is None:
+                raise AssertionError(f"refuted pair {p} vs {q} yielded no distinction")
             replay_distinction(std, d)
             return "replayed"
         except StateGuardExceeded:
@@ -937,7 +939,6 @@ def differential_run(
     *,
     pairs_per_trial: int = 20,
     check_modes: bool = True,
-    confirm_k: int | None = 24,
     jobs: int = 1,
 ) -> DifferentialReport:
     """Run independent trials with derived seeds; optionally in parallel."""
@@ -947,7 +948,6 @@ def differential_run(
             k_max,
             pairs_per_trial,
             check_modes,
-            confirm_k,
         )
         for t in range(trials)
     ]
@@ -962,7 +962,5 @@ def differential_run(
 
 
 def _trial_worker(packed) -> TrialReport:
-    params, k_max, pairs_per_trial, check_modes, confirm_k = packed
-    return differential_trial(
-        params, k_max, pairs_per_trial, check_modes=check_modes, confirm_k=confirm_k
-    )
+    params, k_max, pairs_per_trial, check_modes = packed
+    return differential_trial(params, k_max, pairs_per_trial, check_modes=check_modes)

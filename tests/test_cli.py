@@ -162,6 +162,47 @@ def test_oracle_command(ex1_file, sysb_file):
     assert "no distinction found up to k=8" in out
 
 
+def test_oracle_guard_exits_three(ex1_file, monkeypatch):
+    from tnbpa import oracle
+
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 0)
+    code, _, err = run(["oracle", ex1_file, "X", "Y", "--k", "8"])
+    assert code == 3 and err.startswith("resource guard: strategy extraction exceeded")
+
+
+def test_deep_recursion_exits_three(tmp_path):
+    # The norm-doubling chain: X11 and X10 differ in norm by 1024, and the
+    # recursive norm descent that refutes them runs out of stack.
+    f = tmp_path / "doubling.bpa"
+    rules = ["X0 -a-> eps"]
+    for i in range(1, 14):
+        rules += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
+    f.write_text("constants: " + " ".join(f"X{i}" for i in range(14)) + "\n" + "\n".join(rules) + "\n")
+    code, _, err = run(["oracle", str(f), "X11", "X10", "--k", "4"])
+    assert code == 3 and err.startswith("resource guard: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["gen", "--constants", "0"], "constants"),
+        (["gen", "--alphabet", "0"], "alphabet"),
+        (["gen", "--norm-cap", "0"], "norm_cap"),
+        (["gen", "--max-rhs-len", "-1"], "max_rhs_len"),
+        # A silent extra rule needs a non-empty right-hand side.
+        (["gen", "--max-rhs-len", "0"], "max_rhs_len"),
+        (["gen", "--extra-rules", "-1"], "extra_rules"),
+        (["gen", "--silent-prob", "1.5"], "silent_prob"),
+        (["gen", "--composite-prob", "-0.1"], "composite_prob"),
+        (["fuzz", "--norm-cap", "0"], "norm_cap"),
+    ],
+)
+def test_bad_generator_flags_are_input_errors(argv, field):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field} must ")
+
+
 def test_fuzz_command():
     code, out, _ = run([
         "fuzz", "--trials", "2", "--pairs", "4", "--constants", "5", "--seed", "31",

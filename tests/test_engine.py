@@ -15,6 +15,8 @@ from tnbpa.engine import (
     compute_bisimilarity_base,
     lpftest,
     lpftest_realtime,
+    pass_bases,
+    realtime_divergences,
     refine,
     select_decreasing_rules,
 )
@@ -156,24 +158,12 @@ def test_iteration_bound_and_monotone_primes():
             assert earlier.primes_after == later.primes_before
 
 
-def _bases_along_run(std, trace):
-    out = [initial_base(std)]
-    for rec in trace:
-        eqs = {
-            c.constant: NormedString(c.equation, std.norms)
-            for c in rec.constants
-            if c.equation is not None
-        }
-        out.append(DecompositionBase(std.n, set(rec.primes_after), eqs, std.norms))
-    return out
-
-
 def test_refinement_shrinks_the_congruence():
     rng = random.Random(21)
     for seed in range(8):
         std = standardize(random_system(GenParams(constants=7, silent_prob=0.3, seed=seed)))
         _, trace = compute_bisimilarity_base(std)
-        bases = _bases_along_run(std, trace)
+        bases = pass_bases(std, trace)
         for before, after in zip(bases, bases[1:]):
             for _ in range(40):
                 p = tuple(rng.randrange(std.n) for _ in range(rng.randint(0, 3)))
@@ -186,7 +176,7 @@ def test_prime_set_equality_implies_base_equality():
     for seed in range(10):
         std = standardize(random_system(GenParams(constants=7, silent_prob=0.3, seed=seed)))
         _, trace = compute_bisimilarity_base(std)
-        bases = _bases_along_run(std, trace)
+        bases = pass_bases(std, trace)
         for b1, b2 in zip(bases, bases[1:]):
             if b1.primes == b2.primes:
                 assert b1 == b2
@@ -210,23 +200,36 @@ def test_mode_agreement():
         assert pruned == exhaustive
 
 
+def test_pass_bases_follow_the_run(ex1_std):
+    final, trace = compute_bisimilarity_base(ex1_std)
+    bases = pass_bases(ex1_std, trace)
+    assert bases[0] == initial_base(ex1_std)
+    assert bases[-1] == final
+    assert [set(b.primes) for b in bases[1:]] == [set(rec.primes_after) for rec in trace]
+
+
 def test_realtime_decisions_match_figure_transcription():
-    diverging = 0
     for seed in range(20):
         std = standardize(random_system(GenParams(constants=7, silent_prob=0.0, seed=seed)))
         assert std.is_realtime
-        _, trace = compute_bisimilarity_base(std, compare_realtime=True)
-        diverging += sum(rec.divergences for rec in trace)
-        for rec in trace:
-            for outcome in rec.constants:
-                for cand in outcome.candidates:
-                    assert cand.realtime_accepted == cand.accepted
-    assert diverging == 0
+        _, trace = compute_bisimilarity_base(std)
+        assert realtime_divergences(std, trace) == 0
+
+
+def test_realtime_audit_counts_divergent_decisions(skip_lpftest_steps):
+    # Without step 5 the engine accepts Q = P, which the transcription's
+    # step 4 rejects: one divergence, on the realtime system.
+    std = standardize(parse_system("constants: P Q\nP -a-> eps\nP -b-> eps\nQ -a-> eps\n"))
+    assert std.is_realtime
+    skip_lpftest_steps(5)
+    _, trace = compute_bisimilarity_base(std)
+    assert realtime_divergences(std, trace) == 1
 
 
 def test_realtime_comparison_requires_silent_free(ex1_std):
-    with pytest.raises(AssertionError):
-        compute_bisimilarity_base(ex1_std, compare_realtime=True)
+    _, trace = compute_bisimilarity_base(ex1_std)
+    with pytest.raises(ValueError, match="silent"):
+        realtime_divergences(ex1_std, trace)
 
 
 def test_lpftest_matches_realtime_directly():

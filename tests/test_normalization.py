@@ -1,3 +1,4 @@
+import ast
 import random
 import subprocess
 import sys
@@ -326,3 +327,15 @@ print(outcome(lambda: nz.classify_rules(single, nz.NormTable((5,), (0,)))))
         "raised: silent loop survived contraction",
         "raised: constant K has no decreasing rule (norm bug)",
     ]
+
+
+def test_no_assert_statements_in_the_package():
+    # `python -O` strips assert statements, so invariant checks must raise.
+    package = Path(tnbpa.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

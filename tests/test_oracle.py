@@ -5,6 +5,7 @@ import pytest
 from tnbpa.base import initial_base
 from tnbpa.engine import compute_bisimilarity_base
 from tnbpa.model import parse_system, serialize_system
+from tnbpa import oracle
 from tnbpa.normalization import standardize, view
 from tnbpa.oracle import (
     ClosureGuardExceeded,
@@ -13,7 +14,9 @@ from tnbpa.oracle import (
     GameContext,
     GenParams,
     ReplayError,
+    StateGuardExceeded,
     differential_run,
+    differential_trial,
     distinction_to_json,
     random_system,
     replay_distinction,
@@ -55,9 +58,32 @@ def test_closure_handles_uncontracted_cycles():
     assert set(closure.states) == {(0,), (1,)}
 
 
-def test_closure_guard(ex1_std):
+def test_closure_guard(ex1_std, monkeypatch):
+    monkeypatch.setattr(oracle, "CLOSURE_LIMIT", 1)
     with pytest.raises(ClosureGuardExceeded):
-        silent_closure_dec(ex1_std, ex1_std.parse_process("X"), limit=1)
+        silent_closure_dec(ex1_std, ex1_std.parse_process("X"))
+
+
+def test_memo_guard(ex1_std, monkeypatch):
+    monkeypatch.setattr(oracle, "MEMO_LIMIT", 1)
+    ctx = GameContext(ex1_std)
+    x, y = ex1_std.parse_process("X"), ex1_std.parse_process("Y")
+    with pytest.raises(StateGuardExceeded, match="memo exceeded 1 entries"):
+        ctx.related(x, y, 16)
+
+
+def test_node_guard_skips_only_the_certificate(monkeypatch):
+    # Extraction trips the node guard, but the level search that confirms
+    # the engine's verdict is unaffected, so the pair stays confirmed.
+    params = GenParams(constants=6, seed=500)
+    before = differential_trial(params, 12, pairs_per_trial=10)
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 0)
+    after = differential_trial(params, 12, pairs_per_trial=10)
+    confirmed = [p for p in before.pairs if p.oracle == "confirmed"]
+    assert confirmed and all(p.certificate == "replayed" for p in confirmed)
+    assert [(p.oracle, p.level) for p in after.pairs] == [(p.oracle, p.level) for p in before.pairs]
+    assert all(p.certificate == "skipped" for p in after.pairs if p.oracle == "confirmed")
+    assert after.errors == []
 
 
 def test_related_reflexive(ex1_std):
