@@ -40,7 +40,7 @@ def dcmp_ids(primes: frozenset[int] | set[int], equations: Mapping[int, NormedSt
 class DecompositionBase:
     """An immutable base (primes, equations) over a standard system."""
 
-    __slots__ = ("n", "primes", "equations", "norms")
+    __slots__ = ("n", "primes", "equations", "norms", "_memo")
 
     def __init__(
         self,
@@ -53,6 +53,7 @@ class DecompositionBase:
         self.primes = frozenset(primes)
         self.equations = dict(equations)
         self.norms = norms
+        self._memo: dict[Process, tuple[int, ...]] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -86,8 +87,22 @@ class DecompositionBase:
         ids = p.ids if isinstance(p, NormedString) else p
         return NormedString(tuple(dcmp_ids(self.primes, self.equations, ids)), self.norms)
 
+    def dcmp_memo(self, p: Process) -> tuple[int, ...]:
+        """Memoized decomposition of a single constant or a rule right-hand side.
+
+        Pass nothing else: those keys number at most n + |rules|, which bounds
+        the memo, while a candidate's tail can be exponentially long.  The base
+        never changes, so an entry never goes stale.
+        """
+        got = self._memo.get(p)
+        if got is None:
+            got = self._memo[p] = tuple(dcmp_ids(self.primes, self.equations, p))
+        return got
+
     def equivalent(self, p1: Decomposable, p2: Decomposable) -> bool:
-        return self.dcmp(p1) == self.dcmp(p2)
+        ids1 = p1.ids if isinstance(p1, NormedString) else p1
+        ids2 = p2.ids if isinstance(p2, NormedString) else p2
+        return dcmp_ids(self.primes, self.equations, ids1) == dcmp_ids(self.primes, self.equations, ids2)
 
     def lpf(self, cid: int) -> int:
         """Leftmost prime factor of a constant; the constant itself if prime."""

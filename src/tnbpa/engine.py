@@ -15,7 +15,9 @@ scale.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .base import DecompositionBase, dcmp_ids, initial_base
@@ -72,21 +74,36 @@ class _PartialBase:
     discipline of decreasing rules).
     """
 
-    __slots__ = ("norms", "primes", "equations")
+    __slots__ = ("norms", "primes", "equations", "_memo")
 
     def __init__(self, norms: tuple[int, ...]):
         self.norms = norms
         self.primes: set[int] = set()
         self.equations: dict[int, NormedString] = {}
+        self._memo: dict[Process, tuple[int, ...]] = {}
 
-    def dcmp(self, p: Process | NormedString) -> NormedString:
-        ids = p.ids if isinstance(p, NormedString) else p
+    def dcmp_tuple(self, p: Process) -> tuple[int, ...]:
         try:
-            return NormedString(tuple(dcmp_ids(self.primes, self.equations, ids)), self.norms)
+            return tuple(dcmp_ids(self.primes, self.equations, p))
         except KeyError as exc:
             raise EngineInternalError(
                 f"decomposition over the new base demanded for unsettled constant {exc.args[0]}"
             ) from None
+
+    def dcmp(self, p: Process | NormedString) -> NormedString:
+        return NormedString(self.dcmp_tuple(p.ids if isinstance(p, NormedString) else p), self.norms)
+
+    def dcmp_memo(self, p: Process) -> tuple[int, ...]:
+        """Memoized `dcmp_tuple` of a single constant or a rule right-hand side.
+
+        Exact because an entry is stored only once every constant in its key
+        is settled (an unsettled one raises instead), and a settled constant
+        keeps its value until the pass ends.
+        """
+        got = self._memo.get(p)
+        if got is None:
+            got = self._memo[p] = self.dcmp_tuple(p)
+        return got
 
 
 @dataclass(frozen=True)
@@ -112,52 +129,47 @@ def lpftest(
     increasing moves symmetrically.
     """
     d_proc = delta.ids
-    if not d_proc or base.dcmp((i,)) != base.dcmp(d_proc):
+    if not d_proc:
+        return TestResult(False, 1)
+    # dcmp is a homomorphism, so a move beta . tail of delta decomposes as
+    # dcmp(beta) . dcmp(tail): the tail is decomposed once per base, the
+    # moves come from the bases' memos.  Over the partial base only settled
+    # constants are decomposed: the decreasing rules of i and of delta's head
+    # j < i mention only constants below i, and delta's tail consists of
+    # settled primes.
+    head, d_tail = d_proc[0], d_proc[1:]
+    old, new = base.dcmp_memo, partial.dcmp_memo
+    old_tail = tuple(dcmp_ids(base.primes, base.equations, d_tail))
+    if old((i,)) != old((head,)) + old_tail:
         return TestResult(False, 1)
 
-    d_tail = d_proc[1:]
-    delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(d_proc[0])]
-    delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc_rules(d_proc[0])]
-
-    new_cache: dict[Process, NormedString] = {}
-    old_cache: dict[Process, NormedString] = {}
-
-    def dnew(p: Process) -> NormedString:
-        if p not in new_cache:
-            new_cache[p] = partial.dcmp(p)
-        return new_cache[p]
-
-    def dold(p: Process) -> NormedString:
-        if p not in old_cache:
-            old_cache[p] = base.dcmp(p)
-        return old_cache[p]
-
-    for r in std.dec_rules(i):
-        da = dnew(r.rhs)
-        if is_silent(r.label) and da == delta:
+    new_tail = partial.dcmp_tuple(d_tail)
+    own_dec = [(r.label, new(r.rhs)) for r in std.dec_rules(i)]
+    delta_dec = [(r.label, new(r.rhs) + new_tail) for r in std.dec_rules(head)]
+    for lab, da in own_dec:
+        if is_silent(lab) and da == d_proc:
             continue
-        if any(lab == r.label and da == dnew(beta) for lab, beta in delta_dec):
+        if any(lab2 == lab and da == db for lab2, db in delta_dec):
             continue
         return TestResult(False, 2)
 
-    for r in std.inc_rules(i):
-        da = dold(r.rhs)
-        if any(lab == r.label and da == dold(beta) for lab, beta in delta_inc):
+    own_inc = [(r.label, old(r.rhs)) for r in std.inc_rules(i)]
+    delta_inc = [(r.label, old(r.rhs) + old_tail) for r in std.inc_rules(head)]
+    for lab, da in own_inc:
+        if any(lab2 == lab and da == db for lab2, db in delta_inc):
             continue
         return TestResult(False, 3)
 
-    if any(is_silent(r.label) and dnew(r.rhs) == delta for r in std.dec_rules(i)):
+    if any(is_silent(lab) and da == d_proc for lab, da in own_dec):
         return TestResult(True, 4)
 
-    for lab, beta in delta_dec:
-        db = dnew(beta)
-        if any(r.label == lab and dnew(r.rhs) == db for r in std.dec_rules(i)):
+    for lab, db in delta_dec:
+        if any(lab2 == lab and da == db for lab2, da in own_dec):
             continue
         return TestResult(False, 5)
 
-    for lab, beta in delta_inc:
-        db = dold(beta)
-        if any(r.label == lab and dold(r.rhs) == db for r in std.inc_rules(i)):
+    for lab, db in delta_inc:
+        if any(lab2 == lab and da == db for lab2, da in own_inc):
             continue
         return TestResult(False, 6)
 
@@ -261,7 +273,9 @@ def candidates_for(
             )
         return (NormedString(ids, std.norms) for ids in _norm_strings(alphabet, std.norms, std.norms[i]))
 
-    s = partial.dcmp(fixed[i].rhs)
+    s = partial.dcmp_memo(fixed[i].rhs)
+    # prefix[m] is the norm of s[:m], strictly increasing since norms are >= 1.
+    prefix = list(accumulate((std.norms[c] for c in s), initial=0))
     k = base.lpf(i)
     heads = [k]
     heads += [j for j in range(k + 1, i) if j in partial.primes and j not in base.primes]
@@ -273,10 +287,13 @@ def candidates_for(
             )
         if std.norms[j] > std.norms[i]:
             continue
-        tail = s.suffix_with_norm(std.norms[i] - std.norms[j])
-        if tail is None:
+        # The tail is the suffix of s with norm norm(i) - norm(j), if a
+        # constant boundary falls there.
+        cut = prefix[-1] - (std.norms[i] - std.norms[j])
+        at = bisect_left(prefix, cut)
+        if prefix[at] != cut:
             continue
-        out.append(NormedString((j, *tail.ids), std.norms))
+        out.append(NormedString((j, *s[at:]), std.norms))
     return out
 
 

@@ -1,11 +1,13 @@
 """Normed strings: constant sequences with O(log n) norm-boundary splitting.
 
-The refinement engine stores prime decompositions as normed strings and needs
-three operations on them: concatenation, equality, and splitting at a norm
-boundary.  The representation here is an exact sequence with a cached prefix
-sum of norms; splitting binary-searches the prefix sums.  A compressed
-representation could replace this behind the same interface, but equations are
-stored once per constant, so desk-scale strings stay short.
+Decomposition bases store their equations as normed strings, and candidate
+decompositions are handed around as normed strings.  The representation is an
+exact sequence with a cached prefix sum of norms; splitting binary-searches
+the prefix sums.  Inside a refinement pass the engine compares plain id tuples
+instead (`engine.lpftest`) and cuts candidate tails from its own prefix sums.
+Exact sequences can be exponentially long in the number of constants: at
+n = 16 the initial base of the norm-doubling chain stores 2^16 - 1 ids for its
+top constant.  A compressed representation (ROADMAP item 5) would replace both.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ class NormedString:
         if self._prefix[j] != target:
             return None
         return NormedString(self.ids[:j], self.norms), NormedString(self.ids[j:], self.norms)
-
-    def suffix_with_norm(self, h: int) -> "NormedString | None":
-        split = self.split_at_norm(h)
-        return None if split is None else split[1]
 
     def to_text(self, name_of: Callable[[int], str]) -> str:
         return " ".join(name_of(c) for c in self.ids) if self.ids else "eps"

@@ -116,8 +116,10 @@ def base_as_names(std, base) -> tuple[set[str], dict[str, tuple[str, ...]]]:
 def _lpftest_skipping(steps: frozenset[int]):
     """A mutant of `engine.lpftest` that leaves out the given steps.
 
-    The body follows `engine.lpftest` step by step; a skipped step neither
-    rejects nor accepts, so the candidate falls through to the next one.
+    The body takes `engine.lpftest`'s steps in order, with every process
+    decomposed into a `NormedString`; a skipped step neither rejects nor
+    accepts, so the candidate falls through to the next one.  Skipping nothing
+    gives the reference the id-tuple `engine.lpftest` is compared against.
     """
 
     def mutant(std, base, partial, i, delta):

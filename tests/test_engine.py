@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import base_as_names
+from conftest import _lpftest_skipping, base_as_names
+from tnbpa import engine
 from tnbpa.base import DecompositionBase, initial_base
 from tnbpa.engine import (
     CandidateMode,
@@ -316,3 +317,68 @@ def test_empty_system():
 def test_verdict_is_two_valued():
     kinds = {k.value for k in VerdictKind}
     assert kinds == {"bisimilar", "not-bisimilar"}
+
+
+def test_lpftest_agrees_with_normed_string_reference(monkeypatch):
+    # Every candidate of every pass, in both modes, gets the result of the
+    # NormedString form of the test (the conftest mutant with no step skipped).
+    reference = _lpftest_skipping(frozenset())
+    tested = engine.lpftest
+    steps = set()
+
+    def both(std, base, partial, i, delta):
+        got = tested(std, base, partial, i, delta)
+        assert got == reference(std, base, partial, i, delta)
+        steps.add((got.accepted, got.step))
+        return got
+
+    monkeypatch.setattr(engine, "lpftest", both)
+    for seed in range(40):
+        params = GenParams(
+            constants=8 + seed % 5,
+            silent_prob=0.15 * (seed % 4),
+            norm_cap=1 + seed % 8,
+            composite_prob=0.4,
+            seed=seed,
+        )
+        std = standardize(random_system(params))
+        for mode in CandidateMode:
+            compute_bisimilarity_base(std, mode)
+    # Every outcome occurred, so every step was compared at least once.
+    assert steps == {(False, 1), (False, 2), (False, 3), (True, 4), (False, 5), (False, 6), (True, 7)}
+
+
+def test_pruned_refinement_builds_one_string_per_candidate(monkeypatch):
+    std = standardize(random_system(GenParams(
+        constants=64, norm_cap=4, silent_prob=0.3, composite_prob=0.4, seed=7
+    )))
+    counts = {"init": 0, "split": 0}
+    init, split = NormedString.__init__, NormedString.split_at_norm
+
+    def counting_init(self, ids, norms):
+        counts["init"] += 1
+        init(self, ids, norms)
+
+    def counting_split(self, h):
+        counts["split"] += 1
+        return split(self, h)
+
+    bases = []
+    tested = engine.lpftest
+
+    def recording(std, base, partial, i, delta):
+        bases.extend((base, partial))
+        return tested(std, base, partial, i, delta)
+
+    monkeypatch.setattr(NormedString, "__init__", counting_init)
+    monkeypatch.setattr(NormedString, "split_at_norm", counting_split)
+    monkeypatch.setattr(engine, "lpftest", recording)
+    _, trace = compute_bisimilarity_base(std)
+    candidates = sum(len(c.candidates) for rec in trace for c in rec.constants)
+    assert candidates > 100
+    assert counts["split"] == 0
+    assert counts["init"] <= candidates + std.n * len(trace)
+    # The memos are keyed by single constants and rule right-hand sides only,
+    # never by a candidate's tail, so they stay within n + |rules| entries.
+    keys = {(c,) for c in range(std.n)} | {r.rhs for r in std.sys.rules}
+    assert all(b._memo.keys() <= keys for b in bases)

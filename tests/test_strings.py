@@ -76,12 +76,6 @@ def test_split_concat_inverse():
             assert prefix.norm + suffix.norm == s.norm
 
 
-def test_suffix_with_norm():
-    s = ns(0, 1)  # norms 1, 2
-    assert s.suffix_with_norm(2) == ns(1)
-    assert s.suffix_with_norm(1) is None
-
-
 def test_equality_oracle():
     rng = random.Random(2)
     for _ in range(200):
