@@ -343,8 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least value of each numeric flag that counts something; a subcommand
+# is checked only on the flags it defines.
+_FLAG_MINIMUM = {"k": 1, "trials": 1, "pairs": 1, "jobs": 1, "max_exhaustive": 0}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, low in _FLAG_MINIMUM.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} must be at least {low}, got {value}", file=_sys.stderr)
+            return EXIT_INPUT
     try:
         return args.func(args)
     except (

@@ -2,10 +2,12 @@
 
 Starting from the norm-equality base, each pass rebuilds the equations bottom
 up: for every composite it generates a handful of candidate decompositions
-(the previous leftmost prime factor, plus any new primes between that factor
-and the constant) and runs a six-step single-transition test against the
-previous base and the partially built new base.  Constants with no accepted
-candidate become prime; the run stops when a pass adds no prime.
+and runs a six-step single-transition test against the previous base and the
+partially built new base.  A candidate's head is the previous leftmost prime
+factor or a new prime above it, and only heads with a decreasing rule that
+matches the constant's fixed decreasing rule are generated: any other head
+fails step 2 of the test.  Constants with no accepted candidate become prime;
+the run stops when a pass adds no prime.
 
 An exhaustive candidate mode enumerates every norm-matching prime string
 instead; it exists to validate the pruned candidate set and is guarded to desk
@@ -17,7 +19,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .base import DecompositionBase, dcmp_ids, initial_base
@@ -72,15 +73,53 @@ class _PartialBase:
     either marked prime or given its new equation.  Decomposing anything that
     mentions an unsettled constant is a bug (it would contradict the index
     discipline of decreasing rules).
+
+    Primes are settled through `settle_prime`, which also indexes each
+    prime's decreasing rules by label and decomposed right-hand side, so
+    `heads_matching` can look candidate heads up instead of scanning them.
     """
 
-    __slots__ = ("norms", "primes", "equations", "_memo")
+    __slots__ = ("norms", "primes", "equations", "_memo", "_heads", "_cut_lengths")
 
     def __init__(self, norms: tuple[int, ...]):
         self.norms = norms
         self.primes: set[int] = set()
         self.equations: dict[int, NormedString] = {}
         self._memo: dict[Process, tuple[int, ...]] = {}
+        # (label, dcmp(rhs)) -> the primes with that decreasing rule, ascending
+        # because primes settle in index order.
+        self._heads: dict[tuple[str, tuple[int, ...]], list[int]] = {}
+        # label -> the lengths of the decompositions indexed under it.
+        self._cut_lengths: dict[str, set[int]] = {}
+
+    def settle_prime(self, j: int, dec_rules: Iterable[Rule]) -> None:
+        """Mark j prime and index its decreasing rules under this base.
+
+        Exact for the same reason as the memo: a decreasing rule of j mentions
+        only constants below j, all settled before j.
+        """
+        self.primes.add(j)
+        for r in dec_rules:
+            key = (r.label, self.dcmp_memo(r.rhs))
+            heads = self._heads.setdefault(key, [])
+            if not heads or heads[-1] != j:
+                heads.append(j)
+            self._cut_lengths.setdefault(r.label, set()).add(len(key[1]))
+
+    def heads_matching(self, label: str, s: tuple[int, ...], low: int) -> Iterator[tuple[int, int]]:
+        """Settled primes j >= low with a decreasing rule (label, beta) such
+        that dcmp(beta) == s[:at], as pairs (j, at).
+
+        Only the prefix lengths that occur in the index are sliced, so the
+        number of lookups does not grow with the length of s.
+        """
+        for at in self._cut_lengths.get(label, ()):
+            if at > len(s):
+                continue
+            heads = self._heads.get((label, s[:at]))
+            if heads:
+                for j in heads[bisect_left(heads, low):]:
+                    yield j, at
 
     def dcmp_tuple(self, p: Process) -> tuple[int, ...]:
         try:
@@ -255,12 +294,15 @@ def candidates_for(
     mode: CandidateMode = CandidateMode.PRUNED,
     max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
 ) -> Iterable[NormedString]:
-    """Candidate decompositions for constant i.
+    """Candidate decompositions for constant i, in ascending head order.
 
-    Pruned: the previous leftmost prime factor and every new prime strictly
-    between it and i, each extended with the norm-matching suffix of the fixed
-    decreasing rule's decomposition; candidates whose suffix boundary does not
-    exist are skipped silently.  Exhaustive: every string over the settled
+    Pruned: candidates j . s[at:], where s is the decomposition of i's fixed
+    decreasing rule (a, rhs) over the new base and the head j is the previous
+    leftmost prime factor k or a new prime above it.  Step 2 of `lpftest`
+    must match the fixed rule, which holds only when j has a decreasing rule
+    (a, beta) with dcmp(beta) == s[:at], or when the rule is silent and the
+    candidate is s itself; only those candidates are generated, so none that
+    could be accepted is left out.  Exhaustive: every string over the settled
     primes below i with the constant's norm, in lexicographic order.
     """
     if mode is CandidateMode.EXHAUSTIVE:
@@ -273,28 +315,21 @@ def candidates_for(
             )
         return (NormedString(ids, std.norms) for ids in _norm_strings(alphabet, std.norms, std.norms[i]))
 
+    label = fixed[i].label
     s = partial.dcmp_memo(fixed[i].rhs)
-    # prefix[m] is the norm of s[:m], strictly increasing since norms are >= 1.
-    prefix = list(accumulate((std.norms[c] for c in s), initial=0))
     k = base.lpf(i)
-    heads = [k]
-    heads += [j for j in range(k + 1, i) if j in partial.primes and j not in base.primes]
-    out = []
-    for j in heads:
-        if j not in partial.primes:
-            raise EngineInternalError(
-                f"old prime {std.sys.name(j)} left the refined prime set"
-            )
-        if std.norms[j] > std.norms[i]:
-            continue
-        # The tail is the suffix of s with norm norm(i) - norm(j), if a
-        # constant boundary falls there.
-        cut = prefix[-1] - (std.norms[i] - std.norms[j])
-        at = bisect_left(prefix, cut)
-        if prefix[at] != cut:
-            continue
-        out.append(NormedString((j, *s[at:]), std.norms))
-    return out
+    if k not in partial.primes:
+        raise EngineInternalError(
+            f"old prime {std.sys.name(k)} left the refined prime set"
+        )
+    cuts = dict(partial.heads_matching(label, s, k))
+    if is_silent(label) and s[0] >= k:
+        cuts[s[0]] = 1  # the candidate s itself, matched in place
+    return [
+        NormedString((j, *s[cuts[j]:]), std.norms)
+        for j in sorted(cuts)
+        if j == k or j not in base.primes
+    ]
 
 
 @dataclass
@@ -342,7 +377,7 @@ def refine(
 
     for i in range(std.n):
         if i in base.primes:
-            partial.primes.add(i)
+            partial.settle_prime(i, std.dec_rules(i))
             continue
         accepted: NormedString | None = None
         records: list[CandidateOutcome] = []
@@ -362,7 +397,7 @@ def refine(
             partial.equations[i] = accepted
             outcomes.append(ConstantOutcome(i, "equation", accepted.ids, records))
         else:
-            partial.primes.add(i)
+            partial.settle_prime(i, std.dec_rules(i))
             outcomes.append(ConstantOutcome(i, "prime", None, records))
 
     new_base = DecompositionBase(std.n, partial.primes, partial.equations, std.norms)

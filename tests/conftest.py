@@ -1,12 +1,15 @@
 """Shared fixtures: the two worked systems and independent test oracles."""
 
 import heapq
+from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
 
 from tnbpa import engine
 from tnbpa.model import BpaSystem, is_silent, parse_system, transitions_of
 from tnbpa.normalization import standardize
+from tnbpa.strings import NormedString
 
 # The two-process system where every action matches yet the silent step on
 # one side is a genuine change of state.
@@ -159,6 +162,32 @@ def _lpftest_skipping(steps: frozenset[int]):
         return engine.TestResult(True, 7)
 
     return mutant
+
+
+def _candidates_unfiltered(std, base, partial, i, fixed):
+    """The pruned candidate set before heads were matched against the fixed rule.
+
+    The previous leftmost prime factor and every new prime strictly between
+    it and i, each extended with the norm-matching suffix of the fixed
+    decreasing rule's decomposition; heads without a suffix boundary are
+    skipped.  `engine.candidates_for` must return an ordered subsequence of
+    this list that drops only candidates rejected at step 1 or step 2.
+    """
+    s = partial.dcmp_memo(fixed[i].rhs)
+    prefix = list(accumulate((std.norms[c] for c in s), initial=0))
+    k = base.lpf(i)
+    heads = [k]
+    heads += [j for j in range(k + 1, i) if j in partial.primes and j not in base.primes]
+    out = []
+    for j in heads:
+        if std.norms[j] > std.norms[i]:
+            continue
+        cut = prefix[-1] - (std.norms[i] - std.norms[j])
+        at = bisect_left(prefix, cut)
+        if prefix[at] != cut:
+            continue
+        out.append(NormedString((j, *s[at:]), std.norms))
+    return out
 
 
 @pytest.fixture

@@ -1,0 +1,46 @@
+"""Gates on how many candidates the engine tests, read from its own trace.
+
+These take no timings: the counts repeat exactly on any host, so a change
+that makes a pass test more candidates fails here even where wall time is
+too noisy to show it.  The systems use the generator settings of the
+benchmark's engine-random workload at a fixed seed.
+"""
+
+from functools import cache
+
+import pytest
+
+from tnbpa.engine import compute_bisimilarity_base
+from tnbpa.normalization import standardize
+from tnbpa.oracle import GenParams, random_system
+
+SEED = 42
+
+# The largest ratio of total candidates per doubling of n on the random
+# family below, measured when candidate heads began to be matched against
+# the fixed decreasing rule: 3.763 at cap 8, n = 128 -> 256.  Tighten it when
+# a change prunes further; never raise it to get a pass.
+MAX_RATIO_PER_DOUBLING = 3.77
+
+
+@cache
+def candidate_counts(n: int, cap: int) -> tuple[int, int]:
+    """Total candidates tested and accepted over a whole run."""
+    params = GenParams(
+        constants=n, max_rhs_len=3, alphabet=2, silent_prob=0.3,
+        norm_cap=cap, extra_rules=2, composite_prob=0.4, seed=SEED,
+    )
+    _, trace = compute_bisimilarity_base(standardize(random_system(params)))
+    tested = [cand for rec in trace for c in rec.constants for cand in c.candidates]
+    return len(tested), sum(cand.accepted for cand in tested)
+
+
+def test_candidate_totals_at_n512_cap4():
+    assert candidate_counts(512, 4) == (16_858, 1_039)
+
+
+@pytest.mark.parametrize("cap", [1, 4, 8])
+def test_candidates_per_doubling_of_n(cap):
+    totals = [candidate_counts(n, cap)[0] for n in (64, 128, 256, 512)]
+    ratios = [b / a for a, b in zip(totals, totals[1:])]
+    assert max(ratios) <= MAX_RATIO_PER_DOUBLING, (totals, ratios)

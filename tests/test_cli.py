@@ -203,6 +203,24 @@ def test_bad_generator_flags_are_input_errors(argv, field):
     assert err.startswith(f"error: {field} must ")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "{ex1}", "--left", "X", "--right", "Y", "--verify", "--k", "0"], "--k"),
+        (["oracle", "{ex1}", "X", "Y", "--k", "-1"], "--k"),
+        (["fuzz", "--k", "-1"], "--k"),
+        (["fuzz", "--trials", "-3"], "--trials"),
+        (["fuzz", "--pairs", "-1"], "--pairs"),
+        (["fuzz", "--jobs", "0"], "--jobs"),
+        (["base", "{ex1}", "--max-exhaustive", "-1"], "--max-exhaustive"),
+    ],
+)
+def test_numeric_flags_below_range_are_input_errors(argv, flag, ex1_file):
+    code, out, err = run([a.format(ex1=ex1_file) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be at least ")
+
+
 def test_fuzz_command():
     code, out, _ = run([
         "fuzz", "--trials", "2", "--pairs", "4", "--constants", "5", "--seed", "31",

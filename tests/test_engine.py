@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import _lpftest_skipping, base_as_names
+from conftest import _candidates_unfiltered, _lpftest_skipping, base_as_names
 from tnbpa import engine
 from tnbpa.base import DecompositionBase, initial_base
 from tnbpa.engine import (
@@ -21,7 +21,7 @@ from tnbpa.engine import (
     refine,
     select_decreasing_rules,
 )
-from tnbpa.model import parse_system
+from tnbpa.model import is_silent, parse_system
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GameContext, GenParams, random_system, verify_base_generators
 from tnbpa.strings import NormedString
@@ -41,25 +41,28 @@ def test_first_iteration_candidates_sysb(sysb_std):
     fixed = select_decreasing_rules(sysb_std)
     base = initial_base(sysb_std)
     partial = _PartialBase(sysb_std.norms)
-    partial.primes.add(0)  # B settled prime
-    partial.primes.add(1)  # Y settled prime (as iteration 1 decides)
+    partial.settle_prime(0, sysb_std.dec_rules(0))  # B settled prime
+    partial.settle_prime(1, sysb_std.dec_rules(1))  # Y, as iteration 1 decides
     a = sysb_std.sys.constant_id("A")
     cands = list(candidates_for(sysb_std, base, partial, a, fixed))
-    # lpf is B; Y is a new prime between lpf and A, but norm boundaries keep
-    # both candidates single constants of norm 1.
+    # lpf is B; Y is a new prime between lpf and A.  A's fixed rule A -a-> eps
+    # is matched by B -a-> eps and Y -a-> eps, so both are heads, each a
+    # single constant of norm 1.
     assert [[sysb_std.sys.name(c) for c in d.ids] for d in cands] == [["B"], ["Y"]]
 
 
 def test_candidate_skipped_without_norm_boundary():
     # M's fixed decreasing rule rewrites to Z of norm 2; testing head Z needs
     # a suffix of norm 1 inside the one-constant string Z, which has no cut.
+    # Z's own rule Z -a-> P does not match M -a-> Z either: P is no prefix of Z.
     std = standardize(parse_system("constants: P Z M\nP -a-> eps\nZ -a-> P\nM -a-> Z\n"))
     fixed = select_decreasing_rules(std)
     base = DecompositionBase(
         3, [0, 1], {2: NormedString((1, 0), std.norms)}, std.norms
     )
     partial = _PartialBase(std.norms)
-    partial.primes.update({0, 1})
+    for j in (0, 1):
+        partial.settle_prime(j, std.dec_rules(j))
     m = std.sys.constant_id("M")
     assert list(candidates_for(std, base, partial, m, fixed)) == []
 
@@ -304,7 +307,9 @@ def test_trace_records_candidate_steps(ex1_std):
     y = ex1_std.sys.constant_id("Y")
     rec = next(c for c in first.constants if c.constant == y)
     assert rec.outcome == "prime"
-    assert [cand.step for cand in rec.candidates] == [2, 5]
+    # Y's fixed rule is Y -b-> eps.  The old lpf X' has no b-move, so it is
+    # not a candidate; X matches that rule but is rejected at step 5.
+    assert [cand.step for cand in rec.candidates] == [5]
 
 
 def test_empty_system():
@@ -346,6 +351,76 @@ def test_lpftest_agrees_with_normed_string_reference(monkeypatch):
             compute_bisimilarity_base(std, mode)
     # Every outcome occurred, so every step was compared at least once.
     assert steps == {(False, 1), (False, 2), (False, 3), (True, 4), (False, 5), (False, 6), (True, 7)}
+
+
+# In pass 2, C3 becomes prime.  C5's lpf is the old prime C4, whose rule
+# C4 -tau-> C3 matches C5's fixed rule C5 -tau-> C3 C1 only when C3 is
+# decomposed over the new base: over the old one C3 = C1.
+OLD_LPF_TEXT = """\
+constants: C1 C2 C3 C4 C5
+C1 -a-> eps
+C1 -a-> C4 C4 C2
+C1 -a-> C1
+C2 -a-> eps
+C3 -a-> C1 C1 C1
+C3 -a-> C2
+C3 -a-> eps
+C4 -a-> C1 C1
+C4 -tau-> C3
+C5 -a-> C1 C1 C1
+C5 -tau-> C3 C1
+"""
+
+
+def test_candidate_filter_drops_only_step_one_and_two_rejections(monkeypatch):
+    # Every pruned candidate list is the list the engine generated before
+    # heads were matched against the fixed decreasing rule, restricted, in
+    # order, to the candidates that match that rule over the new base.  Each
+    # candidate left out is rejected by the reference test at step 1 or 2,
+    # so the accepted candidates are the same.
+    reference = _lpftest_skipping(frozenset())
+    generate = engine.candidates_for
+    seen = {"dropped": 0, "early": 0}
+
+    def matches_fixed(std, partial, rule, delta):
+        target = partial.dcmp(rule.rhs)
+        if is_silent(rule.label) and target == delta:
+            return True
+        head, tail = delta.ids[0], delta.ids[1:]
+        return any(
+            r.label == rule.label and partial.dcmp(r.rhs + tail) == target
+            for r in std.dec_rules(head)
+        )
+
+    def checked(std, base, partial, i, fixed, *rest):
+        got = [d.ids for d in generate(std, base, partial, i, fixed, *rest)]
+        full = _candidates_unfiltered(std, base, partial, i, fixed)
+        assert got == [d.ids for d in full if matches_fixed(std, partial, fixed[i], d)]
+        results = {d.ids: reference(std, base, partial, i, d) for d in full}
+        for ids, res in results.items():
+            if ids not in got:
+                seen["dropped"] += 1
+                assert not res.accepted and res.step in (1, 2)
+        assert [ids for ids in got if results[ids].accepted] == \
+            [ids for ids, res in results.items() if res.accepted]
+        seen["early"] += sum(results[ids].step == 4 for ids in got)
+        return [NormedString(ids, std.norms) for ids in got]
+
+    monkeypatch.setattr(engine, "candidates_for", checked)
+    systems = [parse_system(OLD_LPF_TEXT)]
+    for seed in range(40):
+        systems.append(random_system(GenParams(
+            constants=10 + seed % 7 * 3,
+            silent_prob=0.15 * (seed % 4),
+            norm_cap=1 + seed % 8,
+            composite_prob=0.4,
+            seed=seed,
+        )))
+    for sys in systems:
+        compute_bisimilarity_base(standardize(sys))
+    # Candidates were dropped, and step-4 accepts (a silent move onto the
+    # candidate, which the filter must keep) occurred.
+    assert seen["dropped"] > 0 and seen["early"] > 0
 
 
 def test_pruned_refinement_builds_one_string_per_candidate(monkeypatch):

@@ -1,13 +1,16 @@
 """Byte-level pins of the engine's decisions.
 
-Each case runs ``tnbpa base FILE --json --iterations --trace T`` and compares
-the sha256 of standard output and of the trace file with digests recorded
-from the engine that built every decomposition as a `NormedString`.  The
-output holds every candidate tested, its step and every pass's base, so an
-engine speedup that changes any decision, or the order candidates are tried
-in, fails here.  The random cases also depend on `random_system`'s output for
-their parameters.  A change that means to alter a trace updates the digests
-in the same commit and says why.
+Each case runs ``tnbpa base FILE --json --iterations --trace T`` and
+``tnbpa base FILE --iterations`` and compares the sha256 of both standard
+outputs and of the trace file with recorded digests.  The JSON output and the
+trace hold every candidate tested and its step, so an engine change that
+alters any decision, or which candidates are tried and in what order, fails
+here.  The plain-text output holds only the base after each pass: its digest
+was recorded before candidates were matched against the fixed decreasing rule
+and must not move under a change that only prunes candidates.  The random
+cases also depend on `random_system`'s output for their parameters.  A change
+that means to alter a trace updates the digests in the same commit and says
+why.
 """
 
 import hashlib
@@ -33,39 +36,48 @@ RANDOM_CASES = {
     "rand-n64-cap8-s0": GenParams(constants=64, norm_cap=8, silent_prob=0.0, composite_prob=0.4, seed=34),
 }
 
-# name -> (sha256 of stdout, sha256 of the --trace file)
+# name -> sha256 of (--json --iterations stdout, the --trace file, plain-text
+# --iterations stdout)
 PINNED = {
     "ex1.bpa": (
-        "aca2f39c0e64d082f0600a389699b12432b70ec69da23907d25bcea9bf99e10a",
-        "d16dd7ca6bc28a2f6f1a464365e3030cf4c6907ba4ed576e1e166b79e89aec54",
+        "47139e383c9959fc093c8828d690666fc9f850dd8ea2989b8c07d0d3471820b9",
+        "da9bc34c68af17c9277777c782613a7547a9096250a8d88d18f5dc5739835972",
+        "4ceaa7158a3aa3b2d36791ed8d516192c146e080ad3338a319104d813197bdb9",
     ),
     "sys-b.bpa": (
         "3fb463d9e9e0ed54c47a45fa33ff05120ec676b80ce94c338d53d45f0e36b573",
         "c85c6aac77948e8324d5c11abb2083564fa79fcd9065f8c684799a82941ab5f9",
+        "9c9f48e4d11ebf6c739ad239d518281109d01214c8981abaa84f1275f20e52ff",
     ),
     "rand-n24-cap1-s0": (
-        "f50405a8a94105d4d6aa026ace1e255dde1d18099b477e74cb7f3e5aa5ba3c48",
-        "bfcedb02dc1c9554b81070efc048185dd7cbaebbbb35e87e5b31868db0a28bd3",
+        "359768b45f5e3f1bca68fb5635900f6e296d0720a20dcd47c788e3f5130824f0",
+        "aa5b5448aa20c3cb813c6da82d7ffcda9c53f5c81c5aa64d67b067a253b22664",
+        "31e4155805d50f0293100fe91608697929ba932e64ce825dbc5427d2780db6ff",
     ),
     "rand-n24-cap4-s30": (
-        "5390e195889205225f6d8843055c9d296c58ff78fb98f69946fc761a5f8b4528",
-        "8b0edaabede7a2e451cf8b1c98f2c54b889de3457711f95da389b4e69217899d",
+        "2575460caea97555d91d6e4ec11b3031867cc8e9dbaae920bd009cee1ee702f0",
+        "e22416a9138767eb36f911559f812836ee723a9ba170f3b0b9d02ecd4da90d1f",
+        "0235a895bf1b497a6d0404abf3ee42d524434b64d840ccf4ffe34663f7ee105e",
     ),
     "rand-n32-cap8-s45": (
-        "5dc3e96db565d9e3ccdd6d78a8f648f21770dd0ae57e02ccec44896fd7975cc1",
-        "7e1d735b841045e284c8fe5583fcbfbac6f75c16aaf7dd681fef1b43018a5668",
+        "130fdf7172823d186572540d46c3c3ca90b1c1406248ef881088f7f72cb1db71",
+        "0d376658aed25818428cf5b26d9ce988353a28b1661c6040f9564769bb72fd48",
+        "c9d9a813506a7428f7acd9c33e1c48e729a77194861ed8b76ba8d297142a33ad",
     ),
     "rand-n40-cap4-s15": (
-        "566303f526e7aab62032c4f29cc7bf835545e82f575f413ddeb8176ba4d58ac4",
-        "0eb4b50e6bbea4e84d068b50b15414fd612ea1728a7b0ecfc7cca5d988c184f7",
+        "a0580b6112faee0ccbef957b076b4c0625bf9c3acf81d07b17ee6a3dccdd7f55",
+        "cff15ca7017bf87aed6a6611f351edf8a41859246dea17e274567d20740a6b43",
+        "ccf70f7f2ba93d006edfe77d02a38259806b6f9a8eb02f64e8739847ef3bfa89",
     ),
     "rand-n48-cap2-s30": (
-        "e443d76607a87954d7e434a24137f0eb631874a97bbe3cfd42cc05738cdb905c",
-        "9982b9bb2648a2ef5757704e5d74d0b8f3170b64d3d979476b3d17b70805d172",
+        "36925a178472dba0f661de1db0ded31c8e00a78ddbf09dfe3b6b2a2fc8ae1fbd",
+        "3c929b80f467c205a7ea268a89d4cc736d0dae3169e047e9e710763d1a3faed5",
+        "163ff060bed498ca3c31d8af3cfee8d35e04c66873a71065e2b593a39012fff4",
     ),
     "rand-n64-cap8-s0": (
-        "e10b23b4f74bea630e7695c7ac8b0397a74ca395830d858d9807df759440c9b5",
-        "637c9bc68dd826770b6f7a0288469aaa430c7bed3791e9d4b4b5d5eb29826394",
+        "95141d4710160d1b1704ce0170aa66b5fb75b50ff629e4cd8f52b2c919a4274b",
+        "79c711f7ac1474f19b8a64348b137dd1ace88bb66e76e2ac62d30694941b9951",
+        "fe075435a7c0ca003cfa5159633f1094f59e0af6d62a21b7bd375b103226213d",
     ),
 }
 
@@ -74,12 +86,18 @@ def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-def base_digests(system_file: Path, trace_file: Path) -> tuple[str, str]:
+def _base_stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main(["base", str(system_file), "--json", "--iterations", "--trace", str(trace_file)])
-    assert code == 0, f"tnbpa base exited {code} on {system_file}"
-    return _sha(out.getvalue()), _sha(trace_file.read_text())
+        code = main(["base", *argv])
+    assert code == 0, f"tnbpa base exited {code} on {argv[0]}"
+    return out.getvalue()
+
+
+def base_digests(system_file: Path, trace_file: Path) -> tuple[str, str, str]:
+    json_out = _base_stdout([str(system_file), "--json", "--iterations", "--trace", str(trace_file)])
+    text_out = _base_stdout([str(system_file), "--iterations"])
+    return _sha(json_out), _sha(trace_file.read_text()), _sha(text_out)
 
 
 def case_file(name: str, tmp_path: Path) -> Path:
