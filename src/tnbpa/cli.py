@@ -59,9 +59,7 @@ def cmd_check(args) -> int:
     std = standardize(sys)
     left = std.parse_process(args.left)
     right = std.parse_process(args.right)
-    base, trace = engine.compute_bisimilarity_base(
-        std, _mode(args), max_exhaustive=args.max_exhaustive
-    )
+    base, trace = engine.compute_bisimilarity_base(std, _mode(args))
     if args.trace:
         _dump_trace(std, trace, args.trace)
     verdict = engine.check_equivalence(std, left, right, base=base)
@@ -130,9 +128,7 @@ def cmd_check(args) -> int:
 def cmd_base(args) -> int:
     sys = _load_system(args.file)
     std = standardize(sys)
-    final, trace = engine.compute_bisimilarity_base(
-        std, _mode(args), max_exhaustive=args.max_exhaustive
-    )
+    final, trace = engine.compute_bisimilarity_base(std, _mode(args))
     if args.trace:
         _dump_trace(std, trace, args.trace)
     if args.json:
@@ -253,7 +249,6 @@ def cmd_fuzz(args) -> int:
         args.trials,
         args.k,
         pairs_per_trial=args.pairs,
-        check_modes=not args.no_mode_check,
         jobs=args.jobs,
     )
     for trial in report.trials:
@@ -266,12 +261,6 @@ def cmd_fuzz(args) -> int:
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["pruned", "exhaustive"], default="pruned")
     p.add_argument("--trace", metavar="PATH", help="write the refinement trace as JSON")
-    p.add_argument(
-        "--max-exhaustive",
-        type=int,
-        default=engine.DEFAULT_MAX_EXHAUSTIVE,
-        help="guard on the exhaustive candidate count",
-    )
 
 
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
@@ -337,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=20, help="process pairs per trial")
     p.add_argument("--k", type=int, default=16)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--no-mode-check", action="store_true", help="skip the exhaustive-mode comparison")
     p.set_defaults(func=cmd_fuzz)
 
     return parser
@@ -345,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The least value of each numeric flag that counts something; a subcommand
 # is checked only on the flags it defines.
-_FLAG_MINIMUM = {"k": 1, "trials": 1, "pairs": 1, "jobs": 1, "max_exhaustive": 0}
+_FLAG_MINIMUM = {"k": 1, "trials": 1, "pairs": 1, "jobs": 1}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -358,12 +346,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INPUT
     try:
         return args.func(args)
-    except (
-        ParseError,
-        NotTotallyNormedError,
-        engine.ExhaustiveGuardError,
-        oracle.InvalidParamsError,
-    ) as exc:
+    except (ParseError, NotTotallyNormedError, oracle.InvalidParamsError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     except (oracle.GuardExceeded, RecursionError) as exc:

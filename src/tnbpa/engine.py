@@ -9,9 +9,11 @@ matches the constant's fixed decreasing rule are generated: any other head
 fails step 2 of the test.  Constants with no accepted candidate become prime;
 the run stops when a pass adds no prime.
 
-An exhaustive candidate mode enumerates every norm-matching prime string
-instead; it exists to validate the pruned candidate set and is guarded to desk
-scale.
+An exhaustive candidate mode keeps every head instead: all settled primes,
+each followed by the suffix of the fixed rule's decomposition that gives the
+constant's norm, found from norms alone.  Step 2 rejects every other prime
+string, so the mode stays polynomial; it exists to validate the pruned
+candidate set and the head index.
 """
 
 from __future__ import annotations
@@ -25,12 +27,6 @@ from .base import DecompositionBase, dcmp_ids, initial_base
 from .model import Process, Rule, is_silent
 from .normalization import EngineInternalError, StandardSystem
 from .strings import NormedString
-
-DEFAULT_MAX_EXHAUSTIVE = 100_000
-
-
-class ExhaustiveGuardError(RuntimeError):
-    """The exhaustive candidate count exceeded the configured guard."""
 
 
 class CandidateMode(str, enum.Enum):
@@ -259,32 +255,6 @@ def lpftest_realtime(
     return TestResult(True, 6)
 
 
-def _count_norm_strings(norms_of_alphabet: list[int], total: int) -> int:
-    counts = [0] * (total + 1)
-    counts[0] = 1
-    for m in range(1, total + 1):
-        counts[m] = sum(counts[m - w] for w in norms_of_alphabet if w <= m)
-    return counts[total]
-
-
-def _norm_strings(alphabet: list[int], norms: tuple[int, ...], total: int) -> Iterator[Process]:
-    # Depth-first over the id-sorted alphabet yields lexicographic order; all
-    # results have the exact target norm, so none is a prefix of another.
-    prefix: list[int] = []
-
-    def rec(remaining: int) -> Iterator[Process]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for a in alphabet:
-            if norms[a] <= remaining:
-                prefix.append(a)
-                yield from rec(remaining - norms[a])
-                prefix.pop()
-
-    return rec(total)
-
-
 def candidates_for(
     std: StandardSystem,
     base: DecompositionBase,
@@ -292,31 +262,37 @@ def candidates_for(
     i: int,
     fixed: tuple[Rule, ...],
     mode: CandidateMode = CandidateMode.PRUNED,
-    max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
-) -> Iterable[NormedString]:
+) -> list[NormedString]:
     """Candidate decompositions for constant i, in ascending head order.
 
-    Pruned: candidates j . s[at:], where s is the decomposition of i's fixed
-    decreasing rule (a, rhs) over the new base and the head j is the previous
-    leftmost prime factor k or a new prime above it.  Step 2 of `lpftest`
-    must match the fixed rule, which holds only when j has a decreasing rule
-    (a, beta) with dcmp(beta) == s[:at], or when the rule is silent and the
-    candidate is s itself; only those candidates are generated, so none that
-    could be accepted is left out.  Exhaustive: every string over the settled
-    primes below i with the constant's norm, in lexicographic order.
-    """
-    if mode is CandidateMode.EXHAUSTIVE:
-        alphabet = [j for j in range(i) if j in partial.primes]
-        count = _count_norm_strings([std.norms[j] for j in alphabet], std.norms[i])
-        if count > max_exhaustive:
-            raise ExhaustiveGuardError(
-                f"{count} exhaustive candidates for constant {std.sys.name(i)} "
-                f"exceed the guard ({max_exhaustive})"
-            )
-        return (NormedString(ids, std.norms) for ids in _norm_strings(alphabet, std.norms, std.norms[i]))
+    Let s be the decomposition of i's fixed decreasing rule (a, rhs) over the
+    new base.  Step 2 of `lpftest` must match that rule: a candidate j . t
+    passes only when j has a decreasing rule (a, beta) with
+    dcmp(beta) . t == s, or when the rule is silent and the candidate is s
+    itself.
 
+    Pruned: the head j is the previous leftmost prime factor k or a new prime
+    above it, and only heads with such a rule are generated, looked up in the
+    partial base's index.  Exhaustive: every settled prime j is a head, with
+    t the suffix of s of norm norm(i) - norm(j) when s has a cut there; a
+    silent rule preserves the norm, so s itself is the candidate with head
+    s[0].  It reads norms only, not the index, and leaves out only the prime
+    strings of the constant's norm that step 2 rejects.
+    """
     label = fixed[i].label
     s = partial.dcmp_memo(fixed[i].rhs)
+    if mode is CandidateMode.EXHAUSTIVE:
+        suffix_at = {0: len(s)}  # norm of s[at:] -> at
+        norm = 0
+        for at in range(len(s) - 1, -1, -1):
+            norm += std.norms[s[at]]
+            suffix_at[norm] = at
+        return [
+            NormedString((j, *s[suffix_at[std.norms[i] - std.norms[j]]:]), std.norms)
+            for j in sorted(partial.primes)
+            if std.norms[i] - std.norms[j] in suffix_at
+        ]
+
     k = base.lpf(i)
     if k not in partial.primes:
         raise EngineInternalError(
@@ -361,17 +337,13 @@ def refine(
     base: DecompositionBase,
     fixed: tuple[Rule, ...],
     mode: CandidateMode = CandidateMode.PRUNED,
-    *,
-    max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
 ) -> tuple[DecompositionBase, IterationRecord]:
     """One refinement pass: rebuild all equations bottom-up against `base`.
 
-    Primes of the previous base stay prime.  In pruned mode every candidate is
-    scanned and a second acceptance raises (two accepted equations would
-    contradict unique decomposition); exhaustive mode stops at the first
-    acceptance, relying on mode agreement for that check.
+    Primes of the previous base stay prime.  Every candidate is tested, and a
+    second acceptance raises: two accepted equations would contradict unique
+    decomposition.
     """
-    scan_all = mode is CandidateMode.PRUNED
     partial = _PartialBase(std.norms)
     outcomes: list[ConstantOutcome] = []
 
@@ -381,7 +353,7 @@ def refine(
             continue
         accepted: NormedString | None = None
         records: list[CandidateOutcome] = []
-        for delta in candidates_for(std, base, partial, i, fixed, mode, max_exhaustive):
+        for delta in candidates_for(std, base, partial, i, fixed, mode):
             res = lpftest(std, base, partial, i, delta)
             records.append(CandidateOutcome(delta.ids, res.accepted, res.step))
             if res.accepted:
@@ -391,8 +363,6 @@ def refine(
                         f"unique decomposition violated"
                     )
                 accepted = delta
-                if not scan_all:
-                    break
         if accepted is not None:
             partial.equations[i] = accepted
             outcomes.append(ConstantOutcome(i, "equation", accepted.ids, records))
@@ -416,8 +386,6 @@ def refine(
 def compute_bisimilarity_base(
     std: StandardSystem,
     mode: CandidateMode = CandidateMode.PRUNED,
-    *,
-    max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
 ) -> tuple[DecompositionBase, list[IterationRecord]]:
     """Iterate refinement from the norm-equality base until the primes freeze.
 
@@ -431,7 +399,7 @@ def compute_bisimilarity_base(
     if std.n == 0:
         return current, trace
     for number in range(1, std.n + 1):
-        refined, record = refine(std, current, fixed, mode, max_exhaustive=max_exhaustive)
+        refined, record = refine(std, current, fixed, mode)
         record.number = number
         trace.append(record)
         if refined.primes == current.primes:

@@ -839,7 +839,6 @@ def differential_trial(
     k_max: int = 16,
     pairs_per_trial: int = 20,
     *,
-    check_modes: bool = True,
     confirm_k: int | None = 24,
 ) -> TrialReport:
     """Generate one system and cross-check the engine against the oracle."""
@@ -848,9 +847,11 @@ def differential_trial(
 
     try:
         base, trace = _engine.compute_bisimilarity_base(std)
+        base_ex, _ = _engine.compute_bisimilarity_base(std, _engine.CandidateMode.EXHAUSTIVE)
     except AssertionError as exc:
-        # A fuzz harness records engine failures instead of dying on them;
-        # a non-empty engine_error fails the whole report.
+        # A fuzz harness records engine failures, in either candidate mode,
+        # instead of dying on them; a non-empty engine_error fails the whole
+        # report.
         return TrialReport(
             seed=params.seed,
             constants=std.n,
@@ -866,15 +867,7 @@ def differential_trial(
         )
     divergences = _engine.realtime_divergences(std, trace) if std.is_realtime else None
 
-    mode_agree: bool | None = None
     errors: list[str] = []
-    if check_modes:
-        try:
-            base_ex, _ = _engine.compute_bisimilarity_base(std, _engine.CandidateMode.EXHAUSTIVE)
-            mode_agree = base == base_ex
-        except _engine.ExhaustiveGuardError as exc:
-            errors.append(f"exhaustive guard: {exc}")
-
     ctx = GameContext(std, norm_budget=NORM_BUDGET)
     gen_report = verify_base_generators(
         std, base, k_max=k_max, sample_budget=GENERATOR_SAMPLES, seed=params.seed, ctx=ctx
@@ -887,7 +880,7 @@ def differential_trial(
         realtime=std.is_realtime,
         iterations=len(trace),
         primes=len(base.primes),
-        mode_agree=mode_agree,
+        mode_agree=base == base_ex,
         generator_ok=gen_report.ok,
         generator_failures=len(gen_report.failures),
         realtime_divergences=divergences,
@@ -938,7 +931,6 @@ def differential_run(
     k_max: int = 16,
     *,
     pairs_per_trial: int = 20,
-    check_modes: bool = True,
     jobs: int = 1,
 ) -> DifferentialReport:
     """Run independent trials with derived seeds; optionally in parallel."""
@@ -947,7 +939,6 @@ def differential_run(
             dataclasses.replace(params, seed=params.seed + t),
             k_max,
             pairs_per_trial,
-            check_modes,
         )
         for t in range(trials)
     ]
@@ -962,5 +953,5 @@ def differential_run(
 
 
 def _trial_worker(packed) -> TrialReport:
-    params, k_max, pairs_per_trial, check_modes = packed
-    return differential_trial(params, k_max, pairs_per_trial, check_modes=check_modes)
+    params, k_max, pairs_per_trial = packed
+    return differential_trial(params, k_max, pairs_per_trial)

@@ -190,6 +190,35 @@ def _candidates_unfiltered(std, base, partial, i, fixed):
     return out
 
 
+def _norm_strings(alphabet, norms, total):
+    """Every string over `alphabet` with norm `total`, in lexicographic order.
+
+    Depth-first over the id-sorted alphabet yields lexicographic order; all
+    results have the exact target norm, so none is a prefix of another.  The
+    count is exponential in `total`.
+    """
+    prefix = []
+
+    def rec(remaining):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for a in alphabet:
+            if norms[a] <= remaining:
+                prefix.append(a)
+                yield from rec(remaining - norms[a])
+                prefix.pop()
+
+    return rec(total)
+
+
+def _candidates_enumerated(std, base, partial, i, fixed):
+    """Every prime string of constant i's norm: the exhaustive candidate set
+    before it was cut down to the strings that can pass step 2."""
+    strings = _norm_strings(sorted(partial.primes), std.norms, std.norms[i])
+    return [NormedString(ids, std.norms) for ids in strings]
+
+
 @pytest.fixture
 def skip_lpftest_steps(monkeypatch):
     """Call with step numbers to run the engine on a mutant that skips them."""

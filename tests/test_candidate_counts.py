@@ -10,7 +10,7 @@ from functools import cache
 
 import pytest
 
-from tnbpa.engine import compute_bisimilarity_base
+from tnbpa.engine import CandidateMode, compute_bisimilarity_base
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
 
@@ -22,15 +22,24 @@ SEED = 42
 # a change prunes further; never raise it to get a pass.
 MAX_RATIO_PER_DOUBLING = 3.77
 
+# The same for exhaustive mode at cap 4, measured when it began to head
+# candidates with every settled prime and cut their tails from the fixed
+# rule's decomposition: 4.557, n = 64 -> 128.  A ratio near 4 is quadratic
+# growth; the enumeration of every prime string it replaced tested 1,333,220
+# candidates at n = 64 alone.
+MAX_EXHAUSTIVE_RATIO_PER_DOUBLING = 4.56
+
 
 @cache
-def candidate_counts(n: int, cap: int) -> tuple[int, int]:
+def candidate_counts(
+    n: int, cap: int, mode: CandidateMode = CandidateMode.PRUNED
+) -> tuple[int, int]:
     """Total candidates tested and accepted over a whole run."""
     params = GenParams(
         constants=n, max_rhs_len=3, alphabet=2, silent_prob=0.3,
         norm_cap=cap, extra_rules=2, composite_prob=0.4, seed=SEED,
     )
-    _, trace = compute_bisimilarity_base(standardize(random_system(params)))
+    _, trace = compute_bisimilarity_base(standardize(random_system(params)), mode)
     tested = [cand for rec in trace for c in rec.constants for cand in c.candidates]
     return len(tested), sum(cand.accepted for cand in tested)
 
@@ -44,3 +53,11 @@ def test_candidates_per_doubling_of_n(cap):
     totals = [candidate_counts(n, cap)[0] for n in (64, 128, 256, 512)]
     ratios = [b / a for a, b in zip(totals, totals[1:])]
     assert max(ratios) <= MAX_RATIO_PER_DOUBLING, (totals, ratios)
+
+
+def test_exhaustive_candidates_per_doubling_of_n():
+    exhaustive = [candidate_counts(n, 4, CandidateMode.EXHAUSTIVE) for n in (64, 128, 256, 512)]
+    assert exhaustive[-1] == (119_740, 1_039)
+    totals = [tested for tested, _ in exhaustive]
+    ratios = [b / a for a, b in zip(totals, totals[1:])]
+    assert max(ratios) <= MAX_EXHAUSTIVE_RATIO_PER_DOUBLING, (totals, ratios)

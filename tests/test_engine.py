@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from conftest import _candidates_unfiltered, _lpftest_skipping, base_as_names
+from conftest import _candidates_unfiltered, _lpftest_skipping, _norm_strings, base_as_names
 from tnbpa import engine
 from tnbpa.base import DecompositionBase, initial_base
 from tnbpa.engine import (
     CandidateMode,
     EngineInternalError,
-    ExhaustiveGuardError,
     VerdictKind,
     _PartialBase,
     candidates_for,
@@ -71,24 +70,25 @@ def test_exhaustive_enumeration_is_lexicographic():
     std = standardize(parse_system(
         "constants: B Y N\nB -a-> eps\nY -b-> eps\nN -a-> Y\n"
     ))
-    partial = _PartialBase(std.norms)
-    partial.primes.update({0, 1})
-    n = std.sys.constant_id("N")
-    cands = list(candidates_for(std, initial_base(std), partial, n, None, CandidateMode.EXHAUSTIVE))
-    names = [[std.sys.name(c) for c in d.ids] for d in cands]
+    names = [[std.sys.name(c) for c in ids] for ids in _norm_strings([0, 1], std.norms, 2)]
     assert names == [["B", "B"], ["B", "Y"], ["Y", "B"], ["Y", "Y"]]
 
 
-def test_exhaustive_guard():
+def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
+    # N's fixed rule N -a-> Y leaves s = Y.  A candidate j . t passes step 2
+    # only if t is a suffix of s, so of the four prime strings of norm 2 the
+    # exhaustive mode keeps B Y and Y Y.  M's silent rule preserves the norm:
+    # s = B Y, whose in-place candidate is the one with head B.
     std = standardize(parse_system(
-        "constants: B Y N\nB -a-> eps\nY -b-> eps\nN -a-> Y\n"
+        "constants: B Y N M\nB -a-> eps\nY -b-> eps\nN -a-> Y\nM -tau-> B Y\n"
     ))
+    fixed = select_decreasing_rules(std)
     partial = _PartialBase(std.norms)
     partial.primes.update({0, 1})
-    with pytest.raises(ExhaustiveGuardError):
-        list(candidates_for(
-            std, initial_base(std), partial, 2, None, CandidateMode.EXHAUSTIVE, max_exhaustive=3
-        ))
+    for name, expected in [("N", [["B", "Y"], ["Y", "Y"]]), ("M", [["B", "Y"], ["Y", "Y"]])]:
+        i = std.sys.constant_id(name)
+        cands = candidates_for(std, initial_base(std), partial, i, fixed, CandidateMode.EXHAUSTIVE)
+        assert [[std.sys.name(c) for c in d.ids] for d in cands] == expected
 
 
 def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from tnbpa.base import initial_base
-from tnbpa.engine import compute_bisimilarity_base
+from tnbpa import engine
+from tnbpa.engine import CandidateMode, compute_bisimilarity_base
 from tnbpa.model import parse_system, serialize_system
 from tnbpa import oracle
 from tnbpa.normalization import standardize, view
@@ -328,9 +329,24 @@ def test_differential_catches_mutated_engine(skip_lpftest_steps):
         trials=10,
         k_max=12,
         pairs_per_trial=10,
-        check_modes=False,
     )
     assert (not report.ok) or report.refutations > 0
+
+
+def test_trial_records_an_exhaustive_mode_failure(monkeypatch):
+    # Exhaustive mode tests every candidate, so a candidate listed twice is
+    # accepted twice and refine raises; the trial reports it, as it does for
+    # pruned mode, instead of letting the run die.
+    generate = engine.candidates_for
+
+    def doubled(std, base, partial, i, fixed, mode=CandidateMode.PRUNED):
+        got = generate(std, base, partial, i, fixed, mode)
+        return got * 2 if mode is CandidateMode.EXHAUSTIVE else got
+
+    monkeypatch.setattr(engine, "candidates_for", doubled)
+    report = differential_trial(GenParams(constants=6, seed=500), k_max=8, pairs_per_trial=2)
+    assert "two candidates accepted" in report.engine_error
+    assert report.mode_agree is None
 
 
 def test_distinction_json_shape(ex1_std):
