@@ -9,13 +9,11 @@ equality after the homomorphic ``dcmp`` map.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-from .model import Process
+from .model import Process, format_process
 from .normalization import StandardSystem
 from .strings import NormedString
-
-Decomposable = Union[Process, NormedString]
 
 
 class InvalidBaseError(ValueError):
@@ -83,12 +81,12 @@ class DecompositionBase:
     def __repr__(self) -> str:
         return f"DecompositionBase(primes={sorted(self.primes)}, composites={sorted(self.equations)})"
 
-    def dcmp(self, p: Decomposable) -> NormedString:
-        ids = p.ids if isinstance(p, NormedString) else p
-        return NormedString(tuple(dcmp_ids(self.primes, self.equations, ids)), self.norms)
+    def dcmp(self, p: Process) -> tuple[int, ...]:
+        """The prime decomposition of p as an id tuple."""
+        return tuple(dcmp_ids(self.primes, self.equations, p))
 
     def dcmp_memo(self, p: Process) -> tuple[int, ...]:
-        """Memoized decomposition of a single constant or a rule right-hand side.
+        """Memoized `dcmp` of a single constant or a rule right-hand side.
 
         Pass nothing else: those keys number at most n + |rules|, which bounds
         the memo, while a candidate's tail can be exponentially long.  The base
@@ -96,13 +94,11 @@ class DecompositionBase:
         """
         got = self._memo.get(p)
         if got is None:
-            got = self._memo[p] = tuple(dcmp_ids(self.primes, self.equations, p))
+            got = self._memo[p] = self.dcmp(p)
         return got
 
-    def equivalent(self, p1: Decomposable, p2: Decomposable) -> bool:
-        ids1 = p1.ids if isinstance(p1, NormedString) else p1
-        ids2 = p2.ids if isinstance(p2, NormedString) else p2
-        return dcmp_ids(self.primes, self.equations, ids1) == dcmp_ids(self.primes, self.equations, ids2)
+    def equivalent(self, p1: Process, p2: Process) -> bool:
+        return dcmp_ids(self.primes, self.equations, p1) == dcmp_ids(self.primes, self.equations, p2)
 
     def lpf(self, cid: int) -> int:
         """Leftmost prime factor of a constant; the constant itself if prime."""
@@ -128,7 +124,7 @@ def render_base(std: StandardSystem, base: DecompositionBase) -> str:
         if i in base.primes:
             lines.append(f"prime {name}")
         else:
-            lines.append(f"{name} = {base.equations[i].to_text(std.sys.name)}")
+            lines.append(f"{name} = {format_process(std.sys, base.equations[i].ids)}")
     return "\n".join(lines)
 
 

@@ -108,8 +108,8 @@ def cmd_check(args) -> int:
             "verdict": verdict.kind.value,
             "left": args.left,
             "right": args.right,
-            "dcmp_left": [std.sys.name(c) for c in dl.ids],
-            "dcmp_right": [std.sys.name(c) for c in dr.ids],
+            "dcmp_left": [std.sys.name(c) for c in dl],
+            "dcmp_right": [std.sys.name(c) for c in dr],
             "iterations": len(trace),
             "base": base_to_json(std, base),
         }
@@ -118,8 +118,8 @@ def cmd_check(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"verdict: {verdict.kind.value}")
-        print(f"dcmp(left)  = {dl.to_text(std.sys.name)}")
-        print(f"dcmp(right) = {dr.to_text(std.sys.name)}")
+        print(f"dcmp(left)  = {format_process(std.sys, dl)}")
+        print(f"dcmp(right) = {format_process(std.sys, dr)}")
         if verification is not None:
             print(f"verification: generator checks ok; oracle {verification['oracle']}")
     return EXIT_OK if bisimilar else EXIT_REFUTED

@@ -117,7 +117,7 @@ class _PartialBase:
                 for j in heads[bisect_left(heads, low):]:
                     yield j, at
 
-    def dcmp_tuple(self, p: Process) -> tuple[int, ...]:
+    def dcmp(self, p: Process) -> tuple[int, ...]:
         try:
             return tuple(dcmp_ids(self.primes, self.equations, p))
         except KeyError as exc:
@@ -125,11 +125,8 @@ class _PartialBase:
                 f"decomposition over the new base demanded for unsettled constant {exc.args[0]}"
             ) from None
 
-    def dcmp(self, p: Process | NormedString) -> NormedString:
-        return NormedString(self.dcmp_tuple(p.ids if isinstance(p, NormedString) else p), self.norms)
-
     def dcmp_memo(self, p: Process) -> tuple[int, ...]:
-        """Memoized `dcmp_tuple` of a single constant or a rule right-hand side.
+        """Memoized `dcmp` of a single constant or a rule right-hand side.
 
         Exact because an entry is stored only once every constant in its key
         is settled (an unsettled one raises instead), and a settled constant
@@ -137,7 +134,7 @@ class _PartialBase:
         """
         got = self._memo.get(p)
         if got is None:
-            got = self._memo[p] = self.dcmp_tuple(p)
+            got = self._memo[p] = self.dcmp(p)
         return got
 
 
@@ -152,7 +149,7 @@ def lpftest(
     base: DecompositionBase,
     partial: _PartialBase,
     i: int,
-    delta: NormedString,
+    delta: Process,
 ) -> TestResult:
     """Single-transition test deciding whether delta decomposes constant i.
 
@@ -162,9 +159,11 @@ def lpftest(
     the old base; (4) a silent decreasing move that lands exactly on delta
     accepts immediately; otherwise (5) and (6) check delta's decreasing and
     increasing moves symmetrically.
+
+    delta is an id tuple from `candidates_for`: settled primes of the
+    partial base.
     """
-    d_proc = delta.ids
-    if not d_proc:
+    if not delta:
         return TestResult(False, 1)
     # dcmp is a homomorphism, so a move beta . tail of delta decomposes as
     # dcmp(beta) . dcmp(tail): the tail is decomposed once per base, the
@@ -172,17 +171,17 @@ def lpftest(
     # constants are decomposed: the decreasing rules of i and of delta's head
     # j < i mention only constants below i, and delta's tail consists of
     # settled primes.
-    head, d_tail = d_proc[0], d_proc[1:]
+    head, d_tail = delta[0], delta[1:]
     old, new = base.dcmp_memo, partial.dcmp_memo
-    old_tail = tuple(dcmp_ids(base.primes, base.equations, d_tail))
+    old_tail = base.dcmp(d_tail)
     if old((i,)) != old((head,)) + old_tail:
         return TestResult(False, 1)
 
-    new_tail = partial.dcmp_tuple(d_tail)
+    new_tail = partial.dcmp(d_tail)
     own_dec = [(r.label, new(r.rhs)) for r in std.dec_rules(i)]
     delta_dec = [(r.label, new(r.rhs) + new_tail) for r in std.dec_rules(head)]
     for lab, da in own_dec:
-        if is_silent(lab) and da == d_proc:
+        if is_silent(lab) and da == delta:
             continue
         if any(lab2 == lab and da == db for lab2, db in delta_dec):
             continue
@@ -195,7 +194,7 @@ def lpftest(
             continue
         return TestResult(False, 3)
 
-    if any(is_silent(lab) and da == d_proc for lab, da in own_dec):
+    if any(is_silent(lab) and da == delta for lab, da in own_dec):
         return TestResult(True, 4)
 
     for lab, db in delta_dec:
@@ -216,7 +215,7 @@ def lpftest_realtime(
     base: DecompositionBase,
     partial: _PartialBase | DecompositionBase,
     i: int,
-    delta: NormedString,
+    delta: Process,
 ) -> TestResult:
     """Literal transcription of the five-step test for silent-free systems.
 
@@ -224,13 +223,12 @@ def lpftest_realtime(
     realtime inputs (`realtime_divergences`); with no silent rules the
     general test must take exactly these decisions.
     """
-    d_proc = delta.ids
-    if not d_proc or base.dcmp((i,)) != base.dcmp(d_proc):
+    if not delta or base.dcmp((i,)) != base.dcmp(delta):
         return TestResult(False, 1)
 
-    d_tail = d_proc[1:]
-    delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(d_proc[0])]
-    delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc_rules(d_proc[0])]
+    d_tail = delta[1:]
+    delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(delta[0])]
+    delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc_rules(delta[0])]
 
     for r in std.dec_rules(i):
         da = partial.dcmp(r.rhs)
@@ -262,8 +260,8 @@ def candidates_for(
     i: int,
     fixed: tuple[Rule, ...],
     mode: CandidateMode = CandidateMode.PRUNED,
-) -> list[NormedString]:
-    """Candidate decompositions for constant i, in ascending head order.
+) -> list[Process]:
+    """Candidate decompositions of constant i: id tuples by ascending head.
 
     Let s be the decomposition of i's fixed decreasing rule (a, rhs) over the
     new base.  Step 2 of `lpftest` must match that rule: a candidate j . t
@@ -288,7 +286,7 @@ def candidates_for(
             norm += std.norms[s[at]]
             suffix_at[norm] = at
         return [
-            NormedString((j, *s[suffix_at[std.norms[i] - std.norms[j]]:]), std.norms)
+            (j, *s[suffix_at[std.norms[i] - std.norms[j]]:])
             for j in sorted(partial.primes)
             if std.norms[i] - std.norms[j] in suffix_at
         ]
@@ -302,7 +300,7 @@ def candidates_for(
     if is_silent(label) and s[0] >= k:
         cuts[s[0]] = 1  # the candidate s itself, matched in place
     return [
-        NormedString((j, *s[cuts[j]:]), std.norms)
+        (j, *s[cuts[j]:])
         for j in sorted(cuts)
         if j == k or j not in base.primes
     ]
@@ -342,7 +340,8 @@ def refine(
 
     Primes of the previous base stay prime.  Every candidate is tested, and a
     second acceptance raises: two accepted equations would contradict unique
-    decomposition.
+    decomposition.  Only the accepted candidate is wrapped in a
+    `NormedString`, the form in which a base stores its equations.
     """
     partial = _PartialBase(std.norms)
     outcomes: list[ConstantOutcome] = []
@@ -351,11 +350,11 @@ def refine(
         if i in base.primes:
             partial.settle_prime(i, std.dec_rules(i))
             continue
-        accepted: NormedString | None = None
+        accepted: Process | None = None
         records: list[CandidateOutcome] = []
         for delta in candidates_for(std, base, partial, i, fixed, mode):
             res = lpftest(std, base, partial, i, delta)
-            records.append(CandidateOutcome(delta.ids, res.accepted, res.step))
+            records.append(CandidateOutcome(delta, res.accepted, res.step))
             if res.accepted:
                 if accepted is not None:
                     raise EngineInternalError(
@@ -364,8 +363,8 @@ def refine(
                     )
                 accepted = delta
         if accepted is not None:
-            partial.equations[i] = accepted
-            outcomes.append(ConstantOutcome(i, "equation", accepted.ids, records))
+            partial.equations[i] = NormedString(accepted, std.norms)
+            outcomes.append(ConstantOutcome(i, "equation", accepted, records))
         else:
             partial.settle_prime(i, std.dec_rules(i))
             outcomes.append(ConstantOutcome(i, "prime", None, records))
@@ -442,8 +441,7 @@ def realtime_divergences(std: StandardSystem, trace: list[IterationRecord]) -> i
     for rec, old, new in zip(trace, bases, bases[1:]):
         for c in rec.constants:
             for cand in c.candidates:
-                delta = NormedString(cand.delta, std.norms)
-                if lpftest_realtime(std, old, new, c.constant, delta).accepted != cand.accepted:
+                if lpftest_realtime(std, old, new, c.constant, cand.delta).accepted != cand.accepted:
                     divergences += 1
     return divergences
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 TAU = "tau"
 
@@ -199,22 +199,26 @@ def serialize_system(sys: BpaSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_process(text: str, sys: BpaSystem) -> Process:
-    """Parse 'eps' or whitespace-separated constant names against `sys`."""
+def parse_process_text(text: str, ids: Mapping[str, int]) -> Process:
+    """Parse 'eps' or whitespace-separated names, each looked up in `ids`."""
     toks = text.split()
     if not toks:
         raise ParseError("empty process text (use 'eps' for the empty process)")
     if toks == ["eps"]:
         return EPSILON
-    ids = []
+    out = []
     for tok in toks:
         if tok == "eps":
             raise ParseError("'eps' must stand alone in a process")
-        try:
-            ids.append(sys.constant_id(tok))
-        except KeyError:
-            raise ParseError(f"unknown constant {tok!r}") from None
-    return tuple(ids)
+        if tok not in ids:
+            raise ParseError(f"unknown constant {tok!r}")
+        out.append(ids[tok])
+    return tuple(out)
+
+
+def parse_process(text: str, sys: BpaSystem) -> Process:
+    """Parse 'eps' or whitespace-separated constant names against `sys`."""
+    return parse_process_text(text, sys._by_name)
 
 
 def format_process(sys: BpaSystem, p: Process) -> str:

@@ -21,10 +21,10 @@ from typing import Iterator
 
 from .model import (
     BpaSystem,
-    ParseError,
     Process,
     Rule,
     is_silent,
+    parse_process_text,
     transitions_of,
 )
 
@@ -323,19 +323,13 @@ class StandardSystem(SystemView):
 
     name_map: dict[str, str]
 
+    @cached_property
+    def _id_of_original_name(self) -> dict[str, int]:
+        return {name: self.sys.constant_id(rep) for name, rep in self.name_map.items()}
+
     def parse_process(self, text: str) -> Process:
         """Parse a process over the original names, mapping through contraction."""
-        toks = text.split()
-        if toks == ["eps"]:
-            return ()
-        ids = []
-        for tok in toks:
-            if tok not in self.name_map:
-                raise ParseError(f"unknown constant {tok!r}")
-            ids.append(self.sys.constant_id(self.name_map[tok]))
-        if not ids:
-            raise ParseError("empty process text (use 'eps' for the empty process)")
-        return tuple(ids)
+        return parse_process_text(text, self._id_of_original_name)
 
 
 def standardize(sys: BpaSystem) -> StandardSystem:

@@ -245,14 +245,12 @@ class GameContext:
 
     def find_distinction(self, p: Process, q: Process, k_max: int) -> Distinction | None:
         """A replayable attacker strategy refuting p ~ q, or None at the bound."""
-        if self.related(p, q, k_max):
-            return None
-        k = 0
-        while self.related(p, q, k):
-            k += 1
-        return self._refute(p, q, k)
+        k = self.refutation_level(p, q, k_max)
+        return None if k is None else self._refute(p, q, k)
 
     def refutation_level(self, p: Process, q: Process, k_max: int) -> int | None:
+        """The least level at which p and q fail to be related, or None when
+        they are related at k_max."""
         if self.related(p, q, k_max):
             return None
         k = 0
@@ -511,7 +509,7 @@ def verify_base_generators(
         checks.append(
             GeneratorCheck(
                 "equation",
-                f"{name(i)} = {rhs.to_text(name)}",
+                f"{name(i)} = {format_process(std.sys, rhs.ids)}",
                 ok=d is None,
                 distinction=d,
             )
@@ -520,11 +518,11 @@ def verify_base_generators(
     for i in sorted(base.primes):
         for r in std.dec_rules(i):
             d = base.dcmp(r.rhs)
-            ok = d.ids != (i,) and all(c < i for c in d.ids)
+            ok = d != (i,) and all(c < i for c in d)
             checks.append(
                 GeneratorCheck(
                     "structural",
-                    f"prime {name(i)} -{r.label}-> {d.to_text(name)}",
+                    f"prime {name(i)} -{r.label}-> {format_process(std.sys, d)}",
                     ok=ok,
                     detail="" if ok else "decreasing step decomposes onto the prime itself",
                 )
@@ -568,7 +566,7 @@ def sample_dcmp_equal_pair(std, base: DecompositionBase, rng: random.Random, max
     if std.n == 0:
         return (), ()
     seed_proc = tuple(rng.randrange(std.n) for _ in range(rng.randint(0, max_len)))
-    prime_form = base.dcmp(seed_proc).ids
+    prime_form = base.dcmp(seed_proc)
     return (
         _fold_composites(base, prime_form, rng),
         _fold_composites(base, prime_form, rng),

@@ -9,7 +9,6 @@ import pytest
 from tnbpa import engine
 from tnbpa.model import BpaSystem, is_silent, parse_system, transitions_of
 from tnbpa.normalization import standardize
-from tnbpa.strings import NormedString
 
 # The two-process system where every action matches yet the silent step on
 # one side is a genuine change of state.
@@ -119,20 +118,20 @@ def base_as_names(std, base) -> tuple[set[str], dict[str, tuple[str, ...]]]:
 def _lpftest_skipping(steps: frozenset[int]):
     """A mutant of `engine.lpftest` that leaves out the given steps.
 
-    The body takes `engine.lpftest`'s steps in order, with every process
-    decomposed into a `NormedString`; a skipped step neither rejects nor
-    accepts, so the candidate falls through to the next one.  Skipping nothing
-    gives the reference the id-tuple `engine.lpftest` is compared against.
+    The body takes `engine.lpftest`'s steps in order, with every move
+    decomposed whole through `dcmp`, never split at delta's head or read from
+    a memo; a skipped step neither rejects nor accepts, so the candidate falls
+    through to the next one.  Skipping nothing gives the reference
+    `engine.lpftest` is compared against.
     """
 
     def mutant(std, base, partial, i, delta):
-        d_proc = delta.ids
         if 1 not in steps:
-            if not d_proc or base.dcmp((i,)) != base.dcmp(d_proc):
+            if not delta or base.dcmp((i,)) != base.dcmp(delta):
                 return engine.TestResult(False, 1)
-        d_tail = d_proc[1:]
-        delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(d_proc[0])]
-        delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc_rules(d_proc[0])]
+        d_tail = delta[1:]
+        delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(delta[0])]
+        delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc_rules(delta[0])]
         dnew, dold = partial.dcmp, base.dcmp
         if 2 not in steps:
             for r in std.dec_rules(i):
@@ -186,7 +185,7 @@ def _candidates_unfiltered(std, base, partial, i, fixed):
         at = bisect_left(prefix, cut)
         if prefix[at] != cut:
             continue
-        out.append(NormedString((j, *s[at:]), std.norms))
+        out.append((j, *s[at:]))
     return out
 
 
@@ -215,8 +214,7 @@ def _norm_strings(alphabet, norms, total):
 def _candidates_enumerated(std, base, partial, i, fixed):
     """Every prime string of constant i's norm: the exhaustive candidate set
     before it was cut down to the strings that can pass step 2."""
-    strings = _norm_strings(sorted(partial.primes), std.norms, std.norms[i])
-    return [NormedString(ids, std.norms) for ids in strings]
+    return list(_norm_strings(sorted(partial.primes), std.norms, std.norms[i]))
 
 
 @pytest.fixture

@@ -263,6 +263,12 @@ def test_input_errors(tmp_path, ex1_file):
     code, _, err = run(["check", str(tmp_path / "missing.bpa"), "--left", "X", "--right", "X"])
     assert code == 2
 
+    # check and oracle parse processes alike: eps must stand alone.
+    for argv in (["check", ex1_file, "--left", "X eps", "--right", "X"],
+                 ["oracle", ex1_file, "X eps", "X"]):
+        code, _, err = run(argv)
+        assert code == 2 and "'eps' must stand alone in a process" in err
+
 
 def test_output_determinism(ex1_file):
     argv = ["check", ex1_file, "--left", "X", "--right", "Y", "--json"]

@@ -47,7 +47,7 @@ def test_first_iteration_candidates_sysb(sysb_std):
     # lpf is B; Y is a new prime between lpf and A.  A's fixed rule A -a-> eps
     # is matched by B -a-> eps and Y -a-> eps, so both are heads, each a
     # single constant of norm 1.
-    assert [[sysb_std.sys.name(c) for c in d.ids] for d in cands] == [["B"], ["Y"]]
+    assert [[sysb_std.sys.name(c) for c in d] for d in cands] == [["B"], ["Y"]]
 
 
 def test_candidate_skipped_without_norm_boundary():
@@ -88,7 +88,7 @@ def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
     for name, expected in [("N", [["B", "Y"], ["Y", "Y"]]), ("M", [["B", "Y"], ["Y", "Y"]])]:
         i = std.sys.constant_id(name)
         cands = candidates_for(std, initial_base(std), partial, i, fixed, CandidateMode.EXHAUSTIVE)
-        assert [[std.sys.name(c) for c in d.ids] for d in cands] == expected
+        assert [[std.sys.name(c) for c in d] for d in cands] == expected
 
 
 def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
@@ -96,7 +96,7 @@ def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
     partial = _PartialBase(sysb_std.norms)
     partial.primes.update({0, 1})  # B prime, Y prime
     a = sysb_std.sys.constant_id("A")
-    delta = NormedString((0,), sysb_std.norms)  # B
+    delta = (0,)  # B
     res = lpftest(sysb_std, base, partial, a, delta)
     # A's silent decreasing step lands exactly on B, so the early accept fires.
     assert res.accepted and res.step == 4
@@ -109,7 +109,7 @@ def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
     partial.equations[1] = NormedString((0,), ex1_std.norms)  # Y' = X'
     partial.primes.add(2)  # X became prime earlier in the pass
     y = ex1_std.sys.constant_id("Y")
-    delta = NormedString((2,), ex1_std.norms)  # X
+    delta = (2,)  # X
     res = lpftest(ex1_std, base, partial, y, delta)
     # X's a->eps has no decreasing answer from Y with the same decomposition.
     assert not res.accepted and res.step == 5
@@ -244,8 +244,7 @@ def test_lpftest_matches_realtime_directly():
     partial = _PartialBase(std.norms)
     partial.primes.update({0, 1})
     n = std.sys.constant_id("N")
-    for ids in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        delta = NormedString(ids, std.norms)
+    for delta in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         assert lpftest(std, base, partial, n, delta).accepted == \
             lpftest_realtime(std, base, partial, n, delta).accepted
 
@@ -268,7 +267,7 @@ def test_lpftest_step_one_rejects_old_base_mismatch(ex1_std):
     partial = _PartialBase(ex1_std.norms)
     partial.primes.add(0)
     yp = ex1_std.sys.constant_id("Y'")
-    delta = NormedString((ex1_std.sys.constant_id("X"),), ex1_std.norms)
+    delta = (ex1_std.sys.constant_id("X"),)
     res = lpftest(ex1_std, final, partial, yp, delta)
     assert not res.accepted and res.step == 1
 
@@ -324,9 +323,10 @@ def test_verdict_is_two_valued():
     assert kinds == {"bisimilar", "not-bisimilar"}
 
 
-def test_lpftest_agrees_with_normed_string_reference(monkeypatch):
+def test_lpftest_agrees_with_whole_word_reference(monkeypatch):
     # Every candidate of every pass, in both modes, gets the result of the
-    # NormedString form of the test (the conftest mutant with no step skipped).
+    # form of the test that decomposes every move whole (the conftest mutant
+    # with no step skipped).
     reference = _lpftest_skipping(frozenset())
     tested = engine.lpftest
     steps = set()
@@ -386,17 +386,17 @@ def test_candidate_filter_drops_only_step_one_and_two_rejections(monkeypatch):
         target = partial.dcmp(rule.rhs)
         if is_silent(rule.label) and target == delta:
             return True
-        head, tail = delta.ids[0], delta.ids[1:]
+        head, tail = delta[0], delta[1:]
         return any(
             r.label == rule.label and partial.dcmp(r.rhs + tail) == target
             for r in std.dec_rules(head)
         )
 
     def checked(std, base, partial, i, fixed, *rest):
-        got = [d.ids for d in generate(std, base, partial, i, fixed, *rest)]
+        got = generate(std, base, partial, i, fixed, *rest)
         full = _candidates_unfiltered(std, base, partial, i, fixed)
-        assert got == [d.ids for d in full if matches_fixed(std, partial, fixed[i], d)]
-        results = {d.ids: reference(std, base, partial, i, d) for d in full}
+        assert got == [d for d in full if matches_fixed(std, partial, fixed[i], d)]
+        results = {d: reference(std, base, partial, i, d) for d in full}
         for ids, res in results.items():
             if ids not in got:
                 seen["dropped"] += 1
@@ -404,7 +404,7 @@ def test_candidate_filter_drops_only_step_one_and_two_rejections(monkeypatch):
         assert [ids for ids in got if results[ids].accepted] == \
             [ids for ids, res in results.items() if res.accepted]
         seen["early"] += sum(results[ids].step == 4 for ids in got)
-        return [NormedString(ids, std.norms) for ids in got]
+        return got
 
     monkeypatch.setattr(engine, "candidates_for", checked)
     systems = [parse_system(OLD_LPF_TEXT)]
@@ -423,20 +423,32 @@ def test_candidate_filter_drops_only_step_one_and_two_rejections(monkeypatch):
     assert seen["dropped"] > 0 and seen["early"] > 0
 
 
-def test_pruned_refinement_builds_one_string_per_candidate(monkeypatch):
-    std = standardize(random_system(GenParams(
-        constants=64, norm_cap=4, silent_prob=0.3, composite_prob=0.4, seed=7
-    )))
-    counts = {"init": 0, "split": 0}
+def test_refinement_builds_one_string_per_equation(monkeypatch):
+    # Candidates and decompositions are id tuples: a run wraps in a
+    # NormedString only the initial base's n - 1 equations and each equation
+    # a pass accepts, never a candidate, in either mode.
+    std = standardize(random_system(GenParams(constants=512, norm_cap=4, seed=42)))
+    counts = {"init": 0, "inside": 0, "split": 0}
+    depth = [0]
     init, split = NormedString.__init__, NormedString.split_at_norm
 
     def counting_init(self, ids, norms):
         counts["init"] += 1
+        counts["inside"] += depth[0] > 0
         init(self, ids, norms)
 
     def counting_split(self, h):
         counts["split"] += 1
         return split(self, h)
+
+    def guarded(fn):
+        def wrapper(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
 
     bases = []
     tested = engine.lpftest
@@ -447,12 +459,17 @@ def test_pruned_refinement_builds_one_string_per_candidate(monkeypatch):
 
     monkeypatch.setattr(NormedString, "__init__", counting_init)
     monkeypatch.setattr(NormedString, "split_at_norm", counting_split)
-    monkeypatch.setattr(engine, "lpftest", recording)
-    _, trace = compute_bisimilarity_base(std)
-    candidates = sum(len(c.candidates) for rec in trace for c in rec.constants)
-    assert candidates > 100
+    monkeypatch.setattr(engine, "candidates_for", guarded(engine.candidates_for))
+    monkeypatch.setattr(engine, "lpftest", guarded(recording))
+    for mode in CandidateMode:
+        counts["init"] = 0
+        _, trace = compute_bisimilarity_base(std, mode)
+        candidates = sum(len(c.candidates) for rec in trace for c in rec.constants)
+        accepted = sum(c.equation is not None for rec in trace for c in rec.constants)
+        assert candidates > 10 * accepted
+        assert counts["init"] == (std.n - 1) + accepted == 1476
+    assert counts["inside"] == 0
     assert counts["split"] == 0
-    assert counts["init"] <= candidates + std.n * len(trace)
     # The memos are keyed by single constants and rule right-hand sides only,
     # never by a candidate's tail, so they stay within n + |rules| entries.
     keys = {(c,) for c in range(std.n)} | {r.rhs for r in std.sys.rules}

@@ -100,8 +100,8 @@ def test_exhaustive_mode_matches_the_full_enumeration(monkeypatch):
         def tail_is_suffix_of_s(ids):
             return len(ids) - 1 <= len(s) and s[len(s) - (len(ids) - 1):] == ids[1:]
 
-        tested = [d.ids for d in cut(std, base, partial, i, fixed, mode)]
-        assert tested == [d.ids for d in full if tail_is_suffix_of_s(d.ids)]
+        tested = cut(std, base, partial, i, fixed, mode)
+        assert tested == [d for d in full if tail_is_suffix_of_s(d)]
         return full
 
     monkeypatch.setattr(engine, "candidates_for", enumerated)

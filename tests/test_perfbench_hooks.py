@@ -1,0 +1,31 @@
+"""The benchmark's tracer finds every layer it wraps in the package.
+
+`perfbench/tracing.py` binds its hooks by name (`owner.__dict__[attr]`), so
+renaming or moving a wrapped function or method breaks the traced benchmark
+run without failing any other test.  Building a `Tracer` resolves every hook.
+"""
+
+from pathlib import Path
+
+from tnbpa import engine
+from tnbpa.normalization import standardize
+from tnbpa.oracle import GenParams, random_system
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_hooks_resolve_and_count(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    std = standardize(random_system(GenParams(constants=64, norm_cap=4, seed=42)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        engine.compute_bisimilarity_base(std)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counter_block()
+    assert counts["engine.candidates"] > 0
+    # lpftest decomposes every candidate's tail over the old base.
+    assert counts["base.dcmp.calls"] > 0
