@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .model import Process, format_process
-from .normalization import StandardSystem
+from .normalization import EngineInternalError, StandardSystem
 from .strings import NormedString
 
 
@@ -20,25 +20,14 @@ class InvalidBaseError(ValueError):
     pass
 
 
-def dcmp_ids(primes: frozenset[int] | set[int], equations: Mapping[int, NormedString], p: Iterable[int]) -> list[int]:
-    """Homomorphic prime decomposition as a raw id list.
-
-    Equations already store right-hand sides in prime form, so a composite
-    expands by one table lookup, never a recursive rewrite.
-    """
-    out: list[int] = []
-    for c in p:
-        if c in primes:
-            out.append(c)
-        else:
-            out.extend(equations[c].ids)
-    return out
-
-
 class DecompositionBase:
-    """An immutable base (primes, equations) over a standard system."""
+    """An immutable base (primes, equations) over a standard system.
 
-    __slots__ = ("n", "primes", "equations", "norms", "_memo")
+    `dcmp` reads one factor per constant: ``(c,)`` for a prime, and for a
+    composite its right-hand side, which is stored in prime form already.
+    """
+
+    __slots__ = ("n", "primes", "equations", "norms", "_memo", "_factors")
 
     def __init__(
         self,
@@ -53,6 +42,8 @@ class DecompositionBase:
         self.norms = norms
         self._memo: dict[Process, tuple[int, ...]] = {}
         self._validate()
+        self._factors = {c: (c,) for c in self.primes}
+        self._factors.update((i, rhs.ids) for i, rhs in self.equations.items())
 
     def _validate(self) -> None:
         if self.primes & self.equations.keys():
@@ -83,14 +74,26 @@ class DecompositionBase:
 
     def dcmp(self, p: Process) -> tuple[int, ...]:
         """The prime decomposition of p as an id tuple."""
-        return tuple(dcmp_ids(self.primes, self.equations, p))
+        factors = self._factors
+        try:
+            if len(p) == 1:  # the entry itself, not a copy
+                return factors[p[0]]
+            out: list[int] = []
+            for c in p:
+                out += factors[c]
+        except KeyError as exc:
+            raise EngineInternalError(
+                f"decomposition demanded for unsettled constant {exc.args[0]}"
+            ) from None
+        return tuple(out)
 
     def dcmp_memo(self, p: Process) -> tuple[int, ...]:
         """Memoized `dcmp` of a single constant or a rule right-hand side.
 
         Pass nothing else: those keys number at most n + |rules|, which bounds
-        the memo, while a candidate's tail can be exponentially long.  The base
-        never changes, so an entry never goes stale.
+        the memo, while a candidate's tail can be exponentially long.  An entry
+        is stored only once every constant in its key is settled (an unsettled
+        one raises), and a settled constant never changes, so it stays exact.
         """
         got = self._memo.get(p)
         if got is None:
@@ -98,13 +101,11 @@ class DecompositionBase:
         return got
 
     def equivalent(self, p1: Process, p2: Process) -> bool:
-        return dcmp_ids(self.primes, self.equations, p1) == dcmp_ids(self.primes, self.equations, p2)
+        return self.dcmp(p1) == self.dcmp(p2)
 
     def lpf(self, cid: int) -> int:
         """Leftmost prime factor of a constant; the constant itself if prime."""
-        if cid in self.primes:
-            return cid
-        return self.equations[cid].ids[0]
+        return self._factors[cid][0]
 
 
 def initial_base(std: StandardSystem) -> DecompositionBase:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes are part of the contract: 0 bisimilar / success, 1 not bisimilar or
-refutation found, 2 input error, 3 internal assertion failure or exhausted
-resource guard (the interpreter's recursion limit included).  Output is
+refutation found, 2 input error, 3 internal assertion failure, exhausted
+resource guard (the interpreter's recursion limit included) or a standard
+output closed before all output was written.  Output is
 deterministic for fixed inputs and flags (no timestamps in machine formats).
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 from pathlib import Path
 
@@ -254,8 +256,7 @@ def cmd_fuzz(args) -> int:
     for trial in report.trials:
         print(json.dumps(trial.to_json()))
     print(json.dumps({"summary": report.to_json()}))
-    bad = not report.ok or any(t.mode_agree is False for t in report.trials)
-    return EXIT_REFUTED if bad else EXIT_OK
+    return EXIT_OK if report.ok else EXIT_REFUTED
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
@@ -345,7 +346,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {flag} must be at least {low}, got {value}", file=_sys.stderr)
             return EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        _sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The interpreter's final flush then writes what is left to nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed before all output was written", file=_sys.stderr)
+        return EXIT_INTERNAL
     except (ParseError, NotTotallyNormedError, oracle.InvalidParamsError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .base import DecompositionBase, dcmp_ids, initial_base
+from .base import DecompositionBase, initial_base
 from .model import Process, Rule, is_silent
 from .normalization import EngineInternalError, StandardSystem
 from .strings import NormedString
@@ -62,26 +62,30 @@ def select_decreasing_rules(std: StandardSystem) -> tuple[Rule, ...]:
     return tuple(chosen)
 
 
-class _PartialBase:
+class _PartialBase(DecompositionBase):
     """The bottom-up profile of the next base during one refinement pass.
 
     While constant i is being treated, every constant below i is settled:
     either marked prime or given its new equation.  Decomposing anything that
     mentions an unsettled constant is a bug (it would contradict the index
-    discipline of decreasing rules).
+    discipline of decreasing rules).  Only the settle methods fill the factor
+    table, so `dcmp` raises on it, and a memo entry, stored only once its
+    constants are settled, stays exact to the end of the pass.
 
     Primes are settled through `settle_prime`, which also indexes each
     prime's decreasing rules by label and decomposed right-hand side, so
     `heads_matching` can look candidate heads up instead of scanning them.
     """
 
-    __slots__ = ("norms", "primes", "equations", "_memo", "_heads", "_cut_lengths")
+    __slots__ = ("_heads", "_cut_lengths")
 
     def __init__(self, norms: tuple[int, ...]):
+        self.n = len(norms)
         self.norms = norms
         self.primes: set[int] = set()
         self.equations: dict[int, NormedString] = {}
-        self._memo: dict[Process, tuple[int, ...]] = {}
+        self._memo = {}
+        self._factors = {}
         # (label, dcmp(rhs)) -> the primes with that decreasing rule, ascending
         # because primes settle in index order.
         self._heads: dict[tuple[str, tuple[int, ...]], list[int]] = {}
@@ -95,12 +99,18 @@ class _PartialBase:
         only constants below j, all settled before j.
         """
         self.primes.add(j)
+        self._factors[j] = (j,)
         for r in dec_rules:
             key = (r.label, self.dcmp_memo(r.rhs))
             heads = self._heads.setdefault(key, [])
             if not heads or heads[-1] != j:
                 heads.append(j)
             self._cut_lengths.setdefault(r.label, set()).add(len(key[1]))
+
+    def settle_equation(self, i: int, ids: Process) -> None:
+        """Give i the equation i = ids, a string of settled primes."""
+        rhs = self.equations[i] = NormedString(ids, self.norms)
+        self._factors[i] = rhs.ids
 
     def heads_matching(self, label: str, s: tuple[int, ...], low: int) -> Iterator[tuple[int, int]]:
         """Settled primes j >= low with a decreasing rule (label, beta) such
@@ -116,26 +126,6 @@ class _PartialBase:
             if heads:
                 for j in heads[bisect_left(heads, low):]:
                     yield j, at
-
-    def dcmp(self, p: Process) -> tuple[int, ...]:
-        try:
-            return tuple(dcmp_ids(self.primes, self.equations, p))
-        except KeyError as exc:
-            raise EngineInternalError(
-                f"decomposition over the new base demanded for unsettled constant {exc.args[0]}"
-            ) from None
-
-    def dcmp_memo(self, p: Process) -> tuple[int, ...]:
-        """Memoized `dcmp` of a single constant or a rule right-hand side.
-
-        Exact because an entry is stored only once every constant in its key
-        is settled (an unsettled one raises instead), and a settled constant
-        keeps its value until the pass ends.
-        """
-        got = self._memo.get(p)
-        if got is None:
-            got = self._memo[p] = self.dcmp(p)
-        return got
 
 
 @dataclass(frozen=True)
@@ -213,7 +203,7 @@ def lpftest(
 def lpftest_realtime(
     std: StandardSystem,
     base: DecompositionBase,
-    partial: _PartialBase | DecompositionBase,
+    partial: DecompositionBase,
     i: int,
     delta: Process,
 ) -> TestResult:
@@ -363,7 +353,7 @@ def refine(
                     )
                 accepted = delta
         if accepted is not None:
-            partial.equations[i] = NormedString(accepted, std.norms)
+            partial.settle_equation(i, accepted)
             outcomes.append(ConstantOutcome(i, "equation", accepted, records))
         else:
             partial.settle_prime(i, std.dec_rules(i))

@@ -791,6 +791,7 @@ class DifferentialReport:
             self.refutations == 0
             and all(t.generator_ok for t in self.trials)
             and all(t.engine_error is None for t in self.trials)
+            and all(t.mode_agree is not False for t in self.trials)
         )
 
     def to_json(self) -> dict:

@@ -1,5 +1,8 @@
 import json
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -315,3 +318,26 @@ def test_repo_sample_files():
     sysb = root / "systems" / "sys-b.bpa"
     run(["check", str(ex1), "--left", "X", "--right", "Y"], expect=1)
     run(["check", str(sysb), "--left", "A", "--right", "B"], expect=0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["base", "systems/sys-b.bpa", "--json"],
+        ["check", "systems/sys-b.bpa", "--left", "A", "--right", "B"],
+    ],
+)
+def test_closed_stdout_exits_three_without_traceback(argv):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tnbpa.cli", *argv],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 3, err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -84,7 +84,8 @@ def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
     ))
     fixed = select_decreasing_rules(std)
     partial = _PartialBase(std.norms)
-    partial.primes.update({0, 1})
+    for j in (0, 1):
+        partial.settle_prime(j, std.dec_rules(j))
     for name, expected in [("N", [["B", "Y"], ["Y", "Y"]]), ("M", [["B", "Y"], ["Y", "Y"]])]:
         i = std.sys.constant_id(name)
         cands = candidates_for(std, initial_base(std), partial, i, fixed, CandidateMode.EXHAUSTIVE)
@@ -94,7 +95,8 @@ def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
 def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
     base = initial_base(sysb_std)
     partial = _PartialBase(sysb_std.norms)
-    partial.primes.update({0, 1})  # B prime, Y prime
+    for j in (0, 1):  # B prime, Y prime
+        partial.settle_prime(j, sysb_std.dec_rules(j))
     a = sysb_std.sys.constant_id("A")
     delta = (0,)  # B
     res = lpftest(sysb_std, base, partial, a, delta)
@@ -105,9 +107,9 @@ def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
 def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
     base = initial_base(ex1_std)
     partial = _PartialBase(ex1_std.norms)
-    partial.primes.add(0)  # X'
-    partial.equations[1] = NormedString((0,), ex1_std.norms)  # Y' = X'
-    partial.primes.add(2)  # X became prime earlier in the pass
+    partial.settle_prime(0, ex1_std.dec_rules(0))  # X'
+    partial.settle_equation(1, (0,))  # Y' = X'
+    partial.settle_prime(2, ex1_std.dec_rules(2))  # X became prime earlier in the pass
     y = ex1_std.sys.constant_id("Y")
     delta = (2,)  # X
     res = lpftest(ex1_std, base, partial, y, delta)
@@ -242,7 +244,8 @@ def test_lpftest_matches_realtime_directly():
     ))
     base = initial_base(std)
     partial = _PartialBase(std.norms)
-    partial.primes.update({0, 1})
+    for j in (0, 1):
+        partial.settle_prime(j, std.dec_rules(j))
     n = std.sys.constant_id("N")
     for delta in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         assert lpftest(std, base, partial, n, delta).accepted == \
@@ -265,7 +268,7 @@ def test_equations_satisfy_branching_expansion():
 def test_lpftest_step_one_rejects_old_base_mismatch(ex1_std):
     final, _ = compute_bisimilarity_base(ex1_std)
     partial = _PartialBase(ex1_std.norms)
-    partial.primes.add(0)
+    partial.settle_prime(0, ex1_std.dec_rules(0))
     yp = ex1_std.sys.constant_id("Y'")
     delta = (ex1_std.sys.constant_id("X"),)
     res = lpftest(ex1_std, final, partial, yp, delta)
@@ -474,3 +477,40 @@ def test_refinement_builds_one_string_per_equation(monkeypatch):
     # never by a candidate's tail, so they stay within n + |rules| entries.
     keys = {(c,) for c in range(std.n)} | {r.rhs for r in std.sys.rules}
     assert all(b._memo.keys() <= keys for b in bases)
+
+
+def _chain(rules: list[str], letter: str, n: int):
+    names = " ".join(f"{letter}{i}" for i in range(n))
+    return standardize(parse_system(f"constants: {names}\n" + "\n".join(rules) + "\n"))
+
+
+def test_doubling_and_clone_chains_at_n12():
+    # The two norm-blowup families of the benchmark, at n = 12.  Norms grow
+    # as 2^i, so the factor table holds exponentially long entries.
+    n = 12
+    lines = ["X0 -a-> eps"]
+    for i in range(1, n):
+        lines += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
+    std = _chain(lines, "X", n)
+    base, trace = compute_bisimilarity_base(std)
+    assert len(trace) == 2 and len(base.primes) == n
+    x = [std.sys.constant_id(f"X{i}") for i in range(n)]
+    for i in range(1, n):
+        assert check_equivalence(std, (x[i],), (x[i - 1], x[i - 1]), base=base).kind is \
+            VerdictKind.NOT_BISIMILAR
+
+    # Yi copies Y(i-1)'s rules with Y(i-1) appended, so Yi = Y0^(2^i).
+    rules = [("a", ""), ("b", "")]
+    lines = [f"Y0 -{label}-> eps" for label, _ in rules]
+    for i in range(1, n):
+        rules = [(label, f"{rhs} Y{i - 1}".strip()) for label, rhs in rules]
+        lines += [f"Y{i} -{label}-> {rhs}" for label, rhs in rules]
+    std = _chain(lines, "Y", n)
+    base, trace = compute_bisimilarity_base(std)
+    y = [std.sys.constant_id(f"Y{i}") for i in range(n)]
+    assert len(trace) == 1 and base.primes == {y[0]}
+    for i in range(1, n):
+        assert base.equations[y[i]].ids == (y[0],) * 2 ** i
+        assert check_equivalence(std, (y[i],), (y[i - 1], y[i - 1]), base=base).kind is \
+            VerdictKind.BISIMILAR
+    assert len(base.equations[y[n - 1]].ids) == 2048

@@ -11,11 +11,13 @@ from tnbpa.normalization import standardize, view
 from tnbpa.oracle import (
     ClosureGuardExceeded,
     DefenderReply,
+    DifferentialReport,
     Distinction,
     GameContext,
     GenParams,
     ReplayError,
     StateGuardExceeded,
+    TrialReport,
     differential_run,
     differential_trial,
     distinction_to_json,
@@ -318,6 +320,18 @@ def test_differential_run_parallel_matches_serial():
     serial = differential_run(params, trials=2, k_max=8, pairs_per_trial=5, jobs=1)
     parallel = differential_run(params, trials=2, k_max=8, pairs_per_trial=5, jobs=2)
     assert [t.to_json() for t in serial.trials] == [t.to_json() for t in parallel.trials]
+
+
+def test_mode_mismatch_fails_the_report():
+    # `fuzz` exits on `ok`, so its summary line must carry the same verdict.
+    trial = TrialReport(
+        seed=0, constants=1, rules=1, realtime=True, iterations=1, primes=1,
+        mode_agree=False, generator_ok=True, generator_failures=0, realtime_divergences=0,
+    )
+    report = DifferentialReport([trial], k_max=8)
+    assert not report.ok
+    assert report.to_json()["ok"] is False
+    assert report.to_json()["mode_mismatches"] == 1
 
 
 def test_differential_catches_mutated_engine(skip_lpftest_steps):

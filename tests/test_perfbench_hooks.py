@@ -7,7 +7,7 @@ run without failing any other test.  Building a `Tracer` resolves every hook.
 
 from pathlib import Path
 
-from tnbpa import engine
+from tnbpa import base, engine
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
 
@@ -27,5 +27,10 @@ def test_tracer_hooks_resolve_and_count(monkeypatch):
         tracer.uninstall()
     counts = tracer.counter_block()
     assert counts["engine.candidates"] > 0
-    # lpftest decomposes every candidate's tail over the old base.
-    assert counts["base.dcmp.calls"] > 0
+    # The partial base inherits the wrapped method, so the `base.dcmp` layer
+    # sees decompositions over both bases.
+    assert engine._PartialBase.dcmp is base.DecompositionBase.dcmp
+    # Every lpftest call decomposes its tail over the old base, and every
+    # call that passes step 1 decomposes it over the partial base too.
+    lpftests = counts["engine.lpftest.calls"]
+    assert counts["base.dcmp.calls"] >= 2 * lpftests - counts.get("engine.reject_step1", 0)
