@@ -1,27 +1,25 @@
 """Partition refinement over decomposition bases.
 
 Starting from the norm-equality base, each pass rebuilds the equations bottom
-up: for every composite it generates a handful of candidate decompositions
-and runs a six-step single-transition test against the previous base and the
-partially built new base.  A candidate's head is the previous leftmost prime
-factor or a new prime above it, and only heads with a decreasing rule that
-matches the constant's fixed decreasing rule are generated: any other head
-fails step 2 of the test.  Constants with no accepted candidate become prime;
-the run stops when a pass adds no prime.
+up against the previous base and the partially built new base.  A six-step
+single-transition test, `lpftest`, decides a candidate decomposition; the
+default pruned mode instead looks most candidates up by their signature, the
+moves that test compares, and accepts them without running it, so a pass
+does about one lookup per constant (`candidates_for`).  Constants with no
+accepted candidate become prime; the run stops when a pass adds no prime.
 
 An exhaustive candidate mode keeps every head instead: all settled primes,
 each followed by the suffix of the fixed rule's decomposition that gives the
-constant's norm, found from norms alone.  Step 2 rejects every other prime
-string, so the mode stays polynomial; it exists to validate the pruned
-candidate set and the head index.
+constant's norm, found from norms alone, and tests every candidate.  Step 2
+rejects every other prime string, so the mode stays polynomial; it exists to
+validate the pruned candidate set and the signature index.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .base import DecompositionBase, initial_base
 from .model import Process, Rule, is_silent
@@ -72,66 +70,69 @@ class _PartialBase(DecompositionBase):
     table, so `dcmp` raises on it, and a memo entry, stored only once its
     constants are settled, stays exact to the end of the pass.
 
-    Primes are settled through `settle_prime`, which also indexes each
-    prime's decreasing rules by label and decomposed right-hand side, so
-    `heads_matching` can look candidate heads up instead of scanning them.
+    `settle_prime` also files each prime j under its signature: the
+    (label, new(beta)) of its decreasing rules and the (label, old(gamma)) of
+    its increasing rules, over this base and the previous one, `old`.  old(j)
+    is no part of the key: it can be exponentially long, so hits compare it.
     """
 
-    __slots__ = ("_heads", "_cut_lengths")
+    __slots__ = ("std", "old", "_by_signature", "_cut_lengths")
 
-    def __init__(self, norms: tuple[int, ...]):
-        self.n = len(norms)
-        self.norms = norms
+    def __init__(self, std: StandardSystem, old: DecompositionBase):
+        self.n = std.n
+        self.norms = std.norms
+        self.std = std
+        self.old = old
         self.primes: set[int] = set()
         self.equations: dict[int, NormedString] = {}
         self._memo = {}
         self._factors = {}
-        # (label, dcmp(rhs)) -> the primes with that decreasing rule, ascending
-        # because primes settle in index order.
-        self._heads: dict[tuple[str, tuple[int, ...]], list[int]] = {}
-        # label -> the lengths of the decompositions indexed under it.
+        # signature -> the primes filed under it.
+        self._by_signature: dict[tuple, list[int]] = {}
+        # label -> the lengths of the decreasing rules' decompositions under it.
         self._cut_lengths: dict[str, set[int]] = {}
 
-    def settle_prime(self, j: int, dec_rules: Iterable[Rule]) -> None:
-        """Mark j prime and index its decreasing rules under this base.
+    def settle_prime(self, j: int) -> None:
+        """Mark j prime and file it under its signature.
 
         Exact for the same reason as the memo: a decreasing rule of j mentions
         only constants below j, all settled before j.
         """
         self.primes.add(j)
         self._factors[j] = (j,)
-        for r in dec_rules:
-            key = (r.label, self.dcmp_memo(r.rhs))
-            heads = self._heads.setdefault(key, [])
-            if not heads or heads[-1] != j:
-                heads.append(j)
-            self._cut_lengths.setdefault(r.label, set()).add(len(key[1]))
+        old, new = self.old.dcmp_memo, self.dcmp_memo
+        dec = [(r.label, new(r.rhs)) for r in self.std.dec_rules(j)]
+        inc = [(r.label, old(r.rhs)) for r in self.std.inc_rules(j)]
+        self._by_signature.setdefault(_signature(dec, inc), []).append(j)
+        for label, beta in dec:
+            self._cut_lengths.setdefault(label, set()).add(len(beta))
 
     def settle_equation(self, i: int, ids: Process) -> None:
         """Give i the equation i = ids, a string of settled primes."""
         rhs = self.equations[i] = NormedString(ids, self.norms)
         self._factors[i] = rhs.ids
 
-    def heads_matching(self, label: str, s: tuple[int, ...], low: int) -> Iterator[tuple[int, int]]:
-        """Settled primes j >= low with a decreasing rule (label, beta) such
-        that dcmp(beta) == s[:at], as pairs (j, at).
 
-        Only the prefix lengths that occur in the index are sliced, so the
-        number of lookups does not grow with the length of s.
-        """
-        for at in self._cut_lengths.get(label, ()):
-            if at > len(s):
-                continue
-            heads = self._heads.get((label, s[:at]))
-            if heads:
-                for j in heads[bisect_left(heads, low):]:
-                    yield j, at
+def _signature(dec: Iterable, inc: Iterable) -> tuple:
+    """The key `_PartialBase` files a prime under and a candidate looks up."""
+    return frozenset(dec), frozenset(inc)
+
+
+def _strip(word: tuple[int, ...], tail: tuple[int, ...]) -> tuple[int, ...] | None:
+    """word without its suffix tail, or None when word does not end with it."""
+    cut = len(word) - len(tail)
+    return word[:cut] if cut >= 0 and word[cut:] == tail else None
 
 
 @dataclass(frozen=True)
 class TestResult:
     accepted: bool
     step: int  # accepting step (4 early, 7 full) or the step that rejected
+
+
+def _step_one(base: DecompositionBase, i: int, head: int, old_tail: tuple[int, ...]) -> bool:
+    """Step 1 of `lpftest` for head . tail: old(i) == old(head) . old(tail)."""
+    return base.dcmp_memo((i,)) == base.dcmp_memo((head,)) + old_tail
 
 
 def lpftest(
@@ -164,7 +165,7 @@ def lpftest(
     head, d_tail = delta[0], delta[1:]
     old, new = base.dcmp_memo, partial.dcmp_memo
     old_tail = base.dcmp(d_tail)
-    if old((i,)) != old((head,)) + old_tail:
+    if not _step_one(base, i, head, old_tail):
         return TestResult(False, 1)
 
     new_tail = partial.dcmp(d_tail)
@@ -250,8 +251,9 @@ def candidates_for(
     i: int,
     fixed: tuple[Rule, ...],
     mode: CandidateMode = CandidateMode.PRUNED,
-) -> list[Process]:
-    """Candidate decompositions of constant i: id tuples by ascending head.
+) -> list[tuple[Process, TestResult | None]]:
+    """Candidate decompositions of constant i, ascending, each with its test
+    result when known already and None when `lpftest` must decide it.
 
     Let s be the decomposition of i's fixed decreasing rule (a, rhs) over the
     new base.  Step 2 of `lpftest` must match that rule: a candidate j . t
@@ -260,14 +262,19 @@ def candidates_for(
     itself.
 
     Pruned: the head j is the previous leftmost prime factor k or a new prime
-    above it, and only heads with such a rule are generated, looked up in the
-    partial base's index.  Exhaustive: every settled prime j is a head, with
-    t the suffix of s of norm norm(i) - norm(j) when s has a cut there; a
-    silent rule preserves the norm, so s itself is the candidate with head
-    s[0].  It reads norms only, not the index, and leaves out only the prime
-    strings of the constant's norm that step 2 rejects.
+    above it.  Unless j . t is the target of one of i's silent decreasing
+    moves, `lpftest` accepts it exactly when old(i) is old(j) . old(t) and
+    j's decreasing and increasing moves, each with t appended, are i's.  So
+    for each cut t = s[at:], at the length of a decreasing rule labelled a,
+    i's signature with t (and old(t)) stripped is looked up in the partial
+    base, and each hit that passes step 1 is accepted as at step 7 without a
+    test.  Only the in-place targets are left to `lpftest`.  Exhaustive: every
+    settled prime j is a head, with t the suffix of s of norm
+    norm(i) - norm(j) when s has a cut there; a silent rule preserves the
+    norm, so s itself is the candidate with head s[0].  It reads norms only,
+    not the index, leaves out only the prime strings of the constant's norm
+    that step 2 rejects, and leaves every candidate to `lpftest`.
     """
-    label = fixed[i].label
     s = partial.dcmp_memo(fixed[i].rhs)
     if mode is CandidateMode.EXHAUSTIVE:
         suffix_at = {0: len(s)}  # norm of s[at:] -> at
@@ -276,7 +283,7 @@ def candidates_for(
             norm += std.norms[s[at]]
             suffix_at[norm] = at
         return [
-            (j, *s[suffix_at[std.norms[i] - std.norms[j]]:])
+            ((j, *s[suffix_at[std.norms[i] - std.norms[j]]:]), None)
             for j in sorted(partial.primes)
             if std.norms[i] - std.norms[j] in suffix_at
         ]
@@ -286,14 +293,29 @@ def candidates_for(
         raise EngineInternalError(
             f"old prime {std.sys.name(k)} left the refined prime set"
         )
-    cuts = dict(partial.heads_matching(label, s, k))
-    if is_silent(label) and s[0] >= k:
-        cuts[s[0]] = 1  # the candidate s itself, matched in place
-    return [
-        (j, *s[cuts[j]:])
-        for j in sorted(cuts)
-        if j == k or j not in base.primes
-    ]
+
+    def admissible(j: int) -> bool:
+        return j == k or j > k and j not in base.primes
+
+    old, new = base.dcmp_memo, partial.dcmp_memo
+    dec = [(r.label, new(r.rhs)) for r in std.dec_rules(i)]
+    inc = [(r.label, old(r.rhs)) for r in std.inc_rules(i)]
+    found: dict[Process, TestResult | None] = {
+        alpha: None for label, alpha in dec if is_silent(label) and admissible(alpha[0])
+    }
+    for at in partial._cut_lengths.get(fixed[i].label, ()):
+        if at > len(s):
+            continue
+        t = s[at:]
+        old_t = base.dcmp(t)
+        dec_t = [(label, _strip(alpha, t)) for label, alpha in dec]
+        inc_t = [(label, _strip(gamma, old_t)) for label, gamma in inc]
+        if any(x is None for _, x in dec_t + inc_t):
+            continue
+        for j in partial._by_signature.get(_signature(dec_t, inc_t), ()):
+            if admissible(j) and _step_one(base, i, j, old_t):
+                found.setdefault((j, *t), TestResult(True, 7))
+    return sorted(found.items())
 
 
 @dataclass
@@ -328,22 +350,24 @@ def refine(
 ) -> tuple[DecompositionBase, IterationRecord]:
     """One refinement pass: rebuild all equations bottom-up against `base`.
 
-    Primes of the previous base stay prime.  Every candidate is tested, and a
-    second acceptance raises: two accepted equations would contradict unique
-    decomposition.  Only the accepted candidate is wrapped in a
-    `NormedString`, the form in which a base stores its equations.
+    Primes of the previous base stay prime.  Candidates left undecided by
+    `candidates_for` are tested, and a second acceptance raises: two
+    accepted equations would contradict unique decomposition.  Only the
+    accepted candidate is wrapped in a `NormedString`, the form in which a
+    base stores its equations.
     """
-    partial = _PartialBase(std.norms)
+    partial = _PartialBase(std, base)
     outcomes: list[ConstantOutcome] = []
 
     for i in range(std.n):
         if i in base.primes:
-            partial.settle_prime(i, std.dec_rules(i))
+            partial.settle_prime(i)
             continue
         accepted: Process | None = None
         records: list[CandidateOutcome] = []
-        for delta in candidates_for(std, base, partial, i, fixed, mode):
-            res = lpftest(std, base, partial, i, delta)
+        for delta, res in candidates_for(std, base, partial, i, fixed, mode):
+            if res is None:
+                res = lpftest(std, base, partial, i, delta)
             records.append(CandidateOutcome(delta, res.accepted, res.step))
             if res.accepted:
                 if accepted is not None:
@@ -356,7 +380,7 @@ def refine(
             partial.settle_equation(i, accepted)
             outcomes.append(ConstantOutcome(i, "equation", accepted, records))
         else:
-            partial.settle_prime(i, std.dec_rules(i))
+            partial.settle_prime(i)
             outcomes.append(ConstantOutcome(i, "prime", None, records))
 
     new_base = DecompositionBase(std.n, partial.primes, partial.equations, std.norms)

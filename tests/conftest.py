@@ -7,8 +7,9 @@ from itertools import accumulate
 import pytest
 
 from tnbpa import engine
-from tnbpa.model import BpaSystem, is_silent, parse_system, transitions_of
+from tnbpa.model import BpaSystem, format_process, is_silent, parse_system, transitions_of
 from tnbpa.normalization import standardize
+from tnbpa.oracle import random_system
 
 # The two-process system where every action matches yet the silent step on
 # one side is a genuine change of state.
@@ -115,6 +116,46 @@ def base_as_names(std, base) -> tuple[set[str], dict[str, tuple[str, ...]]]:
     return primes, equations
 
 
+def planted_clones(sys: BpaSystem) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(clone, head, tail) for every constant whose rule set is an earlier
+    constant's rule set with one tail appended to every right-hand side.
+
+    Such a clone and the process head . tail have the same transitions, so
+    they are bisimilar whatever the rest of the system does.  Read from the
+    rules alone, not from the generator that planted them; the shortest tail
+    wins.
+    """
+    earliest: dict[frozenset, int] = {}
+    found = []
+    for k in range(sys.n):
+        rules = [(r.label, r.rhs) for r in sys.rules_of(k)]
+        for cut in range(min((len(rhs) for _, rhs in rules), default=-1) + 1):
+            tails = {rhs[len(rhs) - cut:] for _, rhs in rules}
+            head = earliest.get(frozenset((lab, rhs[:len(rhs) - cut]) for lab, rhs in rules))
+            if len(tails) == 1 and head is not None:
+                found.append((k, head, tails.pop()))
+                break
+        earliest.setdefault(frozenset(rules), k)
+    return found
+
+
+def missed_clones(params) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The planted clones of the generated system that the final base does
+    not relate to head . tail."""
+    sys = random_system(params)
+    std = standardize(sys)
+    base, _ = engine.compute_bisimilarity_base(std)
+
+    def ids(process):
+        return std.parse_process(format_process(sys, process))
+
+    return [
+        (clone, head, tail)
+        for clone, head, tail in planted_clones(sys)
+        if not base.equivalent(ids((clone,)), ids((head, *tail)))
+    ]
+
+
 def _lpftest_skipping(steps: frozenset[int]):
     """A mutant of `engine.lpftest` that leaves out the given steps.
 
@@ -169,8 +210,8 @@ def _candidates_unfiltered(std, base, partial, i, fixed):
     The previous leftmost prime factor and every new prime strictly between
     it and i, each extended with the norm-matching suffix of the fixed
     decreasing rule's decomposition; heads without a suffix boundary are
-    skipped.  `engine.candidates_for` must return an ordered subsequence of
-    this list that drops only candidates rejected at step 1 or step 2.
+    skipped.  Every candidate of this list that `engine.candidates_for`
+    leaves out must be rejected by the reference test.
     """
     s = partial.dcmp_memo(fixed[i].rhs)
     prefix = list(accumulate((std.norms[c] for c in s), initial=0))

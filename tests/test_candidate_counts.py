@@ -10,17 +10,19 @@ from functools import cache
 
 import pytest
 
+from tnbpa import engine
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base
+from tnbpa.model import is_silent
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
 
 SEED = 42
 
 # The largest ratio of total candidates per doubling of n on the random
-# family below, measured when candidate heads began to be matched against
-# the fixed decreasing rule: 3.763 at cap 8, n = 128 -> 256.  Tighten it when
-# a change prunes further; never raise it to get a pass.
-MAX_RATIO_PER_DOUBLING = 3.77
+# family below, measured when pruned mode began to accept candidates by
+# their signature: 2.529 at cap 4, n = 64 -> 128 (about 2 elsewhere).  Tighten
+# it when a change prunes further; never raise it to get a pass.
+MAX_RATIO_PER_DOUBLING = 2.53
 
 # The same for exhaustive mode at cap 4, measured when it began to head
 # candidates with every settled prime and cut their tails from the fixed
@@ -30,22 +32,47 @@ MAX_RATIO_PER_DOUBLING = 3.77
 MAX_EXHAUSTIVE_RATIO_PER_DOUBLING = 4.56
 
 
+def family_params(n: int, cap: int) -> GenParams:
+    return GenParams(
+        constants=n, max_rhs_len=3, alphabet=2, silent_prob=0.3,
+        norm_cap=cap, extra_rules=2, composite_prob=0.4, seed=SEED,
+    )
+
+
 @cache
 def candidate_counts(
     n: int, cap: int, mode: CandidateMode = CandidateMode.PRUNED
 ) -> tuple[int, int]:
     """Total candidates tested and accepted over a whole run."""
-    params = GenParams(
-        constants=n, max_rhs_len=3, alphabet=2, silent_prob=0.3,
-        norm_cap=cap, extra_rules=2, composite_prob=0.4, seed=SEED,
-    )
-    _, trace = compute_bisimilarity_base(standardize(random_system(params)), mode)
+    _, trace = compute_bisimilarity_base(standardize(random_system(family_params(n, cap))), mode)
     tested = [cand for rec in trace for c in rec.constants for cand in c.candidates]
     return len(tested), sum(cand.accepted for cand in tested)
 
 
 def test_candidate_totals_at_n512_cap4():
-    assert candidate_counts(512, 4) == (16_858, 1_039)
+    assert candidate_counts(512, 4) == (1_096, 1_039)
+
+
+def test_candidate_totals_at_n1024_and_n2048_cap4():
+    assert candidate_counts(1024, 4) == (2_193, 2_050)
+    assert candidate_counts(2048, 4) == (4_522, 4_222)
+
+
+def test_pruned_mode_tests_only_in_place_targets(monkeypatch):
+    # Every other pruned candidate is accepted by its signature: of the 1,096
+    # at n = 512, 1,005 are, and `lpftest` sees only the targets of silent
+    # decreasing moves, 34 of them accepted at step 4.
+    in_place = []
+    test = engine.lpftest
+
+    def recording(std, base, partial, i, delta):
+        targets = {partial.dcmp(r.rhs) for r in std.dec_rules(i) if is_silent(r.label)}
+        in_place.append(delta in targets)
+        return test(std, base, partial, i, delta)
+
+    monkeypatch.setattr(engine, "lpftest", recording)
+    compute_bisimilarity_base(standardize(random_system(family_params(512, 4))))
+    assert len(in_place) == 91 and all(in_place)
 
 
 @pytest.mark.parametrize("cap", [1, 4, 8])

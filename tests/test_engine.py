@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from conftest import _candidates_unfiltered, _lpftest_skipping, _norm_strings, base_as_names
+from conftest import (
+    _candidates_unfiltered,
+    _lpftest_skipping,
+    _norm_strings,
+    base_as_names,
+    names_of,
+)
 from tnbpa import engine
 from tnbpa.base import DecompositionBase, initial_base
 from tnbpa.engine import (
@@ -39,15 +45,16 @@ def test_select_decreasing_rules_tie_break(ex1_std):
 def test_first_iteration_candidates_sysb(sysb_std):
     fixed = select_decreasing_rules(sysb_std)
     base = initial_base(sysb_std)
-    partial = _PartialBase(sysb_std.norms)
-    partial.settle_prime(0, sysb_std.dec_rules(0))  # B settled prime
-    partial.settle_prime(1, sysb_std.dec_rules(1))  # Y, as iteration 1 decides
+    partial = _PartialBase(sysb_std, base)
+    partial.settle_prime(0)  # B settled prime
+    partial.settle_prime(1)  # Y, as iteration 1 decides
     a = sysb_std.sys.constant_id("A")
-    cands = list(candidates_for(sysb_std, base, partial, a, fixed))
+    cands = candidates_for(sysb_std, base, partial, a, fixed)
     # lpf is B; Y is a new prime between lpf and A.  A's fixed rule A -a-> eps
-    # is matched by B -a-> eps and Y -a-> eps, so both are heads, each a
-    # single constant of norm 1.
-    assert [[sysb_std.sys.name(c) for c in d] for d in cands] == [["B"], ["Y"]]
+    # is matched by B -a-> eps and Y -a-> eps, but neither head has A's
+    # signature: A also moves silently to B, which B and Y cannot match.  So
+    # the only candidate is that move's target B, left to `lpftest`.
+    assert [([sysb_std.sys.name(c) for c in d], res) for d, res in cands] == [(["B"], None)]
 
 
 def test_candidate_skipped_without_norm_boundary():
@@ -59,9 +66,9 @@ def test_candidate_skipped_without_norm_boundary():
     base = DecompositionBase(
         3, [0, 1], {2: NormedString((1, 0), std.norms)}, std.norms
     )
-    partial = _PartialBase(std.norms)
+    partial = _PartialBase(std, base)
     for j in (0, 1):
-        partial.settle_prime(j, std.dec_rules(j))
+        partial.settle_prime(j)
     m = std.sys.constant_id("M")
     assert list(candidates_for(std, base, partial, m, fixed)) == []
 
@@ -83,20 +90,23 @@ def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
         "constants: B Y N M\nB -a-> eps\nY -b-> eps\nN -a-> Y\nM -tau-> B Y\n"
     ))
     fixed = select_decreasing_rules(std)
-    partial = _PartialBase(std.norms)
+    base = initial_base(std)
+    partial = _PartialBase(std, base)
     for j in (0, 1):
-        partial.settle_prime(j, std.dec_rules(j))
+        partial.settle_prime(j)
     for name, expected in [("N", [["B", "Y"], ["Y", "Y"]]), ("M", [["B", "Y"], ["Y", "Y"]])]:
         i = std.sys.constant_id(name)
-        cands = candidates_for(std, initial_base(std), partial, i, fixed, CandidateMode.EXHAUSTIVE)
-        assert [[std.sys.name(c) for c in d] for d in cands] == expected
+        cands = candidates_for(std, base, partial, i, fixed, CandidateMode.EXHAUSTIVE)
+        # Exhaustive mode leaves every candidate to `lpftest`.
+        assert [([std.sys.name(c) for c in d], res) for d, res in cands] == \
+            [(names, None) for names in expected]
 
 
 def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
     base = initial_base(sysb_std)
-    partial = _PartialBase(sysb_std.norms)
+    partial = _PartialBase(sysb_std, base)
     for j in (0, 1):  # B prime, Y prime
-        partial.settle_prime(j, sysb_std.dec_rules(j))
+        partial.settle_prime(j)
     a = sysb_std.sys.constant_id("A")
     delta = (0,)  # B
     res = lpftest(sysb_std, base, partial, a, delta)
@@ -106,10 +116,10 @@ def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
 
 def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
     base = initial_base(ex1_std)
-    partial = _PartialBase(ex1_std.norms)
-    partial.settle_prime(0, ex1_std.dec_rules(0))  # X'
+    partial = _PartialBase(ex1_std, base)
+    partial.settle_prime(0)  # X'
     partial.settle_equation(1, (0,))  # Y' = X'
-    partial.settle_prime(2, ex1_std.dec_rules(2))  # X became prime earlier in the pass
+    partial.settle_prime(2)  # X became prime earlier in the pass
     y = ex1_std.sys.constant_id("Y")
     delta = (2,)  # X
     res = lpftest(ex1_std, base, partial, y, delta)
@@ -118,7 +128,7 @@ def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
 
 
 def test_partial_base_rejects_unsettled_lookup(ex1_std):
-    partial = _PartialBase(ex1_std.norms)
+    partial = _PartialBase(ex1_std, initial_base(ex1_std))
     with pytest.raises(EngineInternalError, match="unsettled"):
         partial.dcmp((3,))
 
@@ -224,11 +234,13 @@ def test_realtime_decisions_match_figure_transcription():
 
 def test_realtime_audit_counts_divergent_decisions(skip_lpftest_steps):
     # Without step 5 the engine accepts Q = P, which the transcription's
-    # step 4 rejects: one divergence, on the realtime system.
+    # step 4 rejects: one divergence, on the realtime system.  Exhaustive mode
+    # puts every candidate through `lpftest`; pruned mode accepts by
+    # signature and never shows P to it.
     std = standardize(parse_system("constants: P Q\nP -a-> eps\nP -b-> eps\nQ -a-> eps\n"))
     assert std.is_realtime
     skip_lpftest_steps(5)
-    _, trace = compute_bisimilarity_base(std)
+    _, trace = compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)
     assert realtime_divergences(std, trace) == 1
 
 
@@ -243,9 +255,9 @@ def test_lpftest_matches_realtime_directly():
         "constants: B Y N\nB -a-> eps\nY -b-> eps\nN -a-> Y\nN -a-> B\n"
     ))
     base = initial_base(std)
-    partial = _PartialBase(std.norms)
+    partial = _PartialBase(std, base)
     for j in (0, 1):
-        partial.settle_prime(j, std.dec_rules(j))
+        partial.settle_prime(j)
     n = std.sys.constant_id("N")
     for delta in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         assert lpftest(std, base, partial, n, delta).accepted == \
@@ -265,10 +277,32 @@ def test_equations_satisfy_branching_expansion():
             assert ctx.expansion_holds(relate, (i,), rhs.ids)
 
 
+# P, R and S have the same moves, and Q has another.  The hand-built old base
+# below is no refinement iterate: it puts R under Q and S under P.
+SPLIT_TEXT = "constants: P Q R S\nP -a-> eps\nQ -b-> eps\nR -a-> eps\nS -a-> eps\n"
+
+
+def refine_over_split_base():
+    std = standardize(parse_system(SPLIT_TEXT))
+    p, q, r, s = (std.sys.constant_id(name) for name in "PQRS")
+    equations = {r: NormedString((q,), std.norms), s: NormedString((p,), std.norms)}
+    base = DecompositionBase(std.n, [p, q], equations, std.norms)
+    return std, refine(std, base, select_decreasing_rules(std))[0]
+
+
+def test_signature_keeps_heads_apart_that_the_old_base_separates():
+    # R turns prime (its old lpf Q has no a-move) and has S's moves, but
+    # old(R) = Q while old(S) = P: `lpftest` rejects S = R at step 1, so the
+    # signature lookup, which finds R for S, must compare old(R) on the hit.
+    # Over a base that refinement produced, the moves alone imply step 1.
+    std, new = refine_over_split_base()
+    assert base_as_names(std, new) == ({"P", "Q", "R"}, {"S": ("P",)})
+
+
 def test_lpftest_step_one_rejects_old_base_mismatch(ex1_std):
     final, _ = compute_bisimilarity_base(ex1_std)
-    partial = _PartialBase(ex1_std.norms)
-    partial.settle_prime(0, ex1_std.dec_rules(0))
+    partial = _PartialBase(ex1_std, final)
+    partial.settle_prime(0)
     yp = ex1_std.sys.constant_id("Y'")
     delta = (ex1_std.sys.constant_id("X"),)
     res = lpftest(ex1_std, final, partial, yp, delta)
@@ -277,14 +311,15 @@ def test_lpftest_step_one_rejects_old_base_mismatch(ex1_std):
 
 def test_skipping_step_five_accepts_asymmetric_candidate(skip_lpftest_steps):
     # P has an extra b-move that Q cannot match; only step 5 notices, and the
-    # oracle refutes the wrong equation the mutated engine then produces.
+    # oracle refutes the wrong equation the mutated engine then produces.  In
+    # exhaustive mode, where `lpftest` sees every candidate.
     std = standardize(parse_system("constants: P Q\nP -a-> eps\nP -b-> eps\nQ -a-> eps\n"))
     good, _ = compute_bisimilarity_base(std)
     assert good.equations == {}
     skip_lpftest_steps()  # skipping nothing must reproduce the engine
-    assert compute_bisimilarity_base(std)[0] == good
+    assert compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)[0] == good
     skip_lpftest_steps(5)
-    bad, _ = compute_bisimilarity_base(std)
+    bad, _ = compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)
     q = std.sys.constant_id("Q")
     assert q in bad.equations
     report = verify_base_generators(std, bad, k_max=4, sample_budget=0)
@@ -293,10 +328,11 @@ def test_skipping_step_five_accepts_asymmetric_candidate(skip_lpftest_steps):
 
 def test_mutated_engine_is_caught_by_the_oracle(sysb_std, skip_lpftest_steps):
     # Skipping the increasing-transition check wrongly merges Y with B; the
-    # oracle refutes the resulting base with a replayable certificate.
+    # oracle refutes the resulting base with a replayable certificate.  In
+    # exhaustive mode, where `lpftest` sees every candidate.
     good, _ = compute_bisimilarity_base(sysb_std)
     skip_lpftest_steps(3)
-    bad, _ = compute_bisimilarity_base(sysb_std)
+    bad, _ = compute_bisimilarity_base(sysb_std, CandidateMode.EXHAUSTIVE)
     assert good != bad
     report = verify_base_generators(sysb_std, bad, k_max=8, sample_budget=5)
     assert not report.ok
@@ -309,9 +345,11 @@ def test_trace_records_candidate_steps(ex1_std):
     y = ex1_std.sys.constant_id("Y")
     rec = next(c for c in first.constants if c.constant == y)
     assert rec.outcome == "prime"
-    # Y's fixed rule is Y -b-> eps.  The old lpf X' has no b-move, so it is
-    # not a candidate; X matches that rule but is rejected at step 5.
-    assert [cand.step for cand in rec.candidates] == [5]
+    # Y's silent move Y -tau-> Y' lands on X' (Y' = X' in this pass), so X'
+    # is Y's one in-place candidate; it has no b-move and fails step 2.  X,
+    # which matches Y's fixed rule Y -b-> eps, is not listed: X has no silent
+    # move, so its signature is not Y's.
+    assert [(names_of(ex1_std, cand.delta), cand.step) for cand in rec.candidates] == [(["X'"], 2)]
 
 
 def test_empty_system():
@@ -375,38 +413,31 @@ C5 -tau-> C3 C1
 """
 
 
-def test_candidate_filter_drops_only_step_one_and_two_rejections(monkeypatch):
-    # Every pruned candidate list is the list the engine generated before
-    # heads were matched against the fixed decreasing rule, restricted, in
-    # order, to the candidates that match that rule over the new base.  Each
-    # candidate left out is rejected by the reference test at step 1 or 2,
-    # so the accepted candidates are the same.
+def test_pruned_mode_leaves_out_only_rejected_candidates(monkeypatch):
+    # The candidates pruned mode could generate are the norm-matching ones
+    # headed by the previous leftmost prime factor or a new prime above it,
+    # plus the targets of the constant's silent decreasing moves.  Each one
+    # pruned mode leaves out is rejected by the reference test; each one it
+    # accepts by signature gets the reference's result, accepted at step 7;
+    # only in-place targets are left to `lpftest`.
     reference = _lpftest_skipping(frozenset())
     generate = engine.candidates_for
-    seen = {"dropped": 0, "early": 0}
-
-    def matches_fixed(std, partial, rule, delta):
-        target = partial.dcmp(rule.rhs)
-        if is_silent(rule.label) and target == delta:
-            return True
-        head, tail = delta[0], delta[1:]
-        return any(
-            r.label == rule.label and partial.dcmp(r.rhs + tail) == target
-            for r in std.dec_rules(head)
-        )
+    seen = {"dropped": 0, "keyed": 0, "early": 0}
 
     def checked(std, base, partial, i, fixed, *rest):
         got = generate(std, base, partial, i, fixed, *rest)
-        full = _candidates_unfiltered(std, base, partial, i, fixed)
-        assert got == [d for d in full if matches_fixed(std, partial, fixed[i], d)]
-        results = {d: reference(std, base, partial, i, d) for d in full}
-        for ids, res in results.items():
-            if ids not in got:
-                seen["dropped"] += 1
-                assert not res.accepted and res.step in (1, 2)
-        assert [ids for ids in got if results[ids].accepted] == \
-            [ids for ids, res in results.items() if res.accepted]
-        seen["early"] += sum(results[ids].step == 4 for ids in got)
+        in_place = {partial.dcmp(r.rhs) for r in std.dec_rules(i) if is_silent(r.label)}
+        possible = {*_candidates_unfiltered(std, base, partial, i, fixed), *in_place}
+        for ids in possible - dict(got).keys():
+            seen["dropped"] += 1
+            assert not reference(std, base, partial, i, ids).accepted
+        for ids, res in got:
+            if res is None:
+                assert ids in in_place
+                seen["early"] += reference(std, base, partial, i, ids).step == 4
+            else:
+                seen["keyed"] += 1
+                assert reference(std, base, partial, i, ids) == res == engine.TestResult(True, 7)
         return got
 
     monkeypatch.setattr(engine, "candidates_for", checked)
@@ -421,15 +452,17 @@ def test_candidate_filter_drops_only_step_one_and_two_rejections(monkeypatch):
         )))
     for sys in systems:
         compute_bisimilarity_base(standardize(sys))
-    # Candidates were dropped, and step-4 accepts (a silent move onto the
-    # candidate, which the filter must keep) occurred.
-    assert seen["dropped"] > 0 and seen["early"] > 0
+    # Candidates were dropped, accepted by signature, and accepted at step 4
+    # (a silent move onto the candidate, which only `lpftest` may decide).
+    assert seen["dropped"] > 0 and seen["keyed"] > 0 and seen["early"] > 0
 
 
 def test_refinement_builds_one_string_per_equation(monkeypatch):
     # Candidates and decompositions are id tuples: a run wraps in a
     # NormedString only the initial base's n - 1 equations and each equation
-    # a pass accepts, never a candidate, in either mode.
+    # a pass accepts, never a candidate, in either mode.  Exhaustive mode
+    # tests over ten candidates per equation; pruned mode, which accepts by
+    # signature, barely more than one.
     std = standardize(random_system(GenParams(constants=512, norm_cap=4, seed=42)))
     counts = {"init": 0, "inside": 0, "split": 0}
     depth = [0]
@@ -469,7 +502,8 @@ def test_refinement_builds_one_string_per_equation(monkeypatch):
         _, trace = compute_bisimilarity_base(std, mode)
         candidates = sum(len(c.candidates) for rec in trace for c in rec.constants)
         accepted = sum(c.equation is not None for rec in trace for c in rec.constants)
-        assert candidates > 10 * accepted
+        if mode is CandidateMode.EXHAUSTIVE:
+            assert candidates > 10 * accepted
         assert counts["init"] == (std.n - 1) + accepted == 1476
     assert counts["inside"] == 0
     assert counts["split"] == 0

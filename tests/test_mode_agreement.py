@@ -1,16 +1,27 @@
 """Pruned and exhaustive candidate modes must build the same bases.
 
-Exhaustive mode heads candidates with every settled prime and finds their
-tails from norms alone, so a disagreement points at the pruned head set (the
-paper's lemma) or at the step-2 head index that serves it.  Exhaustive mode's
-own cut, to the prime strings that can pass step 2, is checked against the
-full enumeration of prime strings kept in `conftest`.
+Exhaustive mode heads candidates with every settled prime, finds their tails
+from norms alone and tests each one, so a disagreement points at the pruned
+head set (the paper's lemma) or at the signature index that accepts pruned
+candidates without a test.  Exhaustive mode's own cut, to the prime strings
+that can pass step 2, is checked against the full enumeration of prime
+strings kept in `conftest`.
 """
 
-from conftest import _candidates_enumerated
+import pytest
+
+from conftest import _candidates_enumerated, missed_clones
 from test_acceptance import corpus_params
+from test_engine import refine_over_split_base
 from tnbpa import engine
-from tnbpa.engine import CandidateMode, compute_bisimilarity_base
+from tnbpa.engine import (
+    CandidateMode,
+    EngineInternalError,
+    _signature,
+    _strip,
+    candidates_for,
+    compute_bisimilarity_base,
+)
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
 
@@ -44,30 +55,61 @@ def test_modes_agree_on_the_wide_grid():
     assert list(_mode_mismatches(WIDE_GRID)) == []
 
 
-def test_wide_grid_catches_a_head_index_over_the_old_base(monkeypatch):
-    # The mutant indexes each old prime by its decreasing rules decomposed over
-    # the old base instead of the new one, so pruned mode misses heads whose
-    # rule matches only over the new base (see `OLD_LPF_TEXT` in
-    # test_engine.py).  No system of the acceptance corpus shows it.
-    old = {}
-    refine = engine.refine
+# Mutants of the signature lookup, by the name in `engine` they replace.  Each
+# makes pruned mode miss or invent equations: a hit whose old(j) is not
+# compared (step 1 always passes) or a key without the increasing moves lets
+# a head through that `lpftest` would reject, a tail stripped one id short
+# finds the wrong heads, and without its in-place targets a constant loses
+# the equations accepted at step 4.
+KEY_MUTANTS = {
+    "old-word-dropped": ("_step_one", lambda base, i, head, old_tail: True),
+    "increasing-dropped": ("_signature", lambda dec, inc: _signature(dec, ())),
+    "tail-one-short": ("_strip", lambda word, tail: _strip(word, tail[1:])),
+    "in-place-dropped": (
+        "candidates_for",
+        lambda std, base, partial, i, fixed, mode: [
+            (delta, res)
+            for delta, res in candidates_for(std, base, partial, i, fixed, mode)
+            if res is not None or mode is CandidateMode.EXHAUSTIVE
+        ],
+    ),
+}
 
-    def recording(std, base, fixed, mode=CandidateMode.PRUNED):
-        old["base"] = base
-        return refine(std, base, fixed, mode)
 
-    class OldBaseIndex(engine._PartialBase):
-        # Shadows `dcmp_memo` with the old base's only while an old prime is
-        # indexed; the partial base's own memo is left untouched.
-        def settle_prime(self, j, dec_rules):
-            if j in old["base"].primes:
-                self.dcmp_memo = old["base"].dcmp_memo
-            super().settle_prime(j, dec_rules)
-            self.__dict__.pop("dcmp_memo", None)
+def _first_catch(grid):
+    """The first check that fails on the grid: the modes disagree, a planted
+    clone is missed, or a constant accepts two candidates."""
+    for params in grid:
+        try:
+            if next(_mode_mismatches([params]), None) is not None:
+                return "mode agreement"
+            if missed_clones(params):
+                return "planted clones"
+        except EngineInternalError as exc:
+            assert "two candidates accepted" in str(exc)
+            return "two acceptances"
+    return None
 
-    monkeypatch.setattr(engine, "refine", recording)
-    monkeypatch.setattr(engine, "_PartialBase", OldBaseIndex)
-    assert next(_mode_mismatches(WIDE_GRID), None) is not None
+
+@pytest.mark.parametrize("mutant, caught_by", [
+    pytest.param("increasing-dropped", "mode agreement", id="increasing-dropped"),
+    pytest.param("tail-one-short", "mode agreement", id="tail-one-short"),
+    pytest.param("in-place-dropped", "mode agreement", id="in-place-dropped"),
+])
+def test_wide_grid_catches_a_key_mutant(monkeypatch, mutant, caught_by):
+    name, replacement = KEY_MUTANTS[mutant]
+    monkeypatch.setattr(engine, name, replacement)
+    assert _first_catch(WIDE_GRID) == caught_by
+
+
+def test_split_old_base_catches_the_old_word_mutant(monkeypatch):
+    # Over the bases refinement produces, matching moves imply matching old
+    # decompositions, so no generated system shows this mutant; the
+    # hand-built base of `refine_over_split_base` does.
+    name, replacement = KEY_MUTANTS["old-word-dropped"]
+    monkeypatch.setattr(engine, name, replacement)
+    with pytest.raises(EngineInternalError, match="two candidates accepted"):
+        refine_over_split_base()
 
 
 def _passes(trace):
@@ -101,8 +143,8 @@ def test_exhaustive_mode_matches_the_full_enumeration(monkeypatch):
             return len(ids) - 1 <= len(s) and s[len(s) - (len(ids) - 1):] == ids[1:]
 
         tested = cut(std, base, partial, i, fixed, mode)
-        assert tested == [d for d in full if tail_is_suffix_of_s(d)]
-        return full
+        assert tested == [(d, None) for d in full if tail_is_suffix_of_s(d)]
+        return [(d, None) for d in full]
 
     monkeypatch.setattr(engine, "candidates_for", enumerated)
     for std, passes in zip(systems, expected):

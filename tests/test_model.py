@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import SYSB_TEXT
 from tnbpa.model import (
+    TAU,
+    BpaSystem,
     ParseError,
+    Rule,
     format_process,
     parse_process,
     parse_system,
@@ -81,6 +86,27 @@ def test_serialize_round_trip_fuzz():
     for seed in range(25):
         sys = random_system(GenParams(constants=6, seed=seed))
         assert parse_system(serialize_system(sys)) == sys
+
+
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_']{0,3}", fullmatch=True)
+
+
+@st.composite
+def systems(draw):
+    """Any well-formed system: names the format allows, visible and silent
+    labels, rules in any order, duplicates included."""
+    names = draw(st.lists(_IDENT.filter(lambda s: s not in (TAU, "eps")), max_size=6, unique=True))
+    if not names:
+        return BpaSystem([], [])
+    ids = st.integers(0, len(names) - 1)
+    labels = st.one_of(st.just(TAU), _IDENT)
+    rule = st.builds(Rule, ids, labels, st.lists(ids, max_size=3).map(tuple))
+    return BpaSystem(names, draw(st.lists(rule, max_size=12)))
+
+
+@given(systems())
+def test_serialize_round_trip_property(sys):
+    assert parse_system(serialize_system(sys)) == sys
 
 
 def test_parse_process(ex1_sys):

@@ -1,0 +1,29 @@
+"""Every planted clone is decided bisimilar to the product it copies.
+
+`random_system` plants constants whose rule set is an earlier constant's rule
+set with one tail appended; `conftest.planted_clones` finds them again from
+the rules alone.  A missed equation only makes the engine answer "not
+bisimilar", which the oracle cannot refute and which pruned and exhaustive
+mode could share, so this is the check that the engine finds every equation
+it must.
+"""
+
+import pytest
+
+from conftest import missed_clones, planted_clones
+from test_candidate_counts import family_params
+from test_mode_agreement import WIDE_GRID
+from tnbpa.oracle import random_system
+
+
+def test_no_planted_clone_is_missed_on_the_wide_grid():
+    clones = sum(len(planted_clones(random_system(p))) for p in WIDE_GRID)
+    assert clones > 1000
+    assert [(p, missed) for p in WIDE_GRID if (missed := missed_clones(p))] == []
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+@pytest.mark.parametrize("cap", [1, 4, 8])
+def test_no_planted_clone_is_missed_on_the_random_family(n, cap):
+    assert planted_clones(random_system(family_params(n, cap)))
+    assert missed_clones(family_params(n, cap)) == []

@@ -7,7 +7,9 @@ trace hold every candidate tested and its step, so an engine change that
 alters any decision, or which candidates are tried and in what order, fails
 here.  The plain-text output holds only the base after each pass: its digest
 was recorded before candidates were matched against the fixed decreasing rule
-and must not move under a change that only prunes candidates.  The random
+and must not move under a change that only prunes candidates.  The JSON and
+trace digests last moved when pruned mode began to accept candidates by their
+signature, so that its traces list only accepted and in-place candidates.  The random
 cases also depend on `random_system`'s output for their parameters.  A change
 that means to alter a trace updates the digests in the same commit and says
 why.
@@ -40,43 +42,43 @@ RANDOM_CASES = {
 # --iterations stdout)
 PINNED = {
     "ex1.bpa": (
-        "47139e383c9959fc093c8828d690666fc9f850dd8ea2989b8c07d0d3471820b9",
-        "da9bc34c68af17c9277777c782613a7547a9096250a8d88d18f5dc5739835972",
+        "f592075f7af5e20cf01e32c2887822dead0d69f7fe8ca2dbd0a74836a20f823b",
+        "da0f68579f59c8fc033b4d36bb072ef7932adf3983801253cd3a1fcd0869b099",
         "4ceaa7158a3aa3b2d36791ed8d516192c146e080ad3338a319104d813197bdb9",
     ),
     "sys-b.bpa": (
-        "3fb463d9e9e0ed54c47a45fa33ff05120ec676b80ce94c338d53d45f0e36b573",
-        "c85c6aac77948e8324d5c11abb2083564fa79fcd9065f8c684799a82941ab5f9",
+        "f6b2ec7fd3d21f3d116b7d5fcc85979f3c49d2d7c3cb97ee5f65be2ef1ea99b6",
+        "cdeae69cd92ceaae43805e3b14b223ef7e4c4b7761afffe422e9a924483844df",
         "9c9f48e4d11ebf6c739ad239d518281109d01214c8981abaa84f1275f20e52ff",
     ),
     "rand-n24-cap1-s0": (
-        "359768b45f5e3f1bca68fb5635900f6e296d0720a20dcd47c788e3f5130824f0",
-        "aa5b5448aa20c3cb813c6da82d7ffcda9c53f5c81c5aa64d67b067a253b22664",
+        "534ee36b68aa4ada0cbafd47f60af9ab73c48624610f0b1d676869810204cb63",
+        "e851382ad5cd783a1c54b4551d328b0f6d4ce7ac69dabac766158e9a57729d35",
         "31e4155805d50f0293100fe91608697929ba932e64ce825dbc5427d2780db6ff",
     ),
     "rand-n24-cap4-s30": (
-        "2575460caea97555d91d6e4ec11b3031867cc8e9dbaae920bd009cee1ee702f0",
-        "e22416a9138767eb36f911559f812836ee723a9ba170f3b0b9d02ecd4da90d1f",
+        "9b8c1550a3c5b9f15fbb893adf45ed819124728b0b76d7a9787b9faaa5c05f2f",
+        "334b9eefce231effed54d7ffcef66294f3a690ee6cdd43a4a13abf65553bd443",
         "0235a895bf1b497a6d0404abf3ee42d524434b64d840ccf4ffe34663f7ee105e",
     ),
     "rand-n32-cap8-s45": (
-        "130fdf7172823d186572540d46c3c3ca90b1c1406248ef881088f7f72cb1db71",
-        "0d376658aed25818428cf5b26d9ce988353a28b1661c6040f9564769bb72fd48",
+        "e4a539d3cf7c14ffac1f3a44e254f36edc97b312d014534a95d0e9c56965dbce",
+        "192055be857b261d8bb63f89af110ce0bbacb80bb8a9afdbd93eda3790e48b7a",
         "c9d9a813506a7428f7acd9c33e1c48e729a77194861ed8b76ba8d297142a33ad",
     ),
     "rand-n40-cap4-s15": (
-        "a0580b6112faee0ccbef957b076b4c0625bf9c3acf81d07b17ee6a3dccdd7f55",
-        "cff15ca7017bf87aed6a6611f351edf8a41859246dea17e274567d20740a6b43",
+        "a326cac8df357660c9b16c0a3cd853941dec96bce3423bb1c55a51ca24b681e6",
+        "dea3f017efb4b713abd764319897ea3005509429bff1346a24c0d2647f5ab969",
         "ccf70f7f2ba93d006edfe77d02a38259806b6f9a8eb02f64e8739847ef3bfa89",
     ),
     "rand-n48-cap2-s30": (
-        "36925a178472dba0f661de1db0ded31c8e00a78ddbf09dfe3b6b2a2fc8ae1fbd",
-        "3c929b80f467c205a7ea268a89d4cc736d0dae3169e047e9e710763d1a3faed5",
+        "d5d0bf29e8be395b57eaab70a4acf5eedc07fc3006a584e6ff9079efad9daf76",
+        "ab576272000bfc32fc023b3d82d1d367ac543cde161c81fb45ade0bf6eca4c3d",
         "163ff060bed498ca3c31d8af3cfee8d35e04c66873a71065e2b593a39012fff4",
     ),
     "rand-n64-cap8-s0": (
-        "95141d4710160d1b1704ce0170aa66b5fb75b50ff629e4cd8f52b2c919a4274b",
-        "79c711f7ac1474f19b8a64348b137dd1ace88bb66e76e2ac62d30694941b9951",
+        "baf5451fb4bd6c88268d89b87a744af23bbbf7368d0c696e17eba3594d22b8b7",
+        "79046dc54806d2fd2760cd3c01b984fd51ffc759eaf287c02fed97f7a1e07a9f",
         "fe075435a7c0ca003cfa5159633f1094f59e0af6d62a21b7bd375b103226213d",
     ),
 }
