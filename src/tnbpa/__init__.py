@@ -22,17 +22,28 @@ from .normalization import (
     standardize,
     view,
 )
-from .oracle import (
-    Distinction,
-    GenParams,
-    differential_run,
-    random_system,
-    replay_distinction,
-    verify_base_generators,
-)
 from .strings import NormedString
 
 __version__ = "0.1.0"
+
+# The game oracle is a cross-check, not part of the decision procedure, so it
+# is imported on first use of one of its names (PEP 562).
+_ORACLE_NAMES = frozenset({
+    "Distinction",
+    "GenParams",
+    "differential_run",
+    "random_system",
+    "replay_distinction",
+    "verify_base_generators",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BpaSystem",

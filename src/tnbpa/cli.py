@@ -5,6 +5,9 @@ refutation found, 2 input error, 3 internal assertion failure, exhausted
 resource guard (the interpreter's recursion limit included) or a standard
 output closed before all output was written.  Output is
 deterministic for fixed inputs and flags (no timestamps in machine formats).
+
+The game oracle is imported only by the commands that run it (`check
+--verify`, `gen`, `oracle`, `fuzz`), so the decision commands start without it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import os
 import sys as _sys
 from pathlib import Path
 
-from . import engine, oracle
+from . import engine
 from .base import base_to_json, render_base
 from .model import (
     BpaSystem,
@@ -26,6 +29,8 @@ from .model import (
     serialize_system,
 )
 from .normalization import (
+    GuardExceeded,
+    InvalidParamsError,
     NotTotallyNormedError,
     UNNORMED,
     check_totally_normed,
@@ -69,6 +74,8 @@ def cmd_check(args) -> int:
 
     verification = None
     if args.verify:
+        from . import oracle
+
         # Exploration is bounded: pairs pumped beyond this norm are assumed
         # related, which keeps refutations sound and the search finite.
         budget = max([std.norm_of(left), std.norm_of(right), *std.norms, 0]) + 16
@@ -189,8 +196,10 @@ def cmd_standardize(args) -> int:
     return EXIT_OK
 
 
-def _gen_params(args) -> oracle.GenParams:
-    return oracle.GenParams(
+def _gen_params(args):
+    from .oracle import GenParams
+
+    return GenParams(
         constants=args.constants,
         max_rhs_len=args.max_rhs_len,
         alphabet=args.alphabet,
@@ -203,6 +212,8 @@ def _gen_params(args) -> oracle.GenParams:
 
 
 def cmd_gen(args) -> int:
+    from . import oracle
+
     text = serialize_system(oracle.random_system(_gen_params(args)))
     if args.output:
         Path(args.output).write_text(text)
@@ -212,6 +223,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     sys = _load_system(args.file)
     sem = view(sys)
     left = parse_process(args.left, sys)
@@ -246,6 +259,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from . import oracle
+
     report = oracle.differential_run(
         _gen_params(args),
         args.trials,
@@ -356,10 +371,10 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         print("error: standard output closed before all output was written", file=_sys.stderr)
         return EXIT_INTERNAL
-    except (ParseError, NotTotallyNormedError, oracle.InvalidParamsError) as exc:
+    except (ParseError, NotTotallyNormedError, InvalidParamsError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
-    except (oracle.GuardExceeded, RecursionError) as exc:
+    except (GuardExceeded, RecursionError) as exc:
         print(f"resource guard: {exc}", file=_sys.stderr)
         return EXIT_INTERNAL
     except (AssertionError, engine.EngineInternalError) as exc:

@@ -18,8 +18,7 @@ validate the pruned candidate set and the signature index.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .base import DecompositionBase, initial_base
 from .model import Process, Rule, is_silent
@@ -37,12 +36,25 @@ class VerdictKind(str, enum.Enum):
     NOT_BISIMILAR = "not-bisimilar"
 
 
-@dataclass
 class Verdict:
     """The engine's decision, with the final base as evidence."""
 
-    kind: VerdictKind
-    base: DecompositionBase | None = None
+    # A plain class with slots: every query builds one.
+    __slots__ = ("kind", "base")
+
+    def __init__(self, kind: VerdictKind, base: DecompositionBase | None = None):
+        self.kind = kind
+        self.base = base
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Verdict):
+            return NotImplemented
+        return (self.kind, self.base) == (other.kind, other.base)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Verdict(kind={self.kind!r}, base={self.base!r})"
 
 
 def select_decreasing_rules(std: StandardSystem) -> tuple[Rule, ...]:
@@ -70,15 +82,22 @@ class _PartialBase(DecompositionBase):
     table, so `dcmp` raises on it, and a memo entry, stored only once its
     constants are settled, stays exact to the end of the pass.
 
-    `settle_prime` also files each prime j under its signature: the
-    (label, new(beta)) of its decreasing rules and the (label, old(gamma)) of
-    its increasing rules, over this base and the previous one, `old`.  old(j)
-    is no part of the key: it can be exponentially long, so hits compare it.
+    In pruned mode `settle_prime` also files each prime j under its
+    signature: the (label, new(beta)) of its decreasing rules and the
+    (label, old(gamma)) of its increasing rules, over this base and the
+    previous one, `old`.  old(j) is no part of the key: it can be
+    exponentially long, so hits compare it.  Exhaustive mode never reads the
+    index, so it files nothing.
     """
 
-    __slots__ = ("std", "old", "_by_signature", "_cut_lengths")
+    __slots__ = ("std", "old", "_indexed", "_by_signature", "_cut_lengths")
 
-    def __init__(self, std: StandardSystem, old: DecompositionBase):
+    def __init__(
+        self,
+        std: StandardSystem,
+        old: DecompositionBase,
+        mode: CandidateMode = CandidateMode.PRUNED,
+    ):
         self.n = std.n
         self.norms = std.norms
         self.std = std
@@ -87,19 +106,22 @@ class _PartialBase(DecompositionBase):
         self.equations: dict[int, NormedString] = {}
         self._memo = {}
         self._factors = {}
+        self._indexed = mode is CandidateMode.PRUNED
         # signature -> the primes filed under it.
         self._by_signature: dict[tuple, list[int]] = {}
         # label -> the lengths of the decreasing rules' decompositions under it.
         self._cut_lengths: dict[str, set[int]] = {}
 
     def settle_prime(self, j: int) -> None:
-        """Mark j prime and file it under its signature.
+        """Mark j prime and, in pruned mode, file it under its signature.
 
         Exact for the same reason as the memo: a decreasing rule of j mentions
         only constants below j, all settled before j.
         """
         self.primes.add(j)
         self._factors[j] = (j,)
+        if not self._indexed:
+            return
         old, new = self.old.dcmp_memo, self.dcmp_memo
         dec = [(r.label, new(r.rhs)) for r in self.std.dec_rules(j)]
         inc = [(r.label, old(r.rhs)) for r in self.std.inc_rules(j)]
@@ -124,8 +146,7 @@ def _strip(word: tuple[int, ...], tail: tuple[int, ...]) -> tuple[int, ...] | No
     return word[:cut] if cut >= 0 and word[cut:] == tail else None
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     accepted: bool
     step: int  # accepting step (4 early, 7 full) or the step that rejected
 
@@ -318,23 +339,20 @@ def candidates_for(
     return sorted(found.items())
 
 
-@dataclass
-class CandidateOutcome:
+class CandidateOutcome(NamedTuple):
     delta: Process
     accepted: bool
     step: int
 
 
-@dataclass
-class ConstantOutcome:
+class ConstantOutcome(NamedTuple):
     constant: int
     outcome: str  # "equation" | "prime"
     equation: Process | None
     candidates: list[CandidateOutcome]
 
 
-@dataclass
-class IterationRecord:
+class IterationRecord(NamedTuple):
     number: int
     primes_before: tuple[int, ...]
     primes_after: tuple[int, ...]
@@ -347,6 +365,7 @@ def refine(
     base: DecompositionBase,
     fixed: tuple[Rule, ...],
     mode: CandidateMode = CandidateMode.PRUNED,
+    number: int = 1,
 ) -> tuple[DecompositionBase, IterationRecord]:
     """One refinement pass: rebuild all equations bottom-up against `base`.
 
@@ -356,7 +375,7 @@ def refine(
     accepted candidate is wrapped in a `NormedString`, the form in which a
     base stores its equations.
     """
-    partial = _PartialBase(std, base)
+    partial = _PartialBase(std, base, mode)
     outcomes: list[ConstantOutcome] = []
 
     for i in range(std.n):
@@ -387,7 +406,7 @@ def refine(
     if not base.primes <= new_base.primes:
         raise EngineInternalError("prime set shrank during refinement")
     record = IterationRecord(
-        number=0,
+        number=number,
         primes_before=tuple(sorted(base.primes)),
         primes_after=tuple(sorted(new_base.primes)),
         new_primes=tuple(sorted(new_base.primes - base.primes)),
@@ -412,8 +431,7 @@ def compute_bisimilarity_base(
     if std.n == 0:
         return current, trace
     for number in range(1, std.n + 1):
-        refined, record = refine(std, current, fixed, mode)
-        record.number = number
+        refined, record = refine(std, current, fixed, mode, number)
         trace.append(record)
         if refined.primes == current.primes:
             if refined != current:

@@ -12,8 +12,7 @@ Systems are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 TAU = "tau"
 
@@ -44,16 +43,14 @@ def is_silent(label: str) -> bool:
     return label == TAU
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(NamedTuple):
     """A process constant; ids are dense and follow declaration order."""
 
     id: int
     name: str
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A transition rule ``lhs -label-> rhs``."""
 
     lhs: int
@@ -76,17 +73,14 @@ class BpaSystem:
                 raise ValueError(f"duplicate constant {c.name!r}")
             by_name[c.name] = c.id
 
-        seen: set[Rule] = set()
-        kept: list[Rule] = []
-        for r in rules:
-            if r.lhs >= len(constants) or any(c >= len(constants) for c in r.rhs):
+        n = len(constants)
+        kept = tuple(dict.fromkeys(rules))
+        for r in kept:
+            if not 0 <= r.lhs < n or any(not 0 <= c < n for c in r.rhs):
                 raise ValueError(f"rule {r} references an undeclared constant id")
-            if r not in seen:
-                seen.add(r)
-                kept.append(r)
 
         self.constants: tuple[Constant, ...] = constants
-        self.rules: tuple[Rule, ...] = tuple(kept)
+        self.rules: tuple[Rule, ...] = kept
         self.actions: frozenset[str] = frozenset(r.label for r in self.rules)
         self._by_name = by_name
         rules_of: list[list[Rule]] = [[] for _ in constants]
@@ -122,14 +116,12 @@ class BpaSystem:
         return f"BpaSystem({len(self.constants)} constants, {len(self.rules)} rules)"
 
 
-def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
-    out = []
+def _column(line: str, toks: list[str], k: int) -> int:
+    """The 1-based column of toks[k], the k-th whitespace-separated token of line."""
     col = 0
-    for tok in line.split():
-        col = line.index(tok, col)
-        out.append((tok, col + 1))
-        col += len(tok)
-    return out
+    for tok in toks[:k]:
+        col = line.index(tok, col) + len(tok)
+    return line.index(toks[k], col) + 1
 
 
 def parse_system(text: str) -> BpaSystem:
@@ -142,50 +134,54 @@ def parse_system(text: str) -> BpaSystem:
     index: dict[str, int] = {}
     rules: list[Rule] = []
 
-    def resolve(name: str, lineno: int, col: int) -> int:
-        if name not in index:
-            raise ParseError(f"undeclared constant {name!r}", lineno, col)
-        return index[name]
+    # Both read the line being parsed.  A column is worked out only for the
+    # token that fails.
+    def fail(message: str, k: int) -> ParseError:
+        return ParseError(message, lineno, _column(line, toks, k))
+
+    def resolve(k: int) -> int:
+        try:
+            return index[toks[k]]
+        except KeyError:
+            raise fail(f"undeclared constant {toks[k]!r}", k) from None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]
-        toks = _tokens_with_columns(line)
+        toks = line.split()
         if not toks:
             continue
-        head, head_col = toks[0]
+        head = toks[0]
         if head == "constants:":
-            for name, col in toks[1:]:
+            for k in range(1, len(toks)):
+                name = toks[k]
                 if name in _RESERVED_NAMES:
-                    raise ParseError(f"{name!r} is reserved and cannot name a constant", lineno, col)
+                    raise fail(f"{name!r} is reserved and cannot name a constant", k)
                 if not _IDENT.match(name):
-                    raise ParseError(f"invalid constant name {name!r}", lineno, col)
+                    raise fail(f"invalid constant name {name!r}", k)
                 if name in index:
-                    raise ParseError(f"constant {name!r} declared twice", lineno, col)
+                    raise fail(f"constant {name!r} declared twice", k)
                 index[name] = len(names)
                 names.append(name)
             continue
 
         if len(toks) < 3:
-            raise ParseError("expected rule of the form '<name> -<action>-> <rhs>'", lineno, head_col)
+            raise fail("expected rule of the form '<name> -<action>-> <rhs>'", 0)
         if not _IDENT.match(head):
-            raise ParseError(f"invalid constant name {head!r}", lineno, head_col)
-        lhs = resolve(head, lineno, head_col)
-        arrow, arrow_col = toks[1]
-        m = _ARROW.match(arrow)
+            raise fail(f"invalid constant name {head!r}", 0)
+        lhs = resolve(0)
+        m = _ARROW.match(toks[1])
         if not m:
-            raise ParseError(f"malformed action arrow {arrow!r}", lineno, arrow_col)
-        label = m.group(1)
-        rhs_toks = toks[2:]
-        if len(rhs_toks) == 1 and rhs_toks[0][0] == "eps":
+            raise fail(f"malformed action arrow {toks[1]!r}", 1)
+        if len(toks) == 3 and toks[2] == "eps":
             rhs: Process = EPSILON
         else:
             ids = []
-            for name, col in rhs_toks:
-                if name == "eps":
-                    raise ParseError("'eps' must stand alone as a rule right-hand side", lineno, col)
-                ids.append(resolve(name, lineno, col))
+            for k in range(2, len(toks)):
+                if toks[k] == "eps":
+                    raise fail("'eps' must stand alone as a rule right-hand side", k)
+                ids.append(resolve(k))
             rhs = tuple(ids)
-        rules.append(Rule(lhs, label, rhs))
+        rules.append(Rule(lhs, m.group(1), rhs))
 
     return BpaSystem(names, rules)
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .model import (
     BpaSystem,
@@ -35,6 +34,26 @@ class EngineInternalError(AssertionError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
+# The oracle raises the next four.  They live here so that the command line
+# can catch them without importing the oracle.
+
+
+class GuardExceeded(RuntimeError):
+    pass
+
+
+class ClosureGuardExceeded(GuardExceeded):
+    pass
+
+
+class StateGuardExceeded(GuardExceeded):
+    pass
+
+
+class InvalidParamsError(ValueError):
+    """A generator parameter is outside its range."""
+
+
 class NotTotallyNormedError(ValueError):
     """The input system is outside the totally normed fragment."""
 
@@ -48,8 +67,7 @@ class RuleClass(enum.Enum):
     INCREASING = "increasing"
 
 
-@dataclass(frozen=True)
-class NormTable:
+class NormTable(NamedTuple):
     """Per-constant norms plus, for each normed constant, a witness rule.
 
     ``values[c]`` is ``UNNORMED`` (``math.inf``) when ``c`` cannot reach eps.
@@ -251,7 +269,6 @@ def contract_loops(sys: BpaSystem, norms: NormTable) -> tuple[BpaSystem, dict[st
     return BpaSystem(names, rules), name_map
 
 
-@dataclass(frozen=True, eq=False)
 class SystemView:
     """A totally normed system with its norms and per-rule classification.
 
@@ -260,10 +277,17 @@ class SystemView:
     on systems that were never contracted or renumbered.
     """
 
-    sys: BpaSystem
-    norms: tuple[int, ...]
-    classes: tuple[RuleClass, ...]
-    witness: tuple[int, ...]
+    def __init__(
+        self,
+        sys: BpaSystem,
+        norms: tuple[int, ...],
+        classes: tuple[RuleClass, ...],
+        witness: tuple[int, ...],
+    ):
+        self.sys = sys
+        self.norms = norms
+        self.classes = classes
+        self.witness = witness
 
     @property
     def n(self) -> int:
@@ -311,7 +335,6 @@ def view(sys: BpaSystem) -> SystemView:
     return SystemView(sys, norms, classes, tuple(table.witness))
 
 
-@dataclass(frozen=True, eq=False)
 class StandardSystem(SystemView):
     """A contracted system reindexed into standard order.
 
@@ -321,7 +344,16 @@ class StandardSystem(SystemView):
     the name of its (possibly contracted) representative.
     """
 
-    name_map: dict[str, str]
+    def __init__(
+        self,
+        sys: BpaSystem,
+        norms: tuple[int, ...],
+        classes: tuple[RuleClass, ...],
+        witness: tuple[int, ...],
+        name_map: dict[str, str],
+    ):
+        super().__init__(sys, norms, classes, witness)
+        self.name_map = name_map
 
     @cached_property
     def _id_of_original_name(self) -> dict[str, int]:

@@ -22,7 +22,11 @@ from typing import Callable, Sequence
 from .base import DecompositionBase
 from .model import TAU, BpaSystem, Process, Rule, format_process, is_silent
 from .normalization import (
+    ClosureGuardExceeded,
     EngineInternalError,
+    GuardExceeded,
+    InvalidParamsError,
+    StateGuardExceeded,
     SystemView,
     check_totally_normed,
     compute_norms,
@@ -30,7 +34,8 @@ from .normalization import (
 )
 from . import engine as _engine
 
-# Resource guards: exceeding one raises a GuardExceeded.
+# Resource guards: exceeding one raises a GuardExceeded.  The guard errors
+# and InvalidParamsError are defined in `normalization` and re-exported here.
 CLOSURE_LIMIT = 10_000
 MEMO_LIMIT = 400_000
 NODE_LIMIT = 200_000
@@ -38,18 +43,6 @@ NODE_LIMIT = 200_000
 # a differential trial's generator check samples this many pairs.
 NORM_BUDGET = 24
 GENERATOR_SAMPLES = 10
-
-
-class GuardExceeded(RuntimeError):
-    pass
-
-
-class ClosureGuardExceeded(GuardExceeded):
-    pass
-
-
-class StateGuardExceeded(GuardExceeded):
-    pass
 
 
 class ReplayError(AssertionError):
@@ -575,10 +568,6 @@ def sample_dcmp_equal_pair(std, base: DecompositionBase, rng: random.Random, max
 
 # ---------------------------------------------------------------------------
 # random systems
-
-
-class InvalidParamsError(ValueError):
-    """A generator parameter is outside its range."""
 
 
 @dataclass(frozen=True)

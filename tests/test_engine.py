@@ -102,6 +102,32 @@ def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
             [(names, None) for names in expected]
 
 
+def test_exhaustive_passes_file_no_signatures(monkeypatch):
+    # Exhaustive candidates are read from norms alone, so its partial bases
+    # need no signature index.
+    partials = []
+
+    class Recording(_PartialBase):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            partials.append(self)
+
+    monkeypatch.setattr(engine, "_PartialBase", Recording)
+    std = standardize(random_system(GenParams(constants=32, norm_cap=4, seed=5)))
+    runs = {}
+    for mode in CandidateMode:
+        partials.clear()
+        final, trace = compute_bisimilarity_base(std, mode)
+        runs[mode] = pass_bases(std, trace)
+        assert runs[mode][-1] == final
+        filed = [bool(p._by_signature or p._cut_lengths) for p in partials]
+        assert len(filed) == len(trace) > 1
+        assert all(filed) if mode is CandidateMode.PRUNED else not any(filed)
+    assert runs[CandidateMode.PRUNED] == runs[CandidateMode.EXHAUSTIVE]
+
+
 def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
     base = initial_base(sysb_std)
     partial = _PartialBase(sysb_std, base)

@@ -35,6 +35,20 @@ def test_vacuous_rule_set_parses():
     assert sys.n == 1 and sys.rules == ()
 
 
+@pytest.mark.parametrize(
+    "rules",
+    [
+        [Rule(1, "a", (-1,)), Rule(-1, "b", ())],
+        [Rule(0, "a", (2,))],
+        [Rule(2, "a", ())],
+    ],
+)
+def test_rules_must_name_declared_constant_ids(rules):
+    # A negative id would index from the end of the constant table.
+    with pytest.raises(ValueError, match="undeclared constant id"):
+        BpaSystem(["A", "B"], rules)
+
+
 def test_undeclared_constant_in_rhs():
     with pytest.raises(ParseError, match="undeclared constant 'Y'") as exc:
         parse_system("constants: X\nX -a-> X Y\n")
@@ -65,6 +79,28 @@ def test_malformed_arrow():
 def test_eps_must_stand_alone():
     with pytest.raises(ParseError, match="stand alone"):
         parse_system("constants: X\nX -a-> eps X\n")
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("constants: X\n  Q -a-> eps\n", "undeclared constant 'Q'", 2, 3),
+        ("constants: X\nX -a->  X X\tY\n", "undeclared constant 'Y'", 2, 13),
+        ("constants: X\n\nconstants: Y  tau\n", "'tau' is reserved", 3, 15),
+        ("constants: X\nconstants: Y 9X\n", "invalid constant name '9X'", 2, 14),
+        ("constants: X\n9X -a-> eps\n", "invalid constant name '9X'", 2, 1),
+        ("constants: X X' X\n", "constant 'X' declared twice", 1, 17),
+        ("constants: X\nX X ->a-> eps\n", "malformed action arrow 'X'", 2, 3),
+        ("constants: X\n   X -a->  # comment\n", "expected rule", 2, 4),
+        ("constants: X\nX -a-> X eps\n", "'eps' must stand alone", 2, 10),
+        ("constants: X\nX -a-> eps eps\n", "'eps' must stand alone", 2, 8),
+    ],
+)
+def test_parse_error_positions(text, message, line, column):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_system(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value).startswith(f"line {line}, column {column}: ")
 
 
 def test_comments_and_blank_lines():

@@ -301,6 +301,31 @@ def test_import_needs_no_networkx():
     assert _python(code) == "False"
 
 
+def test_import_loads_only_the_decision_pipeline():
+    code = """
+import sys, tnbpa
+print(sorted(m for m in ("tnbpa.oracle", "tnbpa.cli", "dataclasses", "inspect") if m in sys.modules))
+from tnbpa import GenParams, random_system
+print(random_system(GenParams(constants=3, seed=1)).n, "tnbpa.oracle" in sys.modules)
+"""
+    assert _python(code).splitlines() == ["[]", "3 True"]
+
+
+def test_decision_commands_leave_the_oracle_unloaded():
+    ex1 = Path(__file__).resolve().parents[1] / "systems" / "ex1.bpa"
+    code = f"""
+import contextlib, io, sys
+from tnbpa.cli import main
+codes = []
+for argv in (["check", {str(ex1)!r}, "--left", "X", "--right", "Y"], ["base", {str(ex1)!r}],
+             ["norms", {str(ex1)!r}], ["standardize", {str(ex1)!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(codes, "tnbpa.oracle" in sys.modules)
+"""
+    assert _python(code) == "[1, 0, 0, 0] False"
+
+
 def test_invariant_checks_survive_python_o():
     # With contraction disabled a silent 2-cycle reaches the standard order,
     # and a wrong norm table leaves a constant without a decreasing rule.
