@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .base import DecompositionBase
@@ -55,11 +56,9 @@ class ReplayError(AssertionError):
 
 @dataclass(frozen=True)
 class SilentClosure:
-    """All processes reachable by silent decreasing steps, with step parents."""
+    """All processes reachable by silent decreasing steps, in BFS order."""
 
-    source: Process
     states: tuple[Process, ...]
-    parents: dict[Process, Process | None]
 
 
 def silent_closure_dec(view: SystemView, p: Process) -> SilentClosure:
@@ -68,23 +67,18 @@ def silent_closure_dec(view: SystemView, p: Process) -> SilentClosure:
     The guard is a tripwire, not a truncation: exceeding it raises, because a
     closure this large indicates a generator or normalization bug.
     """
-    parents: dict[Process, Process | None] = {p: None}
+    seen = {p}
     order = [p]
-    frontier = [p]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for succ in view.silent_dec_transitions(q):
-                if succ not in parents:
-                    parents[succ] = q
-                    order.append(succ)
-                    nxt.append(succ)
-                    if len(order) > CLOSURE_LIMIT:
-                        raise ClosureGuardExceeded(
-                            f"silent closure of {p} exceeded {CLOSURE_LIMIT} states"
-                        )
-        frontier = nxt
-    return SilentClosure(p, tuple(order), parents)
+    for q in order:
+        for succ in view.silent_dec_transitions(q):
+            if succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+                if len(order) > CLOSURE_LIMIT:
+                    raise ClosureGuardExceeded(
+                        f"silent closure of {p} exceeded {CLOSURE_LIMIT} states"
+                    )
+    return SilentClosure(tuple(order))
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +111,22 @@ class Distinction:
     target: Process
     replies: tuple[DefenderReply, ...]
 
-    def size(self) -> int:
+    def nodes(self) -> list[Distinction]:
+        """The distinct nodes reachable from this one, in depth-first preorder."""
         seen: set[int] = set()
+        order: list[Distinction] = []
         stack = [self]
         while stack:
             node = stack.pop()
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            stack.extend(r.child for r in node.replies)
-        return len(seen)
+            order.append(node)
+            stack.extend(r.child for r in reversed(node.replies))
+        return order
+
+    def size(self) -> int:
+        return len(self.nodes())
 
 
 class GameContext:
@@ -150,8 +150,7 @@ class GameContext:
         self.norm_budget = norm_budget
         self._closures: dict[Process, SilentClosure] = {}
         self._memo: dict[tuple[Process, Process, int], bool] = {}
-        self._refutations: dict[tuple[Process, Process, int], Distinction] = {}
-        self._descents: dict[tuple[Process, Process], Distinction] = {}
+        self._strategies: dict[tuple[Process, Process, int | None], Distinction] = {}
 
     def closure(self, p: Process) -> SilentClosure:
         hit = self._closures.get(p)
@@ -212,18 +211,18 @@ class GameContext:
         whose pre-action state is related to the mover's source and whose
         post-action state is related to the mover's target.
         """
-        return self._half_round(relate, p, q) and self._half_round(
+        return self._unanswered(relate, p, q) is None and self._unanswered(
             lambda b, a: relate(a, b), q, p
-        )
+        ) is None
 
-    def _half_round(self, relate, mover: Process, defender: Process) -> bool:
+    def _unanswered(self, relate, mover: Process, defender: Process) -> tuple[str, Process] | None:
+        """The first move of `mover` that `defender` cannot match, or None."""
         for label, t in self.view.transitions(mover):
             if is_silent(label) and relate(t, defender):
                 continue
-            if self._has_reply(relate, mover, t, label, defender):
-                continue
-            return False
-        return True
+            if not self._has_reply(relate, mover, t, label, defender):
+                return label, t
+        return None
 
     def _has_reply(self, relate, mover, target, label, defender) -> bool:
         for mid in self.closure(defender).states:
@@ -251,96 +250,74 @@ class GameContext:
             k += 1
         return k
 
-    def _check_node_budget(self) -> None:
-        if len(self._refutations) + len(self._descents) > NODE_LIMIT:
-            raise StateGuardExceeded(f"strategy extraction exceeded {NODE_LIMIT} nodes")
+    def _refute(self, p: Process, q: Process, k: int | None) -> Distinction:
+        """Attacker strategy for a pair that is not related at level k.
 
-    def _refute(self, p: Process, q: Process, k: int) -> Distinction:
-        view = self.view
-        if view.norm_of(p) != view.norm_of(q):
-            return self._norm_descent(p, q)
-        key = (p, q, k)
-        hit = self._refutations.get(key)
-        if hit is not None:
-            return hit
-        if k < 1:
-            raise AssertionError("norm-equal pair cannot fail at level 0")
-        km1 = k - 1
-        for side, att, dfd in (("left", p, q), ("right", q, p)):
-            for label, t in view.transitions(att):
-                if is_silent(label) and self.related(t, dfd, km1):
-                    continue
-                if self._has_reply(lambda a, b: self.related(a, b, km1), att, t, label, dfd):
-                    continue
-                node = self._node(side, p, q, att, dfd, label, t, km1)
-                self._refutations[key] = node
-                self._check_node_budget()
-                return node
-        raise AssertionError("approximant failed but every transition is matched")
+        A norm-equal pair is attacked with the first move the other side
+        cannot match at level k - 1.  A norm-unequal pair is not related at
+        any level, so its level is dropped (k is None) and its nodes are
+        shared across levels: it is attacked along the smaller side's
+        norm-witness path, and every defender reply keeps the norms unequal.
+        Once one side is empty the other descends, and its first visible
+        witness step cannot be answered.
 
-    def _node(self, side, p, q, att, dfd, label, t, km1) -> Distinction:
-        replies: list[DefenderReply] = []
-        if is_silent(label):
-            stay_pair = (t, q) if side == "left" else (p, t)
-            replies.append(DefenderReply("stay", None, None, self._refute(*stay_pair, km1)))
-        for mid in self.closure(dfd).states:
-            for lab, res in self.view.transitions(mid):
-                if lab != label:
-                    continue
-                if not self.related(att, mid, km1):
-                    pair = (p, mid) if side == "left" else (mid, q)
-                elif not self.related(t, res, km1):
-                    pair = (t, res) if side == "left" else (res, t)
-                else:
-                    raise AssertionError("witness transition has an answered reply")
-                replies.append(DefenderReply("move", mid, res, self._refute(*pair, km1)))
-        return Distinction(p, q, side, label, t, tuple(replies))
-
-    def _witness_step(self, p: Process) -> tuple[str, Process]:
-        # The norm fixpoint's witness rule of the head; witness rules form a
-        # well-founded descent even on systems that were never standardized.
-        r = self.view.sys.rules[self.view.witness[p[0]]]
-        return r.label, r.rhs + p[1:]
-
-    def _norm_descent(self, p: Process, q: Process) -> Distinction:
-        """Attacker strategy for a norm-unequal pair.
-
-        Descend the smaller side's norm-witness path; every defender reply
-        keeps the norms unequal.  Once one side is empty, descend the other:
-        its first visible witness step cannot be answered by the empty
-        process.
+        Every defender reply is listed, in the order replay enumerates them:
+        the stay reply to a silent move, then each matching move from the
+        defender's closure.  Each continues at a pair the reply leaves
+        unrelated; in a descent that is always the post-action pair.
         """
         view = self.view
-        key = (p, q)
-        hit = self._descents.get(key)
+        if k is not None and view.norm_of(p) != view.norm_of(q):
+            k = None
+        key = (p, q, k)
+        hit = self._strategies.get(key)
         if hit is not None:
             return hit
-        np_, nq = view.norm_of(p), view.norm_of(q)
-        if np_ == nq:
-            raise AssertionError("norm descent on a norm-equal pair")
-        if not p:
-            side, att, dfd = "right", q, p
-        elif not q:
-            side, att, dfd = "left", p, q
-        elif np_ < nq:
-            side, att, dfd = "left", p, q
+        if k is None:
+            km1 = None
+            np_, nq = view.norm_of(p), view.norm_of(q)
+            if np_ == nq:
+                raise AssertionError("norm descent on a norm-equal pair")
+            side = "left" if p and (not q or np_ < nq) else "right"
+            att = p if side == "left" else q
+            # The norm fixpoint's witness rule of the head; witness rules form
+            # a well-founded descent even on systems never standardized.
+            r = view.sys.rules[view.witness[att[0]]]
+            label, t = r.label, r.rhs + att[1:]
+        elif k < 1:
+            raise AssertionError("norm-equal pair cannot fail at level 0")
         else:
-            side, att, dfd = "right", q, p
+            km1 = k - 1
+            relate = lambda a, b: self.related(a, b, km1)
+            for side, att, dfd in (("left", p, q), ("right", q, p)):
+                move = self._unanswered(relate, att, dfd)
+                if move is not None:
+                    label, t = move
+                    break
+            else:
+                raise AssertionError("approximant failed but every transition is matched")
 
-        label, t = self._witness_step(att)
+        if side == "left":
+            att, dfd, pair = p, q, lambda a, b: (a, b)
+        else:
+            att, dfd, pair = q, p, lambda a, b: (b, a)
         replies: list[DefenderReply] = []
         if is_silent(label):
-            stay_pair = (t, q) if side == "left" else (p, t)
-            replies.append(DefenderReply("stay", None, None, self._norm_descent(*stay_pair)))
+            replies.append(DefenderReply("stay", None, None, self._refute(*pair(t, dfd), km1)))
         for mid in self.closure(dfd).states:
             for lab, res in view.transitions(mid):
                 if lab != label:
                     continue
-                pair = (t, res) if side == "left" else (res, t)
-                replies.append(DefenderReply("move", mid, res, self._norm_descent(*pair)))
-        node = Distinction(p, q, side, label, t, tuple(replies))
-        self._descents[key] = node
-        self._check_node_budget()
+                if k is not None and not relate(att, mid):
+                    nxt = pair(att, mid)
+                elif k is None or not relate(t, res):
+                    nxt = pair(t, res)
+                else:
+                    raise AssertionError("witness transition has an answered reply")
+                replies.append(DefenderReply("move", mid, res, self._refute(*nxt, km1)))
+        node = self._strategies[key] = Distinction(p, q, side, label, t, tuple(replies))
+        if len(self._strategies) > NODE_LIMIT:
+            raise StateGuardExceeded(f"strategy extraction exceeded {NODE_LIMIT} nodes")
         return node
 
 
@@ -408,19 +385,8 @@ def replay_distinction(view: SystemView, d: Distinction) -> None:
 def distinction_to_json(view: SystemView, d: Distinction) -> dict:
     """Render a strategy as a node table with child indices (subgames shared)."""
     sys = view.sys
-    index: dict[int, int] = {}
-    nodes: list[Distinction] = []
-
-    def number(node: Distinction) -> int:
-        if id(node) in index:
-            return index[id(node)]
-        index[id(node)] = len(nodes)
-        nodes.append(node)
-        for r in node.replies:
-            number(r.child)
-        return index[id(node)]
-
-    number(d)
+    nodes = d.nodes()
+    index = {id(n): i for i, n in enumerate(nodes)}
     return {
         "root": 0,
         "nodes": [
@@ -463,7 +429,6 @@ class GeneratorCheck:
 @dataclass
 class GeneratorReport:
     checks: list[GeneratorCheck]
-    k_max: int
 
     @property
     def ok(self) -> bool:
@@ -534,7 +499,7 @@ def verify_base_generators(
             )
         )
 
-    return GeneratorReport(checks, k_max)
+    return GeneratorReport(checks)
 
 
 def _fold_composites(base: DecompositionBase, ids: Sequence[int], rng: random.Random, rounds: int = 4) -> Process:
@@ -628,33 +593,29 @@ def random_system(params: GenParams) -> BpaSystem:
         rules.append(rule)
         rules_of[rule.lhs].append(rule)
 
+    def draw(k: int, budget: int, most: int) -> list[int]:
+        # Up to `most` constants below k whose norms fit the budget together.
+        picked: list[int] = []
+        for _ in range(rng.randint(0, most)):
+            options = [j for j in range(k) if provisional[j] <= budget]
+            if not options:
+                break
+            j = rng.choice(options)
+            picked.append(j)
+            budget -= provisional[j]
+        return picked
+
     for k in range(params.constants):
         if k > 0 and rng.random() < params.composite_prob:
             head = rng.randrange(k)
             if len(rules_of[head]) <= 10:
-                budget = params.norm_cap - provisional[head]
-                tail: list[int] = []
-                for _ in range(rng.randint(0, max(0, params.max_rhs_len - 1))):
-                    options = [j for j in range(k) if provisional[j] <= budget]
-                    if not options:
-                        break
-                    j = rng.choice(options)
-                    tail.append(j)
-                    budget -= provisional[j]
+                tail = draw(k, params.norm_cap - provisional[head], params.max_rhs_len - 1)
                 for r in rules_of[head]:
                     add(Rule(k, r.label, r.rhs + tuple(tail)))
                 provisional[k] = provisional[head] + sum(provisional[j] for j in tail)
                 continue
 
-        budget = params.norm_cap - 1
-        rhs: list[int] = []
-        for _ in range(rng.randint(0, params.max_rhs_len)):
-            options = [j for j in range(k) if provisional[j] <= budget]
-            if not options:
-                break
-            j = rng.choice(options)
-            rhs.append(j)
-            budget -= provisional[j]
+        rhs = draw(k, params.norm_cap - 1, params.max_rhs_len)
         add(Rule(k, rng.choice(actions), tuple(rhs)))
         provisional[k] = 1 + sum(provisional[j] for j in rhs)
 
@@ -922,24 +883,13 @@ def differential_run(
     jobs: int = 1,
 ) -> DifferentialReport:
     """Run independent trials with derived seeds; optionally in parallel."""
-    args = [
-        (
-            dataclasses.replace(params, seed=params.seed + t),
-            k_max,
-            pairs_per_trial,
-        )
-        for t in range(trials)
-    ]
+    trial = partial(differential_trial, k_max=k_max, pairs_per_trial=pairs_per_trial)
+    trial_params = [dataclasses.replace(params, seed=params.seed + t) for t in range(trials)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_trial_worker, args))
+            reports = list(pool.map(trial, trial_params))
     else:
-        reports = [_trial_worker(a) for a in args]
+        reports = list(map(trial, trial_params))
     return DifferentialReport(reports, k_max)
-
-
-def _trial_worker(packed) -> TrialReport:
-    params, k_max, pairs_per_trial = packed
-    return differential_trial(params, k_max, pairs_per_trial)

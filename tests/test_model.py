@@ -49,17 +49,6 @@ def test_rules_must_name_declared_constant_ids(rules):
         BpaSystem(["A", "B"], rules)
 
 
-def test_undeclared_constant_in_rhs():
-    with pytest.raises(ParseError, match="undeclared constant 'Y'") as exc:
-        parse_system("constants: X\nX -a-> X Y\n")
-    assert exc.value.line == 2
-
-
-def test_undeclared_lhs():
-    with pytest.raises(ParseError, match="undeclared constant 'Q'"):
-        parse_system("constants: X\nQ -a-> eps\n")
-
-
 def test_rule_before_declaration():
     with pytest.raises(ParseError):
         parse_system("X -a-> eps\nconstants: X\n")
@@ -69,16 +58,6 @@ def test_rule_before_declaration():
 def test_reserved_constant_names(name):
     with pytest.raises(ParseError, match="reserved"):
         parse_system(f"constants: {name}\n")
-
-
-def test_malformed_arrow():
-    with pytest.raises(ParseError, match="arrow"):
-        parse_system("constants: X\nX ->a-> eps\n")
-
-
-def test_eps_must_stand_alone():
-    with pytest.raises(ParseError, match="stand alone"):
-        parse_system("constants: X\nX -a-> eps X\n")
 
 
 @pytest.mark.parametrize(
@@ -94,6 +73,11 @@ def test_eps_must_stand_alone():
         ("constants: X\n   X -a->  # comment\n", "expected rule", 2, 4),
         ("constants: X\nX -a-> X eps\n", "'eps' must stand alone", 2, 10),
         ("constants: X\nX -a-> eps eps\n", "'eps' must stand alone", 2, 8),
+        ("constants: X\nX -a-> X Y\n", "undeclared constant 'Y'", 2, 10),
+        ("constants: X\nQ -a-> eps\n", "undeclared constant 'Q'", 2, 1),
+        ("constants: X\nX ->a-> eps\n", "malformed action arrow '->a->'", 2, 3),
+        ("constants: X\nX -a-> eps X\n", "'eps' must stand alone", 2, 8),
+        ("constants: X\nX -a->\n", "expected rule", 2, 1),
     ],
 )
 def test_parse_error_positions(text, message, line, column):
@@ -193,8 +177,3 @@ def test_epsilon_identity():
     p = parse_process("X Y", sys)
     assert transitions_of(sys, p + ()) == transitions_of(sys, p)
     assert () + p == p
-
-
-def test_invalid_rule_arity():
-    with pytest.raises(ParseError, match="expected rule"):
-        parse_system("constants: X\nX -a->\n")

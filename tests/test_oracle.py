@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -32,21 +33,25 @@ from tnbpa.strings import NormedString
 
 def test_closure_without_silent_rules():
     v = view(parse_system("constants: P\nP -a-> eps\n"))
-    closure = silent_closure_dec(v, (0,))
-    assert closure.states == ((0,),)
-    assert closure.parents == {(0,): None}
+    assert silent_closure_dec(v, (0,)).states == ((0,),)
 
 
 def test_closure_example_one(ex1_std):
     x = ex1_std.parse_process("X")
     xp = ex1_std.parse_process("X'")
-    closure = silent_closure_dec(ex1_std, x)
-    assert set(closure.states) == {x, xp}
-    assert closure.parents[xp] == x
+    assert silent_closure_dec(ex1_std, x).states == (x, xp)
 
     xy = ex1_std.parse_process("X Y")
-    closure2 = silent_closure_dec(ex1_std, xy)
-    assert set(closure2.states) == {xy, ex1_std.parse_process("X' Y")}
+    assert silent_closure_dec(ex1_std, xy).states == (xy, ex1_std.parse_process("X' Y"))
+
+
+def test_closure_lists_states_in_bfs_order():
+    # Depth-first order would list W, two silent steps away, before Z.
+    v = view(parse_system(
+        "constants: X Y Z W\nX -tau-> Y\nX -tau-> Z\nY -tau-> W\n"
+        "X -a-> eps\nY -a-> eps\nZ -a-> eps\nW -a-> eps\n"
+    ))
+    assert silent_closure_dec(v, (0,)).states == ((0,), (1,), (2,), (3,))
 
 
 def test_closure_skips_increasing_silent_steps(sysb_std):
@@ -372,3 +377,18 @@ def test_distinction_json_shape(ex1_std):
     for node in payload["nodes"]:
         for reply in node["replies"]:
             assert 0 <= reply["child"] < len(payload["nodes"])
+
+
+def test_deep_strategies_size_and_serialize(ex1_std):
+    # A chain of nodes deeper than the interpreter's recursion limit: size()
+    # and the JSON rendering walk it without recursing.
+    depth = sys.getrecursionlimit() + 100
+    x = ex1_std.parse_process("X")
+    node = Distinction(x, (), "left", "a", (), ())
+    for _ in range(depth - 1):
+        node = Distinction(x, x, "left", "a", (), (DefenderReply("move", x, (), node),))
+    assert node.size() == depth
+    nodes = distinction_to_json(ex1_std, node)["nodes"]
+    assert len(nodes) == depth
+    assert [n["replies"][0]["child"] for n in nodes[:-1]] == list(range(1, depth))
+    assert nodes[-1]["replies"] == []
