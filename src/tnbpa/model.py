@@ -75,9 +75,14 @@ class BpaSystem:
 
         n = len(constants)
         kept = tuple(dict.fromkeys(rules))
+        # Range-check every id at once; only a failure looks for the rule to name.
+        ids = [r.lhs for r in kept]
         for r in kept:
-            if not 0 <= r.lhs < n or any(not 0 <= c < n for c in r.rhs):
-                raise ValueError(f"rule {r} references an undeclared constant id")
+            ids += r.rhs
+        if ids and (min(ids) < 0 or max(ids) >= n):
+            for r in kept:
+                if not 0 <= r.lhs < n or any(not 0 <= c < n for c in r.rhs):
+                    raise ValueError(f"rule {r} references an undeclared constant id")
 
         self.constants: tuple[Constant, ...] = constants
         self.rules: tuple[Rule, ...] = kept

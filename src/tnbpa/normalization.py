@@ -81,7 +81,11 @@ class NormTable(NamedTuple):
     witness: tuple[int | None, ...]
 
     def norm_of(self, p: Process) -> int | float:
-        return sum(self.values[c] for c in p)
+        values = self.values
+        total = 0
+        for c in p:
+            total += values[c]
+        return total
 
     def all_finite(self) -> bool:
         return all(v != UNNORMED for v in self.values)
@@ -294,7 +298,14 @@ class SystemView:
         return self.sys.n
 
     def norm_of(self, p: Process) -> int:
-        return sum(self.norms[c] for c in p)
+        # A plain loop: on CPython 3.11, whose specialized tuple indexing it
+        # uses, it sums the oracle's processes about twice as fast as
+        # `sum(...)` over a generator or over `map(norms.__getitem__, p)`.
+        norms = self.norms
+        total = 0
+        for c in p:
+            total += norms[c]
+        return total
 
     @cached_property
     def _rules_by_class(self) -> tuple[tuple[tuple[Rule, ...], ...], tuple[tuple[Rule, ...], ...]]:
@@ -312,6 +323,20 @@ class SystemView:
 
     def transitions(self, p: Process) -> list[tuple[str, Process]]:
         return transitions_of(self.sys, p)
+
+    @cached_property
+    def _rhs_by_label(self) -> tuple[dict[str, tuple[Process, ...]], ...]:
+        index: list[dict[str, list[Process]]] = [{} for _ in range(self.n)]
+        for r in self.sys.rules:
+            index[r.lhs].setdefault(r.label, []).append(r.rhs)
+        return tuple({label: tuple(rhss) for label, rhss in by.items()} for by in index)
+
+    def moves(self, p: Process, label: str) -> list[Process]:
+        """The targets of p's transitions labelled `label`, in rule order."""
+        if not p:
+            return []
+        tail = p[1:]
+        return [rhs + tail for rhs in self._rhs_by_label[p[0]].get(label, ())]
 
     def silent_dec_transitions(self, p: Process) -> list[Process]:
         if not p:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -54,7 +55,7 @@ class ReplayError(AssertionError):
 # silent closures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SilentClosure:
     """All processes reachable by silent decreasing steps, in BFS order."""
 
@@ -85,7 +86,7 @@ def silent_closure_dec(view: SystemView, p: Process) -> SilentClosure:
 # stratified game rounds
 
 
-@dataclass
+@dataclass(slots=True)
 class DefenderReply:
     kind: str  # "stay" | "move"
     intermediate: Process | None
@@ -93,7 +94,7 @@ class DefenderReply:
     child: "Distinction"
 
 
-@dataclass
+@dataclass(slots=True)
 class Distinction:
     """A node of an attacker strategy.
 
@@ -225,11 +226,12 @@ class GameContext:
         return None
 
     def _has_reply(self, relate, mover, target, label, defender) -> bool:
+        moves = self.view.moves
         for mid in self.closure(defender).states:
             if not relate(mover, mid):
                 continue
-            for lab, res in self.view.transitions(mid):
-                if lab == label and relate(target, res):
+            for res in moves(mid, label):
+                if relate(target, res):
                     return True
         return False
 
@@ -267,7 +269,8 @@ class GameContext:
         unrelated; in a descent that is always the post-action pair.
         """
         view = self.view
-        if k is not None and view.norm_of(p) != view.norm_of(q):
+        np_, nq = view.norm_of(p), view.norm_of(q)
+        if np_ != nq:
             k = None
         key = (p, q, k)
         hit = self._strategies.get(key)
@@ -275,7 +278,6 @@ class GameContext:
             return hit
         if k is None:
             km1 = None
-            np_, nq = view.norm_of(p), view.norm_of(q)
             if np_ == nq:
                 raise AssertionError("norm descent on a norm-equal pair")
             side = "left" if p and (not q or np_ < nq) else "right"
@@ -297,21 +299,18 @@ class GameContext:
             else:
                 raise AssertionError("approximant failed but every transition is matched")
 
-        if side == "left":
-            att, dfd, pair = p, q, lambda a, b: (a, b)
-        else:
-            att, dfd, pair = q, p, lambda a, b: (b, a)
+        left = side == "left"
+        att, dfd = (p, q) if left else (q, p)
         replies: list[DefenderReply] = []
         if is_silent(label):
-            replies.append(DefenderReply("stay", None, None, self._refute(*pair(t, dfd), km1)))
+            nxt = (t, dfd) if left else (dfd, t)
+            replies.append(DefenderReply("stay", None, None, self._refute(*nxt, km1)))
         for mid in self.closure(dfd).states:
-            for lab, res in view.transitions(mid):
-                if lab != label:
-                    continue
+            for res in view.moves(mid, label):
                 if k is not None and not relate(att, mid):
-                    nxt = pair(att, mid)
+                    nxt = (att, mid) if left else (mid, att)
                 elif k is None or not relate(t, res):
-                    nxt = pair(t, res)
+                    nxt = (t, res) if left else (res, t)
                 else:
                     raise AssertionError("witness transition has an answered reply")
                 replies.append(DefenderReply("move", mid, res, self._refute(*nxt, km1)))
@@ -333,10 +332,13 @@ def replay_distinction(view: SystemView, d: Distinction) -> None:
     pair is one the rules of the game allow, and that leaves really are stuck
     defender positions.  The strategy may share subgames; a cycle would let
     the defender survive forever, so cycles are rejected, after which one
-    check per distinct node covers every play.  Raises ReplayError otherwise.
+    check per distinct node covers every play.  Replies are compared with the
+    options as multisets.  Each defender's closure is computed once per call,
+    by this function's own BFS.  Raises ReplayError otherwise.
     """
     verified: set[int] = set()
     on_path: set[int] = set()
+    closures: dict[Process, tuple[Process, ...]] = {}
 
     def check(node: Distinction) -> None:
         if id(node) in on_path:
@@ -352,17 +354,21 @@ def replay_distinction(view: SystemView, d: Distinction) -> None:
         options: list[tuple[str, Process | None, Process | None]] = []
         if is_silent(node.action):
             options.append(("stay", None, None))
-        closure = silent_closure_dec(view, dfd)
-        for mid in closure.states:
+        states = closures.get(dfd)
+        if states is None:
+            states = closures[dfd] = silent_closure_dec(view, dfd).states
+        for mid in states:
             for lab, res in view.transitions(mid):
                 if lab == node.action:
                     options.append(("move", mid, res))
 
         listed = [(r.kind, r.intermediate, r.result) for r in node.replies]
-        if sorted(listed, key=repr) != sorted(options, key=repr):
-            missing = [o for o in options if o not in listed]
-            extra = [o for o in listed if o not in options]
-            raise ReplayError(f"defender options mismatch: missing={missing} extra={extra}")
+        if listed != options:
+            want, got = Counter(options), Counter(listed)
+            if want != got:
+                missing = list((want - got).elements())
+                extra = list((got - want).elements())
+                raise ReplayError(f"defender options mismatch: missing={missing} extra={extra}")
 
         for r in node.replies:
             child_pair = (r.child.left, r.child.right)

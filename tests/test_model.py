@@ -49,6 +49,12 @@ def test_rules_must_name_declared_constant_ids(rules):
         BpaSystem(["A", "B"], rules)
 
 
+def test_out_of_range_rhs_id_names_its_rule():
+    with pytest.raises(ValueError) as err:
+        BpaSystem(["A", "B"], [Rule(1, "b", ()), Rule(0, "a", (1, 2))])
+    assert str(err.value) == "rule Rule(lhs=0, label='a', rhs=(1, 2)) references an undeclared constant id"
+
+
 def test_rule_before_declaration():
     with pytest.raises(ParseError):
         parse_system("X -a-> eps\nconstants: X\n")

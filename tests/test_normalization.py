@@ -176,6 +176,30 @@ def test_zero_norm_iff_empty():
             assert (std.norm_of(p) == 0) == (p == ())
 
 
+@st.composite
+def views_with_processes(draw):
+    params = GenParams(
+        constants=draw(st.integers(1, 8)),
+        alphabet=draw(st.integers(1, 3)),
+        silent_prob=draw(st.sampled_from([0.0, 0.3, 0.6])),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    v = view(random_system(params))
+    return v, draw(st.lists(st.integers(0, v.n - 1), max_size=4).map(tuple))
+
+
+@given(views_with_processes())
+def test_moves_and_norms_agree_with_their_definitions(case):
+    v, p = case
+    labels = sorted(v.sys.actions) + ["absent"]
+    assert "absent" not in v.sys.actions
+    for label in labels:
+        assert v.moves(p, label) == [t for lab, t in v.transitions(p) if lab == label]
+    total = sum(v.norms[c] for c in p)
+    assert v.norm_of(p) == total
+    assert compute_norms(v.sys).norm_of(p) == total
+
+
 def test_name_map_resolves_contracted_processes():
     sys = parse_system(
         "constants: X Y Z\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\nZ -b-> X Y\n"

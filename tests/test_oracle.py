@@ -206,6 +206,54 @@ def test_replay_rejects_cycles(ex1_std):
         replay_distinction(ex1_std, node)
 
 
+# X is attacked along its witness step; Y answers it in two ways, so the
+# root lists two replies.
+TWO_REPLIES = """\
+constants: X Y Z W
+X -a-> eps
+Y -a-> Z
+Y -a-> W
+Z -a-> eps
+W -b-> eps
+"""
+
+
+def _two_reply_certificate():
+    v = view(parse_system(TWO_REPLIES))
+    d = GameContext(v).find_distinction((0,), (1,), 4)
+    assert d is not None and len(d.replies) == 2
+    return v, d
+
+
+def test_replay_rejects_a_reply_listed_twice():
+    v, d = _two_reply_certificate()
+    doubled = Distinction(d.left, d.right, d.side, d.action, d.target, d.replies + d.replies[:1])
+    with pytest.raises(ReplayError, match="mismatch"):
+        replay_distinction(v, doubled)
+
+
+def test_replay_accepts_replies_in_any_order():
+    v, d = _two_reply_certificate()
+    replay_distinction(v, Distinction(d.left, d.right, d.side, d.action, d.target, d.replies[::-1]))
+
+
+def test_replay_computes_one_closure_per_defender(monkeypatch):
+    # On this system's certificate, 16 nodes share 8 defenders.
+    std = standardize(random_system(GenParams(constants=6, seed=29)))
+    d = GameContext(std, norm_budget=20).find_distinction((1,), (3,), 8)
+    defenders = {n.right if n.side == "left" else n.left for n in d.nodes()}
+    assert len(defenders) < d.size()
+    calls = []
+
+    def counting(view, p):
+        calls.append(p)
+        return silent_closure_dec(view, p)
+
+    monkeypatch.setattr(oracle, "silent_closure_dec", counting)
+    replay_distinction(std, d)
+    assert sorted(calls) == sorted(defenders)
+
+
 def _two_step_silent_walks(std, max_walks=60):
     tails = [()] + [(t,) for t in range(min(2, std.n))]
     walks = []
