@@ -226,51 +226,31 @@ def _components(succ: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _chain_depths(succ: list[list[int]]) -> list[int]:
-    """Longest path below each node of an acyclic digraph.
+def contract_loops(sys: BpaSystem, norms: NormTable) -> tuple[list[int], list[int]]:
+    """Representatives and chain depths of the silent norm-preserving graph.
 
-    Components come sinks first, so every successor's depth is final before
-    its sources read it.  A component that is not a single node without a
-    self-edge is a cycle, which contraction should have removed.
+    The graph has an edge X -> Y for every unary silent rule ``X -tau-> Y``
+    with norm(X) = norm(Y); its cycles are the loops that standardization
+    collapses.  One Tarjan pass yields the components sinks first, so a single
+    walk over them gives every constant its representative, the member of its
+    component with the smallest declaration index, and its depth, the longest
+    path below it once every component is collapsed to one node.
     """
-    depth = [0] * len(succ)
-    for scc in _components(succ):
-        v = scc[0]
-        if len(scc) > 1 or v in succ[v]:
-            raise EngineInternalError("silent loop survived contraction")
-        depth[v] = max((depth[w] + 1 for w in succ[v]), default=0)
-    return depth
-
-
-def contract_loops(sys: BpaSystem, norms: NormTable) -> tuple[BpaSystem, dict[str, str]]:
-    """Collapse silent norm-preserving cycles onto one representative each.
-
-    The representative of every strongly connected component of the unary
-    silent-decreasing graph is its member with the smallest declaration index.
-    All occurrences are substituted, then self rules ``X -tau-> X`` and
-    duplicates are dropped.  Returns the contracted system and the map from
-    every original name to its representative's name.
-    """
+    succ = _silent_successors(sys, norms)
     rep = list(range(sys.n))
-    for scc in _components(_silent_successors(sys, norms)):
+    depth = [0] * sys.n
+    for scc in _components(succ):
         keep = min(scc)
-        for member in scc:
-            rep[member] = keep
-
-    survivors = sorted(set(rep))
-    new_id = {old: i for i, old in enumerate(survivors)}
-    names = [sys.name(old) for old in survivors]
-
-    rules = []
-    for r in sys.rules:
-        lhs = new_id[rep[r.lhs]]
-        rhs = tuple(new_id[rep[c]] for c in r.rhs)
-        if is_silent(r.label) and rhs == (lhs,):
-            continue
-        rules.append(Rule(lhs, r.label, rhs))
-
-    name_map = {sys.name(c.id): sys.name(rep[c.id]) for c in sys.constants}
-    return BpaSystem(names, rules), name_map
+        for v in scc:
+            rep[v] = keep
+        below = 0
+        for v in scc:
+            for w in succ[v]:
+                if rep[w] != keep and depth[w] >= below:
+                    below = depth[w] + 1
+        for v in scc:
+            depth[v] = below
+    return rep, depth
 
 
 class SystemView:
@@ -349,12 +329,18 @@ class SystemView:
         return not any(is_silent(r.label) for r in self.sys.rules)
 
 
-def view(sys: BpaSystem) -> SystemView:
-    """Build a SystemView; raises NotTotallyNormedError outside the fragment."""
+def _checked_norms(sys: BpaSystem) -> NormTable:
+    """The norms of a system; raises NotTotallyNormedError outside the fragment."""
     table = compute_norms(sys)
     violations = check_totally_normed(sys, table)
     if violations:
         raise NotTotallyNormedError(violations)
+    return table
+
+
+def view(sys: BpaSystem) -> SystemView:
+    """Build a SystemView; raises NotTotallyNormedError outside the fragment."""
+    table = _checked_norms(sys)
     classes = classify_rules(sys, table)
     norms = tuple(int(v) for v in table.values)
     return SystemView(sys, norms, classes, tuple(table.witness))
@@ -390,39 +376,41 @@ class StandardSystem(SystemView):
 
 
 def standardize(sys: BpaSystem) -> StandardSystem:
-    """Contract loops and renumber constants into standard order.
+    """Contract loops and renumber constants into standard order, in one pass.
 
-    The order sorts by (norm, silent-chain depth, declaration index); depth is
-    the longest chain of unary silent norm-preserving rules below a constant,
-    which makes the order a total extension of the required precedence: lower
-    norm first, and the target of a silent decreasing chain before its source.
+    `contract_loops` maps every constant to its representative and gives the
+    representatives' silent-chain depths.  The representatives are sorted by
+    (norm, depth, declaration index), which extends the required precedence
+    to a total order: lower norm first, and the target of a silent decreasing
+    chain before its source.  One substitution, original id to standard id,
+    builds the standard system; silent self rules are dropped, and
+    `BpaSystem` drops the duplicates.  Its norms, computed afresh, must equal
+    the original ones of every constant they stand for.
     """
-    table = compute_norms(sys)
-    violations = check_totally_normed(sys, table)
-    if violations:
-        raise NotTotallyNormedError(violations)
+    table = _checked_norms(sys)
+    rep, depth = contract_loops(sys, table)
+    values = table.values
+    order = sorted((c for c in range(sys.n) if rep[c] == c), key=lambda c: (values[c], depth[c], c))
+    std_id = [0] * sys.n
+    for new, old in enumerate(order):
+        std_id[old] = new
+    sub = [std_id[r] for r in rep]
 
-    contracted, name_map = contract_loops(sys, table)
-    table2 = compute_norms(contracted)
-    if check_totally_normed(contracted, table2):
-        raise EngineInternalError("contraction broke total normedness")
-    for c in contracted.constants:
-        if table2.values[c.id] != table.values[sys.constant_id(c.name)]:
-            raise EngineInternalError(f"contraction changed the norm of {c.name}")
+    rules = []
+    for r in sys.rules:
+        lhs = sub[r.lhs]
+        rhs = tuple(sub[c] for c in r.rhs)
+        if is_silent(r.label) and rhs == (lhs,):
+            continue
+        rules.append(Rule(lhs, r.label, rhs))
+    std_sys = BpaSystem([sys.name(c) for c in order], rules)
 
-    depth = _chain_depths(_silent_successors(contracted, table2))
-    order = sorted(range(contracted.n), key=lambda c: (table2.values[c], depth[c], c))
-    new_id = {old: new for new, old in enumerate(order)}
-    names = [contracted.name(old) for old in order]
-    rules = [
-        Rule(new_id[r.lhs], r.label, tuple(new_id[c] for c in r.rhs))
-        for r in contracted.rules
-    ]
-    std_sys = BpaSystem(names, rules)
-
-    table3 = compute_norms(std_sys)
-    norms = tuple(int(v) for v in table3.values)
-    classes = classify_rules(std_sys, table3)
+    std_table = compute_norms(std_sys)
+    for c in range(sys.n):
+        if std_table.values[sub[c]] != values[c]:
+            raise EngineInternalError(f"contraction changed the norm of {sys.name(c)}")
+    norms = tuple(int(v) for v in std_table.values)
+    classes = classify_rules(std_sys, std_table)
 
     if any(norms[i - 1] > norms[i] for i in range(1, std_sys.n)):
         raise EngineInternalError("standard order is not sorted by norm")
@@ -434,4 +422,5 @@ def standardize(sys: BpaSystem) -> StandardSystem:
                 f"decreasing rule of {std_sys.name(r.lhs)} escapes its index prefix"
             )
 
-    return StandardSystem(std_sys, norms, classes, tuple(table3.witness), name_map)
+    name_map = {sys.name(c): sys.name(rep[c]) for c in range(sys.n)}
+    return StandardSystem(std_sys, norms, classes, tuple(std_table.witness), name_map)

@@ -7,8 +7,19 @@ from itertools import accumulate
 import pytest
 
 from tnbpa import engine
-from tnbpa.model import BpaSystem, format_process, is_silent, parse_system, transitions_of
-from tnbpa.normalization import standardize
+from tnbpa.model import BpaSystem, Rule, format_process, is_silent, parse_system, transitions_of
+from tnbpa.normalization import (
+    EngineInternalError,
+    NotTotallyNormedError,
+    RuleClass,
+    StandardSystem,
+    _components,
+    _silent_successors,
+    check_totally_normed,
+    classify_rules,
+    compute_norms,
+    standardize,
+)
 from tnbpa.oracle import random_system
 
 # The two-process system where every action matches yet the silent step on
@@ -100,6 +111,87 @@ def naive_norm_values(sys: BpaSystem) -> list[float]:
                 values[r.lhs] = cand
                 changed = True
     return values
+
+
+def _reference_chain_depths(succ: list[list[int]]) -> list[int]:
+    depth = [0] * len(succ)
+    for scc in _components(succ):
+        v = scc[0]
+        if len(scc) > 1 or v in succ[v]:
+            raise EngineInternalError("silent loop survived contraction")
+        depth[v] = max((depth[w] + 1 for w in succ[v]), default=0)
+    return depth
+
+
+def _reference_contract_loops(sys: BpaSystem, norms) -> tuple[BpaSystem, dict[str, str]]:
+    rep = list(range(sys.n))
+    for scc in _components(_silent_successors(sys, norms)):
+        keep = min(scc)
+        for member in scc:
+            rep[member] = keep
+
+    survivors = sorted(set(rep))
+    new_id = {old: i for i, old in enumerate(survivors)}
+    names = [sys.name(old) for old in survivors]
+
+    rules = []
+    for r in sys.rules:
+        lhs = new_id[rep[r.lhs]]
+        rhs = tuple(new_id[rep[c]] for c in r.rhs)
+        if is_silent(r.label) and rhs == (lhs,):
+            continue
+        rules.append(Rule(lhs, r.label, rhs))
+
+    name_map = {sys.name(c.id): sys.name(rep[c.id]) for c in sys.constants}
+    return BpaSystem(names, rules), name_map
+
+
+def reference_standardize(sys: BpaSystem) -> StandardSystem:
+    """The two-pass standardization that `standardize` replaced, kept as the
+    reference its standard forms are compared against.
+
+    It builds the contracted system first, then renumbers it by (norm, chain
+    depth, index) with the depths from a second Tarjan run, which also
+    rejects any loop that survived contraction.
+    """
+    table = compute_norms(sys)
+    violations = check_totally_normed(sys, table)
+    if violations:
+        raise NotTotallyNormedError(violations)
+
+    contracted, name_map = _reference_contract_loops(sys, table)
+    table2 = compute_norms(contracted)
+    if check_totally_normed(contracted, table2):
+        raise EngineInternalError("contraction broke total normedness")
+    for c in contracted.constants:
+        if table2.values[c.id] != table.values[sys.constant_id(c.name)]:
+            raise EngineInternalError(f"contraction changed the norm of {c.name}")
+
+    depth = _reference_chain_depths(_silent_successors(contracted, table2))
+    order = sorted(range(contracted.n), key=lambda c: (table2.values[c], depth[c], c))
+    new_id = {old: new for new, old in enumerate(order)}
+    names = [contracted.name(old) for old in order]
+    rules = [
+        Rule(new_id[r.lhs], r.label, tuple(new_id[c] for c in r.rhs))
+        for r in contracted.rules
+    ]
+    std_sys = BpaSystem(names, rules)
+
+    table3 = compute_norms(std_sys)
+    norms = tuple(int(v) for v in table3.values)
+    classes = classify_rules(std_sys, table3)
+
+    if any(norms[i - 1] > norms[i] for i in range(1, std_sys.n)):
+        raise EngineInternalError("standard order is not sorted by norm")
+    for ri, r in enumerate(std_sys.rules):
+        if is_silent(r.label) and r.rhs == (r.lhs,):
+            raise EngineInternalError(f"silent self rule of {std_sys.name(r.lhs)} survived contraction")
+        if classes[ri] is RuleClass.DECREASING and any(c >= r.lhs for c in r.rhs):
+            raise EngineInternalError(
+                f"decreasing rule of {std_sys.name(r.lhs)} escapes its index prefix"
+            )
+
+    return StandardSystem(std_sys, norms, classes, tuple(table3.witness), name_map)
 
 
 def names_of(std, ids) -> list[str]:

@@ -9,14 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tnbpa
-from conftest import brute_force_norm, naive_norm_values
+import tnbpa.normalization as nz
+from conftest import brute_force_norm, naive_norm_values, reference_standardize
 from tnbpa.model import TAU, BpaSystem, Rule, parse_process, parse_system, serialize_system
 from tnbpa.normalization import (
-    EngineInternalError,
     NotTotallyNormedError,
     RuleClass,
     UNNORMED,
-    _chain_depths,
     _components,
     check_totally_normed,
     classify_rules,
@@ -81,12 +80,16 @@ def test_classification_examples(ex1_sys, sysb_sys):
     assert by_rule_b[("Y", "tau", x)] is RuleClass.INCREASING
 
 
+def _named_rules(sys: BpaSystem) -> list[tuple[str, str, tuple[str, ...]]]:
+    return [(sys.name(r.lhs), r.label, tuple(sys.name(c) for c in r.rhs)) for r in sys.rules]
+
+
 def test_contract_two_cycle():
     sys = parse_system("constants: X Y\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\n")
-    contracted, name_map = contract_loops(sys, compute_norms(sys))
-    assert [c.name for c in contracted.constants] == ["X"]
-    assert [(contracted.name(r.lhs), r.label, r.rhs) for r in contracted.rules] == [("X", "a", ())]
-    assert name_map == {"X": "X", "Y": "X"}
+    std = standardize(sys)
+    assert [c.name for c in std.sys.constants] == ["X"]
+    assert _named_rules(std.sys) == [("X", "a", ())]
+    assert std.name_map == {"X": "X", "Y": "X"}
 
 
 def test_contract_three_cycle():
@@ -94,23 +97,25 @@ def test_contract_three_cycle():
         "constants: X Y Z\nX -tau-> Y\nY -tau-> Z\nZ -tau-> X\n"
         "X -a-> eps\nY -a-> eps\nZ -b-> eps\n"
     )
-    contracted, name_map = contract_loops(sys, compute_norms(sys))
-    assert [c.name for c in contracted.constants] == ["X"]
-    assert set(name_map.values()) == {"X"}
-    labels = {r.label for r in contracted.rules}
+    std = standardize(sys)
+    assert [c.name for c in std.sys.constants] == ["X"]
+    assert set(std.name_map.values()) == {"X"}
+    labels = {r.label for r in std.sys.rules}
     assert labels == {"a", "b"}
 
 
 def test_contract_drops_self_loop():
     sys = parse_system("constants: X\nX -tau-> X\nX -a-> eps\n")
-    contracted, _ = contract_loops(sys, compute_norms(sys))
-    assert len(contracted.rules) == 1
+    std = standardize(sys)
+    assert _named_rules(std.sys) == [("X", "a", ())]
 
 
 def test_contract_loop_free_unchanged(ex1_sys):
-    contracted, name_map = contract_loops(ex1_sys, compute_norms(ex1_sys))
-    assert contracted == ex1_sys
-    assert all(orig == rep for orig, rep in name_map.items())
+    # Nothing is contracted: standardization only renumbers.
+    std = standardize(ex1_sys)
+    assert sorted(c.name for c in std.sys.constants) == sorted(c.name for c in ex1_sys.constants)
+    assert sorted(_named_rules(std.sys)) == sorted(_named_rules(ex1_sys))
+    assert all(orig == rep for orig, rep in std.name_map.items())
 
 
 def test_contraction_preserves_behaviour():
@@ -229,17 +234,10 @@ def test_single_constant_and_empty_systems():
 
 
 @st.composite
-def digraphs(draw, acyclic: bool = False):
-    """Successor lists over at most 8 nodes; acyclic ones are relabelled
-    so that edges run from a higher to a lower rank in a random ranking."""
+def digraphs(draw):
+    """Successor lists over at most 8 nodes, self-edges and cycles included."""
     n = draw(st.integers(0, 8))
-    rank = draw(st.permutations(range(n)))
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        below = [w for w in range(n) if rank[w] < rank[v]] if acyclic else list(range(n))
-        if below:
-            succ[v] = draw(st.lists(st.sampled_from(below), max_size=3))
-    return succ
+    return [draw(st.lists(st.integers(0, n - 1), max_size=3)) for _ in range(n)]
 
 
 def _reachable(succ: list[list[int]]) -> list[set[int]]:
@@ -268,22 +266,89 @@ def test_components_are_mutual_reachability_classes_sinks_first(succ):
         assert all(position[w] <= position[v] for w in ws)
 
 
-@given(digraphs(acyclic=True))
-def test_chain_depths_are_longest_paths(succ):
-    def longest(v: int) -> int:
-        return max((1 + longest(w) for w in succ[v]), default=0)
-
-    assert _chain_depths(succ) == [longest(v) for v in range(len(succ))]
+def _silent_graph_system(succ: list[list[int]]) -> BpaSystem:
+    """Every node has norm 1, so every edge is a silent norm-preserving rule."""
+    rules = [Rule(v, "a", ()) for v in range(len(succ))]
+    rules += [Rule(v, TAU, (w,)) for v, ws in enumerate(succ) for w in ws]
+    return BpaSystem([f"K{v}" for v in range(len(succ))], rules)
 
 
 @given(digraphs())
-def test_chain_depths_reject_cycles(succ):
+def test_chain_depths_are_longest_paths(succ):
+    # Representatives are the least members of mutual-reachability classes,
+    # and depths are longest paths once every class is collapsed to a node.
     reach = _reachable(succ)
-    if any(v in reach[w] for v, ws in enumerate(succ) for w in ws):
-        with pytest.raises(EngineInternalError, match="silent loop"):
-            _chain_depths(succ)
-    else:
-        assert len(_chain_depths(succ)) == len(succ)
+    cls = [frozenset(w for w in reach[v] if v in reach[w]) for v in range(len(succ))]
+
+    def longest(v: int) -> int:
+        return max((1 + longest(w) for u in cls[v] for w in succ[u] if w not in cls[v]), default=0)
+
+    sys = _silent_graph_system(succ)
+    rep, depth = contract_loops(sys, compute_norms(sys))
+    assert rep == [min(c) for c in cls]
+    assert depth == [longest(v) for v in range(len(succ))]
+
+
+@st.composite
+def loop_systems(draw):
+    """Dense unary silent edges, one visible rule per constant into lower
+    ids (which sets the norms and keeps the system totally normed), and a
+    few longer right-hand sides under any label."""
+    succ = draw(digraphs())
+    n = len(succ)
+    rules = []
+    for v, ws in enumerate(succ):
+        below = draw(st.lists(st.integers(0, v - 1), max_size=2)) if v else []
+        rules.append(Rule(v, draw(st.sampled_from("ab")), tuple(below)))
+        rules += [Rule(v, TAU, (w,)) for w in ws]
+    if n:
+        ids = st.integers(0, n - 1)
+        long_rules = st.tuples(ids, st.sampled_from(["a", "b", TAU]), st.lists(ids, min_size=2, max_size=3))
+        rules += [Rule(v, lab, tuple(rhs)) for v, lab, rhs in draw(st.lists(long_rules, max_size=3))]
+    return BpaSystem([f"K{v}" for v in range(n)], rules)
+
+
+@given(loop_systems())
+def test_standard_form_matches_the_two_pass_reference(sys):
+    std, ref = standardize(sys), reference_standardize(sys)
+    assert std.sys == ref.sys
+    assert (std.norms, std.classes, std.witness) == (ref.norms, ref.classes, ref.witness)
+    assert std.name_map == ref.name_map
+
+    assert all(std.norms[i - 1] <= std.norms[i] for i in range(1, std.n))
+    for ri, r in enumerate(std.sys.rules):
+        if std.classes[ri] is RuleClass.DECREASING:
+            assert all(c < r.lhs for c in r.rhs)
+    original = compute_norms(sys).values
+    assert std.name_map.keys() == {c.name for c in sys.constants}
+    for c in sys.constants:
+        assert std.norms[std.sys.constant_id(std.name_map[c.name])] == original[c.id]
+
+
+def test_standardize_runs_tarjan_once_and_builds_one_system(monkeypatch):
+    calls = {"components": 0, "norms": 0, "systems": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    class CountedSystem(BpaSystem):
+        def __init__(self, names, rules):
+            calls["systems"] += 1
+            super().__init__(names, rules)
+
+    sys = parse_system(
+        "constants: X Y Z\nX -tau-> Y\nY -tau-> X\nZ -tau-> X\nX -a-> eps\nY -a-> eps\nZ -b-> eps\n"
+    )
+    monkeypatch.setattr(nz, "_components", counted("components", nz._components))
+    monkeypatch.setattr(nz, "compute_norms", counted("norms", nz.compute_norms))
+    monkeypatch.setattr(nz, "BpaSystem", CountedSystem)
+    std = standardize(sys)
+    assert [c.name for c in std.sys.constants] == ["X", "Z"]
+    assert calls == {"components": 1, "norms": 2, "systems": 1}
 
 
 LONG = 5_000
@@ -298,6 +363,11 @@ def test_standardize_long_silent_chain():
     rules += [Rule(ids[f"C{i}"], TAU, (ids[f"C{i - 1}"],)) for i in range(1, LONG)]
     std = standardize(BpaSystem(names, rules))
     assert [c.name for c in std.sys.constants] == [f"C{i}" for i in range(LONG)]
+    # Closed into one silent cycle, the chain contracts onto the constant
+    # declared first.
+    cycle = standardize(BpaSystem(names, rules + [Rule(ids["C0"], TAU, (ids[f"C{LONG - 1}"],))]))
+    assert [c.name for c in cycle.sys.constants] == [f"C{LONG - 1}"]
+    assert set(cycle.name_map.values()) == {f"C{LONG - 1}"}
 
 
 def test_standardize_long_silent_cycle():
@@ -352,7 +422,8 @@ print(codes, "tnbpa.oracle" in sys.modules)
 
 def test_invariant_checks_survive_python_o():
     # With contraction disabled a silent 2-cycle reaches the standard order,
-    # and a wrong norm table leaves a constant without a decreasing rule.
+    # where its decreasing rule escapes the index prefix, and a wrong norm
+    # table leaves a constant without a decreasing rule.
     code = """
 from tnbpa import normalization as nz
 from tnbpa.model import parse_system
@@ -364,7 +435,7 @@ def outcome(call):
         return f"raised: {exc}"
     return "passed"
 
-nz.contract_loops = lambda sys, norms: (sys, {c.name: c.name for c in sys.constants})
+nz.contract_loops = lambda sys, norms: (list(range(sys.n)), [0] * sys.n)
 cycle = parse_system("constants: A B\\nA -tau-> B\\nB -tau-> A\\nA -a-> eps\\n")
 single = parse_system("constants: K\\nK -a-> eps\\n")
 print(__debug__)
@@ -373,7 +444,7 @@ print(outcome(lambda: nz.classify_rules(single, nz.NormTable((5,), (0,)))))
 """
     assert _python(code, "-O").splitlines() == [
         "False",
-        "raised: silent loop survived contraction",
+        "raised: decreasing rule of A escapes its index prefix",
         "raised: constant K has no decreasing rule (norm bug)",
     ]
 
