@@ -57,16 +57,12 @@ def _dump_trace(std, trace, path: str) -> None:
     Path(path).write_text(json.dumps(engine.trace_to_json(std, trace), indent=2) + "\n")
 
 
-def _mode(args) -> engine.CandidateMode:
-    return engine.CandidateMode(args.mode)
-
-
 def cmd_check(args) -> int:
     sys = _load_system(args.file)
     std = standardize(sys)
     left = std.parse_process(args.left)
     right = std.parse_process(args.right)
-    base, trace = engine.compute_bisimilarity_base(std, _mode(args))
+    base, trace = engine.compute_bisimilarity_base(std)
     if args.trace:
         _dump_trace(std, trace, args.trace)
     verdict = engine.check_equivalence(std, left, right, base=base)
@@ -137,7 +133,7 @@ def cmd_check(args) -> int:
 def cmd_base(args) -> int:
     sys = _load_system(args.file)
     std = standardize(sys)
-    final, trace = engine.compute_bisimilarity_base(std, _mode(args))
+    final, trace = engine.compute_bisimilarity_base(std)
     if args.trace:
         _dump_trace(std, trace, args.trace)
     if args.json:
@@ -274,11 +270,6 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if report.ok else EXIT_REFUTED
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["pruned", "exhaustive"], default="pruned")
-    p.add_argument("--trace", metavar="PATH", help="write the refinement trace as JSON")
-
-
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--constants", type=int, default=6)
     p.add_argument("--max-rhs-len", type=int, default=3)
@@ -304,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--verify", action="store_true", help="cross-check with the game oracle")
     p.add_argument("--k", type=int, default=16, help="oracle round bound for --verify")
-    _add_engine_flags(p)
+    p.add_argument("--trace", metavar="PATH", help="write the refinement trace as JSON")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("base", help="print the final decomposition base")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--iterations", action="store_true", help="also print per-iteration bases")
-    _add_engine_flags(p)
+    p.add_argument("--trace", metavar="PATH", help="write the refinement trace as JSON")
     p.set_defaults(func=cmd_base)
 
     p = sub.add_parser("norms", help="print the norm table")

@@ -1,12 +1,18 @@
 """Partition refinement over decomposition bases.
 
 Starting from the norm-equality base, each pass rebuilds the equations bottom
-up against the previous base and the partially built new base.  A six-step
-single-transition test, `lpftest`, decides a candidate decomposition; the
-default pruned mode instead looks most candidates up by their signature, the
-moves that test compares, and accepts them without running it, so a pass
-does about one lookup per constant (`candidates_for`).  Constants with no
-accepted candidate become prime; the run stops when a pass adds no prime.
+up against the previous base and the partially built new base.  The pass
+reads every constant's one-step moves from one table, `_PartialBase.moves`:
+the decreasing moves decomposed over the new base, the increasing ones over
+the old base.  A six-step single-transition test, `lpftest`, compares a
+constant's moves with a candidate's as sets.  For a candidate that is not the
+target of one of the constant's silent decreasing moves, its steps 2, 3, 5
+and 6 say together that the constant's moves, with the candidate's tail
+stripped, equal the moves of the candidate's head.  So the default pruned
+mode files every prime under those moves, its signature, looks most
+candidates up instead of testing them, and does about one lookup per
+constant (`candidates_for`).  Constants with no accepted candidate become
+prime; the run stops when a pass adds no prime.
 
 An exhaustive candidate mode keeps every head instead: all settled primes,
 each followed by the suffix of the fixed rule's decomposition that gives the
@@ -21,7 +27,7 @@ import enum
 from typing import Iterable, NamedTuple
 
 from .base import DecompositionBase, initial_base
-from .model import Process, Rule, is_silent
+from .model import TAU, Process, Rule, is_silent
 from .normalization import EngineInternalError, StandardSystem
 from .strings import NormedString
 
@@ -82,15 +88,15 @@ class _PartialBase(DecompositionBase):
     table, so `dcmp` raises on it, and a memo entry, stored only once its
     constants are settled, stays exact to the end of the pass.
 
-    In pruned mode `settle_prime` also files each prime j under its
-    signature: the (label, new(beta)) of its decreasing rules and the
-    (label, old(gamma)) of its increasing rules, over this base and the
-    previous one, `old`.  old(j) is no part of the key: it can be
-    exponentially long, so hits compare it.  Exhaustive mode never reads the
-    index, so it files nothing.
+    `moves(j)` is the pass's move table: j's decreasing moves over this base
+    and its increasing moves over the previous one, `old`.  Every reader of
+    a constant's rules in the pass reads them there.  In pruned mode
+    `settle_prime` files each prime under its moves, its signature.  old(j)
+    is no part of the key: it can be exponentially long, so hits compare it.
+    Exhaustive mode never reads the index, so it files nothing.
     """
 
-    __slots__ = ("std", "old", "_indexed", "_by_signature", "_cut_lengths")
+    __slots__ = ("std", "old", "_moves", "_indexed", "_by_signature", "_cut_lengths")
 
     def __init__(
         self,
@@ -106,25 +112,37 @@ class _PartialBase(DecompositionBase):
         self.equations: dict[int, NormedString] = {}
         self._memo = {}
         self._factors = {}
+        self._moves: dict[int, tuple[list, list]] = {}
         self._indexed = mode is CandidateMode.PRUNED
         # signature -> the primes filed under it.
         self._by_signature: dict[tuple, list[int]] = {}
         # label -> the lengths of the decreasing rules' decompositions under it.
         self._cut_lengths: dict[str, set[int]] = {}
 
-    def settle_prime(self, j: int) -> None:
-        """Mark j prime and, in pruned mode, file it under its signature.
+    def moves(self, j: int) -> tuple[list, list]:
+        """j's moves: the (label, new(beta)) of its decreasing rules and the
+        (label, old(gamma)) of its increasing rules.
 
-        Exact for the same reason as the memo: a decreasing rule of j mentions
-        only constants below j, all settled before j.
+        Cached for the pass, and exact for the same reason as the memo: a
+        decreasing rule of j mentions only constants below j, all settled
+        before anyone asks for j's moves.
         """
+        got = self._moves.get(j)
+        if got is None:
+            old, new = self.old.dcmp_memo, self.dcmp_memo
+            got = self._moves[j] = (
+                [(r.label, new(r.rhs)) for r in self.std.dec_rules(j)],
+                [(r.label, old(r.rhs)) for r in self.std.inc_rules(j)],
+            )
+        return got
+
+    def settle_prime(self, j: int) -> None:
+        """Mark j prime and, in pruned mode, file it under its signature."""
         self.primes.add(j)
         self._factors[j] = (j,)
         if not self._indexed:
             return
-        old, new = self.old.dcmp_memo, self.dcmp_memo
-        dec = [(r.label, new(r.rhs)) for r in self.std.dec_rules(j)]
-        inc = [(r.label, old(r.rhs)) for r in self.std.inc_rules(j)]
+        dec, inc = self.moves(j)
         self._by_signature.setdefault(_signature(dec, inc), []).append(j)
         for label, beta in dec:
             self._cut_lengths.setdefault(label, set()).add(len(beta))
@@ -165,60 +183,42 @@ def lpftest(
 ) -> TestResult:
     """Single-transition test deciding whether delta decomposes constant i.
 
-    Steps, in order: (1) old-base decompositions agree; (2) every decreasing
-    move of the constant is matched silently-in-place or by a decreasing move
-    of delta under the new base; (3) every increasing move is matched under
-    the old base; (4) a silent decreasing move that lands exactly on delta
-    accepts immediately; otherwise (5) and (6) check delta's decreasing and
-    increasing moves symmetrically.
+    i's moves come from the move table; delta's are its head's moves with
+    delta's tail appended, decomposed over the same base (dcmp is a
+    homomorphism).  With in_place the silent move onto delta, the steps in
+    order: (1) old-base decompositions agree; (2) every decreasing move of i
+    but in_place is one of delta's; (3) every increasing move of i is one of
+    delta's; (4) in_place is a move of i: accept; (5) and (6) every
+    decreasing, then increasing move of delta is one of i's; (7) accept.
+    Without in_place, steps 2, 3, 5 and 6 say that i's moves with the tail
+    stripped are the head's, the lookup of `candidates_for`.
 
     delta is an id tuple from `candidates_for`: settled primes of the
     partial base.
     """
     if not delta:
         return TestResult(False, 1)
-    # dcmp is a homomorphism, so a move beta . tail of delta decomposes as
-    # dcmp(beta) . dcmp(tail): the tail is decomposed once per base, the
-    # moves come from the bases' memos.  Over the partial base only settled
-    # constants are decomposed: the decreasing rules of i and of delta's head
-    # j < i mention only constants below i, and delta's tail consists of
-    # settled primes.
     head, d_tail = delta[0], delta[1:]
-    old, new = base.dcmp_memo, partial.dcmp_memo
     old_tail = base.dcmp(d_tail)
     if not _step_one(base, i, head, old_tail):
         return TestResult(False, 1)
 
     new_tail = partial.dcmp(d_tail)
-    own_dec = [(r.label, new(r.rhs)) for r in std.dec_rules(i)]
-    delta_dec = [(r.label, new(r.rhs) + new_tail) for r in std.dec_rules(head)]
-    for lab, da in own_dec:
-        if is_silent(lab) and da == delta:
-            continue
-        if any(lab2 == lab and da == db for lab2, db in delta_dec):
-            continue
+    own_dec, own_inc = map(set, partial.moves(i))
+    head_dec, head_inc = partial.moves(head)
+    delta_dec = {(label, beta + new_tail) for label, beta in head_dec}
+    in_place = (TAU, delta)
+    if not own_dec - {in_place} <= delta_dec:
         return TestResult(False, 2)
-
-    own_inc = [(r.label, old(r.rhs)) for r in std.inc_rules(i)]
-    delta_inc = [(r.label, old(r.rhs) + old_tail) for r in std.inc_rules(head)]
-    for lab, da in own_inc:
-        if any(lab2 == lab and da == db for lab2, db in delta_inc):
-            continue
+    delta_inc = {(label, gamma + old_tail) for label, gamma in head_inc}
+    if not own_inc <= delta_inc:
         return TestResult(False, 3)
-
-    if any(is_silent(lab) and da == delta for lab, da in own_dec):
+    if in_place in own_dec:
         return TestResult(True, 4)
-
-    for lab, db in delta_dec:
-        if any(lab2 == lab and da == db for lab2, da in own_dec):
-            continue
+    if not delta_dec <= own_dec:
         return TestResult(False, 5)
-
-    for lab, db in delta_inc:
-        if any(lab2 == lab and da == db for lab2, da in own_inc):
-            continue
+    if not delta_inc <= own_inc:
         return TestResult(False, 6)
-
     return TestResult(True, 7)
 
 
@@ -287,8 +287,8 @@ def candidates_for(
     moves, `lpftest` accepts it exactly when old(i) is old(j) . old(t) and
     j's decreasing and increasing moves, each with t appended, are i's.  So
     for each cut t = s[at:], at the length of a decreasing rule labelled a,
-    i's signature with t (and old(t)) stripped is looked up in the partial
-    base, and each hit that passes step 1 is accepted as at step 7 without a
+    i's moves with t (and old(t)) stripped are looked up in the partial
+    base's signature index, and each hit that passes step 1 is accepted as at step 7 without a
     test.  Only the in-place targets are left to `lpftest`.  Exhaustive: every
     settled prime j is a head, with t the suffix of s of norm
     norm(i) - norm(j) when s has a cut there; a silent rule preserves the
@@ -318,9 +318,7 @@ def candidates_for(
     def admissible(j: int) -> bool:
         return j == k or j > k and j not in base.primes
 
-    old, new = base.dcmp_memo, partial.dcmp_memo
-    dec = [(r.label, new(r.rhs)) for r in std.dec_rules(i)]
-    inc = [(r.label, old(r.rhs)) for r in std.inc_rules(i)]
+    dec, inc = partial.moves(i)
     found: dict[Process, TestResult | None] = {
         alpha: None for label, alpha in dec if is_silent(label) and admissible(alpha[0])
     }

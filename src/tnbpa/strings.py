@@ -32,7 +32,8 @@ class NormedString:
             return NotImplemented
         if self.norm != other.norm:
             return False
-        return self.ids == other.ids and self.norms == other.norms
+        # A base's equations share one table: comparing it is O(n) per call.
+        return self.ids == other.ids and (self.norms is other.norms or self.norms == other.norms)
 
     def __repr__(self) -> str:
         return f"NormedString({self.ids!r}, norm={self.norm})"

@@ -95,21 +95,13 @@ def test_base_single_constant(tmp_path):
     assert out.splitlines() == ["prime K"]
 
 
-def test_base_exhaustive_mode(sysb_file):
-    _, pruned, _ = run(["base", sysb_file], expect=0)
-    _, exhaustive, _ = run(["base", sysb_file, "--mode", "exhaustive"], expect=0)
-    assert pruned == exhaustive
-
-
-def test_base_exhaustive_mode_on_a_generated_system(tmp_path):
-    # 64 constants with norms up to 8: enumerating every prime string of a
-    # constant's norm would test 406,725 candidates for C15 alone.
-    target = tmp_path / "n64.bpa"
-    gen = ["gen", "--constants", "64", "--norm-cap", "8", "--seed", "34", "-o", str(target)]
-    run(gen, expect=0)
-    _, pruned, _ = run(["base", str(target), "--iterations"], expect=0)
-    _, exhaustive, _ = run(["base", str(target), "--mode", "exhaustive", "--iterations"], expect=0)
-    assert pruned == exhaustive
+def test_mode_flag_is_gone(sysb_file):
+    # Candidate modes are compared through the API (`test_mode_agreement`).
+    for argv in (["base", sysb_file, "--mode", "exhaustive"],
+                 ["check", sysb_file, "--left", "X", "--right", "Y", "--mode", "pruned"]):
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()) as err:
+            main(argv)
+        assert exc.value.code == 2 and "--mode" in err.getvalue()
 
 
 def test_norms_output(ex1_file, sysb_file, tmp_path):

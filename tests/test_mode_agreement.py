@@ -10,18 +10,21 @@ strings kept in `conftest`.
 
 import pytest
 
-from conftest import _candidates_enumerated, missed_clones
+from conftest import SYSB_TEXT, _candidates_enumerated, missed_clones
 from test_acceptance import corpus_params
 from test_engine import refine_over_split_base
 from tnbpa import engine
 from tnbpa.engine import (
     CandidateMode,
     EngineInternalError,
+    _PartialBase,
     _signature,
     _strip,
     candidates_for,
     compute_bisimilarity_base,
+    pass_bases,
 )
+from tnbpa.model import parse_system
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
 
@@ -53,6 +56,53 @@ def _mode_mismatches(grid):
 
 def test_modes_agree_on_the_wide_grid():
     assert list(_mode_mismatches(WIDE_GRID)) == []
+
+
+def test_modes_go_through_the_same_bases():
+    # Every pass's base, not only the final one.  The generated system is
+    # `gen --constants 64 --norm-cap 8 --seed 34`, where enumerating every
+    # prime string of a constant's norm would test 406,725 candidates for C15.
+    for sys in (parse_system(SYSB_TEXT), random_system(GenParams(constants=64, norm_cap=8, seed=34))):
+        std = standardize(sys)
+        pruned, exhaustive = (
+            pass_bases(std, compute_bisimilarity_base(std, mode)[1]) for mode in CandidateMode
+        )
+        assert pruned == exhaustive
+
+
+@pytest.mark.parametrize("mode", list(CandidateMode))
+def test_move_table_is_exact(monkeypatch, mode):
+    # A pass caches each constant's moves while constants above it are still
+    # unsettled; after the pass every entry must still be the moves decomposed
+    # over the old base and over the base the pass produced.
+    partials = []
+
+    class Recording(_PartialBase):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            partials.append(self)
+
+    monkeypatch.setattr(engine, "_PartialBase", Recording)
+    cached = 0
+    for params in WIDE_GRID[::9]:
+        std = standardize(random_system(params))
+        partials.clear()
+        _, trace = compute_bisimilarity_base(std, mode)
+        bases = pass_bases(std, trace)
+        assert len(partials) == len(trace)
+        for p, new in zip(partials, bases[1:]):
+            filled = set(p._moves)
+            if mode is CandidateMode.PRUNED:
+                assert filled == set(range(std.n))
+            cached += len(filled)
+            for j in filled:
+                assert p.moves(j) == (
+                    [(r.label, new.dcmp(r.rhs)) for r in std.dec_rules(j)],
+                    [(r.label, p.old.dcmp(r.rhs)) for r in std.inc_rules(j)],
+                )
+    assert cached > 0
 
 
 # Mutants of the signature lookup, by the name in `engine` they replace.  Each

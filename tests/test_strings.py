@@ -74,3 +74,26 @@ def test_norm_and_length():
         assert s.ids == ids
 
 
+class CountingNorms(tuple):
+    """A norm table that counts the comparisons made against it."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        CountingNorms.calls += 1
+        return tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+def test_shared_norm_table_is_not_compared(monkeypatch):
+    # A base's equations share the system's norm table, and comparing two
+    # bases compares every equation: comparing the table each time is O(n)
+    # per equation.
+    monkeypatch.setattr(CountingNorms, "calls", 0)
+    norms = CountingNorms(NORMS)
+    assert NormedString((0, 1), norms) == NormedString((0, 1), norms)
+    assert CountingNorms.calls == 0
+    # Distinct but equal tables still make equal strings.
+    assert NormedString((0, 1), norms) == NormedString((0, 1), CountingNorms(NORMS))
+    assert NormedString((0, 1), norms) != NormedString((0, 1), (1, 2, 3, 4))
