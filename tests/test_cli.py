@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import EX1_TEXT, SYSB_TEXT
+from tnbpa import engine
 from tnbpa.cli import main
 
 
@@ -93,6 +94,33 @@ def test_base_single_constant(tmp_path):
     f.write_text("constants: K\nK -a-> eps\n")
     _, out, _ = run(["base", str(f)], expect=0)
     assert out.splitlines() == ["prime K"]
+
+
+def _exhaustive_engine(monkeypatch):
+    # `base` has no mode flag; route its engine call through exhaustive mode.
+    compute = engine.compute_bisimilarity_base
+    monkeypatch.setattr(
+        engine, "compute_bisimilarity_base", lambda std: compute(std, engine.CandidateMode.EXHAUSTIVE)
+    )
+
+
+def test_base_exhaustive_mode(sysb_file, monkeypatch):
+    _, pruned, _ = run(["base", sysb_file], expect=0)
+    _exhaustive_engine(monkeypatch)
+    _, exhaustive, _ = run(["base", sysb_file], expect=0)
+    assert pruned == exhaustive
+
+
+def test_base_exhaustive_mode_on_a_generated_system(tmp_path, monkeypatch):
+    # 64 constants with norms up to 8: enumerating every prime string of a
+    # constant's norm would test 406,725 candidates for C15 alone.
+    target = tmp_path / "n64.bpa"
+    gen = ["gen", "--constants", "64", "--norm-cap", "8", "--seed", "34", "-o", str(target)]
+    run(gen, expect=0)
+    _, pruned, _ = run(["base", str(target), "--iterations"], expect=0)
+    _exhaustive_engine(monkeypatch)
+    _, exhaustive, _ = run(["base", str(target), "--iterations"], expect=0)
+    assert pruned == exhaustive
 
 
 def test_mode_flag_is_gone(sysb_file):
