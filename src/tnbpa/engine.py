@@ -174,13 +174,7 @@ def _step_one(base: DecompositionBase, i: int, head: int, old_tail: tuple[int, .
     return base.dcmp_memo((i,)) == base.dcmp_memo((head,)) + old_tail
 
 
-def lpftest(
-    std: StandardSystem,
-    base: DecompositionBase,
-    partial: _PartialBase,
-    i: int,
-    delta: Process,
-) -> TestResult:
+def lpftest(partial: _PartialBase, i: int, delta: Process) -> TestResult:
     """Single-transition test deciding whether delta decomposes constant i.
 
     i's moves come from the move table; delta's are its head's moves with
@@ -194,10 +188,11 @@ def lpftest(
     stripped are the head's, the lookup of `candidates_for`.
 
     delta is an id tuple from `candidates_for`: settled primes of the
-    partial base.
+    partial base.  The old base is `partial.old`.
     """
     if not delta:
         return TestResult(False, 1)
+    base = partial.old
     head, d_tail = delta[0], delta[1:]
     old_tail = base.dcmp(d_tail)
     if not _step_one(base, i, head, old_tail):
@@ -384,7 +379,7 @@ def refine(
         records: list[CandidateOutcome] = []
         for delta, res in candidates_for(std, base, partial, i, fixed, mode):
             if res is None:
-                res = lpftest(std, base, partial, i, delta)
+                res = lpftest(partial, i, delta)
             records.append(CandidateOutcome(delta, res.accepted, res.step))
             if res.accepted:
                 if accepted is not None:

@@ -318,6 +318,22 @@ class SystemView:
         tail = p[1:]
         return [rhs + tail for rhs in self._rhs_by_label[p[0]].get(label, ())]
 
+    @cached_property
+    def rhs_norms_by_label(self) -> tuple[dict[str, tuple[tuple[Process, int], ...]], ...]:
+        """Per constant and label, the (rhs, norm of rhs) of its rules, in
+        rule order: `moves` with the targets' norms ready to add."""
+        return tuple(
+            {label: tuple((rhs, self.norm_of(rhs)) for rhs in rhss) for label, rhss in by.items()}
+            for by in self._rhs_by_label
+        )
+
+    @cached_property
+    def witness_steps(self) -> tuple[tuple[str, Process, int], ...]:
+        """Per constant, the (label, rhs, norm(rhs) - norm(constant)) of its
+        norm witness rule: following it changes a process's norm by that delta."""
+        rules = [self.sys.rules[ri] for ri in self.witness]
+        return tuple((r.label, r.rhs, self.norm_of(r.rhs) - self.norms[r.lhs]) for r in rules)
+
     def silent_dec_transitions(self, p: Process) -> list[Process]:
         if not p:
             return []

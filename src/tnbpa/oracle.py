@@ -15,8 +15,10 @@ differential harness that cross-checks the engine against the game.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -82,6 +84,20 @@ def silent_closure_dec(view: SystemView, p: Process) -> SilentClosure:
     return SilentClosure(tuple(order))
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Switch CPython's cyclic collector off for the block, then back to the
+    state it had before, on every exit path.  Strategy extraction and replay
+    run under it; `GameContext` says why that is sound."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # stratified game rounds
 
@@ -144,6 +160,19 @@ class GameContext:
     that norm-increasing rules otherwise cause (each round can pump the pairs
     higher).  Searches that return nothing are honest either way: they never
     claim bisimilarity.
+
+    Extraction has two builders: `_refute` for norm-equal pairs, keyed by the
+    level at which they fail, and `_descend` for norm descents, which carries
+    the pair's norms.  Both file their nodes in one table, `_strategies`,
+    whose size `NODE_LIMIT` bounds: the budget is one per context, shared by
+    every certificate extracted in it, so once one certificate fills it
+    every later extraction that adds a node is skipped.
+
+    Extraction and replay pause CPython's cyclic collector.  That is sound:
+    a strategy DAG builds every child before its parent, so it holds no
+    reference cycles, and neither pass makes any other cycle, so reference
+    counting frees all they drop.  Left running, the collector rescans the
+    whole growing DAG at every full collection.
     """
 
     def __init__(self, view: SystemView, *, norm_budget: int | None = None):
@@ -154,11 +183,25 @@ class GameContext:
         self._strategies: dict[tuple[Process, Process, int | None], Distinction] = {}
 
     def closure(self, p: Process) -> SilentClosure:
+        """p's silent closure, cached; only single constants run the BFS."""
         hit = self._closures.get(p)
         if hit is None:
-            hit = silent_closure_dec(self.view, p)
+            if len(p) > 1:
+                hit = SilentClosure(self._closure_states(p))
+            else:
+                hit = silent_closure_dec(self.view, p)
             self._closures[p] = hit
         return hit
+
+    def _closure_states(self, p: Process) -> tuple[Process, ...]:
+        """The states of a non-empty p's silent closure, not cached.  Silent
+        steps rewrite the head and never erase it, so the closure of X.w is
+        X's with w appended, in the same BFS order."""
+        head = self.closure(p[:1]).states
+        if len(head) == 1:
+            return (p,)
+        tail = p[1:]
+        return (p, *[s + tail for s in head[1:]])
 
     def related(self, p: Process, q: Process, k: int) -> bool:
         # Shared suffixes cancel exactly at every level: silent steps never
@@ -239,8 +282,9 @@ class GameContext:
 
     def find_distinction(self, p: Process, q: Process, k_max: int) -> Distinction | None:
         """A replayable attacker strategy refuting p ~ q, or None at the bound."""
-        k = self.refutation_level(p, q, k_max)
-        return None if k is None else self._refute(p, q, k)
+        with _cyclic_gc_paused():
+            k = self.refutation_level(p, q, k_max)
+            return None if k is None else self._refute(p, q, k)
 
     def refutation_level(self, p: Process, q: Process, k_max: int) -> int | None:
         """The least level at which p and q fail to be related, or None when
@@ -252,69 +296,102 @@ class GameContext:
             k += 1
         return k
 
-    def _refute(self, p: Process, q: Process, k: int | None) -> Distinction:
+    def _refute(self, p: Process, q: Process, k: int) -> Distinction:
         """Attacker strategy for a pair that is not related at level k.
 
-        A norm-equal pair is attacked with the first move the other side
-        cannot match at level k - 1.  A norm-unequal pair is not related at
-        any level, so its level is dropped (k is None) and its nodes are
-        shared across levels: it is attacked along the smaller side's
-        norm-witness path, and every defender reply keeps the norms unequal.
-        Once one side is empty the other descends, and its first visible
-        witness step cannot be answered.
-
-        Every defender reply is listed, in the order replay enumerates them:
-        the stay reply to a silent move, then each matching move from the
-        defender's closure.  Each continues at a pair the reply leaves
-        unrelated; in a descent that is always the post-action pair.
+        A norm-unequal pair is not related at any level and goes to
+        `_descend`.  A norm-equal pair is attacked with the first move the
+        other side cannot match at level k - 1.  Every defender reply is
+        listed, in the order replay enumerates them: the stay reply to a
+        silent move, then each matching move from the defender's closure.
+        Each continues at a pair the reply leaves unrelated.
         """
         view = self.view
         np_, nq = view.norm_of(p), view.norm_of(q)
         if np_ != nq:
-            k = None
+            return self._descend(p, q, np_, nq)
         key = (p, q, k)
         hit = self._strategies.get(key)
         if hit is not None:
             return hit
-        if k is None:
-            km1 = None
-            if np_ == nq:
-                raise AssertionError("norm descent on a norm-equal pair")
-            side = "left" if p and (not q or np_ < nq) else "right"
-            att = p if side == "left" else q
-            # The norm fixpoint's witness rule of the head; witness rules form
-            # a well-founded descent even on systems never standardized.
-            r = view.sys.rules[view.witness[att[0]]]
-            label, t = r.label, r.rhs + att[1:]
-        elif k < 1:
+        if k < 1:
             raise AssertionError("norm-equal pair cannot fail at level 0")
+        km1 = k - 1
+        relate = lambda a, b: self.related(a, b, km1)
+        for side, att, dfd in (("left", p, q), ("right", q, p)):
+            move = self._unanswered(relate, att, dfd)
+            if move is not None:
+                label, t = move
+                break
         else:
-            km1 = k - 1
-            relate = lambda a, b: self.related(a, b, km1)
-            for side, att, dfd in (("left", p, q), ("right", q, p)):
-                move = self._unanswered(relate, att, dfd)
-                if move is not None:
-                    label, t = move
-                    break
-            else:
-                raise AssertionError("approximant failed but every transition is matched")
+            raise AssertionError("approximant failed but every transition is matched")
 
         left = side == "left"
-        att, dfd = (p, q) if left else (q, p)
         replies: list[DefenderReply] = []
         if is_silent(label):
             nxt = (t, dfd) if left else (dfd, t)
             replies.append(DefenderReply("stay", None, None, self._refute(*nxt, km1)))
         for mid in self.closure(dfd).states:
             for res in view.moves(mid, label):
-                if k is not None and not relate(att, mid):
+                if not relate(att, mid):
                     nxt = (att, mid) if left else (mid, att)
-                elif k is None or not relate(t, res):
+                elif not relate(t, res):
                     nxt = (t, res) if left else (res, t)
                 else:
                     raise AssertionError("witness transition has an answered reply")
                 replies.append(DefenderReply("move", mid, res, self._refute(*nxt, km1)))
-        node = self._strategies[key] = Distinction(p, q, side, label, t, tuple(replies))
+        return self._add(key, Distinction(p, q, side, label, t, tuple(replies)))
+
+    def _descend(self, p: Process, q: Process, np_: int, nq: int) -> Distinction:
+        """Attacker strategy for a norm-unequal pair, whose norms are np_, nq.
+
+        Its nodes carry no level (k is None in the key), so they are shared
+        across levels.  The side of smaller norm, or the other one when it
+        is empty, follows its head's norm-witness rule; witness rules form a
+        well-founded descent even on systems never standardized.  Every
+        defender reply keeps the norms unequal and continues at the
+        post-action pair.  Once one side is empty the other descends, and
+        its first visible witness step cannot be answered.
+
+        The norms are carried, not recomputed: the attacker's changes by its
+        witness step's delta, and a reply from closure state mid by the
+        reply rule's rhs norm minus the norm of mid's head (silent closure
+        steps preserve the norm).
+        """
+        if np_ == nq:
+            raise AssertionError("norm descent on a norm-equal pair")
+        key = (p, q, None)
+        hit = self._strategies.get(key)
+        if hit is not None:
+            return hit
+        view = self.view
+        left = bool(p) and (not q or np_ < nq)
+        att, dfd, n_dfd = (p, q, nq) if left else (q, p, np_)
+        label, rhs, delta = view.witness_steps[att[0]]
+        t = rhs + att[1:]
+        n_t = (np_ if left else nq) + delta
+        descend = self._descend
+        replies: list[DefenderReply] = []
+        if is_silent(label):
+            child = descend(t, dfd, n_t, n_dfd) if left else descend(dfd, t, n_dfd, n_t)
+            replies.append(DefenderReply("stay", None, None, child))
+        if dfd:
+            # A descent meets each defender about three times, so its closure
+            # is derived afresh, not cached: caching every one held about
+            # 10 MB more at the peak of the 105-trial oracle corpus.
+            norms, by_label = view.norms, view.rhs_norms_by_label
+            for mid in self._closure_states(dfd):
+                tail, rest = mid[1:], n_dfd - norms[mid[0]]
+                for beta, n_beta in by_label[mid[0]].get(label, ()):
+                    res = beta + tail
+                    n_res = rest + n_beta
+                    child = descend(t, res, n_t, n_res) if left else descend(res, t, n_res, n_t)
+                    replies.append(DefenderReply("move", mid, res, child))
+        side = "left" if left else "right"
+        return self._add(key, Distinction(p, q, side, label, t, tuple(replies)))
+
+    def _add(self, key: tuple[Process, Process, int | None], node: Distinction) -> Distinction:
+        self._strategies[key] = node
         if len(self._strategies) > NODE_LIMIT:
             raise StateGuardExceeded(f"strategy extraction exceeded {NODE_LIMIT} nodes")
         return node
@@ -336,56 +413,65 @@ def replay_distinction(view: SystemView, d: Distinction) -> None:
     options as multisets.  Each defender's closure is computed once per call,
     by this function's own BFS.  Raises ReplayError otherwise.
     """
-    verified: set[int] = set()
-    on_path: set[int] = set()
-    closures: dict[Process, tuple[Process, ...]] = {}
+    with _cyclic_gc_paused():
+        _replay_node(view, d, set(), set(), {})
 
-    def check(node: Distinction) -> None:
-        if id(node) in on_path:
-            raise ReplayError("strategy contains a cycle; the defender could play it forever")
-        if id(node) in verified:
-            return
-        on_path.add(id(node))
 
-        att, dfd = (node.left, node.right) if node.side == "left" else (node.right, node.left)
-        if (node.action, node.target) not in view.transitions(att):
-            raise ReplayError(f"attacked transition {node.action} not available from {att}")
+def _replay_node(
+    view: SystemView,
+    node: Distinction,
+    verified: set[int],
+    on_path: set[int],
+    closures: dict[Process, tuple[Process, ...]],
+) -> None:
+    """`replay_distinction`'s check of one node and, depth first, the nodes
+    below it.  A module-level function, not a closure over the call's
+    tables: a nested function that calls itself forms a reference cycle,
+    which would keep its closure table alive until the cyclic collector ran.
+    """
+    if id(node) in on_path:
+        raise ReplayError("strategy contains a cycle; the defender could play it forever")
+    if id(node) in verified:
+        return
+    on_path.add(id(node))
 
-        options: list[tuple[str, Process | None, Process | None]] = []
-        if is_silent(node.action):
-            options.append(("stay", None, None))
-        states = closures.get(dfd)
-        if states is None:
-            states = closures[dfd] = silent_closure_dec(view, dfd).states
-        for mid in states:
-            for lab, res in view.transitions(mid):
-                if lab == node.action:
-                    options.append(("move", mid, res))
+    att, dfd = (node.left, node.right) if node.side == "left" else (node.right, node.left)
+    if (node.action, node.target) not in view.transitions(att):
+        raise ReplayError(f"attacked transition {node.action} not available from {att}")
 
-        listed = [(r.kind, r.intermediate, r.result) for r in node.replies]
-        if listed != options:
-            want, got = Counter(options), Counter(listed)
-            if want != got:
-                missing = list((want - got).elements())
-                extra = list((got - want).elements())
-                raise ReplayError(f"defender options mismatch: missing={missing} extra={extra}")
+    options: list[tuple[str, Process | None, Process | None]] = []
+    if is_silent(node.action):
+        options.append(("stay", None, None))
+    states = closures.get(dfd)
+    if states is None:
+        states = closures[dfd] = silent_closure_dec(view, dfd).states
+    for mid in states:
+        for lab, res in view.transitions(mid):
+            if lab == node.action:
+                options.append(("move", mid, res))
 
-        for r in node.replies:
-            child_pair = (r.child.left, r.child.right)
-            if r.kind == "stay":
-                legal = [(node.target, node.right) if node.side == "left" else (node.left, node.target)]
-            elif node.side == "left":
-                legal = [(node.left, r.intermediate), (node.target, r.result)]
-            else:
-                legal = [(r.intermediate, node.right), (r.result, node.target)]
-            if child_pair not in legal:
-                raise ReplayError(f"continuation {child_pair} is not a legal game position")
-            check(r.child)
+    listed = [(r.kind, r.intermediate, r.result) for r in node.replies]
+    if listed != options:
+        want, got = Counter(options), Counter(listed)
+        if want != got:
+            missing = list((want - got).elements())
+            extra = list((got - want).elements())
+            raise ReplayError(f"defender options mismatch: missing={missing} extra={extra}")
 
-        on_path.discard(id(node))
-        verified.add(id(node))
+    for r in node.replies:
+        child_pair = (r.child.left, r.child.right)
+        if r.kind == "stay":
+            legal = [(node.target, node.right) if node.side == "left" else (node.left, node.target)]
+        elif node.side == "left":
+            legal = [(node.left, r.intermediate), (node.target, r.result)]
+        else:
+            legal = [(r.intermediate, node.right), (r.result, node.target)]
+        if child_pair not in legal:
+            raise ReplayError(f"continuation {child_pair} is not a legal game position")
+        _replay_node(view, r.child, verified, on_path, closures)
 
-    check(d)
+    on_path.discard(id(node))
+    verified.add(id(node))
 
 
 def distinction_to_json(view: SystemView, d: Distinction) -> dict:

@@ -20,7 +20,15 @@ from tnbpa.normalization import (
     compute_norms,
     standardize,
 )
-from tnbpa.oracle import random_system
+from tnbpa import oracle
+from tnbpa.oracle import (
+    DefenderReply,
+    Distinction,
+    GameContext,
+    StateGuardExceeded,
+    random_system,
+    silent_closure_dec,
+)
 
 # The two-process system where every action matches yet the silent step on
 # one side is a genuine change of state.
@@ -258,7 +266,8 @@ def _lpftest_skipping(steps: frozenset[int]):
     `engine.lpftest` is compared against.
     """
 
-    def mutant(std, base, partial, i, delta):
+    def mutant(partial, i, delta):
+        std, base = partial.std, partial.old
         if 1 not in steps:
             if not delta or base.dcmp((i,)) != base.dcmp(delta):
                 return engine.TestResult(False, 1)
@@ -358,3 +367,88 @@ def skip_lpftest_steps(monkeypatch):
         monkeypatch.setattr(engine, "lpftest", _lpftest_skipping(frozenset(steps)))
 
     return install
+
+
+class ReferenceGameContext(GameContext):
+    """The game context with the one-builder extractor and the per-process
+    closures that `_refute`, `_descend` and the head-derived closures
+    replaced, kept as the reference their strategy tables are compared
+    against.  `NODE_LIMIT` is read from the oracle module, so a test that
+    patches it there patches both builders.
+    """
+
+    def closure(self, p):
+        hit = self._closures.get(p)
+        if hit is None:
+            hit = silent_closure_dec(self.view, p)
+            self._closures[p] = hit
+        return hit
+
+    def _refute(self, p, q, k):
+        view = self.view
+        np_, nq = view.norm_of(p), view.norm_of(q)
+        if np_ != nq:
+            k = None
+        key = (p, q, k)
+        hit = self._strategies.get(key)
+        if hit is not None:
+            return hit
+        if k is None:
+            km1 = None
+            if np_ == nq:
+                raise AssertionError("norm descent on a norm-equal pair")
+            side = "left" if p and (not q or np_ < nq) else "right"
+            att = p if side == "left" else q
+            # The norm fixpoint's witness rule of the head; witness rules form
+            # a well-founded descent even on systems never standardized.
+            r = view.sys.rules[view.witness[att[0]]]
+            label, t = r.label, r.rhs + att[1:]
+        elif k < 1:
+            raise AssertionError("norm-equal pair cannot fail at level 0")
+        else:
+            km1 = k - 1
+            relate = lambda a, b: self.related(a, b, km1)
+            for side, att, dfd in (("left", p, q), ("right", q, p)):
+                move = self._unanswered(relate, att, dfd)
+                if move is not None:
+                    label, t = move
+                    break
+            else:
+                raise AssertionError("approximant failed but every transition is matched")
+
+        left = side == "left"
+        att, dfd = (p, q) if left else (q, p)
+        replies = []
+        if is_silent(label):
+            nxt = (t, dfd) if left else (dfd, t)
+            replies.append(DefenderReply("stay", None, None, self._refute(*nxt, km1)))
+        for mid in self.closure(dfd).states:
+            for res in view.moves(mid, label):
+                if k is not None and not relate(att, mid):
+                    nxt = (att, mid) if left else (mid, att)
+                elif k is None or not relate(t, res):
+                    nxt = (t, res) if left else (res, t)
+                else:
+                    raise AssertionError("witness transition has an answered reply")
+                replies.append(DefenderReply("move", mid, res, self._refute(*nxt, km1)))
+        node = self._strategies[key] = Distinction(p, q, side, label, t, tuple(replies))
+        if len(self._strategies) > oracle.NODE_LIMIT:
+            raise StateGuardExceeded(f"strategy extraction exceeded {oracle.NODE_LIMIT} nodes")
+        return node
+
+
+def strategy_table(ctx):
+    """A context's strategy table as plain data, in insertion order: each
+    key with its node's side, action, target and replies, a reply's child
+    given by its position in the table."""
+    index = {id(node): i for i, node in enumerate(ctx._strategies.values())}
+    return [
+        (
+            key,
+            node.side,
+            node.action,
+            node.target,
+            [(r.kind, r.intermediate, r.result, index[id(r.child)]) for r in node.replies],
+        )
+        for key, node in ctx._strategies.items()
+    ]

@@ -128,6 +128,14 @@ def test_criterion_6_differential_soundness(corpus_report):
     assert rate < 0.05
     for pair in flagged:
         assert pair.confirmed_at is not None and pair.confirmed_at <= CONFIRM_K
+    # The node budget is shared by a trial's certificates: in trial 63 one
+    # extraction fills it, and that certificate and the 8 after it are
+    # skipped.  A change to which certificates get built shows here.
+    certificates = [(t.seed, p) for t in corpus_report.trials for p in t.pairs if p.certificate]
+    skipped = [(seed, p) for seed, p in certificates if p.certificate == "skipped"]
+    assert (len(certificates) - len(skipped), len(skipped)) == (1_191, 9)
+    assert {seed for seed, _ in skipped} == {corpus_report.trials[63].seed}
+    assert (skipped[0][1].left, skipped[0][1].right) == ((1, 4, 3), (3, 3, 2))
     report(
         6,
         f"{corpus_report.pairs_checked} pairs, 0 refutations, "

@@ -65,10 +65,10 @@ def test_pruned_mode_tests_only_in_place_targets(monkeypatch):
     in_place = []
     test = engine.lpftest
 
-    def recording(std, base, partial, i, delta):
-        targets = {partial.dcmp(r.rhs) for r in std.dec_rules(i) if is_silent(r.label)}
+    def recording(partial, i, delta):
+        targets = {partial.dcmp(r.rhs) for r in partial.std.dec_rules(i) if is_silent(r.label)}
         in_place.append(delta in targets)
-        return test(std, base, partial, i, delta)
+        return test(partial, i, delta)
 
     monkeypatch.setattr(engine, "lpftest", recording)
     compute_bisimilarity_base(standardize(random_system(family_params(512, 4))))

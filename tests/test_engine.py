@@ -135,7 +135,7 @@ def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
         partial.settle_prime(j)
     a = sysb_std.sys.constant_id("A")
     delta = (0,)  # B
-    res = lpftest(sysb_std, base, partial, a, delta)
+    res = lpftest(partial, a, delta)
     # A's silent decreasing step lands exactly on B, so the early accept fires.
     assert res.accepted and res.step == 4
 
@@ -148,7 +148,7 @@ def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
     partial.settle_prime(2)  # X became prime earlier in the pass
     y = ex1_std.sys.constant_id("Y")
     delta = (2,)  # X
-    res = lpftest(ex1_std, base, partial, y, delta)
+    res = lpftest(partial, y, delta)
     # X's a->eps has no decreasing answer from Y with the same decomposition.
     assert not res.accepted and res.step == 5
 
@@ -286,7 +286,7 @@ def test_lpftest_matches_realtime_directly():
         partial.settle_prime(j)
     n = std.sys.constant_id("N")
     for delta in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        assert lpftest(std, base, partial, n, delta).accepted == \
+        assert lpftest(partial, n, delta).accepted == \
             lpftest_realtime(std, base, partial, n, delta).accepted
 
 
@@ -331,7 +331,7 @@ def test_lpftest_step_one_rejects_old_base_mismatch(ex1_std):
     partial.settle_prime(0)
     yp = ex1_std.sys.constant_id("Y'")
     delta = (ex1_std.sys.constant_id("X"),)
-    res = lpftest(ex1_std, final, partial, yp, delta)
+    res = lpftest(partial, yp, delta)
     assert not res.accepted and res.step == 1
 
 
@@ -398,9 +398,9 @@ def test_lpftest_agrees_with_whole_word_reference(monkeypatch):
     tested = engine.lpftest
     steps = set()
 
-    def both(std, base, partial, i, delta):
-        got = tested(std, base, partial, i, delta)
-        assert got == reference(std, base, partial, i, delta)
+    def both(partial, i, delta):
+        got = tested(partial, i, delta)
+        assert got == reference(partial, i, delta)
         steps.add((got.accepted, got.step))
         return got
 
@@ -456,14 +456,14 @@ def test_pruned_mode_leaves_out_only_rejected_candidates(monkeypatch):
         possible = {*_candidates_unfiltered(std, base, partial, i, fixed), *in_place}
         for ids in possible - dict(got).keys():
             seen["dropped"] += 1
-            assert not reference(std, base, partial, i, ids).accepted
+            assert not reference(partial, i, ids).accepted
         for ids, res in got:
             if res is None:
                 assert ids in in_place
-                seen["early"] += reference(std, base, partial, i, ids).step == 4
+                seen["early"] += reference(partial, i, ids).step == 4
             else:
                 seen["keyed"] += 1
-                assert reference(std, base, partial, i, ids) == res == engine.TestResult(True, 7)
+                assert reference(partial, i, ids) == res == engine.TestResult(True, 7)
         return got
 
     monkeypatch.setattr(engine, "candidates_for", checked)
@@ -515,9 +515,9 @@ def test_refinement_builds_one_string_per_equation(monkeypatch):
     bases = []
     tested = engine.lpftest
 
-    def recording(std, base, partial, i, delta):
-        bases.extend((base, partial))
-        return tested(std, base, partial, i, delta)
+    def recording(partial, i, delta):
+        bases.extend((partial.old, partial))
+        return tested(partial, i, delta)
 
     monkeypatch.setattr(NormedString, "__init__", counting_init)
     monkeypatch.setattr(NormedString, "split_at_norm", counting_split)

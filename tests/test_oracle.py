@@ -1,7 +1,10 @@
+import gc
 import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tnbpa.base import initial_base
 from tnbpa import engine
@@ -16,6 +19,8 @@ from tnbpa.oracle import (
     Distinction,
     GameContext,
     GenParams,
+    GuardExceeded,
+    NORM_BUDGET,
     ReplayError,
     StateGuardExceeded,
     TrialReport,
@@ -29,6 +34,8 @@ from tnbpa.oracle import (
     verify_base_generators,
 )
 from tnbpa.strings import NormedString
+
+from conftest import ReferenceGameContext, strategy_table
 
 
 def test_closure_without_silent_rules():
@@ -440,3 +447,104 @@ def test_deep_strategies_size_and_serialize(ex1_std):
     assert len(nodes) == depth
     assert [n["replies"][0]["child"] for n in nodes[:-1]] == list(range(1, depth))
     assert nodes[-1]["replies"] == []
+
+
+def _extract_both(std, pairs, k_max):
+    """Extract certificates for the pairs under both builders and return
+    the two strategy tables, each with the outcome of every extraction."""
+    tables = []
+    for ctx in (GameContext(std, norm_budget=NORM_BUDGET), ReferenceGameContext(std, norm_budget=NORM_BUDGET)):
+        outcomes = []
+        for p, q in pairs:
+            try:
+                outcomes.append(ctx.find_distinction(p, q, k_max) is not None)
+            except GuardExceeded as exc:
+                outcomes.append(type(exc).__name__)
+        tables.append((outcomes, strategy_table(ctx)))
+    return tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    constants=st.integers(2, 7),
+    silent_prob=st.floats(0.0, 0.45),
+    data=st.data(),
+)
+def test_builders_leave_the_reference_strategy_table(seed, constants, silent_prob, data):
+    # `_refute` with `_descend` and head-derived closures builds the same
+    # nodes, in the same order, as the one-builder reference extractor.
+    std = standardize(random_system(GenParams(constants=constants, silent_prob=silent_prob, seed=seed)))
+    process = st.lists(st.integers(0, std.n - 1), max_size=3).map(tuple)
+    pairs = data.draw(st.lists(st.tuples(process, process), min_size=1, max_size=4))
+    new, ref = _extract_both(std, pairs, 10)
+    assert new == ref
+
+
+@given(n=st.integers(0, 8))
+def test_builders_agree_on_power_descents(sysb_std, ex1_std, n):
+    # A^n against A^(n+1) is a pure norm descent; A and X have silent
+    # steps, so their defenders' closures have two states.
+    for std, name in ((sysb_std, "A"), (ex1_std, "X")):
+        a = std.parse_process(name)
+        new, ref = _extract_both(std, [(a * n, a * (n + 1))], 16)
+        assert new == ref and new[0] == [True]
+        assert len(new[1]) > n
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), constants=st.integers(2, 8), data=st.data())
+def test_head_derived_closure_matches_the_bfs(seed, constants, data):
+    std = standardize(random_system(GenParams(constants=constants, silent_prob=0.45, seed=seed)))
+    heads = [c for c in range(std.n) if len(silent_closure_dec(std, (c,)).states) > 1]
+    assume(heads)
+    head = data.draw(st.sampled_from(heads))
+    tail = data.draw(st.lists(st.integers(0, std.n - 1), min_size=1, max_size=3).map(tuple))
+    p = (head, *tail)
+    ctx = GameContext(std)
+    assert ctx.closure(p).states == silent_closure_dec(std, p).states
+    assert ctx.closure((head,)).states == silent_closure_dec(std, (head,)).states
+
+
+def test_extraction_and_replay_restore_the_cyclic_collector(ex1_std, monkeypatch):
+    x, y = ex1_std.parse_process("X"), ex1_std.parse_process("Y")
+    d = GameContext(ex1_std).find_distinction(x, y, 16)
+    assert gc.isenabled()
+    tampered = Distinction(d.left, d.right, d.side, d.action, d.target, ())
+    with pytest.raises(ReplayError):
+        replay_distinction(ex1_std, tampered)
+    assert gc.isenabled()
+    monkeypatch.setattr(oracle, "NODE_LIMIT", 0)
+    with pytest.raises(StateGuardExceeded):
+        GameContext(ex1_std).find_distinction(x, y, 16)
+    assert gc.isenabled()
+
+
+def test_extraction_restores_the_cyclic_collector_after_a_recursion_error():
+    # The norm-doubling chain of the CLI's deep recursion test: the descent
+    # refuting X11 against X10 runs out of stack.
+    rules = ["X0 -a-> eps"]
+    for i in range(1, 14):
+        rules += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
+    std = standardize(parse_system(
+        "constants: " + " ".join(f"X{i}" for i in range(14)) + "\n" + "\n".join(rules) + "\n"
+    ))
+    with pytest.raises(RecursionError):
+        GameContext(std).find_distinction(std.parse_process("X11"), std.parse_process("X10"), 4)
+    assert gc.isenabled()
+
+
+def test_extraction_and_replay_leave_a_disabled_collector_disabled(ex1_std):
+    # They also leave no cyclic garbage behind, which is what makes pausing
+    # the collector sound: reference counting alone frees what they drop.
+    x, y = ex1_std.parse_process("X"), ex1_std.parse_process("X X")
+    gc.collect()
+    gc.disable()
+    try:
+        d = GameContext(ex1_std).find_distinction(x, y, 16)
+        assert not gc.isenabled()
+        replay_distinction(ex1_std, d)
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
