@@ -55,6 +55,10 @@ class DecompositionBase:
         for i, rhs in self.equations.items():
             if rhs.norm != self.norms[i]:
                 raise InvalidBaseError(f"equation for constant {i} is not norm-preserving")
+            distinct = set(rhs.ids)
+            if distinct <= self.primes and max(distinct, default=-1) < i:
+                continue
+            # The ordered pass names the first offender in the word.
             for c in rhs.ids:
                 if c not in self.primes:
                     raise InvalidBaseError(f"equation for constant {i} mentions non-prime {c}")
@@ -73,11 +77,20 @@ class DecompositionBase:
         return f"DecompositionBase(primes={sorted(self.primes)}, composites={sorted(self.equations)})"
 
     def dcmp(self, p: Process) -> tuple[int, ...]:
-        """The prime decomposition of p as an id tuple."""
+        """The prime decomposition of p as an id tuple.
+
+        A string of primes is its own decomposition and comes back as it is,
+        after one subset check in C: the words of the norm-doubling chains
+        are exponentially long, and the loop costs an interpreter step per
+        constant.  Any other word concatenates its constants' factors; an
+        unsettled constant is never prime, so it still raises.
+        """
         factors = self._factors
         try:
             if len(p) == 1:  # the entry itself, not a copy
                 return factors[p[0]]
+            if self.primes.issuperset(p):
+                return p
             out: list[int] = []
             for c in p:
                 out += factors[c]

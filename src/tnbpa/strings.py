@@ -5,14 +5,18 @@ tuple of constant ids.  A base wraps each equation's right-hand side in a
 `NormedString`, which adds the norm table and the total norm, computed once,
 so the base can check that the equation is norm-preserving.  Exact sequences
 can be exponentially long in the number of constants: at n = 16 the initial
-base of the norm-doubling chain stores 2^16 - 1 ids for its top constant.  A
-compressed representation (ROADMAP item 5) would replace the tuples.
+base of the norm-doubling chain stores 2^16 - 1 ids for its top constant.  So
+the norm is summed in C, not one interpreter step per id; a single run such
+as ``X_0^k``, the form of every initial-base equation, is one multiplication.
+The memory stays exponential: a compressed representation (ROADMAP item 5)
+would replace the tuples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
+from operator import itemgetter
 
 from .model import Process
 
@@ -23,9 +27,14 @@ class NormedString:
     __slots__ = ("ids", "norms", "norm")
 
     def __init__(self, ids: Process, norms: tuple[int, ...]):
-        self.ids = tuple(ids)
+        self.ids = ids = tuple(ids)
         self.norms = norms
-        self.norm = sum(norms[c] for c in self.ids)
+        if not ids:
+            self.norm = 0
+        elif ids.count(ids[0]) == len(ids):  # a single run, like X_0^k
+            self.norm = norms[ids[0]] * len(ids)
+        else:
+            self.norm = sum(itemgetter(*ids)(norms))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NormedString):

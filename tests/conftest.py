@@ -202,6 +202,25 @@ def reference_standardize(sys: BpaSystem) -> StandardSystem:
     return StandardSystem(std_sys, norms, classes, tuple(table3.witness), name_map)
 
 
+def reference_dcmp(base, p: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-factor-per-constant loop that `DecompositionBase.dcmp` ran on
+    every word before it returned prime strings whole, kept as the reference
+    its decompositions and its unsettled-constant errors are compared against.
+    """
+    factors = base._factors
+    try:
+        if len(p) == 1:
+            return factors[p[0]]
+        out: list[int] = []
+        for c in p:
+            out += factors[c]
+    except KeyError as exc:
+        raise EngineInternalError(
+            f"decomposition demanded for unsettled constant {exc.args[0]}"
+        ) from None
+    return tuple(out)
+
+
 def names_of(std, ids) -> list[str]:
     return [std.sys.name(c) for c in ids]
 

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import base_as_names
+from conftest import base_as_names, reference_dcmp
 from tnbpa.base import (
     DecompositionBase,
     InvalidBaseError,
@@ -10,7 +12,7 @@ from tnbpa.base import (
     initial_base,
     render_base,
 )
-from tnbpa.engine import compute_bisimilarity_base
+from tnbpa.engine import CandidateMode, EngineInternalError, _PartialBase, compute_bisimilarity_base
 from tnbpa.model import parse_system
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
@@ -106,6 +108,55 @@ def test_validation_rejects_malformed_bases(ex1_std):
         DecompositionBase(
             4, [0, 3], {1: NormedString((3,), norms), 2: one}, norms
         )
+
+
+def test_validation_names_the_first_offender_of_a_long_word():
+    # Two offenders near the end of a 4,096-id word, the later one smaller,
+    # so a check over distinct or sorted ids would name the other one.
+    norms = (1, 1, 1, 1, 1, 4096)
+    word = (0,) * 4090 + (4, 1, 1, 2, 1, 1)
+    with pytest.raises(InvalidBaseError) as exc:
+        DecompositionBase(
+            6, [0, 1, 3], {2: NormedString((0,), norms), 4: NormedString((1,), norms),
+                           5: NormedString(word, norms)}, norms
+        )
+    assert str(exc.value) == "equation for constant 5 mentions non-prime 4"
+
+    norms = (1, 1, 4096, 1, 1)
+    word = (0,) * 4090 + (4, 1, 1, 3, 1, 1)
+    with pytest.raises(InvalidBaseError) as exc:
+        DecompositionBase(5, [0, 1, 3, 4], {2: NormedString(word, norms)}, norms)
+    assert str(exc.value) == "equation for constant 2 mentions index 4 >= 2"
+
+
+def _dcmp_outcome(dcmp, base, p):
+    try:
+        return dcmp(base, p)
+    except EngineInternalError as exc:
+        return f"raised: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), constants=st.integers(1, 10), data=st.data())
+def test_dcmp_matches_the_per_constant_loop(seed, constants, data):
+    # Over a final base and over a pass's partial base with only a prefix of
+    # the constants settled: prime strings come back whole, and a word with
+    # an unsettled constant names the same constant as the loop does.
+    std = standardize(random_system(GenParams(constants=constants, seed=seed)))
+    final, _ = compute_bisimilarity_base(std)
+    partial = _PartialBase(std, initial_base(std), data.draw(st.sampled_from(CandidateMode)))
+    for j in range(data.draw(st.integers(0, std.n))):
+        if j in final.primes:
+            partial.settle_prime(j)
+        else:
+            partial.settle_equation(j, final.equations[j].ids)
+    for base in (final, partial):
+        words = st.lists(st.integers(0, std.n - 1), max_size=12)
+        if base.primes:
+            words |= st.lists(st.sampled_from(sorted(base.primes)), max_size=80)
+        for p in data.draw(st.lists(words.map(tuple), min_size=1, max_size=6)):
+            assert _dcmp_outcome(DecompositionBase.dcmp, base, p) == \
+                _dcmp_outcome(reference_dcmp, base, p)
 
 
 def test_dcmp_idempotent_and_congruent():

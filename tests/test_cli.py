@@ -7,6 +7,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import EX1_TEXT, SYSB_TEXT
 from tnbpa import engine
@@ -338,6 +340,57 @@ def test_repo_sample_files():
     sysb = root / "systems" / "sys-b.bpa"
     run(["check", str(ex1), "--left", "X", "--right", "Y"], expect=1)
     run(["check", str(sysb), "--left", "A", "--right", "B"], expect=0)
+
+
+SAMPLES = [
+    (Path(__file__).resolve().parent.parent / "systems" / name).read_text().splitlines()
+    for name in ("ex1.bpa", "sys-b.bpa")
+]
+
+
+@st.composite
+def mutated_sample(draw):
+    """A sample system with one to three tokens or lines dropped, duplicated,
+    swapped with a neighbour, or replaced by an undeclared name."""
+    lines = [line.split() for line in draw(st.sampled_from(SAMPLES))]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        # Either the lines themselves or the tokens of one line.
+        seq = draw(st.sampled_from([lines, lines[row]]))
+        if not seq:
+            continue
+        at = draw(st.integers(0, len(seq) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "undeclared"]))
+        if op == "drop":
+            del seq[at]
+        elif op == "duplicate":
+            seq.insert(at, list(seq[at]) if seq is lines else seq[at])
+        elif op == "swap" and at + 1 < len(seq):
+            seq[at], seq[at + 1] = seq[at + 1], seq[at]
+        elif op == "undeclared":
+            seq[at] = ["Q", "-a->", "eps"] if seq is lines else "Q"
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    text=mutated_sample(),
+    left=st.sampled_from(["X", "Y", "A", "X Y", "eps", "Q"]),
+    right=st.sampled_from(["X'", "B", "Y X", "eps"]),
+)
+def test_mutated_samples_keep_the_exit_code_contract(tmp_path_factory, text, left, right):
+    # In process, so no example pays for a subprocess: every command returns
+    # 0, 1 or 2 on a broken input, and no exception escapes `main`.
+    path = tmp_path_factory.getbasetemp() / "mutated.bpa"
+    path.write_text(text)
+    for argv in (
+        ["check", str(path), "--left", left, "--right", right],
+        ["base", str(path)],
+        ["norms", str(path)],
+        ["standardize", str(path)],
+    ):
+        code, _, err = run(argv)
+        assert code in (0, 1, 2), (argv, text, err)
 
 
 @pytest.mark.parametrize(

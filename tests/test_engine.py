@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -476,8 +477,8 @@ def test_pruned_mode_leaves_out_only_rejected_candidates(monkeypatch):
             composite_prob=0.4,
             seed=seed,
         )))
-    for sys in systems:
-        compute_bisimilarity_base(standardize(sys))
+    for system in systems:
+        compute_bisimilarity_base(standardize(system))
     # Candidates were dropped, accepted by signature, and accepted at step 4
     # (a silent move onto the candidate, which only `lpftest` may decide).
     assert seen["dropped"] > 0 and seen["keyed"] > 0 and seen["early"] > 0
@@ -544,14 +545,29 @@ def _chain(rules: list[str], letter: str, n: int):
     return standardize(parse_system(f"constants: {names}\n" + "\n".join(rules) + "\n"))
 
 
+def _doubling_chain(n: int):
+    # Xi -a-> X(i-1) X(i-1) and Xi -b-> X(i-1) X(i-1): every Xi is prime.
+    lines = ["X0 -a-> eps"]
+    for i in range(1, n):
+        lines += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
+    return _chain(lines, "X", n)
+
+
+def _clone_chain(n: int):
+    # Yi copies Y(i-1)'s rules with Y(i-1) appended, so Yi = Y0^(2^i).
+    rules = [("a", ""), ("b", "")]
+    lines = [f"Y0 -{label}-> eps" for label, _ in rules]
+    for i in range(1, n):
+        rules = [(label, f"{rhs} Y{i - 1}".strip()) for label, rhs in rules]
+        lines += [f"Y{i} -{label}-> {rhs}" for label, rhs in rules]
+    return _chain(lines, "Y", n)
+
+
 def test_doubling_and_clone_chains_at_n12():
     # The two norm-blowup families of the benchmark, at n = 12.  Norms grow
     # as 2^i, so the factor table holds exponentially long entries.
     n = 12
-    lines = ["X0 -a-> eps"]
-    for i in range(1, n):
-        lines += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
-    std = _chain(lines, "X", n)
+    std = _doubling_chain(n)
     base, trace = compute_bisimilarity_base(std)
     assert len(trace) == 2 and len(base.primes) == n
     x = [std.sys.constant_id(f"X{i}") for i in range(n)]
@@ -559,13 +575,7 @@ def test_doubling_and_clone_chains_at_n12():
         assert check_equivalence(std, (x[i],), (x[i - 1], x[i - 1]), base=base).kind is \
             VerdictKind.NOT_BISIMILAR
 
-    # Yi copies Y(i-1)'s rules with Y(i-1) appended, so Yi = Y0^(2^i).
-    rules = [("a", ""), ("b", "")]
-    lines = [f"Y0 -{label}-> eps" for label, _ in rules]
-    for i in range(1, n):
-        rules = [(label, f"{rhs} Y{i - 1}".strip()) for label, rhs in rules]
-        lines += [f"Y{i} -{label}-> {rhs}" for label, rhs in rules]
-    std = _chain(lines, "Y", n)
+    std = _clone_chain(n)
     base, trace = compute_bisimilarity_base(std)
     y = [std.sys.constant_id(f"Y{i}") for i in range(n)]
     assert len(trace) == 1 and base.primes == {y[0]}
@@ -574,3 +584,37 @@ def test_doubling_and_clone_chains_at_n12():
         assert check_equivalence(std, (y[i],), (y[i - 1], y[i - 1]), base=base).kind is \
             VerdictKind.BISIMILAR
     assert len(base.equations[y[n - 1]].ids) == 2048
+
+
+def _traced_base(std):
+    """compute_bisimilarity_base(std) and the number of Python trace events
+    (calls, lines, returns) it ran."""
+    events = 0
+
+    def tracer(frame, event, arg):
+        nonlocal events
+        events += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = compute_bisimilarity_base(std)
+    finally:
+        sys.settrace(previous)
+    return events, result
+
+
+def test_interpreter_work_on_the_chains_grows_slowly():
+    # From n = 12 to n = 18 the words grow 64-fold.  Summing norms,
+    # validating equations and decomposing prime strings run in C, so the
+    # interpreter's work must not follow the words' length.
+    for build in (_doubling_chain, _clone_chain):
+        small, _ = _traced_base(build(12))
+        std = build(18)
+        large, (base, _) = _traced_base(std)
+        assert large < 2 * small, (build.__name__, small, large)
+    y = [std.sys.constant_id(f"Y{i}") for i in range(18)]
+    assert base.primes == {y[0]}
+    for i in range(1, 18):
+        assert base.equations[y[i]].ids == (y[0],) * 2 ** i

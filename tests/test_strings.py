@@ -2,6 +2,8 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tnbpa.strings import NormedString
 
@@ -72,6 +74,22 @@ def test_norm_and_length():
         s = NormedString(ids, NORMS)
         assert s.norm == sum(NORMS[c] for c in ids)
         assert s.ids == ids
+
+
+@given(norms=st.lists(st.integers(1, 1 << 40), min_size=1, max_size=6).map(tuple), data=st.data())
+def test_norm_is_the_sum_over_the_ids(norms, data):
+    # Empty, single, single-run and mixed words take different paths.
+    c = st.integers(0, len(norms) - 1)
+    words = (
+        st.just(())
+        | c.map(lambda x: (x,))
+        | st.tuples(c, st.integers(2, 5000)).map(lambda t: (t[0],) * t[1])
+        | st.lists(c, min_size=2, max_size=60).map(tuple)
+    )
+    ids = data.draw(words)
+    s = NormedString(ids, norms)
+    assert s.norm == sum(norms[c] for c in ids)
+    assert NormedString(list(ids), norms) == s
 
 
 class CountingNorms(tuple):
