@@ -23,8 +23,9 @@ class InvalidBaseError(ValueError):
 class DecompositionBase:
     """An immutable base (primes, equations) over a standard system.
 
-    `dcmp` reads one factor per constant: ``(c,)`` for a prime, and for a
-    composite its right-hand side, which is stored in prime form already.
+    Equations come in as id tuples and are kept as `NormedString`s.  `dcmp`
+    reads one factor per constant: ``(c,)`` for a prime, and for a composite
+    its right-hand side, which is stored in prime form already.
     """
 
     __slots__ = ("n", "primes", "equations", "norms", "_memo", "_factors")
@@ -33,12 +34,12 @@ class DecompositionBase:
         self,
         n: int,
         primes: Iterable[int],
-        equations: Mapping[int, NormedString],
+        equations: Mapping[int, Process],
         norms: tuple[int, ...],
     ):
         self.n = n
         self.primes = frozenset(primes)
-        self.equations = dict(equations)
+        self.equations = {i: NormedString(ids, norms) for i, ids in equations.items()}
         self.norms = norms
         self._memo: dict[Process, tuple[int, ...]] = {}
         self._validate()
@@ -123,10 +124,7 @@ class DecompositionBase:
 
 def initial_base(std: StandardSystem) -> DecompositionBase:
     """The norm-equality congruence: X_i = X_1 ** norm(X_i) for every i > 0."""
-    equations = {
-        i: NormedString((0,) * std.norms[i], std.norms)
-        for i in range(1, std.n)
-    }
+    equations = {i: (0,) * std.norms[i] for i in range(1, std.n)}
     return DecompositionBase(std.n, [0] if std.n else [], equations, std.norms)
 
 

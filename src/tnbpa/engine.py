@@ -1,18 +1,20 @@
 """Partition refinement over decomposition bases.
 
 Starting from the norm-equality base, each pass rebuilds the equations bottom
-up against the previous base and the partially built new base.  The pass
-reads every constant's one-step moves from one table, `_PartialBase.moves`:
-the decreasing moves decomposed over the new base, the increasing ones over
-the old base.  A six-step single-transition test, `lpftest`, compares a
-constant's moves with a candidate's as sets.  For a candidate that is not the
-target of one of the constant's silent decreasing moves, its steps 2, 3, 5
-and 6 say together that the constant's moves, with the candidate's tail
-stripped, equal the moves of the candidate's head.  So the default pruned
-mode files every prime under those moves, its signature, looks most
-candidates up instead of testing them, and does about one lookup per
-constant (`candidates_for`).  Constants with no accepted candidate become
-prime; the run stops when a pass adds no prime.
+up against the previous base and the partially built new base.  A pass is one
+`_PartialBase`, which holds the previous base, the fixed decreasing rules and
+the candidate mode, and reads every constant's one-step moves from one table,
+`_PartialBase.moves`: the decreasing moves decomposed over the new base, the
+increasing ones over the old base.  A six-step single-transition test,
+`lpftest`, compares a constant's moves with a candidate's as sets.  For a
+candidate that is not the target of one of the constant's silent decreasing
+moves, its steps 2, 3, 5 and 6 say together that the constant's moves, with
+the candidate's tail stripped, equal the moves of the candidate's head.  So
+the default pruned mode files every prime under those moves, its signature,
+looks most candidates up instead of testing them, and does about one lookup
+per constant (`candidates_for`).  Constants with no accepted candidate become
+prime; the run stops when a pass adds no prime.  A pass's base is built from
+its record alone (`_base_after`), in the run and when a trace is replayed.
 
 An exhaustive candidate mode keeps every head instead: all settled primes,
 each followed by the suffix of the fixed rule's decomposition that gives the
@@ -26,10 +28,9 @@ from __future__ import annotations
 import enum
 from typing import Iterable, NamedTuple
 
-from .base import DecompositionBase, initial_base
+from .base import DecompositionBase, InvalidBaseError, initial_base
 from .model import TAU, Process, Rule, is_silent
 from .normalization import EngineInternalError, StandardSystem
-from .strings import NormedString
 
 
 class CandidateMode(str, enum.Enum):
@@ -79,10 +80,12 @@ def select_decreasing_rules(std: StandardSystem) -> tuple[Rule, ...]:
 
 
 class _PartialBase(DecompositionBase):
-    """The bottom-up profile of the next base during one refinement pass.
+    """One refinement pass: the bottom-up profile of the next base.
 
-    While constant i is being treated, every constant below i is settled:
-    either marked prime or given its new equation.  Decomposing anything that
+    The pass holds its inputs: the previous base `old`, the fixed decreasing
+    rules and the candidate mode.  While constant i is being treated, every
+    constant below i is settled: either marked prime or given its new
+    equation, which only the factor table keeps.  Decomposing anything that
     mentions an unsettled constant is a bug (it would contradict the index
     discipline of decreasing rules).  Only the settle methods fill the factor
     table, so `dcmp` raises on it, and a memo entry, stored only once its
@@ -96,24 +99,25 @@ class _PartialBase(DecompositionBase):
     Exhaustive mode never reads the index, so it files nothing.
     """
 
-    __slots__ = ("std", "old", "_moves", "_indexed", "_by_signature", "_cut_lengths")
+    __slots__ = ("std", "old", "fixed", "mode", "_moves", "_by_signature", "_cut_lengths")
 
     def __init__(
         self,
         std: StandardSystem,
         old: DecompositionBase,
+        fixed: tuple[Rule, ...],
         mode: CandidateMode = CandidateMode.PRUNED,
     ):
         self.n = std.n
         self.norms = std.norms
         self.std = std
         self.old = old
+        self.fixed = fixed
+        self.mode = CandidateMode(mode)
         self.primes: set[int] = set()
-        self.equations: dict[int, NormedString] = {}
         self._memo = {}
         self._factors = {}
         self._moves: dict[int, tuple[list, list]] = {}
-        self._indexed = mode is CandidateMode.PRUNED
         # signature -> the primes filed under it.
         self._by_signature: dict[tuple, list[int]] = {}
         # label -> the lengths of the decreasing rules' decompositions under it.
@@ -140,7 +144,7 @@ class _PartialBase(DecompositionBase):
         """Mark j prime and, in pruned mode, file it under its signature."""
         self.primes.add(j)
         self._factors[j] = (j,)
-        if not self._indexed:
+        if self.mode is CandidateMode.EXHAUSTIVE:
             return
         dec, inc = self.moves(j)
         self._by_signature.setdefault(_signature(dec, inc), []).append(j)
@@ -149,8 +153,7 @@ class _PartialBase(DecompositionBase):
 
     def settle_equation(self, i: int, ids: Process) -> None:
         """Give i the equation i = ids, a string of settled primes."""
-        rhs = self.equations[i] = NormedString(ids, self.norms)
-        self._factors[i] = rhs.ids
+        self._factors[i] = ids
 
 
 def _signature(dec: Iterable, inc: Iterable) -> tuple:
@@ -260,16 +263,10 @@ def lpftest_realtime(
     return TestResult(True, 6)
 
 
-def candidates_for(
-    std: StandardSystem,
-    base: DecompositionBase,
-    partial: _PartialBase,
-    i: int,
-    fixed: tuple[Rule, ...],
-    mode: CandidateMode = CandidateMode.PRUNED,
-) -> list[tuple[Process, TestResult | None]]:
-    """Candidate decompositions of constant i, ascending, each with its test
-    result when known already and None when `lpftest` must decide it.
+def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestResult | None]]:
+    """Candidate decompositions of constant i in the pass `partial`,
+    ascending, each with its test result when known already and None when
+    `lpftest` must decide it.
 
     Let s be the decomposition of i's fixed decreasing rule (a, rhs) over the
     new base.  Step 2 of `lpftest` must match that rule: a candidate j . t
@@ -282,17 +279,18 @@ def candidates_for(
     moves, `lpftest` accepts it exactly when old(i) is old(j) . old(t) and
     j's decreasing and increasing moves, each with t appended, are i's.  So
     for each cut t = s[at:], at the length of a decreasing rule labelled a,
-    i's moves with t (and old(t)) stripped are looked up in the partial
-    base's signature index, and each hit that passes step 1 is accepted as at step 7 without a
-    test.  Only the in-place targets are left to `lpftest`.  Exhaustive: every
-    settled prime j is a head, with t the suffix of s of norm
-    norm(i) - norm(j) when s has a cut there; a silent rule preserves the
-    norm, so s itself is the candidate with head s[0].  It reads norms only,
-    not the index, leaves out only the prime strings of the constant's norm
-    that step 2 rejects, and leaves every candidate to `lpftest`.
+    i's moves with t (and old(t)) stripped are looked up in the pass's
+    signature index, and each hit that passes step 1 is accepted as at step 7
+    without a test.  Only the in-place targets are left to `lpftest`.
+    Exhaustive: every settled prime j is a head, with t the suffix of s of
+    norm norm(i) - norm(j) when s has a cut there; a silent rule preserves
+    the norm, so s itself is the candidate with head s[0].  It reads norms
+    only, not the index, leaves out only the prime strings of the constant's
+    norm that step 2 rejects, and leaves every candidate to `lpftest`.
     """
-    s = partial.dcmp_memo(fixed[i].rhs)
-    if mode is CandidateMode.EXHAUSTIVE:
+    std, base, rule = partial.std, partial.old, partial.fixed[i]
+    s = partial.dcmp_memo(rule.rhs)
+    if partial.mode is CandidateMode.EXHAUSTIVE:
         suffix_at = {0: len(s)}  # norm of s[at:] -> at
         norm = 0
         for at in range(len(s) - 1, -1, -1):
@@ -317,7 +315,7 @@ def candidates_for(
     found: dict[Process, TestResult | None] = {
         alpha: None for label, alpha in dec if is_silent(label) and admissible(alpha[0])
     }
-    for at in partial._cut_lengths.get(fixed[i].label, ()):
+    for at in partial._cut_lengths.get(rule.label, ()):
         if at > len(s):
             continue
         t = s[at:]
@@ -362,13 +360,13 @@ def refine(
 ) -> tuple[DecompositionBase, IterationRecord]:
     """One refinement pass: rebuild all equations bottom-up against `base`.
 
-    Primes of the previous base stay prime.  Candidates left undecided by
-    `candidates_for` are tested, and a second acceptance raises: two
-    accepted equations would contradict unique decomposition.  Only the
-    accepted candidate is wrapped in a `NormedString`, the form in which a
-    base stores its equations.
+    The pass is one `_PartialBase`, built here once.  Primes of the previous
+    base stay prime.  Candidates left undecided by `candidates_for` are
+    tested, and a second acceptance raises: two accepted equations would
+    contradict unique decomposition.  The new base is built from the pass's
+    record by `_base_after`, as `pass_bases` builds it.
     """
-    partial = _PartialBase(std, base, mode)
+    partial = _PartialBase(std, base, fixed, mode)
     outcomes: list[ConstantOutcome] = []
 
     for i in range(std.n):
@@ -377,7 +375,7 @@ def refine(
             continue
         accepted: Process | None = None
         records: list[CandidateOutcome] = []
-        for delta, res in candidates_for(std, base, partial, i, fixed, mode):
+        for delta, res in candidates_for(partial, i):
             if res is None:
                 res = lpftest(partial, i, delta)
             records.append(CandidateOutcome(delta, res.accepted, res.step))
@@ -395,17 +393,25 @@ def refine(
             partial.settle_prime(i)
             outcomes.append(ConstantOutcome(i, "prime", None, records))
 
-    new_base = DecompositionBase(std.n, partial.primes, partial.equations, std.norms)
-    if not base.primes <= new_base.primes:
+    if not base.primes <= partial.primes:
         raise EngineInternalError("prime set shrank during refinement")
     record = IterationRecord(
         number=number,
         primes_before=tuple(sorted(base.primes)),
-        primes_after=tuple(sorted(new_base.primes)),
-        new_primes=tuple(sorted(new_base.primes - base.primes)),
+        primes_after=tuple(sorted(partial.primes)),
+        new_primes=tuple(sorted(partial.primes - base.primes)),
         constants=outcomes,
     )
-    return new_base, record
+    return _base_after(std, record), record
+
+
+def _base_after(std: StandardSystem, record: IterationRecord) -> DecompositionBase:
+    """The base a pass built; an invalid one is an engine bug, not bad input."""
+    equations = {c.constant: c.equation for c in record.constants if c.equation is not None}
+    try:
+        return DecompositionBase(std.n, record.primes_after, equations, std.norms)
+    except InvalidBaseError as exc:
+        raise EngineInternalError(f"pass {record.number} built an invalid base: {exc}") from exc
 
 
 def compute_bisimilarity_base(
@@ -440,15 +446,7 @@ def compute_bisimilarity_base(
 
 def pass_bases(std: StandardSystem, trace: list[IterationRecord]) -> list[DecompositionBase]:
     """The bases a run went through: the initial base, then one per pass."""
-    bases = [initial_base(std)]
-    for rec in trace:
-        equations = {
-            c.constant: NormedString(c.equation, std.norms)
-            for c in rec.constants
-            if c.equation is not None
-        }
-        bases.append(DecompositionBase(std.n, rec.primes_after, equations, std.norms))
-    return bases
+    return [initial_base(std), *(_base_after(std, rec) for rec in trace)]
 
 
 def realtime_divergences(std: StandardSystem, trace: list[IterationRecord]) -> int:

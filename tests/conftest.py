@@ -324,7 +324,7 @@ def _lpftest_skipping(steps: frozenset[int]):
     return mutant
 
 
-def _candidates_unfiltered(std, base, partial, i, fixed):
+def _candidates_unfiltered(partial, i):
     """The pruned candidate set before heads were matched against the fixed rule.
 
     The previous leftmost prime factor and every new prime strictly between
@@ -333,11 +333,12 @@ def _candidates_unfiltered(std, base, partial, i, fixed):
     skipped.  Every candidate of this list that `engine.candidates_for`
     leaves out must be rejected by the reference test.
     """
-    s = partial.dcmp_memo(fixed[i].rhs)
+    std = partial.std
+    s = partial.dcmp_memo(partial.fixed[i].rhs)
     prefix = list(accumulate((std.norms[c] for c in s), initial=0))
-    k = base.lpf(i)
+    k = partial.old.lpf(i)
     heads = [k]
-    heads += [j for j in range(k + 1, i) if j in partial.primes and j not in base.primes]
+    heads += [j for j in range(k + 1, i) if j in partial.primes and j not in partial.old.primes]
     out = []
     for j in heads:
         if std.norms[j] > std.norms[i]:
@@ -372,10 +373,10 @@ def _norm_strings(alphabet, norms, total):
     return rec(total)
 
 
-def _candidates_enumerated(std, base, partial, i, fixed):
+def _candidates_enumerated(partial, i):
     """Every prime string of constant i's norm: the exhaustive candidate set
     before it was cut down to the strings that can pass step 2."""
-    return list(_norm_strings(sorted(partial.primes), std.norms, std.norms[i]))
+    return list(_norm_strings(sorted(partial.primes), partial.norms, partial.norms[i]))
 
 
 @pytest.fixture

@@ -334,6 +334,32 @@ def test_internal_failures_exit_three(ex1_file, monkeypatch):
     assert code == 3 and "internal error" in err
 
 
+def test_invalid_base_built_by_the_engine_exits_three(tmp_path, monkeypatch):
+    # An engine that accepts B = A, which changes the norm, builds a base
+    # that fails validation.  That is an engine bug, not bad input: check and
+    # base exit 3 with the validation message, and a fuzz trial records it.
+    from tnbpa.oracle import GenParams, differential_trial
+
+    path = tmp_path / "ab.bpa"
+    path.write_text("constants: A B\nA -a-> eps\nB -a-> A\n")
+    generate = engine.candidates_for
+
+    def norm_changing(partial, i):
+        if partial.norms[i] != partial.norms[0]:
+            return [((0,), engine.TestResult(True, 7))]
+        return generate(partial, i)
+
+    monkeypatch.setattr(engine, "candidates_for", norm_changing)
+    for argv in (["check", str(path), "--left", "A", "--right", "B"], ["base", str(path)]):
+        code, _, err = run(argv)
+        assert code == 3, err
+        assert err.startswith("internal error:") and "not norm-preserving" in err
+    report = differential_trial(GenParams(constants=6, seed=3), k_max=4, pairs_per_trial=2)
+    assert "not norm-preserving" in report.engine_error
+    code, out, _ = run(["fuzz", "--trials", "2", "--pairs", "2", "--constants", "5"])
+    assert code == 1 and "not norm-preserving" in out
+
+
 def test_repo_sample_files():
     root = Path(__file__).resolve().parent.parent
     ex1 = root / "systems" / "ex1.bpa"

@@ -46,11 +46,11 @@ def test_select_decreasing_rules_tie_break(ex1_std):
 def test_first_iteration_candidates_sysb(sysb_std):
     fixed = select_decreasing_rules(sysb_std)
     base = initial_base(sysb_std)
-    partial = _PartialBase(sysb_std, base)
+    partial = _PartialBase(sysb_std, base, fixed)
     partial.settle_prime(0)  # B settled prime
     partial.settle_prime(1)  # Y, as iteration 1 decides
     a = sysb_std.sys.constant_id("A")
-    cands = candidates_for(sysb_std, base, partial, a, fixed)
+    cands = candidates_for(partial, a)
     # lpf is B; Y is a new prime between lpf and A.  A's fixed rule A -a-> eps
     # is matched by B -a-> eps and Y -a-> eps, but neither head has A's
     # signature: A also moves silently to B, which B and Y cannot match.  So
@@ -64,14 +64,12 @@ def test_candidate_skipped_without_norm_boundary():
     # Z's own rule Z -a-> P does not match M -a-> Z either: P is no prefix of Z.
     std = standardize(parse_system("constants: P Z M\nP -a-> eps\nZ -a-> P\nM -a-> Z\n"))
     fixed = select_decreasing_rules(std)
-    base = DecompositionBase(
-        3, [0, 1], {2: NormedString((1, 0), std.norms)}, std.norms
-    )
-    partial = _PartialBase(std, base)
+    base = DecompositionBase(3, [0, 1], {2: (1, 0)}, std.norms)
+    partial = _PartialBase(std, base, fixed)
     for j in (0, 1):
         partial.settle_prime(j)
     m = std.sys.constant_id("M")
-    assert list(candidates_for(std, base, partial, m, fixed)) == []
+    assert list(candidates_for(partial, m)) == []
 
 
 def test_exhaustive_enumeration_is_lexicographic():
@@ -91,13 +89,12 @@ def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
         "constants: B Y N M\nB -a-> eps\nY -b-> eps\nN -a-> Y\nM -tau-> B Y\n"
     ))
     fixed = select_decreasing_rules(std)
-    base = initial_base(std)
-    partial = _PartialBase(std, base)
+    partial = _PartialBase(std, initial_base(std), fixed, CandidateMode.EXHAUSTIVE)
     for j in (0, 1):
         partial.settle_prime(j)
     for name, expected in [("N", [["B", "Y"], ["Y", "Y"]]), ("M", [["B", "Y"], ["Y", "Y"]])]:
         i = std.sys.constant_id(name)
-        cands = candidates_for(std, base, partial, i, fixed, CandidateMode.EXHAUSTIVE)
+        cands = candidates_for(partial, i)
         # Exhaustive mode leaves every candidate to `lpftest`.
         assert [([std.sys.name(c) for c in d], res) for d, res in cands] == \
             [(names, None) for names in expected]
@@ -105,7 +102,7 @@ def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
 
 def test_exhaustive_passes_file_no_signatures(monkeypatch):
     # Exhaustive candidates are read from norms alone, so its partial bases
-    # need no signature index.
+    # need no signature index.  A mode given by its value is the same mode.
     partials = []
 
     class Recording(_PartialBase):
@@ -117,21 +114,21 @@ def test_exhaustive_passes_file_no_signatures(monkeypatch):
 
     monkeypatch.setattr(engine, "_PartialBase", Recording)
     std = standardize(random_system(GenParams(constants=32, norm_cap=4, seed=5)))
-    runs = {}
-    for mode in CandidateMode:
+    runs = []
+    for mode in [*CandidateMode, *(m.value for m in CandidateMode)]:
         partials.clear()
         final, trace = compute_bisimilarity_base(std, mode)
-        runs[mode] = pass_bases(std, trace)
-        assert runs[mode][-1] == final
+        runs.append(pass_bases(std, trace))
+        assert runs[-1][-1] == final
         filed = [bool(p._by_signature or p._cut_lengths) for p in partials]
         assert len(filed) == len(trace) > 1
-        assert all(filed) if mode is CandidateMode.PRUNED else not any(filed)
-    assert runs[CandidateMode.PRUNED] == runs[CandidateMode.EXHAUSTIVE]
+        assert all(filed) if mode == CandidateMode.PRUNED else not any(filed)
+    assert all(bases == runs[0] for bases in runs)
 
 
 def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
     base = initial_base(sysb_std)
-    partial = _PartialBase(sysb_std, base)
+    partial = _PartialBase(sysb_std, base, select_decreasing_rules(sysb_std))
     for j in (0, 1):  # B prime, Y prime
         partial.settle_prime(j)
     a = sysb_std.sys.constant_id("A")
@@ -143,7 +140,7 @@ def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
 
 def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
     base = initial_base(ex1_std)
-    partial = _PartialBase(ex1_std, base)
+    partial = _PartialBase(ex1_std, base, select_decreasing_rules(ex1_std))
     partial.settle_prime(0)  # X'
     partial.settle_equation(1, (0,))  # Y' = X'
     partial.settle_prime(2)  # X became prime earlier in the pass
@@ -155,7 +152,7 @@ def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
 
 
 def test_partial_base_rejects_unsettled_lookup(ex1_std):
-    partial = _PartialBase(ex1_std, initial_base(ex1_std))
+    partial = _PartialBase(ex1_std, initial_base(ex1_std), select_decreasing_rules(ex1_std))
     with pytest.raises(EngineInternalError, match="unsettled"):
         partial.dcmp((3,))
 
@@ -282,7 +279,7 @@ def test_lpftest_matches_realtime_directly():
         "constants: B Y N\nB -a-> eps\nY -b-> eps\nN -a-> Y\nN -a-> B\n"
     ))
     base = initial_base(std)
-    partial = _PartialBase(std, base)
+    partial = _PartialBase(std, base, select_decreasing_rules(std))
     for j in (0, 1):
         partial.settle_prime(j)
     n = std.sys.constant_id("N")
@@ -312,8 +309,7 @@ SPLIT_TEXT = "constants: P Q R S\nP -a-> eps\nQ -b-> eps\nR -a-> eps\nS -a-> eps
 def refine_over_split_base():
     std = standardize(parse_system(SPLIT_TEXT))
     p, q, r, s = (std.sys.constant_id(name) for name in "PQRS")
-    equations = {r: NormedString((q,), std.norms), s: NormedString((p,), std.norms)}
-    base = DecompositionBase(std.n, [p, q], equations, std.norms)
+    base = DecompositionBase(std.n, [p, q], {r: (q,), s: (p,)}, std.norms)
     return std, refine(std, base, select_decreasing_rules(std))[0]
 
 
@@ -328,7 +324,7 @@ def test_signature_keeps_heads_apart_that_the_old_base_separates():
 
 def test_lpftest_step_one_rejects_old_base_mismatch(ex1_std):
     final, _ = compute_bisimilarity_base(ex1_std)
-    partial = _PartialBase(ex1_std, final)
+    partial = _PartialBase(ex1_std, final, select_decreasing_rules(ex1_std))
     partial.settle_prime(0)
     yp = ex1_std.sys.constant_id("Y'")
     delta = (ex1_std.sys.constant_id("X"),)
@@ -451,10 +447,10 @@ def test_pruned_mode_leaves_out_only_rejected_candidates(monkeypatch):
     generate = engine.candidates_for
     seen = {"dropped": 0, "keyed": 0, "early": 0}
 
-    def checked(std, base, partial, i, fixed, *rest):
-        got = generate(std, base, partial, i, fixed, *rest)
-        in_place = {partial.dcmp(r.rhs) for r in std.dec_rules(i) if is_silent(r.label)}
-        possible = {*_candidates_unfiltered(std, base, partial, i, fixed), *in_place}
+    def checked(partial, i):
+        got = generate(partial, i)
+        in_place = {partial.dcmp(r.rhs) for r in partial.std.dec_rules(i) if is_silent(r.label)}
+        possible = {*_candidates_unfiltered(partial, i), *in_place}
         for ids in possible - dict(got).keys():
             seen["dropped"] += 1
             assert not reference(partial, i, ids).accepted

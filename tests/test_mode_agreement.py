@@ -59,15 +59,17 @@ def test_modes_agree_on_the_wide_grid():
 
 
 def test_modes_go_through_the_same_bases():
-    # Every pass's base, not only the final one.  The generated system is
+    # Every pass's base, not only the final one, and in both modes the trace
+    # replays to the base the run returned.  The generated system is
     # `gen --constants 64 --norm-cap 8 --seed 34`, where enumerating every
     # prime string of a constant's norm would test 406,725 candidates for C15.
     for sys in (parse_system(SYSB_TEXT), random_system(GenParams(constants=64, norm_cap=8, seed=34))):
         std = standardize(sys)
-        pruned, exhaustive = (
-            pass_bases(std, compute_bisimilarity_base(std, mode)[1]) for mode in CandidateMode
-        )
+        runs = [compute_bisimilarity_base(std, mode) for mode in CandidateMode]
+        pruned, exhaustive = (pass_bases(std, trace) for _, trace in runs)
         assert pruned == exhaustive
+        for (final, _), bases in zip(runs, (pruned, exhaustive)):
+            assert bases[-1] == final
 
 
 @pytest.mark.parametrize("mode", list(CandidateMode))
@@ -117,10 +119,10 @@ KEY_MUTANTS = {
     "tail-one-short": ("_strip", lambda word, tail: _strip(word, tail[1:])),
     "in-place-dropped": (
         "candidates_for",
-        lambda std, base, partial, i, fixed, mode: [
+        lambda partial, i: [
             (delta, res)
-            for delta, res in candidates_for(std, base, partial, i, fixed, mode)
-            if res is not None or mode is CandidateMode.EXHAUSTIVE
+            for delta, res in candidates_for(partial, i)
+            if res is not None or partial.mode is CandidateMode.EXHAUSTIVE
         ],
     ),
 }
@@ -185,14 +187,14 @@ def test_exhaustive_mode_matches_the_full_enumeration(monkeypatch):
 
     cut = engine.candidates_for
 
-    def enumerated(std, base, partial, i, fixed, mode):
-        full = _candidates_enumerated(std, base, partial, i, fixed)
-        s = partial.dcmp_memo(fixed[i].rhs)
+    def enumerated(partial, i):
+        full = _candidates_enumerated(partial, i)
+        s = partial.dcmp_memo(partial.fixed[i].rhs)
 
         def tail_is_suffix_of_s(ids):
             return len(ids) - 1 <= len(s) and s[len(s) - (len(ids) - 1):] == ids[1:]
 
-        tested = cut(std, base, partial, i, fixed, mode)
+        tested = cut(partial, i)
         assert tested == [(d, None) for d in full if tail_is_suffix_of_s(d)]
         return [(d, None) for d in full]
 

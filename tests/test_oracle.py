@@ -33,7 +33,6 @@ from tnbpa.oracle import (
     silent_closure_dec,
     verify_base_generators,
 )
-from tnbpa.strings import NormedString
 
 from conftest import ReferenceGameContext, strategy_table
 
@@ -317,7 +316,7 @@ def test_verify_base_generators_catches_corruption(ex1_std):
     corrupted = DecompositionBase(
         4,
         [0, 2],
-        {1: NormedString((0,), ex1_std.norms), 3: NormedString((2,), ex1_std.norms)},
+        {1: (0,), 3: (2,)},
         ex1_std.norms,
     )
     report = verify_base_generators(ex1_std, corrupted, k_max=8, sample_budget=0)
@@ -413,9 +412,9 @@ def test_trial_records_an_exhaustive_mode_failure(monkeypatch):
     # pruned mode, instead of letting the run die.
     generate = engine.candidates_for
 
-    def doubled(std, base, partial, i, fixed, mode=CandidateMode.PRUNED):
-        got = generate(std, base, partial, i, fixed, mode)
-        return got * 2 if mode is CandidateMode.EXHAUSTIVE else got
+    def doubled(partial, i):
+        got = generate(partial, i)
+        return got * 2 if partial.mode is CandidateMode.EXHAUSTIVE else got
 
     monkeypatch.setattr(engine, "candidates_for", doubled)
     report = differential_trial(GenParams(constants=6, seed=500), k_max=8, pairs_per_trial=2)
