@@ -71,12 +71,6 @@ class DecompositionBase:
             return NotImplemented
         return self.n == other.n and self.primes == other.primes and self.equations == other.equations
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.primes))
-
-    def __repr__(self) -> str:
-        return f"DecompositionBase(primes={sorted(self.primes)}, composites={sorted(self.equations)})"
-
     def dcmp(self, p: Process) -> tuple[int, ...]:
         """The prime decomposition of p as an id tuple.
 

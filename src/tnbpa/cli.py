@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes are part of the contract: 0 bisimilar / success, 1 not bisimilar or
-refutation found, 2 input error, 3 internal assertion failure, exhausted
+refutation found, 2 input error (a file named on the command line that cannot
+be read or written included), 3 internal assertion failure, exhausted
 resource guard (the interpreter's recursion limit included) or a standard
-output closed before all output was written.  Output is
+output that failed before all output was written.  Output is
 deterministic for fixed inputs and flags (no timestamps in machine formats).
 
 The game oracle is imported only by the commands that run it (`check
@@ -45,6 +46,10 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+class UnwritablePathError(ValueError):
+    """A file named on the command line cannot be written."""
+
+
 def _load_system(path: str) -> BpaSystem:
     try:
         text = Path(path).read_text()
@@ -53,8 +58,15 @@ def _load_system(path: str) -> BpaSystem:
     return parse_system(text)
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UnwritablePathError(f"cannot write {path}: {exc}") from exc
+
+
 def _dump_trace(std, trace, path: str) -> None:
-    Path(path).write_text(json.dumps(engine.trace_to_json(std, trace), indent=2) + "\n")
+    _write_file(path, json.dumps(engine.trace_to_json(std, trace), indent=2) + "\n")
 
 
 def cmd_check(args) -> int:
@@ -193,18 +205,13 @@ def cmd_standardize(args) -> int:
 
 
 def _gen_params(args):
+    """GenParams from the generator flags given; the others keep its defaults."""
+    from dataclasses import fields
+
     from .oracle import GenParams
 
-    return GenParams(
-        constants=args.constants,
-        max_rhs_len=args.max_rhs_len,
-        alphabet=args.alphabet,
-        silent_prob=args.silent_prob,
-        norm_cap=args.norm_cap,
-        extra_rules=args.extra_rules,
-        composite_prob=args.composite_prob,
-        seed=args.seed,
-    )
+    given = vars(args)
+    return GenParams(**{f.name: given[f.name] for f in fields(GenParams) if f.name in given})
 
 
 def cmd_gen(args) -> int:
@@ -212,7 +219,7 @@ def cmd_gen(args) -> int:
 
     text = serialize_system(oracle.random_system(_gen_params(args)))
     if args.output:
-        Path(args.output).write_text(text)
+        _write_file(args.output, text)
     else:
         print(text, end="")
     return EXIT_OK
@@ -271,14 +278,15 @@ def cmd_fuzz(args) -> int:
 
 
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--constants", type=int, default=6)
-    p.add_argument("--max-rhs-len", type=int, default=3)
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--silent-prob", type=float, default=0.3)
-    p.add_argument("--norm-cap", type=int, default=4)
-    p.add_argument("--extra-rules", type=int, default=2)
-    p.add_argument("--composite-prob", type=float, default=0.35)
-    p.add_argument("--seed", type=int, default=0)
+    # A flag left out sets nothing, so GenParams holds the only defaults.
+    p.add_argument("--constants", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-rhs-len", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--alphabet", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--silent-prob", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--norm-cap", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--extra-rules", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--composite-prob", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,14 +363,15 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         _sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The interpreter's final flush then writes what is left to nowhere.
+    except OSError as exc:
+        # Files named on the command line raise UnwritablePathError, so this is
+        # standard output.  The final flush then writes what is left to nowhere.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, _sys.stdout.fileno())
         os.close(devnull)
-        print("error: standard output closed before all output was written", file=_sys.stderr)
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=_sys.stderr)
         return EXIT_INTERNAL
-    except (ParseError, NotTotallyNormedError, InvalidParamsError) as exc:
+    except (ParseError, NotTotallyNormedError, InvalidParamsError, UnwritablePathError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     except (GuardExceeded, RecursionError) as exc:

@@ -49,19 +49,9 @@ class Verdict:
     # A plain class with slots: every query builds one.
     __slots__ = ("kind", "base")
 
-    def __init__(self, kind: VerdictKind, base: DecompositionBase | None = None):
+    def __init__(self, kind: VerdictKind, *, base: DecompositionBase):
         self.kind = kind
         self.base = base
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Verdict):
-            return NotImplemented
-        return (self.kind, self.base) == (other.kind, other.base)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Verdict(kind={self.kind!r}, base={self.base!r})"
 
 
 def select_decreasing_rules(std: StandardSystem) -> tuple[Rule, ...]:
@@ -474,15 +464,14 @@ def check_equivalence(
     p1: Process,
     p2: Process,
     *,
-    base: DecompositionBase | None = None,
+    base: DecompositionBase,
 ) -> Verdict:
     """Decide branching bisimilarity of two processes over `std`.
 
-    Two processes are bisimilar exactly when their decompositions under the
-    final base coincide; the base is attached to the verdict as evidence.
+    `base` is the final base of `compute_bisimilarity_base(std)`.  Two
+    processes are bisimilar exactly when their decompositions under it
+    coincide; the base is attached to the verdict as evidence.
     """
-    if base is None:
-        base, _ = compute_bisimilarity_base(std)
     kind = VerdictKind.BISIMILAR if base.equivalent(p1, p2) else VerdictKind.NOT_BISIMILAR
     return Verdict(kind, base=base)
 

@@ -59,7 +59,7 @@ class Rule(NamedTuple):
 
 
 class BpaSystem:
-    """An immutable BPA system: constant table, action set, rule list.
+    """An immutable BPA system: constant table and rule list.
 
     Duplicate rules are collapsed at construction (the rule collection is a
     set conceptually); the surviving rule order is first-occurrence order.
@@ -86,7 +86,6 @@ class BpaSystem:
 
         self.constants: tuple[Constant, ...] = constants
         self.rules: tuple[Rule, ...] = kept
-        self.actions: frozenset[str] = frozenset(r.label for r in self.rules)
         self._by_name = by_name
         rules_of: list[list[Rule]] = [[] for _ in constants]
         for r in self.rules:

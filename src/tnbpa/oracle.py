@@ -178,18 +178,18 @@ class GameContext:
     def __init__(self, view: SystemView, *, norm_budget: int | None = None):
         self.view = view
         self.norm_budget = norm_budget
-        self._closures: dict[Process, SilentClosure] = {}
+        self._closures: dict[Process, tuple[Process, ...]] = {}
         self._memo: dict[tuple[Process, Process, int], bool] = {}
         self._strategies: dict[tuple[Process, Process, int | None], Distinction] = {}
 
-    def closure(self, p: Process) -> SilentClosure:
-        """p's silent closure, cached; only single constants run the BFS."""
+    def closure(self, p: Process) -> tuple[Process, ...]:
+        """p's silent closure states, cached; only single constants run the BFS."""
         hit = self._closures.get(p)
         if hit is None:
             if len(p) > 1:
-                hit = SilentClosure(self._closure_states(p))
+                hit = self._closure_states(p)
             else:
-                hit = silent_closure_dec(self.view, p)
+                hit = silent_closure_dec(self.view, p).states
             self._closures[p] = hit
         return hit
 
@@ -197,7 +197,7 @@ class GameContext:
         """The states of a non-empty p's silent closure, not cached.  Silent
         steps rewrite the head and never erase it, so the closure of X.w is
         X's with w appended, in the same BFS order."""
-        head = self.closure(p[:1]).states
+        head = self.closure(p[:1])
         if len(head) == 1:
             return (p,)
         tail = p[1:]
@@ -270,7 +270,7 @@ class GameContext:
 
     def _has_reply(self, relate, mover, target, label, defender) -> bool:
         moves = self.view.moves
-        for mid in self.closure(defender).states:
+        for mid in self.closure(defender):
             if not relate(mover, mid):
                 continue
             for res in moves(mid, label):
@@ -331,7 +331,7 @@ class GameContext:
         if is_silent(label):
             nxt = (t, dfd) if left else (dfd, t)
             replies.append(DefenderReply("stay", None, None, self._refute(*nxt, km1)))
-        for mid in self.closure(dfd).states:
+        for mid in self.closure(dfd):
             for res in view.moves(mid, label):
                 if not relate(att, mid):
                     nxt = (att, mid) if left else (mid, att)

@@ -400,7 +400,7 @@ class ReferenceGameContext(GameContext):
     def closure(self, p):
         hit = self._closures.get(p)
         if hit is None:
-            hit = silent_closure_dec(self.view, p)
+            hit = silent_closure_dec(self.view, p).states
             self._closures[p] = hit
         return hit
 
@@ -442,7 +442,7 @@ class ReferenceGameContext(GameContext):
         if is_silent(label):
             nxt = (t, dfd) if left else (dfd, t)
             replies.append(DefenderReply("stay", None, None, self._refute(*nxt, km1)))
-        for mid in self.closure(dfd).states:
+        for mid in self.closure(dfd):
             for res in view.moves(mid, label):
                 if k is not None and not relate(att, mid):
                     nxt = (att, mid) if left else (mid, att)

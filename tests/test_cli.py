@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from conftest import EX1_TEXT, SYSB_TEXT
 from tnbpa import engine
 from tnbpa.cli import main
+from tnbpa.model import serialize_system
+from tnbpa.oracle import GenParams, random_system
 
 
 def run(argv, expect=None):
@@ -184,6 +186,22 @@ def test_gen_deterministic_and_valid(tmp_path):
 
     code, _, _ = run(["norms", str(target)])
     assert code == 0
+
+    # The command line keeps no generator defaults of its own.
+    _, out, _ = run(["gen", "--seed", "7"], expect=0)
+    assert out == serialize_system(random_system(GenParams(seed=7)))
+
+
+@pytest.mark.parametrize("command", ["gen", "base"])
+def test_unwritable_output_path_is_an_input_error(command, sysb_file, tmp_path):
+    target = str(tmp_path / "missing" / "out")
+    if command == "gen":
+        argv = ["gen", "--constants", "3", "-o", target]
+    else:
+        argv = ["base", sysb_file, "--trace", target]
+    code, _, err = run(argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_oracle_command(ex1_file, sysb_file):
@@ -420,22 +438,30 @@ def test_mutated_samples_keep_the_exit_code_contract(tmp_path_factory, text, lef
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, stdout",
     [
-        ["base", "systems/sys-b.bpa", "--json"],
-        ["check", "systems/sys-b.bpa", "--left", "A", "--right", "B"],
+        (["base", "systems/sys-b.bpa", "--json"], None),
+        (["check", "systems/sys-b.bpa", "--left", "A", "--right", "B"], None),
+        (["base", "systems/sys-b.bpa"], "/dev/full"),
     ],
+    ids=["argv0", "argv1", "dev-full"],
 )
-def test_closed_stdout_exits_three_without_traceback(argv):
+def test_closed_stdout_exits_three_without_traceback(argv, stdout):
+    # stdout None: a pipe closed by the reader; otherwise a device that
+    # fails every write.
+    if stdout is not None and not os.path.exists(stdout):
+        pytest.skip(f"no {stdout} here")
     root = Path(__file__).resolve().parent.parent
+    device = open(stdout, "wb") if stdout else subprocess.PIPE
     proc = subprocess.Popen(
         [sys.executable, "-m", "tnbpa.cli", *argv],
         cwd=root,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
-        stdout=subprocess.PIPE,
+        stdout=device,
         stderr=subprocess.PIPE,
     )
-    proc.stdout.close()
+    # Close the reading end of the pipe, or this process's copy of the device.
+    (proc.stdout or device).close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 3, err
     assert err.startswith("error: ")

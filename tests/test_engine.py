@@ -153,6 +153,7 @@ def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
 
 def test_partial_base_rejects_unsettled_lookup(ex1_std):
     partial = _PartialBase(ex1_std, initial_base(ex1_std), select_decreasing_rules(ex1_std))
+    repr(partial)
     with pytest.raises(EngineInternalError, match="unsettled"):
         partial.dcmp((3,))
 

@@ -22,7 +22,7 @@ from tnbpa.oracle import GenParams, random_system
 def test_parse_example_system(ex1_sys):
     assert [c.name for c in ex1_sys.constants] == ["X", "X'", "Y", "Y'"]
     assert len(ex1_sys.rules) == 7
-    assert ex1_sys.actions == {"a", "b", "tau"}
+    assert {r.label for r in ex1_sys.rules} == {"a", "b", "tau"}
 
 
 def test_duplicate_rules_collapse():

@@ -501,8 +501,8 @@ def test_head_derived_closure_matches_the_bfs(seed, constants, data):
     tail = data.draw(st.lists(st.integers(0, std.n - 1), min_size=1, max_size=3).map(tuple))
     p = (head, *tail)
     ctx = GameContext(std)
-    assert ctx.closure(p).states == silent_closure_dec(std, p).states
-    assert ctx.closure((head,)).states == silent_closure_dec(std, (head,)).states
+    assert ctx.closure(p) == silent_closure_dec(std, p).states
+    assert ctx.closure((head,)) == silent_closure_dec(std, (head,)).states
 
 
 def test_extraction_and_replay_restore_the_cyclic_collector(ex1_std, monkeypatch):
