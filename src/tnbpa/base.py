@@ -4,7 +4,8 @@ A base splits the constants into primes and composites and equips every
 composite ``X_i`` with an equation ``X_i = alpha`` over strictly smaller
 primes.  The congruence it generates relates two processes exactly when their
 prime decompositions coincide, so equivalence checking reduces to string
-equality after the homomorphic ``dcmp`` map.
+equality after the homomorphic ``dcmp`` map.  Words are in the canonical
+form of `strings`: plain id tuples when short, their runs when wide.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, Mapping
 
 from .model import Process, format_process
 from .normalization import EngineInternalError, StandardSystem
-from .strings import NormedString
+from .strings import LONG, NormedString, canonical, power, substitute
 
 
 class InvalidBaseError(ValueError):
@@ -23,7 +24,7 @@ class InvalidBaseError(ValueError):
 class DecompositionBase:
     """An immutable base (primes, equations) over a standard system.
 
-    Equations come in as id tuples and are kept as `NormedString`s.  `dcmp`
+    Equations come in as words and are kept as `NormedString`s.  `dcmp`
     reads one factor per constant: ``(c,)`` for a prime, and for a composite
     its right-hand side, which is stored in prime form already.
     """
@@ -44,7 +45,7 @@ class DecompositionBase:
         self._memo: dict[Process, tuple[int, ...]] = {}
         self._validate()
         self._factors = {c: (c,) for c in self.primes}
-        self._factors.update((i, rhs.ids) for i, rhs in self.equations.items())
+        self._factors.update((i, rhs.word) for i, rhs in self.equations.items())
 
     def _validate(self) -> None:
         if self.primes & self.equations.keys():
@@ -56,11 +57,13 @@ class DecompositionBase:
         for i, rhs in self.equations.items():
             if rhs.norm != self.norms[i]:
                 raise InvalidBaseError(f"equation for constant {i} is not norm-preserving")
-            distinct = set(rhs.ids)
+            w = rhs.word
+            ids = w[1::2] if w and w[0] < 0 else w  # one id per run
+            distinct = set(ids)
             if distinct <= self.primes and max(distinct, default=-1) < i:
                 continue
             # The ordered pass names the first offender in the word.
-            for c in rhs.ids:
+            for c in ids:
                 if c not in self.primes:
                     raise InvalidBaseError(f"equation for constant {i} mentions non-prime {c}")
                 if c >= i:
@@ -72,28 +75,33 @@ class DecompositionBase:
         return self.n == other.n and self.primes == other.primes and self.equations == other.equations
 
     def dcmp(self, p: Process) -> tuple[int, ...]:
-        """The prime decomposition of p as an id tuple.
+        """The prime decomposition of p, a word or any id tuple, as a word.
 
-        A string of primes is its own decomposition and comes back as it is,
-        after one subset check in C: the words of the norm-doubling chains
-        are exponentially long, and the loop costs an interpreter step per
-        constant.  Any other word concatenates its constants' factors; an
+        A short string of primes is its own decomposition and comes back as
+        it is, after one subset check in C (run form never passes it: -1 is
+        no prime).  Any other word concatenates its constants' factors, as
+        tuples while the result is short and plain, else run by run; an
         unsettled constant is never prime, so it still raises.
         """
         factors = self._factors
         try:
             if len(p) == 1:  # the entry itself, not a copy
                 return factors[p[0]]
-            if self.primes.issuperset(p):
+            if self.primes.issuperset(p) and len(p) < LONG:
                 return p
+            if p[0] < 0:
+                return substitute(p, factors)
             out: list[int] = []
             for c in p:
-                out += factors[c]
+                f = factors[c]
+                if f[0] < 0:
+                    return substitute(p, factors)
+                out += f
         except KeyError as exc:
             raise EngineInternalError(
                 f"decomposition demanded for unsettled constant {exc.args[0]}"
             ) from None
-        return tuple(out)
+        return tuple(out) if len(out) < LONG else canonical(out)
 
     def dcmp_memo(self, p: Process) -> tuple[int, ...]:
         """Memoized `dcmp` of a single constant or a rule right-hand side.
@@ -113,12 +121,13 @@ class DecompositionBase:
 
     def lpf(self, cid: int) -> int:
         """Leftmost prime factor of a constant; the constant itself if prime."""
-        return self._factors[cid][0]
+        f = self._factors[cid]
+        return f[1] if f[0] < 0 else f[0]
 
 
 def initial_base(std: StandardSystem) -> DecompositionBase:
     """The norm-equality congruence: X_i = X_1 ** norm(X_i) for every i > 0."""
-    equations = {i: (0,) * std.norms[i] for i in range(1, std.n)}
+    equations = {i: power(0, std.norms[i]) for i in range(1, std.n)}
     return DecompositionBase(std.n, [0] if std.n else [], equations, std.norms)
 
 

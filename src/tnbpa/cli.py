@@ -3,8 +3,8 @@
 Exit codes are part of the contract: 0 bisimilar / success, 1 not bisimilar or
 refutation found, 2 input error (a file named on the command line that cannot
 be read or written included), 3 internal assertion failure, exhausted
-resource guard (the interpreter's recursion limit included) or a standard
-output that failed before all output was written.  Output is
+resource guard (the interpreter's recursion limit and memory included) or a
+standard output that failed before all output was written.  Output is
 deterministic for fixed inputs and flags (no timestamps in machine formats).
 
 The game oracle is imported only by the commands that run it (`check
@@ -39,6 +39,7 @@ from .normalization import (
     standardize,
     view,
 )
+from .strings import expand
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -118,8 +119,8 @@ def cmd_check(args) -> int:
             ),
         }
 
-    dl = base.dcmp(left)
-    dr = base.dcmp(right)
+    dl = expand(base.dcmp(left))
+    dr = expand(base.dcmp(right))
     if args.json:
         payload = {
             "verdict": verdict.kind.value,
@@ -374,8 +375,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, NotTotallyNormedError, InvalidParamsError, UnwritablePathError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
-    except (GuardExceeded, RecursionError) as exc:
-        print(f"resource guard: {exc}", file=_sys.stderr)
+    except (GuardExceeded, RecursionError, MemoryError) as exc:
+        print(f"resource guard: {str(exc) or 'out of memory'}", file=_sys.stderr)
         return EXIT_INTERNAL
     except (AssertionError, engine.EngineInternalError) as exc:
         print(f"internal error: {exc}", file=_sys.stderr)

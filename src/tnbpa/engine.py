@@ -21,6 +21,10 @@ each followed by the suffix of the fixed rule's decomposition that gives the
 constant's norm, found from norms alone, and tests every candidate.  Step 2
 rejects every other prime string, so the mode stays polynomial; it exists to
 validate the pruned candidate set and the signature index.
+
+Every word here is in the canonical form of `strings`, so set membership and
+signature lookups compare words as tuples, and words of any width cost what
+their runs cost.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from typing import Iterable, NamedTuple
 from .base import DecompositionBase, InvalidBaseError, initial_base
 from .model import TAU, Process, Rule, is_silent
 from .normalization import EngineInternalError, StandardSystem
+from .strings import LONG, drop, expand, head, join, order_key, suffix_of_norm, width
+from .strings import strip as _strip
 
 
 class CandidateMode(str, enum.Enum):
@@ -41,6 +47,11 @@ class CandidateMode(str, enum.Enum):
 class VerdictKind(str, enum.Enum):
     BISIMILAR = "bisimilar"
     NOT_BISIMILAR = "not-bisimilar"
+
+
+# Indexed by bisimilarity: reading an enum member off its class costs about
+# as much as a short query's decompositions.
+_KINDS = (VerdictKind.NOT_BISIMILAR, VerdictKind.BISIMILAR)
 
 
 class Verdict:
@@ -139,7 +150,7 @@ class _PartialBase(DecompositionBase):
         dec, inc = self.moves(j)
         self._by_signature.setdefault(_signature(dec, inc), []).append(j)
         for label, beta in dec:
-            self._cut_lengths.setdefault(label, set()).add(len(beta))
+            self._cut_lengths.setdefault(label, set()).add(width(beta))
 
     def settle_equation(self, i: int, ids: Process) -> None:
         """Give i the equation i = ids, a string of settled primes."""
@@ -151,20 +162,14 @@ def _signature(dec: Iterable, inc: Iterable) -> tuple:
     return frozenset(dec), frozenset(inc)
 
 
-def _strip(word: tuple[int, ...], tail: tuple[int, ...]) -> tuple[int, ...] | None:
-    """word without its suffix tail, or None when word does not end with it."""
-    cut = len(word) - len(tail)
-    return word[:cut] if cut >= 0 and word[cut:] == tail else None
-
-
 class TestResult(NamedTuple):
     accepted: bool
     step: int  # accepting step (4 early, 7 full) or the step that rejected
 
 
-def _step_one(base: DecompositionBase, i: int, head: int, old_tail: tuple[int, ...]) -> bool:
-    """Step 1 of `lpftest` for head . tail: old(i) == old(head) . old(tail)."""
-    return base.dcmp_memo((i,)) == base.dcmp_memo((head,)) + old_tail
+def _step_one(base: DecompositionBase, i: int, j: int, old_tail: tuple[int, ...]) -> bool:
+    """Step 1 of `lpftest` for j . tail: old(i) == old(j) . old(tail)."""
+    return base.dcmp_memo((i,)) == join(base.dcmp_memo((j,)), old_tail)
 
 
 def lpftest(partial: _PartialBase, i: int, delta: Process) -> TestResult:
@@ -180,25 +185,25 @@ def lpftest(partial: _PartialBase, i: int, delta: Process) -> TestResult:
     Without in_place, steps 2, 3, 5 and 6 say that i's moves with the tail
     stripped are the head's, the lookup of `candidates_for`.
 
-    delta is an id tuple from `candidates_for`: settled primes of the
-    partial base.  The old base is `partial.old`.
+    delta is a word from `candidates_for`: settled primes of the partial
+    base.  The old base is `partial.old`.
     """
     if not delta:
         return TestResult(False, 1)
     base = partial.old
-    head, d_tail = delta[0], delta[1:]
+    j, d_tail = head(delta), drop(delta, 1)
     old_tail = base.dcmp(d_tail)
-    if not _step_one(base, i, head, old_tail):
+    if not _step_one(base, i, j, old_tail):
         return TestResult(False, 1)
 
     new_tail = partial.dcmp(d_tail)
     own_dec, own_inc = map(set, partial.moves(i))
-    head_dec, head_inc = partial.moves(head)
-    delta_dec = {(label, beta + new_tail) for label, beta in head_dec}
+    head_dec, head_inc = partial.moves(j)
+    delta_dec = {(label, join(beta, new_tail)) for label, beta in head_dec}
     in_place = (TAU, delta)
     if not own_dec - {in_place} <= delta_dec:
         return TestResult(False, 2)
-    delta_inc = {(label, gamma + old_tail) for label, gamma in head_inc}
+    delta_inc = {(label, join(gamma, old_tail)) for label, gamma in head_inc}
     if not own_inc <= delta_inc:
         return TestResult(False, 3)
     if in_place in own_dec:
@@ -226,9 +231,9 @@ def lpftest_realtime(
     if not delta or base.dcmp((i,)) != base.dcmp(delta):
         return TestResult(False, 1)
 
-    d_tail = delta[1:]
-    delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(delta[0])]
-    delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc_rules(delta[0])]
+    j, d_tail = head(delta), drop(delta, 1)
+    delta_dec = [(r.label, join(r.rhs, d_tail)) for r in std.dec_rules(j)]
+    delta_inc = [(r.label, join(r.rhs, d_tail)) for r in std.inc_rules(j)]
 
     for r in std.dec_rules(i):
         da = partial.dcmp(r.rhs)
@@ -281,16 +286,9 @@ def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestRes
     std, base, rule = partial.std, partial.old, partial.fixed[i]
     s = partial.dcmp_memo(rule.rhs)
     if partial.mode is CandidateMode.EXHAUSTIVE:
-        suffix_at = {0: len(s)}  # norm of s[at:] -> at
-        norm = 0
-        for at in range(len(s) - 1, -1, -1):
-            norm += std.norms[s[at]]
-            suffix_at[norm] = at
-        return [
-            ((j, *s[suffix_at[std.norms[i] - std.norms[j]]:]), None)
-            for j in sorted(partial.primes)
-            if std.norms[i] - std.norms[j] in suffix_at
-        ]
+        norms = std.norms
+        tails = ((j, suffix_of_norm(s, norms[i] - norms[j], norms)) for j in sorted(partial.primes))
+        return [(join((j,), t), None) for j, t in tails if t is not None]
 
     k = base.lpf(i)
     if k not in partial.primes:
@@ -303,12 +301,14 @@ def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestRes
 
     dec, inc = partial.moves(i)
     found: dict[Process, TestResult | None] = {
-        alpha: None for label, alpha in dec if is_silent(label) and admissible(alpha[0])
+        alpha: None for label, alpha in dec if is_silent(label) and admissible(head(alpha))
     }
+    # The cuts of a short plain s are slices, and a head before one stays short.
+    short = len(s) < LONG - 1 and not (s and s[0] < 0)
     for at in partial._cut_lengths.get(rule.label, ()):
-        if at > len(s):
+        t = (s[at:] if at <= len(s) else None) if short else drop(s, at)
+        if t is None:
             continue
-        t = s[at:]
         old_t = base.dcmp(t)
         dec_t = [(label, _strip(alpha, t)) for label, alpha in dec]
         inc_t = [(label, _strip(gamma, old_t)) for label, gamma in inc]
@@ -316,7 +316,9 @@ def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestRes
             continue
         for j in partial._by_signature.get(_signature(dec_t, inc_t), ()):
             if admissible(j) and _step_one(base, i, j, old_t):
-                found.setdefault((j, *t), TestResult(True, 7))
+                found.setdefault((j, *t) if short else join((j,), t), TestResult(True, 7))
+    if len(found) > 1 and any(alpha[0] < 0 for alpha in found):
+        return sorted(found.items(), key=lambda item: order_key(item[0]))
     return sorted(found.items())
 
 
@@ -472,15 +474,14 @@ def check_equivalence(
     processes are bisimilar exactly when their decompositions under it
     coincide; the base is attached to the verdict as evidence.
     """
-    kind = VerdictKind.BISIMILAR if base.equivalent(p1, p2) else VerdictKind.NOT_BISIMILAR
-    return Verdict(kind, base=base)
+    return Verdict(_KINDS[base.equivalent(p1, p2)], base=base)
 
 
 def trace_to_json(std: StandardSystem, trace: list[IterationRecord]) -> list[dict]:
     name = std.sys.name
 
     def render(ids: Process) -> list[str]:
-        return [name(c) for c in ids]
+        return [name(c) for c in expand(ids)]
 
     out = []
     for rec in trace:

@@ -37,6 +37,7 @@ from .normalization import (
     standardize,
 )
 from . import engine as _engine
+from .strings import expand
 
 # Resource guards: exceeding one raises a GuardExceeded.  The guard errors
 # and InvalidParamsError are defined in `normalization` and re-exported here.
@@ -567,7 +568,7 @@ def verify_base_generators(
 
     for i in sorted(base.primes):
         for r in std.dec_rules(i):
-            d = base.dcmp(r.rhs)
+            d = expand(base.dcmp(r.rhs))
             ok = d != (i,) and all(c < i for c in d)
             checks.append(
                 GeneratorCheck(
@@ -616,7 +617,7 @@ def sample_dcmp_equal_pair(std, base: DecompositionBase, rng: random.Random, max
     if std.n == 0:
         return (), ()
     seed_proc = tuple(rng.randrange(std.n) for _ in range(rng.randint(0, max_len)))
-    prime_form = base.dcmp(seed_proc)
+    prime_form = expand(base.dcmp(seed_proc))
     return (
         _fold_composites(base, prime_form, rng),
         _fold_composites(base, prime_form, rng),

@@ -1,40 +1,249 @@
-"""Normed strings: the equations a decomposition base stores.
+"""Words, and the normed strings a decomposition base stores.
 
-Every word the engine handles (a candidate, any `dcmp` result) is a plain
-tuple of constant ids.  A base wraps each equation's right-hand side in a
-`NormedString`, which adds the norm table and the total norm, computed once,
-so the base can check that the equation is norm-preserving.  Exact sequences
-can be exponentially long in the number of constants: at n = 16 the initial
-base of the norm-doubling chain stores 2^16 - 1 ids for its top constant.  So
-the norm is summed in C, not one interpreter step per id; a single run such
-as ``X_0^k``, the form of every initial-base equation, is one multiplication.
-The memory stays exponential: a compressed representation (ROADMAP item 5)
-would replace the tuples.
+A word is a sequence of constant ids.  Every word the engine handles (a
+candidate, a `dcmp` result, a move's target, a base equation) has one
+canonical form, so that tuple equality and hashing are word equality:
+
+- a word narrower than `LONG` ids is its plain id tuple;
+- a wider word is ``(-1, c1, k1, c2, k2, ...)``: the marker -1, then its
+  maximal runs, id ``c_r`` repeated ``k_r`` times.
+
+Words on the norm-doubling chains are exponentially wide in the number of
+constants (the initial base stores ``X_0^(2^n - 1)`` for the top constant),
+but they are single runs, so run form stores each in three entries and no
+operation here ever expands one.  Only `expand` does, for rendering, and it
+raises `GuardExceeded` on a word wider than `EXPAND_LIMIT` ids.  A word that
+is no product of few runs, such as ``(X_0 X_1)^k``, stays as large as its run
+count; straight-line programs would compress it too (ROADMAP item 5).
+
+Short words stay plain so that the engine's usual work, on words of a few
+ids, stays tuple operations in C: each operation checks the form once, up
+front.  Any plain id tuple is accepted as input, however long; results are
+canonical.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate
-from operator import itemgetter
+from itertools import chain, groupby, repeat
+from operator import itemgetter, mul
 
 from .model import Process
+from .normalization import GuardExceeded
+
+# Width from which a word is stored as its runs.
+LONG = 64
+# The widest word `expand` builds, and the most runs a repeated factor may
+# make.  Read at call time, so a test can lower it.
+EXPAND_LIMIT = 1 << 24
+
+_RUNS = -1
+
+
+def runs(w: Process) -> list[int]:
+    """The maximal runs of w, flat: [c1, k1, c2, k2, ...]."""
+    if w and w[0] < 0:
+        return list(w[1:])
+    out: list[int] = []
+    for c, run in groupby(w):
+        out += (c, len(list(run)))
+    return out
+
+
+def _from_runs(flat: list[int]) -> Process:
+    """The canonical word of the maximal runs `flat`."""
+    counts = flat[1::2]
+    if sum(counts) >= LONG:
+        return (_RUNS, *flat)
+    return tuple(chain.from_iterable(map(repeat, flat[::2], counts)))
+
+
+def _push(flat: list[int], c: int, k: int) -> None:
+    """Append c^k to the runs `flat`, merging with a last run of c."""
+    if flat and flat[-2] == c:
+        flat[-1] += k
+    else:
+        flat += (c, k)
+
+
+def canonical(ids) -> Process:
+    """The canonical form of an id sequence or of a word."""
+    ids = tuple(ids)
+    if len(ids) < LONG or ids[0] < 0:
+        return ids
+    return (_RUNS, *runs(ids))
+
+
+def power(c: int, k: int) -> Process:
+    """The word c^k."""
+    return (c,) * k if k < LONG else (_RUNS, c, k)
+
+
+def width(w: Process) -> int:
+    """The number of ids in w."""
+    return sum(w[2::2]) if w and w[0] < 0 else len(w)
+
+
+def head(w: Process) -> int:
+    """The first id of a non-empty word."""
+    return w[1] if w[0] < 0 else w[0]
+
+
+def join(a: Process, b: Process) -> Process:
+    """The word a . b."""
+    w = a + b
+    if len(w) < LONG and _RUNS not in w:
+        return w
+    flat, tail = runs(a), runs(b)
+    if tail:
+        _push(flat, tail[0], tail[1])
+        flat += tail[2:]
+    return _from_runs(flat)
+
+
+def drop(w: Process, m: int) -> Process | None:
+    """w without its first m ids; None when w has fewer than m."""
+    if not w or w[0] >= 0:
+        return w[m:] if m <= len(w) else None
+    flat = w[1:]
+    at = 0
+    while at < len(flat) and m >= flat[at + 1]:
+        m -= flat[at + 1]
+        at += 2
+    if at == len(flat):
+        return () if m == 0 else None
+    rest = list(flat[at:])
+    rest[1] -= m
+    return _from_runs(rest)
+
+
+def strip(w: Process, tail: Process) -> Process | None:
+    """w without its suffix tail, or None when w does not end with it."""
+    if w and w[0] < 0:
+        return _strip_runs(w, tail)
+    cut = len(w) - len(tail)
+    return w[:cut] if cut >= 0 and w[cut:] == tail else None
+
+
+def _strip_runs(w: Process, tail: Process) -> Process | None:
+    # Every run of tail but its first is one of w's last runs; the first may
+    # be the end of a longer run of w.
+    flat, cut = w[1:], runs(tail)
+    if not cut:
+        return w
+    at = len(flat) - len(cut)
+    if at < 0 or flat[at] != cut[0] or flat[at + 1] < cut[1] or flat[at + 2:] != tuple(cut[2:]):
+        return None
+    rest = list(flat[:at])
+    if flat[at + 1] > cut[1]:
+        rest += (cut[0], flat[at + 1] - cut[1])
+    return _from_runs(rest)
+
+
+def suffix_of_norm(w: Process, h: int, norms: tuple[int, ...]) -> Process | None:
+    """The suffix of w of norm h, or None when no id boundary has that norm.
+
+    Every id has norm at least one, so the boundary, if any, is unique.
+    """
+    if h <= 0:
+        return () if h == 0 else None
+    if not w or w[0] >= 0:
+        at = len(w)
+        while h > 0 and at:
+            at -= 1
+            h -= norms[w[at]]
+        return w[at:] if h == 0 else None
+    flat = w[1:]
+    at = len(flat)
+    while at:
+        at -= 2
+        c = flat[at]
+        k = flat[at + 1]
+        if norms[c] * k >= h:
+            q, r = divmod(h, norms[c])
+            return None if r else _from_runs([c, q, *flat[at + 2:]])
+        h -= norms[c] * k
+    return None
+
+
+def substitute(p: Process, factors) -> Process:
+    """p with every id c replaced by the word factors[c].
+
+    A single-run factor repeated k times is one run.  Any other factor is
+    copied run by run, so a guard on the run count comes first.
+    """
+    flat: list[int] = []
+    pr = runs(p)
+    for at in range(0, len(pr), 2):
+        k = pr[at + 1]
+        f = runs(factors[pr[at]])
+        if len(f) == 2:
+            _push(flat, f[0], f[1] * k)
+            continue
+        total = len(flat) // 2 + len(f) // 2 * k
+        if total > EXPAND_LIMIT:
+            raise GuardExceeded(
+                f"a word of {total} runs exceeds the limit of {EXPAND_LIMIT}"
+            )
+        for _ in range(k):
+            _push(flat, f[0], f[1])
+            flat += f[2:]
+    return _from_runs(flat)
+
+
+def expand(w: Process) -> Process:
+    """w as a plain id tuple; `GuardExceeded` when wider than `EXPAND_LIMIT`."""
+    if not w or w[0] >= 0:
+        return w
+    n = width(w)
+    if n > EXPAND_LIMIT:
+        raise GuardExceeded(f"a word of {n} ids is wider than the limit of {EXPAND_LIMIT}")
+    return tuple(chain.from_iterable(map(repeat, w[1::2], w[2::2])))
+
+
+def order_key(w: Process) -> list[tuple[int, int, int]]:
+    """A sort key under which words order as their id tuples.
+
+    Two words part at their first differing run.  With the same id there,
+    the shorter run is smaller exactly when the id after it is smaller (or
+    the word ends), so a run followed by a larger id keys on minus its count.
+    """
+    flat = runs(w)
+    key = []
+    for at in range(0, len(flat), 2):
+        c, k = flat[at], flat[at + 1]
+        if at + 2 < len(flat) and flat[at + 2] > c:
+            key.append((c, 1, -k))
+        else:
+            key.append((c, 0, k))
+    return key
 
 
 class NormedString:
-    """An immutable sequence of constant ids over a fixed norm table."""
+    """An immutable word over a fixed norm table, with its norm.
 
-    __slots__ = ("ids", "norms", "norm")
+    `word` is the canonical form; `ids` expands it.
+    """
 
-    def __init__(self, ids: Process, norms: tuple[int, ...]):
-        self.ids = ids = tuple(ids)
+    __slots__ = ("word", "norms", "norm")
+
+    def __init__(self, ids, norms: tuple[int, ...]):
+        w = tuple(ids)
+        if len(w) >= LONG and w[0] >= 0:
+            w = canonical(w)
+        self.word = w
         self.norms = norms
-        if not ids:
+        if not w:
             self.norm = 0
-        elif ids.count(ids[0]) == len(ids):  # a single run, like X_0^k
-            self.norm = norms[ids[0]] * len(ids)
+        elif w[0] < 0:
+            self.norm = sum(map(mul, map(norms.__getitem__, w[1::2]), w[2::2]))
+        elif w.count(w[0]) == len(w):  # a single run, like X_0^k
+            self.norm = norms[w[0]] * len(w)
         else:
-            self.norm = sum(itemgetter(*ids)(norms))
+            self.norm = sum(itemgetter(*w)(norms))
+
+    @property
+    def ids(self) -> Process:
+        return expand(self.word)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NormedString):
@@ -42,24 +251,20 @@ class NormedString:
         if self.norm != other.norm:
             return False
         # A base's equations share one table: comparing it is O(n) per call.
-        return self.ids == other.ids and (self.norms is other.norms or self.norms == other.norms)
+        return self.word == other.word and (self.norms is other.norms or self.norms == other.norms)
 
     def __repr__(self) -> str:
-        return f"NormedString({self.ids!r}, norm={self.norm})"
+        return f"NormedString({self.word!r}, norm={self.norm})"
 
     def split_at_norm(self, h: int) -> tuple["NormedString", "NormedString"] | None:
         """Split into (prefix, suffix) with norm(suffix) == h.
 
         Returns None when no constant boundary falls exactly at that norm;
-        raises ValueError when h is outside [0, norm].  Every constant has norm
-        at least one, so the prefix sums are strictly increasing and the
-        boundary, if any, is unique.
+        raises ValueError when h is outside [0, norm].
         """
         if not 0 <= h <= self.norm:
             raise ValueError(f"suffix norm {h} out of range [0, {self.norm}]")
-        target = self.norm - h
-        prefix = list(accumulate((self.norms[c] for c in self.ids), initial=0))
-        j = bisect_left(prefix, target)
-        if prefix[j] != target:
+        suffix = suffix_of_norm(self.word, h, self.norms)
+        if suffix is None:
             return None
-        return NormedString(self.ids[:j], self.norms), NormedString(self.ids[j:], self.norms)
+        return NormedString(strip(self.word, suffix), self.norms), NormedString(suffix, self.norms)

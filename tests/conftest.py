@@ -21,6 +21,7 @@ from tnbpa.normalization import (
     standardize,
 )
 from tnbpa import oracle
+from tnbpa.strings import canonical, expand
 from tnbpa.oracle import (
     DefenderReply,
     Distinction,
@@ -74,6 +75,29 @@ def sysb_sys() -> BpaSystem:
 @pytest.fixture(scope="session")
 def sysb_std(sysb_sys):
     return standardize(sysb_sys)
+
+
+def chain_text(family: str, n: int) -> str:
+    """The two norm-blowup families as system text, n constants each.
+
+    doubling: Xi -a-> X(i-1) X(i-1) and Xi -b-> X(i-1) X(i-1), every Xi prime.
+    clone: Yi copies Y(i-1)'s rules with Y(i-1) appended, so Yi = Y0^(2^i).
+    Norms grow as 2^i on both.
+    """
+    if family == "doubling":
+        lines = ["X0 -a-> eps"]
+        for i in range(1, n):
+            lines += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
+        letter = "X"
+    else:
+        rules = [("a", ""), ("b", "")]
+        lines = [f"Y0 -{label}-> eps" for label, _ in rules]
+        for i in range(1, n):
+            rules = [(label, f"{rhs} Y{i - 1}".strip()) for label, rhs in rules]
+            lines += [f"Y{i} -{label}-> {rhs}" for label, rhs in rules]
+        letter = "Y"
+    names = " ".join(f"{letter}{i}" for i in range(n))
+    return f"constants: {names}\n" + "\n".join(lines) + "\n"
 
 
 def brute_force_norm(sys: BpaSystem, cid: int, cap: int = 10_000) -> float:
@@ -206,6 +230,8 @@ def reference_dcmp(base, p: tuple[int, ...]) -> tuple[int, ...]:
     """The one-factor-per-constant loop that `DecompositionBase.dcmp` ran on
     every word before it returned prime strings whole, kept as the reference
     its decompositions and its unsettled-constant errors are compared against.
+    It concatenates expanded factors, and its result is put in canonical word
+    form only at the end.
     """
     factors = base._factors
     try:
@@ -213,12 +239,12 @@ def reference_dcmp(base, p: tuple[int, ...]) -> tuple[int, ...]:
             return factors[p[0]]
         out: list[int] = []
         for c in p:
-            out += factors[c]
+            out += expand(factors[c])
     except KeyError as exc:
         raise EngineInternalError(
             f"decomposition demanded for unsettled constant {exc.args[0]}"
         ) from None
-    return tuple(out)
+    return canonical(out)
 
 
 def names_of(std, ids) -> list[str]:

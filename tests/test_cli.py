@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1_TEXT, SYSB_TEXT
+from conftest import EX1_TEXT, SYSB_TEXT, chain_text
+from tnbpa import strings
 from tnbpa import engine
 from tnbpa.cli import main
 from tnbpa.model import serialize_system
@@ -234,6 +235,66 @@ def test_deep_recursion_exits_three(tmp_path):
     f.write_text("constants: " + " ".join(f"X{i}" for i in range(14)) + "\n" + "\n".join(rules) + "\n")
     code, _, err = run(["oracle", str(f), "X11", "X10", "--k", "4"])
     assert code == 3 and err.startswith("resource guard: maximum recursion depth exceeded")
+
+
+def _limited_run(argv: list[str], address_space: int) -> subprocess.CompletedProcess:
+    """`python -m tnbpa.cli argv` in a child whose address space is capped."""
+    import resource
+
+    root = Path(__file__).resolve().parent.parent
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "tnbpa.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_huge_word_exits_three_before_allocating(tmp_path):
+    # On the n = 40 clone chain, dcmp(Y39) is Y0^(2^39): the engine keeps it
+    # as one run, and printing it would expand it.  The guard trips before
+    # any allocation, well inside a 1.5 GB address space.
+    path = tmp_path / "clone40.bpa"
+    path.write_text(chain_text("clone", 40))
+    done = _limited_run(["check", str(path), "--left", "Y39", "--right", "Y38 Y38"], 1_500_000 * 1024)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("resource guard: a word of 549755813888 ids")
+    assert "Traceback" not in done.stderr
+
+
+def test_doubling_chain_at_n40_decides_and_prints(tmp_path):
+    path = tmp_path / "doubling40.bpa"
+    path.write_text(chain_text("doubling", 40))
+    code, out, _ = run(["check", str(path), "--left", "X3", "--right", "X2"], expect=1)
+    assert out == "verdict: not-bisimilar\ndcmp(left)  = X3\ndcmp(right) = X2\n"
+
+
+def test_word_guard_is_read_at_call_time(tmp_path, monkeypatch):
+    # dcmp(Y9) on the n = 10 clone chain is 512 ids wide.
+    path = tmp_path / "clone10.bpa"
+    path.write_text(chain_text("clone", 10))
+    argv = ["check", str(path), "--left", "Y9", "--right", "Y8 Y8"]
+    run(argv, expect=0)
+    monkeypatch.setattr(strings, "EXPAND_LIMIT", 511)
+    code, _, err = run(argv)
+    assert code == 3 and err == "resource guard: a word of 512 ids is wider than the limit of 511\n"
+
+
+def test_memory_error_exits_three(ex1_file, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(engine, "compute_bisimilarity_base", exhausted)
+    for argv in (["check", ex1_file, "--left", "X", "--right", "Y"], ["base", ex1_file]):
+        code, _, err = run(argv)
+        assert code == 3 and err == "resource guard: out of memory\n"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from conftest import (
     _lpftest_skipping,
     _norm_strings,
     base_as_names,
+    chain_text,
     names_of,
 )
 from tnbpa import engine
@@ -537,27 +538,12 @@ def test_refinement_builds_one_string_per_equation(monkeypatch):
     assert all(b._memo.keys() <= keys for b in bases)
 
 
-def _chain(rules: list[str], letter: str, n: int):
-    names = " ".join(f"{letter}{i}" for i in range(n))
-    return standardize(parse_system(f"constants: {names}\n" + "\n".join(rules) + "\n"))
-
-
 def _doubling_chain(n: int):
-    # Xi -a-> X(i-1) X(i-1) and Xi -b-> X(i-1) X(i-1): every Xi is prime.
-    lines = ["X0 -a-> eps"]
-    for i in range(1, n):
-        lines += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
-    return _chain(lines, "X", n)
+    return standardize(parse_system(chain_text("doubling", n)))
 
 
 def _clone_chain(n: int):
-    # Yi copies Y(i-1)'s rules with Y(i-1) appended, so Yi = Y0^(2^i).
-    rules = [("a", ""), ("b", "")]
-    lines = [f"Y0 -{label}-> eps" for label, _ in rules]
-    for i in range(1, n):
-        rules = [(label, f"{rhs} Y{i - 1}".strip()) for label, rhs in rules]
-        lines += [f"Y{i} -{label}-> {rhs}" for label, rhs in rules]
-    return _chain(lines, "Y", n)
+    return standardize(parse_system(chain_text("clone", n)))
 
 
 def test_doubling_and_clone_chains_at_n12():
@@ -615,3 +601,34 @@ def test_interpreter_work_on_the_chains_grows_slowly():
     assert base.primes == {y[0]}
     for i in range(1, 18):
         assert base.equations[y[i]].ids == (y[0],) * 2 ** i
+
+
+def test_stored_words_grow_linearly_on_the_chains():
+    # Norms reach 2^n, but every wide word on both chains is one run, so the
+    # entries the run's bases store, summed over the initial base and every
+    # pass's base, grow linearly in n.  Explicit words would store about 2^n.
+    # Ascending n, so that exponential storage fails at the smallest size.
+    for n in (16, 32, 64, 128):
+        for build in (_doubling_chain, _clone_chain):
+            std = build(n)
+            _, trace = compute_bisimilarity_base(std)
+            stored = sum(len(w) for b in pass_bases(std, trace) for w in b._factors.values())
+            assert stored <= 16 * n, (build.__name__, n, stored)
+
+
+@pytest.mark.parametrize("n", [40, 64, 128])
+def test_chains_far_past_explicit_words(n):
+    # Norms near 2^n: both candidate modes agree, Xi and X(i-1) X(i-1) differ
+    # in norm, and Yi is Y(i-1) Y(i-1).
+    for build, bisimilar in ((_doubling_chain, False), (_clone_chain, True)):
+        std = build(n)
+        base, _ = compute_bisimilarity_base(std)
+        exhaustive, _ = compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)
+        assert base == exhaustive
+        letter = "X" if build is _doubling_chain else "Y"
+        c = [std.sys.constant_id(f"{letter}{i}") for i in range(n)]
+        want = VerdictKind.BISIMILAR if bisimilar else VerdictKind.NOT_BISIMILAR
+        for i in range(1, n):
+            assert check_equivalence(std, (c[i],), (c[i - 1], c[i - 1]), base=base).kind is want
+        if bisimilar:
+            assert base.equations[c[n - 1]].word == (-1, c[0], 2 ** (n - 1))

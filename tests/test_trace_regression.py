@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import chain_text
 from tnbpa.cli import main
 from tnbpa.model import serialize_system
 from tnbpa.oracle import GenParams, random_system
@@ -37,6 +38,10 @@ RANDOM_CASES = {
     "rand-n48-cap2-s30": GenParams(constants=48, norm_cap=2, silent_prob=0.3, composite_prob=0.4, seed=21),
     "rand-n64-cap8-s0": GenParams(constants=64, norm_cap=8, silent_prob=0.0, composite_prob=0.4, seed=34),
 }
+
+# The norm-blowup families: at n = 6 every word is narrower than 64 ids, at
+# n = 10 the top words are 512 and 1,023 ids wide.
+CHAIN_CASES = {f"{family}-n{n}": (family, n) for family in ("doubling", "clone") for n in (6, 10)}
 
 # name -> sha256 of (--json --iterations stdout, the --trace file, plain-text
 # --iterations stdout)
@@ -81,6 +86,26 @@ PINNED = {
         "79046dc54806d2fd2760cd3c01b984fd51ffc759eaf287c02fed97f7a1e07a9f",
         "fe075435a7c0ca003cfa5159633f1094f59e0af6d62a21b7bd375b103226213d",
     ),
+    "doubling-n6": (
+        "fa9c5a8abf37ccee375596e74511ae7b6055410e81c9580a7a3e61e56110d38e",
+        "84fcc898ea5c3a0752f24f09f9914f3d70d8370e2a8e95ffeec5082653dd276a",
+        "1ef48590427c51fca173d5530ce995751dc16aba4b460a58ac6c307a53b6f1f6",
+    ),
+    "doubling-n10": (
+        "1d22323ddd6fad596545b38090c3b9580c60e736418d79df26afadf128d435d2",
+        "8f493301722f9f4253367ad2d3f3edd92531e9ce3ae5940a8c71f2ae13c5294b",
+        "308b5043edebab77a597a30074305f5c67b322e0ac141fc74740dd9233e4ab46",
+    ),
+    "clone-n6": (
+        "d77269d7d6e4633567cfbce8b48c62719b2325ddb517d396b3d841597435eb5a",
+        "3fe0ab191f940a61ac65d847bdf69e6764ab1e068136faef0e834de809ebc7fb",
+        "554d92a3890a7db547aa7b73b9482f36bfc1b6ba4762be8702fca5c459bb8211",
+    ),
+    "clone-n10": (
+        "e03cd324d4eb94539f507e4d42bc0af00d0b8912bb7e7f478d430fdaab96a2dd",
+        "9fa65b58dcdfa14c2aaf186eb4795171cbc33b1eeab6c220030683d7a62f552c",
+        "82de49f11322186be5ad82534b610f0917d9bd9a244fbb0696201c9e4273077d",
+    ),
 }
 
 
@@ -107,10 +132,14 @@ def case_file(name: str, tmp_path: Path) -> Path:
         path = tmp_path / f"{name}.bpa"
         path.write_text(serialize_system(random_system(RANDOM_CASES[name])))
         return path
+    if name in CHAIN_CASES:
+        path = tmp_path / f"{name}.bpa"
+        path.write_text(chain_text(*CHAIN_CASES[name]))
+        return path
     return SYSTEMS_DIR / name
 
 
-CASES = sorted(p.name for p in SYSTEMS_DIR.glob("*.bpa")) + list(RANDOM_CASES)
+CASES = sorted(p.name for p in SYSTEMS_DIR.glob("*.bpa")) + list(RANDOM_CASES) + list(CHAIN_CASES)
 
 
 def test_every_case_is_pinned():
