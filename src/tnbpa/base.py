@@ -59,10 +59,6 @@ class DecompositionBase:
                 raise InvalidBaseError(f"equation for constant {i} is not norm-preserving")
             w = rhs.word
             ids = w[1::2] if w and w[0] < 0 else w  # one id per run
-            distinct = set(ids)
-            if distinct <= self.primes and max(distinct, default=-1) < i:
-                continue
-            # The ordered pass names the first offender in the word.
             for c in ids:
                 if c not in self.primes:
                     raise InvalidBaseError(f"equation for constant {i} mentions non-prime {c}")

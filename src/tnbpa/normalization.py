@@ -298,27 +298,14 @@ class SystemView:
         return transitions_of(self.sys, p)
 
     @cached_property
-    def _rhs_by_label(self) -> tuple[dict[str, tuple[Process, ...]], ...]:
-        index: list[dict[str, list[Process]]] = [{} for _ in range(self.n)]
-        for r in self.sys.rules:
-            index[r.lhs].setdefault(r.label, []).append(r.rhs)
-        return tuple({label: tuple(rhss) for label, rhss in by.items()} for by in index)
-
-    def moves(self, p: Process, label: str) -> list[Process]:
-        """The targets of p's transitions labelled `label`, in rule order."""
-        if not p:
-            return []
-        tail = p[1:]
-        return [rhs + tail for rhs in self._rhs_by_label[p[0]].get(label, ())]
-
-    @cached_property
     def rhs_norms_by_label(self) -> tuple[dict[str, tuple[tuple[Process, int], ...]], ...]:
         """Per constant and label, the (rhs, norm of rhs) of its rules, in
-        rule order: `moves` with the targets' norms ready to add."""
-        return tuple(
-            {label: tuple((rhs, self.norm_of(rhs)) for rhs in rhss) for label, rhss in by.items()}
-            for by in self._rhs_by_label
-        )
+        rule order: X's `label` moves from X.w go to each rhs.w, whose norm
+        is that rhs norm plus w's."""
+        index: list[dict[str, list[tuple[Process, int]]]] = [{} for _ in range(self.n)]
+        for r in self.sys.rules:
+            index[r.lhs].setdefault(r.label, []).append((r.rhs, self.norm_of(r.rhs)))
+        return tuple({label: tuple(pairs) for label, pairs in by.items()} for by in index)
 
     @cached_property
     def witness_steps(self) -> tuple[tuple[str, Process, int], ...]:

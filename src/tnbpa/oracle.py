@@ -162,10 +162,10 @@ class GameContext:
     higher).  Searches that return nothing are honest either way: they never
     claim bisimilarity.
 
-    Extraction has two builders: `_refute` for norm-equal pairs, keyed by the
-    level at which they fail, and `_descend` for norm descents, which carries
-    the pair's norms.  Both file their nodes in one table, `_strategies`,
-    whose size `NODE_LIMIT` bounds: the budget is one per context, shared by
+    Extraction has one builder, `_refute`, which carries each pair's norms
+    and keys its node by the level at which the pair fails, or by None for
+    a norm descent.  It files the nodes in one table, `_strategies`, whose
+    size `NODE_LIMIT` bounds: the budget is one per context, shared by
     every certificate extracted in it, so once one certificate fills it
     every later extraction that adds a node is skipped.
 
@@ -270,11 +270,17 @@ class GameContext:
         return None
 
     def _has_reply(self, relate, mover, target, label, defender) -> bool:
-        moves = self.view.moves
+        # `related` recurses through this frame, and CPython 3.11 unmaps a
+        # frame-stack chunk each time a return crosses the chunk's start, so
+        # this frame's size moves where that happens.  As written (9 locals,
+        # a stack of 6) the 105-trial corpus under `perfbench/run.py` took
+        # 120k page faults on a 2-CPU VM with Python 3.11.7; a frame two
+        # slots larger took 150k, and its median trial ran 14% slower.
         for mid in self.closure(defender):
             if not relate(mover, mid):
                 continue
-            for res in moves(mid, label):
+            for res, _ in self.view.rhs_norms_by_label[mid[0]].get(label, ()):
+                res += mid[1:]
                 if relate(target, res):
                     return True
         return False
@@ -285,7 +291,9 @@ class GameContext:
         """A replayable attacker strategy refuting p ~ q, or None at the bound."""
         with _cyclic_gc_paused():
             k = self.refutation_level(p, q, k_max)
-            return None if k is None else self._refute(p, q, k)
+            if k is None:
+                return None
+            return self._refute(p, q, k, self.view.norm_of(p), self.view.norm_of(q))
 
     def refutation_level(self, p: Process, q: Process, k_max: int) -> int | None:
         """The least level at which p and q fail to be related, or None when
@@ -297,102 +305,84 @@ class GameContext:
             k += 1
         return k
 
-    def _refute(self, p: Process, q: Process, k: int) -> Distinction:
-        """Attacker strategy for a pair that is not related at level k.
+    def _refute(self, p: Process, q: Process, k: int | None, np_: int, nq: int) -> Distinction:
+        """Attacker strategy for a pair not related at level k, whose norms
+        are np_ and nq.
 
-        A norm-unequal pair is not related at any level and goes to
-        `_descend`.  A norm-equal pair is attacked with the first move the
-        other side cannot match at level k - 1.  Every defender reply is
-        listed, in the order replay enumerates them: the stay reply to a
-        silent move, then each matching move from the defender's closure.
-        Each continues at a pair the reply leaves unrelated.
+        A norm-unequal pair is not related at any level, so its node carries
+        no level (k is None in the key) and is shared across levels.  The
+        side of smaller norm, or the other one when it is empty, follows its
+        head's norm-witness rule; witness rules form a well-founded descent
+        even on systems never standardized.  Every defender reply keeps the
+        norms unequal and continues at the post-action pair.  Once one side
+        is empty the other descends, and its first visible witness step
+        cannot be answered.
+
+        A norm-equal pair is attacked with the first move the other side
+        cannot match at level k - 1, and each reply continues at a pair the
+        reply leaves unrelated.
+
+        Every defender reply is listed, in the order replay enumerates them:
+        the stay reply to a silent move, then each matching move from the
+        defender's closure.  The norms are carried, not recomputed: a reply
+        from closure state mid changes the defender's norm by the reply
+        rule's rhs norm minus the norm of mid's head (silent closure steps
+        preserve the norm).
         """
-        view = self.view
-        np_, nq = view.norm_of(p), view.norm_of(q)
         if np_ != nq:
-            return self._descend(p, q, np_, nq)
+            k = None
         key = (p, q, k)
         hit = self._strategies.get(key)
         if hit is not None:
             return hit
-        if k < 1:
-            raise AssertionError("norm-equal pair cannot fail at level 0")
-        km1 = k - 1
-        relate = lambda a, b: self.related(a, b, km1)
-        for side, att, dfd in (("left", p, q), ("right", q, p)):
-            move = self._unanswered(relate, att, dfd)
-            if move is not None:
-                label, t = move
-                break
-        else:
-            raise AssertionError("approximant failed but every transition is matched")
-
-        left = side == "left"
-        replies: list[DefenderReply] = []
-        if is_silent(label):
-            nxt = (t, dfd) if left else (dfd, t)
-            replies.append(DefenderReply("stay", None, None, self._refute(*nxt, km1)))
-        for mid in self.closure(dfd):
-            for res in view.moves(mid, label):
-                if not relate(att, mid):
-                    nxt = (att, mid) if left else (mid, att)
-                elif not relate(t, res):
-                    nxt = (t, res) if left else (res, t)
-                else:
-                    raise AssertionError("witness transition has an answered reply")
-                replies.append(DefenderReply("move", mid, res, self._refute(*nxt, km1)))
-        return self._add(key, Distinction(p, q, side, label, t, tuple(replies)))
-
-    def _descend(self, p: Process, q: Process, np_: int, nq: int) -> Distinction:
-        """Attacker strategy for a norm-unequal pair, whose norms are np_, nq.
-
-        Its nodes carry no level (k is None in the key), so they are shared
-        across levels.  The side of smaller norm, or the other one when it
-        is empty, follows its head's norm-witness rule; witness rules form a
-        well-founded descent even on systems never standardized.  Every
-        defender reply keeps the norms unequal and continues at the
-        post-action pair.  Once one side is empty the other descends, and
-        its first visible witness step cannot be answered.
-
-        The norms are carried, not recomputed: the attacker's changes by its
-        witness step's delta, and a reply from closure state mid by the
-        reply rule's rhs norm minus the norm of mid's head (silent closure
-        steps preserve the norm).
-        """
-        if np_ == nq:
-            raise AssertionError("norm descent on a norm-equal pair")
-        key = (p, q, None)
-        hit = self._strategies.get(key)
-        if hit is not None:
-            return hit
         view = self.view
-        left = bool(p) and (not q or np_ < nq)
-        att, dfd, n_dfd = (p, q, nq) if left else (q, p, np_)
-        label, rhs, delta = view.witness_steps[att[0]]
-        t = rhs + att[1:]
-        n_t = (np_ if left else nq) + delta
-        descend = self._descend
-        replies: list[DefenderReply] = []
-        if is_silent(label):
-            child = descend(t, dfd, n_t, n_dfd) if left else descend(dfd, t, n_dfd, n_t)
-            replies.append(DefenderReply("stay", None, None, child))
-        if dfd:
+        if k is None:
+            left = bool(p) and (not q or np_ < nq)
+            att, dfd = (p, q) if left else (q, p)
+            label, rhs, delta = view.witness_steps[att[0]]
+            t = rhs + att[1:]
+            n_t = (np_ if left else nq) + delta
             # A descent meets each defender about three times, so its closure
             # is derived afresh, not cached: caching every one held about
             # 10 MB more at the peak of the 105-trial oracle corpus.
-            norms, by_label = view.norms, view.rhs_norms_by_label
-            for mid in self._closure_states(dfd):
-                tail, rest = mid[1:], n_dfd - norms[mid[0]]
-                for beta, n_beta in by_label[mid[0]].get(label, ()):
-                    res = beta + tail
-                    n_res = rest + n_beta
-                    child = descend(t, res, n_t, n_res) if left else descend(res, t, n_res, n_t)
-                    replies.append(DefenderReply("move", mid, res, child))
-        side = "left" if left else "right"
-        return self._add(key, Distinction(p, q, side, label, t, tuple(replies)))
+            states = self._closure_states(dfd) if dfd else ()
+            km1 = None
+        elif k < 1:
+            raise AssertionError("norm-equal pair cannot fail at level 0")
+        else:
+            km1 = k - 1
+            relate = lambda a, b: self.related(a, b, km1)
+            for left, att, dfd in ((True, p, q), (False, q, p)):
+                move = self._unanswered(relate, att, dfd)
+                if move is not None:
+                    label, t = move
+                    break
+            else:
+                raise AssertionError("approximant failed but every transition is matched")
+            n_t = view.norm_of(t)
+            states = self.closure(dfd)
 
-    def _add(self, key: tuple[Process, Process, int | None], node: Distinction) -> Distinction:
-        self._strategies[key] = node
+        n_att, n_dfd = (np_, nq) if left else (nq, np_)
+        refute = self._refute
+        replies: list[DefenderReply] = []
+        if is_silent(label):
+            child = refute(t, dfd, km1, n_t, n_dfd) if left else refute(dfd, t, km1, n_dfd, n_t)
+            replies.append(DefenderReply("stay", None, None, child))
+        norms, by_label = view.norms, view.rhs_norms_by_label
+        for mid in states:
+            tail, rest = mid[1:], n_dfd - norms[mid[0]]
+            for beta, n_beta in by_label[mid[0]].get(label, ()):
+                res = beta + tail
+                if k is not None and not relate(att, mid):
+                    child = refute(att, mid, km1, n_att, n_dfd) if left else refute(mid, att, km1, n_dfd, n_att)
+                elif k is None or not relate(t, res):
+                    n_res = rest + n_beta
+                    child = refute(t, res, km1, n_t, n_res) if left else refute(res, t, km1, n_res, n_t)
+                else:
+                    raise AssertionError("witness transition has an answered reply")
+                replies.append(DefenderReply("move", mid, res, child))
+        side = "left" if left else "right"
+        node = self._strategies[key] = Distinction(p, q, side, label, t, tuple(replies))
         if len(self._strategies) > NODE_LIMIT:
             raise StateGuardExceeded(f"strategy extraction exceeded {NODE_LIMIT} nodes")
         return node
@@ -512,11 +502,10 @@ def distinction_to_json(view: SystemView, d: Distinction) -> dict:
 
 @dataclass
 class GeneratorCheck:
-    kind: str  # "equation" | "structural" | "sample"
+    kind: str  # "equation" | "sample"
     subject: str
     ok: bool
     distinction: Distinction | None = None
-    detail: str = ""
 
 
 @dataclass
@@ -542,12 +531,10 @@ def verify_base_generators(
 ) -> GeneratorReport:
     """Attack a base's generators with the game oracle.
 
-    Checks, in order: no equation pair can be distinguished up to k_max; for
-    every prime, no decreasing rule decomposes back onto the prime itself (its
-    decomposition stays strictly below the prime's index); and a sample of
-    decomposition-equal process pairs is likewise undistinguished.  Failures
-    carry replayable certificates; a clean report is strong evidence, not a
-    proof.
+    Checks, in order: no equation pair can be distinguished up to k_max, and
+    a sample of decomposition-equal process pairs is likewise
+    undistinguished.  Failures carry replayable certificates; a clean report
+    is strong evidence, not a proof.
     """
     if ctx is None:
         ctx = GameContext(std, norm_budget=NORM_BUDGET)
@@ -565,19 +552,6 @@ def verify_base_generators(
                 distinction=d,
             )
         )
-
-    for i in sorted(base.primes):
-        for r in std.dec_rules(i):
-            d = expand(base.dcmp(r.rhs))
-            ok = d != (i,) and all(c < i for c in d)
-            checks.append(
-                GeneratorCheck(
-                    "structural",
-                    f"prime {name(i)} -{r.label}-> {format_process(std.sys, d)}",
-                    ok=ok,
-                    detail="" if ok else "decreasing step decomposes onto the prime itself",
-                )
-            )
 
     rng = random.Random(seed)
     for _ in range(sample_budget):
@@ -756,12 +730,12 @@ class TrialReport:
     constants: int
     rules: int
     realtime: bool
-    iterations: int
-    primes: int
-    mode_agree: bool | None
-    generator_ok: bool
-    generator_failures: int
-    realtime_divergences: int | None
+    iterations: int = 0
+    primes: int = 0
+    mode_agree: bool | None = None
+    generator_ok: bool = False
+    generator_failures: int = 0
+    realtime_divergences: int | None = None
     engine_error: str | None = None
     pairs: list[PairCheck] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)

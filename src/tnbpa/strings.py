@@ -25,7 +25,7 @@ canonical.
 from __future__ import annotations
 
 from itertools import chain, groupby, repeat
-from operator import itemgetter, mul
+from operator import mul
 
 from .model import Process
 from .normalization import GuardExceeded
@@ -232,14 +232,10 @@ class NormedString:
             w = canonical(w)
         self.word = w
         self.norms = norms
-        if not w:
-            self.norm = 0
-        elif w[0] < 0:
+        if w and w[0] < 0:
             self.norm = sum(map(mul, map(norms.__getitem__, w[1::2]), w[2::2]))
-        elif w.count(w[0]) == len(w):  # a single run, like X_0^k
-            self.norm = norms[w[0]] * len(w)
         else:
-            self.norm = sum(itemgetter(*w)(norms))
+            self.norm = sum(map(norms.__getitem__, w))
 
     @property
     def ids(self) -> Process:

@@ -416,11 +416,11 @@ def skip_lpftest_steps(monkeypatch):
 
 
 class ReferenceGameContext(GameContext):
-    """The game context with the one-builder extractor and the per-process
-    closures that `_refute`, `_descend` and the head-derived closures
-    replaced, kept as the reference their strategy tables are compared
-    against.  `NODE_LIMIT` is read from the oracle module, so a test that
-    patches it there patches both builders.
+    """The game context with a reference extractor, kept to compare strategy
+    tables against: it recomputes every norm, reads moves off `transitions`
+    and runs the closure BFS for every process.  `NODE_LIMIT` is read from
+    the oracle module, so a test that patches it there patches both
+    builders.
     """
 
     def closure(self, p):
@@ -430,7 +430,8 @@ class ReferenceGameContext(GameContext):
             self._closures[p] = hit
         return hit
 
-    def _refute(self, p, q, k):
+    def _refute(self, p, q, k, *carried_norms):
+        # The norms the builder carries are recomputed here.
         view = self.view
         np_, nq = view.norm_of(p), view.norm_of(q)
         if np_ != nq:
@@ -469,7 +470,7 @@ class ReferenceGameContext(GameContext):
             nxt = (t, dfd) if left else (dfd, t)
             replies.append(DefenderReply("stay", None, None, self._refute(*nxt, km1)))
         for mid in self.closure(dfd):
-            for res in view.moves(mid, label):
+            for res in [tgt for lab, tgt in view.transitions(mid) if lab == label]:
                 if k is not None and not relate(att, mid):
                     nxt = (att, mid) if left else (mid, att)
                 elif k is None or not relate(t, res):

@@ -200,7 +200,9 @@ def test_moves_and_norms_agree_with_their_definitions(case):
     labels = sorted(actions) + ["absent"]
     assert "absent" not in actions
     for label in labels:
-        assert v.moves(p, label) == [t for lab, t in v.transitions(p) if lab == label]
+        pairs = v.rhs_norms_by_label[p[0]].get(label, ()) if p else ()
+        assert [rhs + p[1:] for rhs, _ in pairs] == [t for lab, t in v.transitions(p) if lab == label]
+        assert [n for _, n in pairs] == [v.norm_of(rhs) for rhs, _ in pairs]
     total = sum(v.norms[c] for c in p)
     assert v.norm_of(p) == total
 
