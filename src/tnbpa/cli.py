@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GuardExceeded, RecursionError, MemoryError) as exc:
         print(f"resource guard: {str(exc) or 'out of memory'}", file=_sys.stderr)
         return EXIT_INTERNAL
-    except (AssertionError, engine.EngineInternalError) as exc:
+    except AssertionError as exc:
         print(f"internal error: {exc}", file=_sys.stderr)
         return EXIT_INTERNAL
 

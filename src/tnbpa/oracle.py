@@ -152,8 +152,9 @@ class GameContext:
 
     Level 0 relates exactly the norm-equal pairs, so every level is
     norm-preserving; level k demands one more round of matching in which
-    defender replies run through exact silent-decreasing closures.  Failure at
-    any finite level refutes bisimilarity; success at a bound proves nothing.
+    defender replies run through exact silent-decreasing closures, which a
+    context caches per constant only.  Failure at any finite level refutes
+    bisimilarity; success at a bound proves nothing.
 
     `norm_budget`, when set, treats pairs whose norm exceeds it as related
     without exploring them.  That only coarsens the levels, so refutations
@@ -179,26 +180,22 @@ class GameContext:
     def __init__(self, view: SystemView, *, norm_budget: int | None = None):
         self.view = view
         self.norm_budget = norm_budget
-        self._closures: dict[Process, tuple[Process, ...]] = {}
+        self._closures: dict[int, tuple[Process, ...]] = {}
         self._memo: dict[tuple[Process, Process, int], bool] = {}
         self._strategies: dict[tuple[Process, Process, int | None], Distinction] = {}
 
     def closure(self, p: Process) -> tuple[Process, ...]:
-        """p's silent closure states, cached; only single constants run the BFS."""
-        hit = self._closures.get(p)
-        if hit is None:
-            if len(p) > 1:
-                hit = self._closure_states(p)
-            else:
-                hit = silent_closure_dec(self.view, p).states
-            self._closures[p] = hit
-        return hit
-
-    def _closure_states(self, p: Process) -> tuple[Process, ...]:
-        """The states of a non-empty p's silent closure, not cached.  Silent
-        steps rewrite the head and never erase it, so the closure of X.w is
-        X's with w appended, in the same BFS order."""
-        head = self.closure(p[:1])
+        """p's silent closure states.  Silent steps rewrite the head and never
+        erase it, so the closure of X.w is X's with w appended, in the same
+        BFS order: only single constants run the BFS, cached by constant id.
+        The empty process is its own closure."""
+        if not p:
+            return (p,)
+        head = self._closures.get(p[0])
+        if head is None:
+            head = self._closures[p[0]] = silent_closure_dec(self.view, p[:1]).states
+        if len(p) == 1:
+            return head
         if len(head) == 1:
             return (p,)
         tail = p[1:]
@@ -342,10 +339,6 @@ class GameContext:
             label, rhs, delta = view.witness_steps[att[0]]
             t = rhs + att[1:]
             n_t = (np_ if left else nq) + delta
-            # A descent meets each defender about three times, so its closure
-            # is derived afresh, not cached: caching every one held about
-            # 10 MB more at the peak of the 105-trial oracle corpus.
-            states = self._closure_states(dfd) if dfd else ()
             km1 = None
         elif k < 1:
             raise AssertionError("norm-equal pair cannot fail at level 0")
@@ -360,8 +353,8 @@ class GameContext:
             else:
                 raise AssertionError("approximant failed but every transition is matched")
             n_t = view.norm_of(t)
-            states = self.closure(dfd)
 
+        states = self.closure(dfd) if dfd else ()
         n_att, n_dfd = (np_, nq) if left else (nq, np_)
         refute = self._refute
         replies: list[DefenderReply] = []
@@ -569,12 +562,12 @@ def verify_base_generators(
     return GeneratorReport(checks)
 
 
-def _fold_composites(base: DecompositionBase, ids: Sequence[int], rng: random.Random, rounds: int = 4) -> Process:
+def _fold_composites(base: DecompositionBase, ids: Sequence[int], rng: random.Random) -> Process:
     cur = list(ids)
     composites = sorted(base.equations)
     if not composites:
         return tuple(cur)
-    for _ in range(rounds):
+    for _ in range(4):
         x = rng.choice(composites)
         pat = base.equations[x].ids
         width = len(pat)
@@ -586,11 +579,11 @@ def _fold_composites(base: DecompositionBase, ids: Sequence[int], rng: random.Ra
     return tuple(cur)
 
 
-def sample_dcmp_equal_pair(std, base: DecompositionBase, rng: random.Random, max_len: int = 3) -> tuple[Process, Process]:
+def sample_dcmp_equal_pair(std, base: DecompositionBase, rng: random.Random) -> tuple[Process, Process]:
     """Two processes with equal decompositions: independent refoldings of one."""
     if std.n == 0:
         return (), ()
-    seed_proc = tuple(rng.randrange(std.n) for _ in range(rng.randint(0, max_len)))
+    seed_proc = tuple(rng.randrange(std.n) for _ in range(rng.randint(0, 3)))
     prime_form = expand(base.dcmp(seed_proc))
     return (
         _fold_composites(base, prime_form, rng),
@@ -828,14 +821,14 @@ class DifferentialReport:
         }
 
 
-def _sample_pairs(std, rng: random.Random, count: int, max_norm: int = 12) -> list[tuple[Process, Process]]:
-    """Random norm-bounded pairs, biased toward norm-equal (the hard case)."""
+def _sample_pairs(std, rng: random.Random, count: int) -> list[tuple[Process, Process]]:
+    """Random pairs of norm at most 12, biased toward norm-equal (the hard case)."""
     n = std.n
     pool: list[Process] = [(i,) for i in range(n)]
     for _ in range(4 * count):
         length = rng.randint(0, 3)
         pool.append(tuple(rng.randrange(n) for _ in range(length)))
-    pool = [p for p in pool if std.norm_of(p) <= max_norm]
+    pool = [p for p in pool if std.norm_of(p) <= 12]
     buckets: dict[int, list[Process]] = {}
     for p in pool:
         buckets.setdefault(std.norm_of(p), []).append(p)
@@ -873,12 +866,6 @@ def differential_trial(
             constants=std.n,
             rules=len(std.sys.rules),
             realtime=std.is_realtime,
-            iterations=0,
-            primes=0,
-            mode_agree=None,
-            generator_ok=False,
-            generator_failures=0,
-            realtime_divergences=None,
             engine_error=str(exc),
         )
     divergences = _engine.realtime_divergences(std, trace) if std.is_realtime else None

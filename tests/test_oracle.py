@@ -166,6 +166,37 @@ def test_norm_descent_on_silent_witness(sysb_std):
     replay_distinction(sysb_std, d)
 
 
+def _ladder(n: int) -> str:
+    """Pairs A_k, B_k of norm 1 with `-a-> eps`, `A_k -c-> A_{k+1} A_{k+1}`
+    and `B_k -c-> B_{k+1} B_{k+1}` below the top, and a top pair that
+    differs on `-d->` against `-e->`."""
+    top = n // 2 - 1
+    lines = ["constants: " + " ".join(f"A{k} B{k}" for k in range(top + 1))]
+    for k in range(top + 1):
+        for s in "AB":
+            lines.append(f"{s}{k} -a-> eps")
+            if k < top:
+                lines.append(f"{s}{k} -c-> {s}{k + 1} {s}{k + 1}")
+    lines += [f"A{top} -d-> eps", f"B{top} -e-> eps"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, level, nodes", [(6, 3, 3), (10, 5, 5), (16, 8, 8)])
+def test_ladder_is_refuted_at_a_level_that_grows_with_n(n, level, nodes):
+    # The difference at the top travels down one rung per refinement pass
+    # and one game level per rung, deeper than the acceptance corpus goes.
+    std = standardize(parse_system(_ladder(n)))
+    a, b = std.parse_process("A0"), std.parse_process("B0")
+    base, trace = compute_bisimilarity_base(std)
+    assert len(trace) == n // 2 + 1
+    assert engine.check_equivalence(std, a, b, base=base).kind is engine.VerdictKind.NOT_BISIMILAR
+    ctx = GameContext(std)
+    assert ctx.refutation_level(a, b, 16) == level
+    d = ctx.find_distinction(a, b, 16)
+    assert d is not None and d.size() == nodes
+    replay_distinction(std, d)
+
+
 def test_distinctions_replay_across_fuzz_systems():
     rng = random.Random(9)
     replayed = 0
@@ -513,6 +544,9 @@ def test_head_derived_closure_matches_the_bfs(seed, constants, data):
     ctx = GameContext(std)
     assert ctx.closure(p) == silent_closure_dec(std, p).states
     assert ctx.closure((head,)) == silent_closure_dec(std, (head,)).states
+    assert ctx.closure(()) == ((),)
+    # The cache holds each constant's closure only; longer ones are derived.
+    assert all(type(key) is int for key in ctx._closures)
 
 
 def test_extraction_and_replay_restore_the_cyclic_collector(ex1_std, monkeypatch):
