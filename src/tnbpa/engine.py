@@ -25,6 +25,11 @@ validate the pruned candidate set and the signature index.
 Every word here is in the canonical form of `strings`, so set membership and
 signature lookups compare words as tuples, and words of any width cost what
 their runs cost.
+
+`_signature`, `_strip`, `_step_one`, `candidates_for` and `lpftest` are hook
+points: the mutation tests and the benchmark's tracer replace them by name
+in this module.  The pass calls them through the module's globals, never
+inlined and never bound to a local name.
 """
 
 from __future__ import annotations
@@ -162,6 +167,18 @@ def _signature(dec: Iterable, inc: Iterable) -> tuple:
     return frozenset(dec), frozenset(inc)
 
 
+def _stripped(moves: list, tail: Process) -> list | None:
+    """moves with tail stripped from every target; None as soon as one
+    target does not end with it."""
+    out = []
+    for label, w in moves:
+        w = _strip(w, tail)
+        if w is None:
+            return None
+        out.append((label, w))
+    return out
+
+
 class TestResult(NamedTuple):
     accepted: bool
     step: int  # accepting step (4 early, 7 full) or the step that rejected
@@ -296,26 +313,31 @@ def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestRes
             f"old prime {std.sys.name(k)} left the refined prime set"
         )
 
-    def admissible(j: int) -> bool:
-        return j == k or j > k and j not in base.primes
-
+    old_primes = base.primes
     dec, inc = partial.moves(i)
-    found: dict[Process, TestResult | None] = {
-        alpha: None for label, alpha in dec if is_silent(label) and admissible(head(alpha))
-    }
+    found: dict[Process, TestResult | None] = {}
+    for label, alpha in dec:
+        if is_silent(label):
+            j = head(alpha)
+            if j == k or j > k and j not in old_primes:
+                found[alpha] = None
+    by_signature = partial._by_signature
     # The cuts of a short plain s are slices, and a head before one stays short.
     short = len(s) < LONG - 1 and not (s and s[0] < 0)
     for at in partial._cut_lengths.get(rule.label, ()):
         t = (s[at:] if at <= len(s) else None) if short else drop(s, at)
         if t is None:
             continue
-        old_t = base.dcmp(t)
-        dec_t = [(label, _strip(alpha, t)) for label, alpha in dec]
-        inc_t = [(label, _strip(gamma, old_t)) for label, gamma in inc]
-        if any(x is None for _, x in dec_t + inc_t):
+        dec_t = _stripped(dec, t)
+        if dec_t is None:
             continue
-        for j in partial._by_signature.get(_signature(dec_t, inc_t), ()):
-            if admissible(j) and _step_one(base, i, j, old_t):
+        old_t = base.dcmp(t)
+        inc_t = _stripped(inc, old_t)
+        if inc_t is None:
+            continue
+        for j in by_signature.get(_signature(dec_t, inc_t), ()):
+            # An admissible head: k, or a new prime above it.
+            if (j == k or j > k and j not in old_primes) and _step_one(base, i, j, old_t):
                 found.setdefault((j, *t) if short else join((j,), t), TestResult(True, 7))
     if len(found) > 1 and any(alpha[0] < 0 for alpha in found):
         return sorted(found.items(), key=lambda item: order_key(item[0]))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import random
+from bisect import bisect_right, insort
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -648,19 +649,48 @@ def random_system(params: GenParams) -> BpaSystem:
     provisional = [0] * params.constants
     rules: list[Rule] = []
     rules_of: list[list[Rule]] = [[] for _ in range(params.constants)]
+    # The finished constants (the ids below k) by provisional norm, in id
+    # order.  `levels` holds the norms that occur, ascending, and
+    # `with_norm[v]` the ids of norm v.  A budget admits the ids of norm at
+    # most its level, the largest level within it: all of them at the top
+    # level, else the list `at_most` keeps for that level from its first
+    # read on.  So memory goes per level a budget reads, not per unit of cap.
+    levels: list[int] = []
+    with_norm: dict[int, list[int]] = {}
+    at_most: dict[int, list[int]] = {}
 
     def add(rule: Rule) -> None:
         rules.append(rule)
         rules_of[rule.lhs].append(rule)
 
+    def finish(k: int) -> None:
+        v = provisional[k]
+        if v in with_norm:
+            with_norm[v].append(k)
+        else:
+            insort(levels, v)
+            with_norm[v] = [k]
+        for level, ids in at_most.items():
+            if v <= level:
+                ids.append(k)
+
+    def options(k: int, budget: int) -> Sequence[int]:
+        t = bisect_right(levels, budget)
+        if t == len(levels):
+            return range(k)
+        level = levels[t - 1] if t else 0
+        if level not in at_most:
+            at_most[level] = [j for j in range(k) if provisional[j] <= level]
+        return at_most[level]
+
     def draw(k: int, budget: int, most: int) -> list[int]:
         # Up to `most` constants below k whose norms fit the budget together.
         picked: list[int] = []
         for _ in range(rng.randint(0, most)):
-            options = [j for j in range(k) if provisional[j] <= budget]
-            if not options:
+            ids = options(k, budget)
+            if not ids:
                 break
-            j = rng.choice(options)
+            j = rng.choice(ids)
             picked.append(j)
             budget -= provisional[j]
         return picked
@@ -673,6 +703,7 @@ def random_system(params: GenParams) -> BpaSystem:
                 for r in rules_of[head]:
                     add(Rule(k, r.label, r.rhs + tuple(tail)))
                 provisional[k] = provisional[head] + sum(provisional[j] for j in tail)
+                finish(k)
                 continue
 
         rhs = draw(k, params.norm_cap - 1, params.max_rhs_len)
@@ -682,7 +713,7 @@ def random_system(params: GenParams) -> BpaSystem:
         for _ in range(rng.randint(0, params.extra_rules)):
             silent = rng.random() < params.silent_prob
             if silent:
-                peers = [j for j in range(k) if provisional[j] == provisional[k]]
+                peers = with_norm.get(provisional[k])
                 if peers and rng.random() < 0.5:
                     extra_rhs: tuple[int, ...] = (rng.choice(peers),)
                 else:
@@ -694,6 +725,7 @@ def random_system(params: GenParams) -> BpaSystem:
                 extra_rhs = tuple(rng.randrange(params.constants) for _ in range(length))
                 label = rng.choice(actions)
             add(Rule(k, label, extra_rhs))
+        finish(k)
 
     sys = BpaSystem(names, rules)
     table = compute_norms(sys)

@@ -24,6 +24,14 @@ SEED = 42
 # it when a change prunes further; never raise it to get a pass.
 MAX_RATIO_PER_DOUBLING = 2.53
 
+# The largest ratio of candidates per pass (a run's total over its passes)
+# per doubling of n beyond n = 2048 at cap 4, measured when this gate was
+# added: 1.945 from 2048 to 4096 and 2.007 from 4096 to 8192.  The whole-run
+# ratio from 2048 to 4096 reads 2.59, because a fourth pass appears; per pass
+# the count stays linear in n.  Tighten it when a change prunes further;
+# never raise it to get a pass.
+MAX_PER_PASS_RATIO_PER_DOUBLING = 2.01
+
 # The same for exhaustive mode at cap 4, measured when it began to head
 # candidates with every settled prime and cut their tails from the fixed
 # rule's decomposition: 4.557, n = 64 -> 128.  A ratio near 4 is quadratic
@@ -40,13 +48,21 @@ def family_params(n: int, cap: int) -> GenParams:
 
 
 @cache
+def pass_counts(
+    n: int, cap: int, mode: CandidateMode = CandidateMode.PRUNED
+) -> tuple[tuple[int, int], ...]:
+    """Candidates tested and accepted in each pass of a run."""
+    _, trace = compute_bisimilarity_base(standardize(random_system(family_params(n, cap))), mode)
+    tested = ([cand for c in rec.constants for cand in c.candidates] for rec in trace)
+    return tuple((len(cands), sum(cand.accepted for cand in cands)) for cands in tested)
+
+
 def candidate_counts(
     n: int, cap: int, mode: CandidateMode = CandidateMode.PRUNED
 ) -> tuple[int, int]:
     """Total candidates tested and accepted over a whole run."""
-    _, trace = compute_bisimilarity_base(standardize(random_system(family_params(n, cap))), mode)
-    tested = [cand for rec in trace for c in rec.constants for cand in c.candidates]
-    return len(tested), sum(cand.accepted for cand in tested)
+    passes = pass_counts(n, cap, mode)
+    return sum(tested for tested, _ in passes), sum(accepted for _, accepted in passes)
 
 
 def test_candidate_totals_at_n512_cap4():
@@ -88,3 +104,12 @@ def test_exhaustive_candidates_per_doubling_of_n():
     totals = [tested for tested, _ in exhaustive]
     ratios = [b / a for a, b in zip(totals, totals[1:])]
     assert max(ratios) <= MAX_EXHAUSTIVE_RATIO_PER_DOUBLING, (totals, ratios)
+
+
+def test_candidates_per_pass_per_doubling_of_n_beyond_2048():
+    passes = {n: [tested for tested, _ in pass_counts(n, 4)] for n in (2048, 4096, 8192)}
+    assert passes[4096] == [3_925, 2_617, 2_592, 2_592]
+    assert passes[8192] == [8_068, 5_198, 5_135, 5_135]
+    per_pass = [sum(counts) / len(counts) for counts in passes.values()]
+    ratios = [b / a for a, b in zip(per_pass, per_pass[1:])]
+    assert max(ratios) <= MAX_PER_PASS_RATIO_PER_DOUBLING, (passes, ratios)

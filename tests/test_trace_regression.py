@@ -37,6 +37,16 @@ RANDOM_CASES = {
     "rand-n40-cap4-s15": GenParams(constants=40, norm_cap=4, silent_prob=0.15, composite_prob=0.5, seed=13),
     "rand-n48-cap2-s30": GenParams(constants=48, norm_cap=2, silent_prob=0.3, composite_prob=0.4, seed=21),
     "rand-n64-cap8-s0": GenParams(constants=64, norm_cap=8, silent_prob=0.0, composite_prob=0.4, seed=34),
+    # The benchmark's engine-random settings, where cuts of several lengths
+    # and signatures shared by several primes occur.
+    "rand-n256-cap4-s30": GenParams(
+        constants=256, max_rhs_len=3, alphabet=2, silent_prob=0.3, norm_cap=4,
+        extra_rules=2, composite_prob=0.4, seed=55,
+    ),
+    "rand-n512-cap8-s30": GenParams(
+        constants=512, max_rhs_len=3, alphabet=2, silent_prob=0.3, norm_cap=8,
+        extra_rules=2, composite_prob=0.4, seed=89,
+    ),
 }
 
 # The norm-blowup families: at n = 6 every word is narrower than 64 ids, at
@@ -85,6 +95,16 @@ PINNED = {
         "baf5451fb4bd6c88268d89b87a744af23bbbf7368d0c696e17eba3594d22b8b7",
         "79046dc54806d2fd2760cd3c01b984fd51ffc759eaf287c02fed97f7a1e07a9f",
         "fe075435a7c0ca003cfa5159633f1094f59e0af6d62a21b7bd375b103226213d",
+    ),
+    "rand-n256-cap4-s30": (
+        "2689508dc95fc440efeae5fcabb2996a60eb5e8d13805c709d9d8706f20ac4a4",
+        "675924fb894290a9a7819b34cde51290f461cc1380ae53b2672ea8f7afa20cd0",
+        "eeba3b3bd84501024c4b0afed4451c47266734203f26b4f6a04a588e1491b4c5",
+    ),
+    "rand-n512-cap8-s30": (
+        "2e7af29ef49c304f610c9416ed50c863f222ffd3be932055f68c3cb60988d18f",
+        "61d4a03a444de7beb30b268819da2fb0a063b42e9433959105da2207dd6af8fa",
+        "00d14b1c186ebd9c30315b537b383cdd89e010ae147567f802eead60183123cc",
     ),
     "doubling-n6": (
         "fa9c5a8abf37ccee375596e74511ae7b6055410e81c9580a7a3e61e56110d38e",
