@@ -4,8 +4,9 @@ A base splits the constants into primes and composites and equips every
 composite ``X_i`` with an equation ``X_i = alpha`` over strictly smaller
 primes.  The congruence it generates relates two processes exactly when their
 prime decompositions coincide, so equivalence checking reduces to string
-equality after the homomorphic ``dcmp`` map.  Words are in the canonical
-form of `strings`: plain id tuples when short, their runs when wide.
+equality after the homomorphic ``dcmp`` map.  Words are canonical words of
+`strings`, the only module that knows their form; its `substitute` is the one
+substitution routine, behind `dcmp`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Mapping
 
 from .model import Process, format_process
 from .normalization import EngineInternalError, StandardSystem
-from .strings import LONG, NormedString, canonical, power, substitute
+from .strings import LONG, NormedString, head, ids_in, power, substitute
 
 
 class InvalidBaseError(ValueError):
@@ -57,9 +58,7 @@ class DecompositionBase:
         for i, rhs in self.equations.items():
             if rhs.norm != self.norms[i]:
                 raise InvalidBaseError(f"equation for constant {i} is not norm-preserving")
-            w = rhs.word
-            ids = w[1::2] if w and w[0] < 0 else w  # one id per run
-            for c in ids:
+            for c in ids_in(rhs.word):
                 if c not in self.primes:
                     raise InvalidBaseError(f"equation for constant {i} mentions non-prime {c}")
                 if c >= i:
@@ -73,11 +72,10 @@ class DecompositionBase:
     def dcmp(self, p: Process) -> tuple[int, ...]:
         """The prime decomposition of p, a word or any id tuple, as a word.
 
-        A short string of primes is its own decomposition and comes back as
-        it is, after one subset check in C (run form never passes it: -1 is
-        no prime).  Any other word concatenates its constants' factors, as
-        tuples while the result is short and plain, else run by run; an
-        unsettled constant is never prime, so it still raises.
+        A single constant reads its factor-table entry, and a short string of
+        primes is its own, after one subset check in C (`strings.canonical`
+        would cost a query 7%).  Any other word goes to `strings.substitute`,
+        the one substitution routine, raising on the first unsettled constant.
         """
         factors = self._factors
         try:
@@ -85,19 +83,11 @@ class DecompositionBase:
                 return factors[p[0]]
             if self.primes.issuperset(p) and len(p) < LONG:
                 return p
-            if p[0] < 0:
-                return substitute(p, factors)
-            out: list[int] = []
-            for c in p:
-                f = factors[c]
-                if f[0] < 0:
-                    return substitute(p, factors)
-                out += f
+            return substitute(p, factors)
         except KeyError as exc:
             raise EngineInternalError(
                 f"decomposition demanded for unsettled constant {exc.args[0]}"
             ) from None
-        return tuple(out) if len(out) < LONG else canonical(out)
 
     def dcmp_memo(self, p: Process) -> tuple[int, ...]:
         """Memoized `dcmp` of a single constant or a rule right-hand side.
@@ -117,8 +107,7 @@ class DecompositionBase:
 
     def lpf(self, cid: int) -> int:
         """Leftmost prime factor of a constant; the constant itself if prime."""
-        f = self._factors[cid]
-        return f[1] if f[0] < 0 else f[0]
+        return head(self._factors[cid])
 
 
 def initial_base(std: StandardSystem) -> DecompositionBase:

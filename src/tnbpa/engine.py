@@ -22,9 +22,9 @@ constant's norm, found from norms alone, and tests every candidate.  Step 2
 rejects every other prime string, so the mode stays polynomial; it exists to
 validate the pruned candidate set and the signature index.
 
-Every word here is in the canonical form of `strings`, so set membership and
-signature lookups compare words as tuples, and words of any width cost what
-their runs cost.
+Every word here is a canonical word of `strings`, read only through its
+operations, so set membership and signature lookups compare words as tuples,
+and words of any width cost what their runs cost.
 
 `_signature`, `_strip`, `_step_one`, `candidates_for` and `lpftest` are hook
 points: the mutation tests and the benchmark's tracer replace them by name
@@ -40,7 +40,7 @@ from typing import Iterable, NamedTuple
 from .base import DecompositionBase, InvalidBaseError, initial_base
 from .model import TAU, Process, Rule, is_silent
 from .normalization import EngineInternalError, StandardSystem
-from .strings import LONG, drop, expand, head, join, order_key, suffix_of_norm, width
+from .strings import drop, expand, head, join, order_key, suffix_of_norm, width
 from .strings import strip as _strip
 
 
@@ -290,13 +290,13 @@ def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestRes
     above it.  Unless j . t is the target of one of i's silent decreasing
     moves, `lpftest` accepts it exactly when old(i) is old(j) . old(t) and
     j's decreasing and increasing moves, each with t appended, are i's.  So
-    for each cut t = s[at:], at the length of a decreasing rule labelled a,
+    for each cut t, s past the length of a decreasing rule labelled a,
     i's moves with t (and old(t)) stripped are looked up in the pass's
     signature index, and each hit that passes step 1 is accepted as at step 7
     without a test.  Only the in-place targets are left to `lpftest`.
     Exhaustive: every settled prime j is a head, with t the suffix of s of
     norm norm(i) - norm(j) when s has a cut there; a silent rule preserves
-    the norm, so s itself is the candidate with head s[0].  It reads norms
+    the norm, so s itself is the candidate, with head(s).  It reads norms
     only, not the index, leaves out only the prime strings of the constant's
     norm that step 2 rejects, and leaves every candidate to `lpftest`.
     """
@@ -322,10 +322,8 @@ def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestRes
             if j == k or j > k and j not in old_primes:
                 found[alpha] = None
     by_signature = partial._by_signature
-    # The cuts of a short plain s are slices, and a head before one stays short.
-    short = len(s) < LONG - 1 and not (s and s[0] < 0)
     for at in partial._cut_lengths.get(rule.label, ()):
-        t = (s[at:] if at <= len(s) else None) if short else drop(s, at)
+        t = drop(s, at)
         if t is None:
             continue
         dec_t = _stripped(dec, t)
@@ -338,10 +336,10 @@ def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestRes
         for j in by_signature.get(_signature(dec_t, inc_t), ()):
             # An admissible head: k, or a new prime above it.
             if (j == k or j > k and j not in old_primes) and _step_one(base, i, j, old_t):
-                found.setdefault((j, *t) if short else join((j,), t), TestResult(True, 7))
-    if len(found) > 1 and any(alpha[0] < 0 for alpha in found):
+                found.setdefault(join((j,), t), TestResult(True, 7))
+    if len(found) > 1:
         return sorted(found.items(), key=lambda item: order_key(item[0]))
-    return sorted(found.items())
+    return list(found.items())
 
 
 class CandidateOutcome(NamedTuple):

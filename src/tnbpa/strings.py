@@ -16,10 +16,11 @@ raises `GuardExceeded` on a word wider than `EXPAND_LIMIT` ids.  A word that
 is no product of few runs, such as ``(X_0 X_1)^k``, stays as large as its run
 count; straight-line programs would compress it too (ROADMAP item 5).
 
-Short words stay plain so that the engine's usual work, on words of a few
-ids, stays tuple operations in C: each operation checks the form once, up
-front.  Any plain id tuple is accepted as input, however long; results are
-canonical.
+Only this module knows the form: the base and the engine use its operations
+and test no word's form (`dcmp` only compares a prime string's length with
+`LONG`), so another encoding is a change here alone.  A wide word holds an
+entry that is no id.  Short words stay plain, so that the usual work stays
+tuple operations in C.  Any plain id tuple is accepted; results are canonical.
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ def width(w: Process) -> int:
 def head(w: Process) -> int:
     """The first id of a non-empty word."""
     return w[1] if w[0] < 0 else w[0]
+
+
+def ids_in(w: Process) -> Process:
+    """The ids that occur in w, each at least once."""
+    return w[1::2] if w and w[0] < 0 else w
 
 
 def join(a: Process, b: Process) -> Process:
@@ -166,11 +172,22 @@ def suffix_of_norm(w: Process, h: int, norms: tuple[int, ...]) -> Process | None
 
 
 def substitute(p: Process, factors) -> Process:
-    """p with every id c replaced by the word factors[c].
+    """p with every id c replaced by the non-empty word factors[c].
 
-    A single-run factor repeated k times is one run.  Any other factor is
-    copied run by run, so a guard on the run count comes first.
+    The one substitution routine, behind `DecompositionBase.dcmp`.  Plain
+    words concatenate as tuples; otherwise a single-run factor repeated k
+    times is one run, and any other is copied run by run after a guard on
+    the run count.  The first missing factor in word order raises KeyError.
     """
+    if not p or p[0] >= 0:
+        out: list[int] = []
+        for c in p:
+            f = factors[c]
+            if f[0] < 0:
+                break
+            out += f
+        else:
+            return tuple(out) if len(out) < LONG else canonical(out)
     flat: list[int] = []
     pr = runs(p)
     for at in range(0, len(pr), 2):
@@ -181,9 +198,7 @@ def substitute(p: Process, factors) -> Process:
             continue
         total = len(flat) // 2 + len(f) // 2 * k
         if total > EXPAND_LIMIT:
-            raise GuardExceeded(
-                f"a word of {total} runs exceeds the limit of {EXPAND_LIMIT}"
-            )
+            raise GuardExceeded(f"a word of {total} runs exceeds the limit of {EXPAND_LIMIT}")
         for _ in range(k):
             _push(flat, f[0], f[1])
             flat += f[2:]
@@ -227,10 +242,7 @@ class NormedString:
     __slots__ = ("word", "norms", "norm")
 
     def __init__(self, ids, norms: tuple[int, ...]):
-        w = tuple(ids)
-        if len(w) >= LONG and w[0] >= 0:
-            w = canonical(w)
-        self.word = w
+        self.word = w = canonical(ids)
         self.norms = norms
         if w and w[0] < 0:
             self.norm = sum(map(mul, map(norms.__getitem__, w[1::2]), w[2::2]))

@@ -511,11 +511,13 @@ def test_refinement_builds_one_string_per_equation(monkeypatch):
                 depth[0] -= 1
         return wrapper
 
-    bases = []
+    # Every base an lpftest call reads, once each: keyed by id, and kept
+    # alive here, so an id is never reused.
+    bases = {}
     tested = engine.lpftest
 
     def recording(partial, i, delta):
-        bases.extend((partial.old, partial))
+        bases[id(partial.old)], bases[id(partial)] = partial.old, partial
         return tested(partial, i, delta)
 
     monkeypatch.setattr(NormedString, "__init__", counting_init)
@@ -535,7 +537,7 @@ def test_refinement_builds_one_string_per_equation(monkeypatch):
     # The memos are keyed by single constants and rule right-hand sides only,
     # never by a candidate's tail, so they stay within n + |rules| entries.
     keys = {(c,) for c in range(std.n)} | {r.rhs for r in std.sys.rules}
-    assert all(b._memo.keys() <= keys for b in bases)
+    assert all(b._memo.keys() <= keys for b in bases.values())
 
 
 def _doubling_chain(n: int):
