@@ -53,8 +53,8 @@ class UnwritablePathError(ValueError):
 
 def _load_system(path: str) -> BpaSystem:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_system(text)
 
@@ -159,8 +159,8 @@ def cmd_base(args) -> int:
             initial, *after = engine.pass_bases(std, trace)
             print("== initial base ==")
             print(render_base(std, initial))
-            for rec, snapshot in zip(trace, after):
-                print(f"== after iteration {rec.number} ==")
+            for number, snapshot in enumerate(after, 1):
+                print(f"== after iteration {number} ==")
                 print(render_base(std, snapshot))
         print(render_base(std, final))
     return EXIT_OK

@@ -13,8 +13,10 @@ the candidate's tail stripped, equal the moves of the candidate's head.  So
 the default pruned mode files every prime under those moves, its signature,
 looks most candidates up instead of testing them, and does about one lookup
 per constant (`candidates_for`).  Constants with no accepted candidate become
-prime; the run stops when a pass adds no prime.  A pass's base is built from
-its record alone (`_base_after`), in the run and when a trace is replayed.
+prime; the run stops when a pass adds no prime.  A pass records only its
+decisions; its base is built from the previous base and the record
+(`_base_after`), in the run and when a trace is replayed, and the trace's
+pass numbers and prime lists are derived when it is rendered.
 
 An exhaustive candidate mode keeps every head instead: all settled primes,
 each followed by the suffix of the fixed rule's decomposition that gives the
@@ -35,6 +37,7 @@ inlined and never bound to a local name.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .base import DecompositionBase, InvalidBaseError, initial_base
@@ -350,16 +353,12 @@ class CandidateOutcome(NamedTuple):
 
 class ConstantOutcome(NamedTuple):
     constant: int
-    outcome: str  # "equation" | "prime"
-    equation: Process | None
+    equation: Process | None  # None: the constant became prime
     candidates: list[CandidateOutcome]
 
 
 class IterationRecord(NamedTuple):
-    number: int
-    primes_before: tuple[int, ...]
-    primes_after: tuple[int, ...]
-    new_primes: tuple[int, ...]
+    """What one pass decided for each constant that was not prime before it."""
     constants: list[ConstantOutcome]
 
 
@@ -368,15 +367,14 @@ def refine(
     base: DecompositionBase,
     fixed: tuple[Rule, ...],
     mode: CandidateMode = CandidateMode.PRUNED,
-    number: int = 1,
 ) -> tuple[DecompositionBase, IterationRecord]:
     """One refinement pass: rebuild all equations bottom-up against `base`.
 
     The pass is one `_PartialBase`, built here once.  Primes of the previous
     base stay prime.  Candidates left undecided by `candidates_for` are
     tested, and a second acceptance raises: two accepted equations would
-    contradict unique decomposition.  The new base is built from the pass's
-    record by `_base_after`, as `pass_bases` builds it.
+    contradict unique decomposition.  The new base is built from `base` and
+    the pass's record by `_base_after`, as `pass_bases` builds it.
     """
     partial = _PartialBase(std, base, fixed, mode)
     outcomes: list[ConstantOutcome] = []
@@ -400,30 +398,26 @@ def refine(
                 accepted = delta
         if accepted is not None:
             partial.settle_equation(i, accepted)
-            outcomes.append(ConstantOutcome(i, "equation", accepted, records))
         else:
             partial.settle_prime(i)
-            outcomes.append(ConstantOutcome(i, "prime", None, records))
+        outcomes.append(ConstantOutcome(i, accepted, records))
 
     if not base.primes <= partial.primes:
         raise EngineInternalError("prime set shrank during refinement")
-    record = IterationRecord(
-        number=number,
-        primes_before=tuple(sorted(base.primes)),
-        primes_after=tuple(sorted(partial.primes)),
-        new_primes=tuple(sorted(partial.primes - base.primes)),
-        constants=outcomes,
-    )
-    return _base_after(std, record), record
+    record = IterationRecord(outcomes)
+    return _base_after(std, base, record), record
 
 
-def _base_after(std: StandardSystem, record: IterationRecord) -> DecompositionBase:
-    """The base a pass built; an invalid one is an engine bug, not bad input."""
+def _base_after(
+    std: StandardSystem, old: DecompositionBase, record: IterationRecord
+) -> DecompositionBase:
+    """The base a pass built from `old`; an invalid one is an engine bug, not bad input."""
+    primes = old.primes.union(c.constant for c in record.constants if c.equation is None)
     equations = {c.constant: c.equation for c in record.constants if c.equation is not None}
     try:
-        return DecompositionBase(std.n, record.primes_after, equations, std.norms)
+        return DecompositionBase(std.n, primes, equations, std.norms)
     except InvalidBaseError as exc:
-        raise EngineInternalError(f"pass {record.number} built an invalid base: {exc}") from exc
+        raise EngineInternalError(f"a refinement pass built an invalid base: {exc}") from exc
 
 
 def compute_bisimilarity_base(
@@ -441,8 +435,8 @@ def compute_bisimilarity_base(
     trace: list[IterationRecord] = []
     if std.n == 0:
         return current, trace
-    for number in range(1, std.n + 1):
-        refined, record = refine(std, current, fixed, mode, number)
+    for _ in range(std.n):
+        refined, record = refine(std, current, fixed, mode)
         trace.append(record)
         if refined.primes == current.primes:
             if refined != current:
@@ -458,7 +452,8 @@ def compute_bisimilarity_base(
 
 def pass_bases(std: StandardSystem, trace: list[IterationRecord]) -> list[DecompositionBase]:
     """The bases a run went through: the initial base, then one per pass."""
-    return [initial_base(std), *(_base_after(std, rec) for rec in trace)]
+    fold = accumulate(trace, lambda old, rec: _base_after(std, old, rec), initial=initial_base(std))
+    return list(fold)
 
 
 def realtime_divergences(std: StandardSystem, trace: list[IterationRecord]) -> int:
@@ -498,23 +493,27 @@ def check_equivalence(
 
 
 def trace_to_json(std: StandardSystem, trace: list[IterationRecord]) -> list[dict]:
+    """The trace as JSON; each pass's number and prime lists are derived."""
     name = std.sys.name
 
     def render(ids: Process) -> list[str]:
         return [name(c) for c in expand(ids)]
 
     out = []
-    for rec in trace:
+    primes = sorted(initial_base(std).primes)
+    for number, rec in enumerate(trace, 1):
+        new = [c.constant for c in rec.constants if c.equation is None]
+        before, primes = primes, sorted(primes + new)
         out.append(
             {
-                "iteration": rec.number,
-                "primes_before": render(rec.primes_before),
-                "primes_after": render(rec.primes_after),
-                "new_primes": render(rec.new_primes),
+                "iteration": number,
+                "primes_before": render(before),
+                "primes_after": render(primes),
+                "new_primes": render(new),
                 "constants": [
                     {
                         "constant": name(c.constant),
-                        "outcome": c.outcome,
+                        "outcome": "prime" if c.equation is None else "equation",
                         "equation": render(c.equation) if c.equation is not None else None,
                         "candidates": [
                             {

@@ -78,26 +78,46 @@ def sysb_std(sysb_sys):
 
 
 def chain_text(family: str, n: int) -> str:
-    """The two norm-blowup families as system text, n constants each.
+    """A named family as system text, with n constants (composite-root: n + 2).
 
     doubling: Xi -a-> X(i-1) X(i-1) and Xi -b-> X(i-1) X(i-1), every Xi prime.
     clone: Yi copies Y(i-1)'s rules with Y(i-1) appended, so Yi = Y0^(2^i).
-    Norms grow as 2^i on both.
+    composite-root: the clone chain over a composite root, P -a-> eps,
+    Q -b-> eps and Wi -a-> Q W0 ... W(i-1), so Wi ~ (P Q)^(2^i), a word of
+    2^(i+1) runs.  Norms grow as 2^i on all three.
+    ladder: pairs Ak, Bk of norm 1 with -a-> eps, Ak -c-> A(k+1) A(k+1) and
+    Bk -c-> B(k+1) B(k+1) below the top, and a top pair that differs on -d->
+    against -e->; the difference travels down one rung per refinement pass.
     """
     if family == "doubling":
+        names = [f"X{i}" for i in range(n)]
         lines = ["X0 -a-> eps"]
         for i in range(1, n):
             lines += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
-        letter = "X"
-    else:
+    elif family == "clone":
+        names = [f"Y{i}" for i in range(n)]
         rules = [("a", ""), ("b", "")]
         lines = [f"Y0 -{label}-> eps" for label, _ in rules]
         for i in range(1, n):
             rules = [(label, f"{rhs} Y{i - 1}".strip()) for label, rhs in rules]
             lines += [f"Y{i} -{label}-> {rhs}" for label, rhs in rules]
-        letter = "Y"
-    names = " ".join(f"{letter}{i}" for i in range(n))
-    return f"constants: {names}\n" + "\n".join(lines) + "\n"
+    elif family == "composite-root":
+        names = ["P", "Q", *(f"W{i}" for i in range(n))]
+        lines = ["P -a-> eps", "Q -b-> eps"]
+        lines += [f"W{i} -a-> {' '.join(['Q', *names[2:2 + i]])}" for i in range(n)]
+    elif family == "ladder":
+        top = n // 2 - 1
+        names = [f"{s}{k}" for k in range(top + 1) for s in "AB"]
+        lines = []
+        for k in range(top + 1):
+            for s in "AB":
+                lines.append(f"{s}{k} -a-> eps")
+                if k < top:
+                    lines.append(f"{s}{k} -c-> {s}{k + 1} {s}{k + 1}")
+        lines += [f"A{top} -d-> eps", f"B{top} -e-> eps"]
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return f"constants: {' '.join(names)}\n" + "\n".join(lines) + "\n"
 
 
 def brute_force_norm(sys: BpaSystem, cid: int, cap: int = 10_000) -> float:

@@ -367,6 +367,12 @@ def test_input_errors(tmp_path, ex1_file):
     code, _, err = run(["check", str(tmp_path / "missing.bpa"), "--left", "X", "--right", "X"])
     assert code == 2
 
+    # A file that is not UTF-8 cannot be read either: one error line.
+    latin = tmp_path / "latin.bpa"
+    latin.write_bytes(b"constants: X\nX -a-> eps \xff\n")
+    code, _, err = run(["base", str(latin)])
+    assert code == 2 and err.startswith(f"error: cannot read {latin}: ") and err.count("\n") == 1
+
     # check and oracle parse processes alike: eps must stand alone.
     for argv in (["check", ex1_file, "--left", "X eps", "--right", "X"],
                  ["oracle", ex1_file, "X eps", "X"]):

@@ -27,6 +27,7 @@ from tnbpa.engine import (
     realtime_divergences,
     refine,
     select_decreasing_rules,
+    trace_to_json,
 )
 from tnbpa.model import is_silent, parse_system
 from tnbpa.normalization import standardize
@@ -164,7 +165,7 @@ def test_refine_is_identity_on_final_base(ex1_std):
     final, _ = compute_bisimilarity_base(ex1_std)
     again, record = refine(ex1_std, final, fixed)
     assert again == final
-    assert record.new_primes == ()
+    assert all(c.equation is not None for c in record.constants)
 
 
 def test_final_base_example_one(ex1_std):
@@ -194,10 +195,9 @@ def test_iteration_bound_and_monotone_primes():
         std = standardize(random_system(GenParams(constants=8, silent_prob=0.35, seed=seed)))
         base, trace = compute_bisimilarity_base(std)
         assert len(trace) <= std.n
-        for rec in trace:
-            assert set(rec.primes_before) <= set(rec.primes_after)
-        for earlier, later in zip(trace, trace[1:]):
-            assert earlier.primes_after == later.primes_before
+        bases = pass_bases(std, trace)
+        for before, after in zip(bases, bases[1:]):
+            assert before.primes <= after.primes
 
 
 def test_refinement_shrinks_the_congruence():
@@ -247,7 +247,8 @@ def test_pass_bases_follow_the_run(ex1_std):
     bases = pass_bases(ex1_std, trace)
     assert bases[0] == initial_base(ex1_std)
     assert bases[-1] == final
-    assert [set(b.primes) for b in bases[1:]] == [set(rec.primes_after) for rec in trace]
+    assert [names_of(ex1_std, sorted(b.primes)) for b in bases[1:]] == \
+        [rec["primes_after"] for rec in trace_to_json(ex1_std, trace)]
 
 
 def test_realtime_decisions_match_figure_transcription():
@@ -369,7 +370,7 @@ def test_trace_records_candidate_steps(ex1_std):
     first = trace[0]
     y = ex1_std.sys.constant_id("Y")
     rec = next(c for c in first.constants if c.constant == y)
-    assert rec.outcome == "prime"
+    assert rec.equation is None
     # Y's silent move Y -tau-> Y' lands on X' (Y' = X' in this pass), so X'
     # is Y's one in-place candidate; it has no b-move and fails step 2.  X,
     # which matches Y's fixed rule Y -b-> eps, is not listed: X has no silent
@@ -634,3 +635,18 @@ def test_chains_far_past_explicit_words(n):
             assert check_equivalence(std, (c[i],), (c[i - 1], c[i - 1]), base=base).kind is want
         if bisimilar:
             assert base.equations[c[n - 1]].word == (-1, c[0], 2 ** (n - 1))
+
+
+def test_composite_root_chain_at_n8():
+    # Wi ~ (P Q)^(2^i), so W0 ~ P Q and Wi ~ W(i-1) W(i-1); W1 W0 falls short
+    # of W2's norm.
+    std = standardize(parse_system(chain_text("composite-root", 8)))
+    base, _ = compute_bisimilarity_base(std)
+    for left, right, want in (
+        ("W1", "P Q P Q", VerdictKind.BISIMILAR),
+        ("W3", "W2 W2", VerdictKind.BISIMILAR),
+        ("W7", "W6 W6", VerdictKind.BISIMILAR),
+        ("W2", "W1 W0", VerdictKind.NOT_BISIMILAR),
+    ):
+        p, q = std.parse_process(left), std.parse_process(right)
+        assert check_equivalence(std, p, q, base=base).kind is want, (left, right)

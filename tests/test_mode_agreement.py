@@ -165,10 +165,7 @@ def test_split_old_base_catches_the_old_word_mutant(monkeypatch):
 
 
 def _passes(trace):
-    return [
-        (rec.primes_after, [(c.constant, c.equation) for c in rec.constants])
-        for rec in trace
-    ]
+    return [[(c.constant, c.equation) for c in rec.constants] for rec in trace]
 
 
 def test_exhaustive_mode_matches_the_full_enumeration(monkeypatch):

@@ -34,7 +34,7 @@ from tnbpa.oracle import (
     verify_base_generators,
 )
 
-from conftest import ReferenceGameContext, strategy_table
+from conftest import ReferenceGameContext, chain_text, strategy_table
 
 
 def test_closure_without_silent_rules():
@@ -166,26 +166,11 @@ def test_norm_descent_on_silent_witness(sysb_std):
     replay_distinction(sysb_std, d)
 
 
-def _ladder(n: int) -> str:
-    """Pairs A_k, B_k of norm 1 with `-a-> eps`, `A_k -c-> A_{k+1} A_{k+1}`
-    and `B_k -c-> B_{k+1} B_{k+1}` below the top, and a top pair that
-    differs on `-d->` against `-e->`."""
-    top = n // 2 - 1
-    lines = ["constants: " + " ".join(f"A{k} B{k}" for k in range(top + 1))]
-    for k in range(top + 1):
-        for s in "AB":
-            lines.append(f"{s}{k} -a-> eps")
-            if k < top:
-                lines.append(f"{s}{k} -c-> {s}{k + 1} {s}{k + 1}")
-    lines += [f"A{top} -d-> eps", f"B{top} -e-> eps"]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("n, level, nodes", [(6, 3, 3), (10, 5, 5), (16, 8, 8)])
 def test_ladder_is_refuted_at_a_level_that_grows_with_n(n, level, nodes):
     # The difference at the top travels down one rung per refinement pass
     # and one game level per rung, deeper than the acceptance corpus goes.
-    std = standardize(parse_system(_ladder(n)))
+    std = standardize(parse_system(chain_text("ladder", n)))
     a, b = std.parse_process("A0"), std.parse_process("B0")
     base, trace = compute_bisimilarity_base(std)
     assert len(trace) == n // 2 + 1

@@ -22,16 +22,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import chain_text
 from tnbpa.cli import main
 
 SYSTEMS_DIR = Path(__file__).resolve().parents[1] / "systems"
-
-
-def doubling_chain(n: int) -> str:
-    rules = ["X0 -a-> eps"]
-    for i in range(1, n):
-        rules += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
-    return "constants: " + " ".join(f"X{i}" for i in range(n)) + "\n" + "\n".join(rules) + "\n"
 
 
 # (system, left, right) -> (exit code, sha256 of `oracle --json` stdout)
@@ -73,7 +67,7 @@ def test_oracle_json_is_unchanged(case, tmp_path):
     system, left, right = case
     if system == "doubling":
         path = tmp_path / "doubling.bpa"
-        path.write_text(doubling_chain(6))
+        path.write_text(chain_text("doubling", 6))
     else:
         path = SYSTEMS_DIR / system
     assert _run(["oracle", str(path), left, right, "--json"]) == ORACLE_CASES[case]
