@@ -113,12 +113,6 @@ class BpaSystem:
             return NotImplemented
         return self.constants == other.constants and self.rules == other.rules
 
-    def __hash__(self) -> int:
-        return hash((self.constants, self.rules))
-
-    def __repr__(self) -> str:
-        return f"BpaSystem({len(self.constants)} constants, {len(self.rules)} rules)"
-
 
 def _column(line: str, toks: list[str], k: int) -> int:
     """The 1-based column of toks[k], the k-th whitespace-separated token of line."""

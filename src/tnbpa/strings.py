@@ -261,9 +261,6 @@ class NormedString:
         # A base's equations share one table: comparing it is O(n) per call.
         return self.word == other.word and (self.norms is other.norms or self.norms == other.norms)
 
-    def __repr__(self) -> str:
-        return f"NormedString({self.word!r}, norm={self.norm})"
-
     def split_at_norm(self, h: int) -> tuple["NormedString", "NormedString"] | None:
         """Split into (prefix, suffix) with norm(suffix) == h.
 

@@ -9,9 +9,11 @@ rounds with flagged pairs re-examined at 24.
 import random
 import statistics
 import time
+from collections import Counter
 
 import pytest
 
+from tnbpa import engine
 from tnbpa.base import initial_base
 from tnbpa.engine import (
     CandidateMode,
@@ -143,6 +145,15 @@ def test_criterion_6_differential_soundness(corpus_report):
     )
 
 
+def test_flagged_pairs_are_confirmed_at_the_higher_bound():
+    # At k = 16 the corpus flags nothing, so criterion 6's loop over flagged
+    # pairs checks nothing there.  At k = 1 trial 0 flags two pairs, and the
+    # oracle refutes both at CONFIRM_K with replayed certificates.
+    trial = differential_trial(corpus_params()[0], 1, pairs_per_trial=20, confirm_k=CONFIRM_K)
+    flagged = [(p.oracle, p.confirmed_at is not None, p.certificate) for p in trial.flagged]
+    assert flagged == [("none-found", True, "replayed")] * 2
+
+
 def test_criterion_7_generator_verification(corpus_report):
     failures = sum(t.generator_failures for t in corpus_report.trials)
     assert failures == 0
@@ -150,9 +161,20 @@ def test_criterion_7_generator_verification(corpus_report):
     report(7, f"generator checks clean on all {len(corpus_report.trials)} final bases")
 
 
-def test_criterion_8_realtime_degeneration():
+def test_criterion_8_realtime_degeneration(monkeypatch):
+    # Both candidate modes: pruned traces never reach the transcription's
+    # rejections at steps 1, 3 and 5, exhaustive ones do.
+    outcomes = Counter()
+    transcription = engine.lpftest_realtime
+
+    def counted(*args):
+        res = transcription(*args)
+        outcomes[res] += 1
+        return res
+
+    monkeypatch.setattr(engine, "lpftest_realtime", counted)
     systems = 0
-    decisions = 0
+    decisions = Counter()
     for seed in range(50):
         params = GenParams(
             constants=4 + seed % 5,
@@ -163,12 +185,19 @@ def test_criterion_8_realtime_degeneration():
         )
         std = standardize(random_system(params))
         assert std.is_realtime
-        _, trace = compute_bisimilarity_base(std)
-        assert realtime_divergences(std, trace) == 0
-        decisions += sum(len(c.candidates) for rec in trace for c in rec.constants)
+        for mode in CandidateMode:
+            _, trace = compute_bisimilarity_base(std, mode)
+            assert realtime_divergences(std, trace) == 0, mode
+            decisions[mode] += sum(len(c.candidates) for rec in trace for c in rec.constants)
         systems += 1
     assert systems >= 50
-    report(8, f"{decisions} candidate decisions match the realtime transcription on {systems} systems")
+    rejections = {engine.TestResult(False, step) for step in range(1, 6)}
+    assert set(outcomes) == rejections | {engine.TestResult(True, 6)}
+    report(
+        8,
+        f"{decisions[CandidateMode.PRUNED]} pruned and {decisions[CandidateMode.EXHAUSTIVE]} "
+        f"exhaustive candidate decisions match the realtime transcription on {systems} systems",
+    )
 
 
 def test_criterion_9_standardization():

@@ -94,6 +94,7 @@ def test_base_equality(ex1_std):
         ex1_std.norms,
     )
     assert b1 != changed
+    assert b1.__eq__(b1.primes) is NotImplemented and b1 != b1.primes
 
 
 def test_validation_rejects_malformed_bases(ex1_std):

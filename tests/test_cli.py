@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from conftest import EX1_TEXT, SYSB_TEXT, chain_text
 from tnbpa import strings
 from tnbpa import engine
+from tnbpa.base import DecompositionBase, initial_base
 from tnbpa.cli import main
-from tnbpa.model import serialize_system
+from tnbpa.model import parse_system, serialize_system
+from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
 
 
@@ -70,6 +72,40 @@ def test_check_verify(ex1_file):
     assert payload["verification"]["oracle"] == "confirmed"
     assert payload["verification"]["generator_failures"] == 0
     assert payload["verification"]["distinction"]["nodes"]
+
+    # Both oracle outcomes in the text form.
+    _, out, _ = run(["check", ex1_file, "--left", "X", "--right", "Y", "--verify"], expect=1)
+    assert out.splitlines()[-1] == "verification: generator checks ok; oracle confirmed"
+    argv = ["check", ex1_file, "--left", "X'", "--right", "Y'", "--verify", "--k", "8"]
+    _, out, _ = run(argv, expect=0)
+    assert out.splitlines()[-1] == (
+        "verification: generator checks ok; oracle no distinction found up to k=8"
+    )
+
+
+def test_check_verify_exits_three_when_the_oracle_refutes_the_verdict(ex1_file, monkeypatch):
+    # An engine that calls every pair bisimilar is refuted on X vs Y: the
+    # certificate goes to standard error, then the internal error.
+    def always_bisimilar(std, p1, p2, *, base):
+        return engine.Verdict(engine.VerdictKind.BISIMILAR, base=base)
+
+    monkeypatch.setattr(engine, "check_equivalence", always_bisimilar)
+    argv = ["check", ex1_file, "--left", "X", "--right", "Y", "--verify", "--k", "8"]
+    code, out, err = run(argv)
+    assert code == 3 and out == ""
+    certificate, message = err.split("internal error: ")
+    assert json.loads(certificate)["nodes"]
+    assert message == "oracle refutes the engine's bisimilar verdict for 'X' vs 'Y'\n"
+
+
+def test_check_verify_exits_three_on_a_failed_generator_check(ex1_file, monkeypatch):
+    # The norm-equality base relates X and Y, which the oracle tells apart,
+    # so its generator checks fail; the pair X, X is never refuted.
+    monkeypatch.setattr(engine, "compute_bisimilarity_base", lambda std: (initial_base(std), []))
+    argv = ["check", ex1_file, "--left", "X", "--right", "X", "--verify", "--k", "8"]
+    code, out, err = run(argv)
+    assert code == 3 and out == ""
+    assert err == "internal error: 27 generator check(s) failed on the final base\n"
 
 
 def test_check_bad_process(ex1_file):
@@ -215,6 +251,10 @@ def test_oracle_command(ex1_file, sysb_file):
     code, out, _ = run(["oracle", sysb_file, "A", "B", "--k", "8"])
     assert code == 0
     assert "no distinction found up to k=8" in out
+
+    code, out, _ = run(["oracle", ex1_file, "X", "Y", "--k", "8"])
+    assert code == 1
+    assert out == "distinction found (strategy tree of 2 nodes); attacker opens with left -a-> eps\n"
 
 
 def test_oracle_guard_exits_three(ex1_file, monkeypatch):
@@ -443,6 +483,84 @@ def test_invalid_base_built_by_the_engine_exits_three(tmp_path, monkeypatch):
     assert "not norm-preserving" in report.engine_error
     code, out, _ = run(["fuzz", "--trials", "2", "--pairs", "2", "--constants", "5"])
     assert code == 1 and "not norm-preserving" in out
+
+
+# A, B of norm 1 and C ~ A A: the initial base has the primes {A} and the
+# final base {A, B}, with C = A A in both.
+ABC_TEXT = "constants: A B C\nA -a-> eps\nB -b-> eps\nC -a-> A\n"
+
+
+def test_equations_changed_at_the_fixpoint_exit_three(tmp_path, monkeypatch):
+    # A pass that keeps the primes but moves an equation: C = B A.
+    real = engine.refine
+
+    def moving(std, base, fixed, mode):
+        refined, record = real(std, base, fixed, mode)
+        if refined.primes == base.primes:
+            equations = {i: rhs.word for i, rhs in refined.equations.items()}
+            equations[2] = (1, 0)
+            refined = DecompositionBase(std.n, refined.primes, equations, std.norms)
+        return refined, record
+
+    path = tmp_path / "abc.bpa"
+    path.write_text(ABC_TEXT)
+    monkeypatch.setattr(engine, "refine", moving)
+    code, out, err = run(["base", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "internal error: prime set stabilized but equations changed\n"
+
+
+def test_no_fixpoint_within_n_passes_exits_three(tmp_path, monkeypatch):
+    # Passes whose prime sets alternate between {A} and {A, B}.
+    std = standardize(parse_system(ABC_TEXT))
+    initial, (final, _) = initial_base(std), engine.compute_bisimilarity_base(std)
+
+    def alternating(std, base, fixed, mode):
+        return (final if base == initial else initial), engine.IterationRecord([])
+
+    path = tmp_path / "abc.bpa"
+    path.write_text(ABC_TEXT)
+    monkeypatch.setattr(engine, "refine", alternating)
+    code, out, err = run(["base", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "internal error: no fixpoint within 3 refinement passes\n"
+
+
+@pytest.mark.parametrize("text, contraction, message", [
+    pytest.param(
+        "constants: A B\nA -tau-> B\nB -tau-> A\nA -a-> eps\n",
+        lambda sys, norms: (list(range(sys.n)), [0] * sys.n),
+        "decreasing rule of A escapes its index prefix",
+        id="silent-cycle-kept",
+    ),
+    pytest.param(
+        "constants: A B\nA -a-> eps\nB -a-> A\n",
+        lambda sys, norms: ([0] * sys.n, [0] * sys.n),
+        "contraction changed the norm of B",
+        id="norm-2-merged-into-norm-1",
+    ),
+])
+def test_standardize_checks_exit_three(tmp_path, monkeypatch, text, contraction, message):
+    # A contraction that keeps a silent cycle, or that merges constants of
+    # different norms.
+    from tnbpa import normalization
+
+    path = tmp_path / "sys.bpa"
+    path.write_text(text)
+    monkeypatch.setattr(normalization, "contract_loops", contraction)
+    code, out, err = run(["base", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"internal error: {message}\n"
+
+
+def test_a_refuted_pair_without_a_certificate_exits_three(monkeypatch):
+    # An extraction that comes back empty for a pair the levels refute.
+    from tnbpa import oracle
+
+    monkeypatch.setattr(oracle.GameContext, "find_distinction", lambda self, p, q, k_max: None)
+    code, out, err = run(["fuzz", "--trials", "1", "--pairs", "5", "--constants", "5"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: refuted pair (1, 2, 1) vs (4, 1) yielded no distinction\n"
 
 
 def test_repo_sample_files():

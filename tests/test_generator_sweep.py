@@ -16,6 +16,7 @@ import tracemalloc
 from pathlib import Path
 
 from tnbpa.model import serialize_system
+from tnbpa.normalization import check_totally_normed, compute_norms
 from tnbpa.oracle import GenParams, random_system
 
 SWEEP = json.loads(Path(__file__).with_name("generator_sweep.json").read_text())
@@ -37,13 +38,17 @@ def test_the_sweep_covers_its_ranges():
 
 
 def test_generator_output_is_unchanged_on_the_sweep():
-    moved = [
-        entry["seed"]
-        for entry in SWEEP
-        if hashlib.sha256(serialize_system(random_system(_params(entry))).encode()).hexdigest()
-        != entry["sha256"]
-    ]
+    # The generator builds totally normed systems without checking; this
+    # checks every one of the sweep.
+    moved, not_totally_normed = [], []
+    for entry in SWEEP:
+        sys = random_system(_params(entry))
+        if hashlib.sha256(serialize_system(sys).encode()).hexdigest() != entry["sha256"]:
+            moved.append(entry["seed"])
+        if check_totally_normed(sys, compute_norms(sys)):
+            not_totally_normed.append(entry["seed"])
     assert moved == []
+    assert not_totally_normed == []
 
 
 def _peak_bytes(params: GenParams) -> int:

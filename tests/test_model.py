@@ -35,6 +35,14 @@ def test_vacuous_rule_set_parses():
     assert sys.n == 1 and sys.rules == ()
 
 
+def test_constant_names_are_unique_and_looked_up(ex1_sys):
+    with pytest.raises(ValueError, match="^duplicate constant 'A'$"):
+        BpaSystem(["A", "A"], [])
+    assert ex1_sys.constant_id("Y") == 2
+    with pytest.raises(KeyError, match="unknown constant 'Q'"):
+        ex1_sys.constant_id("Q")
+
+
 @pytest.mark.parametrize(
     "rules",
     [
@@ -101,6 +109,7 @@ def test_comments_and_blank_lines():
 def test_serialize_round_trip(ex1_sys, sysb_sys):
     for sys in (ex1_sys, sysb_sys):
         assert parse_system(serialize_system(sys)) == sys
+    assert ex1_sys.__eq__("X") is NotImplemented and ex1_sys != "X"
 
 
 def test_serialize_empty_rules():

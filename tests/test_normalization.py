@@ -451,6 +451,13 @@ print(outcome(lambda: nz.classify_rules(single, nz.NormTable((5,), (0,)))))
     ]
 
 
+def test_classify_rules_finds_a_constant_without_a_decreasing_rule():
+    # A norm table that is no fixpoint: K's one rule drops the norm from 5.
+    single = parse_system("constants: K\nK -a-> eps\n")
+    with pytest.raises(nz.EngineInternalError, match=r"^constant K has no decreasing rule \(norm bug\)$"):
+        classify_rules(single, nz.NormTable((5,), (0,)))
+
+
 def test_no_assert_statements_in_the_package():
     # `python -O` strips assert statements, so invariant checks must raise.
     package = Path(tnbpa.__file__).resolve().parent

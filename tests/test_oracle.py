@@ -11,7 +11,7 @@ from tnbpa import engine
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base
 from tnbpa.model import parse_system, serialize_system
 from tnbpa import oracle
-from tnbpa.normalization import standardize, view
+from tnbpa.normalization import check_totally_normed, compute_norms, standardize, view
 from tnbpa.oracle import (
     ClosureGuardExceeded,
     DefenderReply,
@@ -247,6 +247,19 @@ def _two_reply_certificate():
     return v, d
 
 
+def test_replay_rejects_an_illegal_continuation():
+    # Each reply continues at the position the other reply leads to.
+    v, d = _two_reply_certificate()
+    first, second = d.replies
+    swapped = (
+        DefenderReply(first.kind, first.intermediate, first.result, second.child),
+        DefenderReply(second.kind, second.intermediate, second.result, first.child),
+    )
+    tampered = Distinction(d.left, d.right, d.side, d.action, d.target, swapped)
+    with pytest.raises(ReplayError, match=r"^continuation \(\(\), \(3,\)\) is not a legal game position$"):
+        replay_distinction(v, tampered)
+
+
 def test_replay_rejects_a_reply_listed_twice():
     v, d = _two_reply_certificate()
     doubled = Distinction(d.left, d.right, d.side, d.action, d.target, d.replies + d.replies[:1])
@@ -317,6 +330,31 @@ def test_silent_walk_intermediates_stay_undistinguished():
     assert checked > 5
 
 
+def test_refute_raises_on_a_pair_the_level_does_not_refute(ex1_std):
+    # X is related to itself at every level: a norm-equal pair cannot fail
+    # at level 0, and at level 1 every move of either side is matched.
+    ctx = GameContext(ex1_std)
+    x = ex1_std.parse_process("X")
+    n = ex1_std.norm_of(x)
+    with pytest.raises(AssertionError, match="^norm-equal pair cannot fail at level 0$"):
+        ctx._refute(x, x, 0, n, n)
+    with pytest.raises(AssertionError, match="^approximant failed but every transition is matched$"):
+        ctx._refute(x, x, 1, n, n)
+
+
+def test_refute_raises_when_the_attacked_move_is_answered(ex1_std, monkeypatch):
+    # A mutant that attacks with the mover's first move, X -b-> eps, which
+    # the defender, X itself, answers.
+    def first_move(self, relate, mover, defender):
+        return self.view.transitions(mover)[0]
+
+    monkeypatch.setattr(GameContext, "_unanswered", first_move)
+    x = ex1_std.parse_process("X")
+    n = ex1_std.norm_of(x)
+    with pytest.raises(AssertionError, match="^attacked move has an answered reply$"):
+        GameContext(ex1_std)._refute(x, x, 1, n, n)
+
+
 def test_verify_base_generators_clean(ex1_std, sysb_std):
     for std in (ex1_std, sysb_std):
         base, _ = compute_bisimilarity_base(std)
@@ -356,11 +394,22 @@ def test_sample_dcmp_equal_pairs_are_dcmp_equal(sysb_std):
         p, q = sample_dcmp_equal_pair(sysb_std, base, rng)
         assert base.equivalent(p, q)
 
+    empty = standardize(parse_system(""))
+    base, _ = compute_bisimilarity_base(empty)
+    assert sample_dcmp_equal_pair(empty, base, rng) == ((), ())
+
+
+def test_oracle_names_load_on_first_use():
+    import tnbpa
+
+    assert tnbpa.GenParams is GenParams
+
 
 def test_random_system_is_totally_normed_and_deterministic():
     params = GenParams(constants=7, silent_prob=0.4, seed=123)
     a = random_system(params)
     b = random_system(params)
+    assert check_totally_normed(a, compute_norms(a)) == []
     assert serialize_system(a) == serialize_system(b)
     assert serialize_system(a) != serialize_system(random_system(GenParams(constants=7, silent_prob=0.4, seed=124)))
 
@@ -420,6 +469,22 @@ def test_differential_catches_mutated_engine(skip_lpftest_steps):
         pairs_per_trial=10,
     )
     assert (not report.ok) or report.refutations > 0
+
+
+def test_trial_records_an_oracle_guard(monkeypatch):
+    # Every constant of this system is prime, so the generator checks
+    # compare equal processes only and never fill the memo; with no room in
+    # it, each norm-equal pair of distinct processes trips the guard.
+    params = GenParams(constants=5, composite_prob=0.0, seed=0)
+    base, _ = compute_bisimilarity_base(standardize(random_system(params)))
+    assert not base.equations
+    monkeypatch.setattr(oracle, "MEMO_LIMIT", 0)
+    report = differential_trial(params, k_max=8, pairs_per_trial=10)
+    assert report.generator_ok
+    guarded = [p for p in report.pairs if p.oracle == "guard"]
+    assert guarded and len(report.errors) == len(guarded)
+    assert all(e.startswith("oracle guard on ") for e in report.errors)
+    assert all(p in report.flagged for p in guarded)
 
 
 def test_trial_records_an_exhaustive_mode_failure(monkeypatch):

@@ -78,6 +78,7 @@ def test_equality_oracle():
 
 def test_unequal_norm_fast_path():
     assert ns(0) != ns(1)
+    assert ns(0, 1).__eq__((0, 1)) is NotImplemented and ns(0, 1) != (0, 1)
 
 
 def test_norm_and_length():
