@@ -41,7 +41,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .base import DecompositionBase, InvalidBaseError, initial_base
-from .model import TAU, Process, Rule, is_silent
+from .model import TAU, Process, Rule, _cyclic_gc_paused, is_silent
 from .normalization import EngineInternalError, StandardSystem
 from .strings import drop, expand, head, join, order_key, suffix_of_norm, width
 from .strings import strip as _strip
@@ -229,49 +229,6 @@ def lpftest(partial: _PartialBase, i: int, delta: Process) -> TestResult:
     return TestResult(True, 7)
 
 
-def lpftest_realtime(
-    std: StandardSystem,
-    base: DecompositionBase,
-    partial: DecompositionBase,
-    i: int,
-    delta: Process,
-) -> TestResult:
-    """Literal transcription of the five-step test for silent-free systems.
-
-    Kept independent of `lpftest` so the two can be compared per candidate on
-    realtime inputs (`realtime_divergences`); with no silent rules the
-    general test must take exactly these decisions.
-    """
-    if not delta or base.dcmp((i,)) != base.dcmp(delta):
-        return TestResult(False, 1)
-
-    j, d_tail = head(delta), drop(delta, 1)
-    delta_dec = [(r.label, join(r.rhs, d_tail)) for r in std.dec_rules(j)]
-    delta_inc = [(r.label, join(r.rhs, d_tail)) for r in std.inc_rules(j)]
-
-    for r in std.dec_rules(i):
-        da = partial.dcmp(r.rhs)
-        if not any(lab == r.label and da == partial.dcmp(beta) for lab, beta in delta_dec):
-            return TestResult(False, 2)
-
-    for r in std.inc_rules(i):
-        da = base.dcmp(r.rhs)
-        if not any(lab == r.label and da == base.dcmp(beta) for lab, beta in delta_inc):
-            return TestResult(False, 3)
-
-    for lab, beta in delta_dec:
-        db = partial.dcmp(beta)
-        if not any(r.label == lab and partial.dcmp(r.rhs) == db for r in std.dec_rules(i)):
-            return TestResult(False, 4)
-
-    for lab, beta in delta_inc:
-        db = base.dcmp(beta)
-        if not any(r.label == lab and base.dcmp(r.rhs) == db for r in std.inc_rules(i)):
-            return TestResult(False, 5)
-
-    return TestResult(True, 6)
-
-
 def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestResult | None]]:
     """Candidate decompositions of constant i in the pass `partial`,
     ascending, each with its test result when known already and None when
@@ -415,50 +372,33 @@ def compute_bisimilarity_base(
 
     Convergence takes at most n passes: every non-final pass adds a prime.
     On the final pass the whole base must be unchanged, not just the prime
-    set; that is asserted rather than trusted.
+    set; that is asserted rather than trusted.  The run pauses CPython's
+    process-wide cyclic collector: a pass makes no reference cycles
+    (`_cyclic_gc_paused`).
     """
-    fixed = select_decreasing_rules(std)
-    current = initial_base(std)
-    trace: list[IterationRecord] = []
-    if std.n == 0:
-        return current, trace
-    for _ in range(std.n):
-        refined, record = refine(std, current, fixed, mode)
-        trace.append(record)
-        if refined.primes == current.primes:
-            if refined != current:
-                raise EngineInternalError(
-                    "prime set stabilized but equations changed"
-                )
-            return refined, trace
-        current = refined
-    raise EngineInternalError(f"no fixpoint within {std.n} refinement passes")
+    with _cyclic_gc_paused():
+        fixed = select_decreasing_rules(std)
+        current = initial_base(std)
+        trace: list[IterationRecord] = []
+        if std.n == 0:
+            return current, trace
+        for _ in range(std.n):
+            refined, record = refine(std, current, fixed, mode)
+            trace.append(record)
+            if refined.primes == current.primes:
+                if refined != current:
+                    raise EngineInternalError(
+                        "prime set stabilized but equations changed"
+                    )
+                return refined, trace
+            current = refined
+        raise EngineInternalError(f"no fixpoint within {std.n} refinement passes")
 
 
 def pass_bases(std: StandardSystem, trace: list[IterationRecord]) -> list[DecompositionBase]:
     """The bases a run went through: the initial base, then one per pass."""
     fold = accumulate(trace, lambda old, rec: _base_after(std, old, rec), initial=initial_base(std))
     return list(fold)
-
-
-def realtime_divergences(std: StandardSystem, trace: list[IterationRecord]) -> int:
-    """Count the recorded decisions `lpftest_realtime` would have taken otherwise.
-
-    Each candidate of a pass is re-tested against that pass's old base and
-    the base it produced.  The latter stands in exactly for the partial base
-    the engine used: deciding constant i reads only constants below i, which
-    were settled before i and kept their values to the end of the pass.
-    """
-    if not std.is_realtime:
-        raise ValueError("realtime comparison requested on a system with silent rules")
-    bases = pass_bases(std, trace)
-    divergences = 0
-    for rec, old, new in zip(trace, bases, bases[1:]):
-        for c in rec.constants:
-            for cand in c.candidates:
-                if lpftest_realtime(std, old, new, c.constant, cand.delta).accepted != cand.accepted:
-                    divergences += 1
-    return divergences
 
 
 def check_equivalence(

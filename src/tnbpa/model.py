@@ -7,11 +7,16 @@ action is spelled ``tau`` in the file format and is reserved; ``eps`` denotes
 the empty process.
 
 Systems are immutable after construction and safe to share between threads.
+`parse_system`, `standardize` and `compute_bisimilarity_base` switch off
+CPython's cyclic collector, which is process-wide, while they run (see
+`_cyclic_gc_paused`).
 """
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 TAU = "tau"
@@ -25,6 +30,27 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 _ARROW = re.compile(r"-([A-Za-z_][A-Za-z0-9_']*)->\Z")
 
 _RESERVED_NAMES = frozenset({TAU, "eps", "constants:"})
+
+
+@contextmanager
+def _cyclic_gc_paused():
+    """Switch CPython's cyclic collector off for a `with` block (a wrapper
+    would add a frame), then back to its state before, on every exit path.
+    Its callers make no reference cycles, so reference counting frees all
+    they drop; the collector would only rescan what they keep.
+
+    The pause is process-wide: while a paused call runs, no thread's cyclic
+    garbage is collected.  The block restores the state it found on entry,
+    so a thread that switches the collector off during the block has it
+    switched on again when the block ends.  After the block, the next
+    allocation starts one young collection over what the block allocated."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class ParseError(ValueError):
@@ -127,6 +153,7 @@ def parse_system(text: str) -> BpaSystem:
 
     Constants must be declared on ``constants:`` lines before any rule that
     uses them.  ``tau`` and ``eps`` are reserved and cannot name constants.
+    The cyclic collector is paused while it runs (`_cyclic_gc_paused`).
     """
     names: list[str] = []
     index: dict[str, int] = {}
@@ -143,45 +170,46 @@ def parse_system(text: str) -> BpaSystem:
         except KeyError:
             raise fail(f"undeclared constant {toks[k]!r}", k) from None
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        toks = line.split()
-        if not toks:
-            continue
-        head = toks[0]
-        if head == "constants:":
-            for k in range(1, len(toks)):
-                name = toks[k]
-                if name in _RESERVED_NAMES:
-                    raise fail(f"{name!r} is reserved and cannot name a constant", k)
-                if not _IDENT.match(name):
-                    raise fail(f"invalid constant name {name!r}", k)
-                if name in index:
-                    raise fail(f"constant {name!r} declared twice", k)
-                index[name] = len(names)
-                names.append(name)
-            continue
+    with _cyclic_gc_paused():
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0]
+            toks = line.split()
+            if not toks:
+                continue
+            head = toks[0]
+            if head == "constants:":
+                for k in range(1, len(toks)):
+                    name = toks[k]
+                    if name in _RESERVED_NAMES:
+                        raise fail(f"{name!r} is reserved and cannot name a constant", k)
+                    if not _IDENT.match(name):
+                        raise fail(f"invalid constant name {name!r}", k)
+                    if name in index:
+                        raise fail(f"constant {name!r} declared twice", k)
+                    index[name] = len(names)
+                    names.append(name)
+                continue
 
-        if len(toks) < 3:
-            raise fail("expected rule of the form '<name> -<action>-> <rhs>'", 0)
-        if not _IDENT.match(head):
-            raise fail(f"invalid constant name {head!r}", 0)
-        lhs = resolve(0)
-        m = _ARROW.match(toks[1])
-        if not m:
-            raise fail(f"malformed action arrow {toks[1]!r}", 1)
-        if len(toks) == 3 and toks[2] == "eps":
-            rhs: Process = EPSILON
-        else:
-            ids = []
-            for k in range(2, len(toks)):
-                if toks[k] == "eps":
-                    raise fail("'eps' must stand alone as a rule right-hand side", k)
-                ids.append(resolve(k))
-            rhs = tuple(ids)
-        rules.append(Rule(lhs, m.group(1), rhs))
+            if len(toks) < 3:
+                raise fail("expected rule of the form '<name> -<action>-> <rhs>'", 0)
+            if not _IDENT.match(head):
+                raise fail(f"invalid constant name {head!r}", 0)
+            lhs = resolve(0)
+            m = _ARROW.match(toks[1])
+            if not m:
+                raise fail(f"malformed action arrow {toks[1]!r}", 1)
+            if len(toks) == 3 and toks[2] == "eps":
+                rhs: Process = EPSILON
+            else:
+                ids = []
+                for k in range(2, len(toks)):
+                    if toks[k] == "eps":
+                        raise fail("'eps' must stand alone as a rule right-hand side", k)
+                    ids.append(resolve(k))
+                rhs = tuple(ids)
+            rules.append(Rule(lhs, m.group(1), rhs))
 
-    return BpaSystem(names, rules)
+        return BpaSystem(names, rules)
 
 
 def serialize_system(sys: BpaSystem) -> str:

@@ -22,6 +22,7 @@ from .model import (
     BpaSystem,
     Process,
     Rule,
+    _cyclic_gc_paused,
     is_silent,
     parse_process_text,
     transitions_of,
@@ -139,8 +140,8 @@ def classify_rules(sys: BpaSystem, norms: NormTable) -> tuple[RuleClass, ...]:
     A rule is decreasing when a visible step drops the norm by exactly one or
     a silent step preserves it.  Every constant must end up with at least one
     decreasing rule (its norm witness); anything else indicates a norm bug.
-    The norms must be finite, as both callers' are: `view` checks them, and
-    `standardize` compares them with checked ones.
+    The norms must be finite, as `view`'s are: it checks them.
+    `standardize` classifies in its own loop, which also checks the norms.
     """
     values = norms.values
     classes = []
@@ -380,40 +381,65 @@ def standardize(sys: BpaSystem) -> StandardSystem:
     to a total order: lower norm first, and the target of a silent decreasing
     chain before its source.  One substitution, original id to standard id,
     builds the standard system; silent self rules are dropped, and
-    `BpaSystem` drops the duplicates.  Its norms, computed afresh, must equal
-    the original ones of every constant they stand for; the same computation
-    gives the standard system its own witness rules.
+    `BpaSystem` drops the duplicates.
+
+    The norms are computed once, on the original system: every constant must
+    have its representative's norm, and the standard system takes those.
+    One loop over its rules classifies them and checks that the norms are
+    its exact least fixpoint: no rule's value is below its left-hand norm,
+    and every constant has a decreasing rule, all of them into lower
+    indices.  A constant's witness is its lowest-index decreasing rule, the
+    one `compute_norms` picks in a standard system.  The cyclic collector is
+    paused while it runs (`_cyclic_gc_paused`).
     """
-    table = _checked_norms(sys)
-    rep, depth = contract_loops(sys, table)
-    values = table.values
-    order = sorted((c for c in range(sys.n) if rep[c] == c), key=lambda c: (values[c], depth[c], c))
-    std_id = [0] * sys.n
-    for new, old in enumerate(order):
-        std_id[old] = new
-    sub = [std_id[r] for r in rep]
+    with _cyclic_gc_paused():
+        table = _checked_norms(sys)
+        rep, depth = contract_loops(sys, table)
+        values = table.values
+        for c in range(sys.n):
+            if values[rep[c]] != values[c]:
+                raise EngineInternalError(f"contraction changed the norm of {sys.name(c)}")
+        order = sorted((c for c in range(sys.n) if rep[c] == c), key=lambda c: (values[c], depth[c], c))
+        std_id = [0] * sys.n
+        for new, old in enumerate(order):
+            std_id[old] = new
+        sub = [std_id[r] for r in rep]
 
-    rules = []
-    for r in sys.rules:
-        lhs = sub[r.lhs]
-        rhs = tuple(sub[c] for c in r.rhs)
-        if is_silent(r.label) and rhs == (lhs,):
-            continue
-        rules.append(Rule(lhs, r.label, rhs))
-    std_sys = BpaSystem([sys.name(c) for c in order], rules)
+        rules = []
+        for lhs, label, rhs in sys.rules:
+            lhs = sub[lhs]
+            rhs = tuple([sub[c] for c in rhs])
+            if rhs != (lhs,) or not is_silent(label):
+                rules.append(Rule(lhs, label, rhs))
+        std_sys = BpaSystem([sys.name(c) for c in order], rules)
 
-    std_table = compute_norms(std_sys)
-    for c in range(sys.n):
-        if std_table.values[sub[c]] != values[c]:
-            raise EngineInternalError(f"contraction changed the norm of {sys.name(c)}")
-    norms = tuple(int(v) for v in std_table.values)
-    classes = classify_rules(std_sys, std_table)
-
-    for ri, r in enumerate(std_sys.rules):
-        if classes[ri] is RuleClass.DECREASING and any(c >= r.lhs for c in r.rhs):
+        norms = tuple([values[c] for c in order])
+        classes = []
+        witness: list[int | None] = [None] * len(order)
+        escaping = None
+        dec, inc = RuleClass.DECREASING, RuleClass.INCREASING
+        for ri, (lhs, label, rhs) in enumerate(std_sys.rules):
+            # norm(lhs) minus the rule's value: negative for an increasing rule.
+            drop = norms[lhs] if is_silent(label) else norms[lhs] - 1
+            for c in rhs:
+                drop -= norms[c]
+            if drop > 0:
+                raise EngineInternalError(f"contraction changed the norm of {std_sys.name(lhs)}")
+            if drop:
+                classes.append(inc)
+                continue
+            classes.append(dec)
+            if witness[lhs] is None:
+                witness[lhs] = ri
+            if escaping is None and rhs and max(rhs) >= lhs:
+                escaping = lhs
+        if None in witness:
+            name = std_sys.name(witness.index(None))
+            raise EngineInternalError(f"constant {name} has no decreasing rule (norm bug)")
+        if escaping is not None:
             raise EngineInternalError(
-                f"decreasing rule of {std_sys.name(r.lhs)} escapes its index prefix"
+                f"decreasing rule of {std_sys.name(escaping)} escapes its index prefix"
             )
 
-    name_map = {sys.name(c): sys.name(rep[c]) for c in range(sys.n)}
-    return StandardSystem(std_sys, norms, classes, tuple(std_table.witness), name_map)
+        name_map = {sys.name(c): sys.name(rep[c]) for c in range(sys.n)}
+        return StandardSystem(std_sys, norms, tuple(classes), tuple(witness), name_map)

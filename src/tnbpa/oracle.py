@@ -15,27 +15,26 @@ differential harness that cross-checks the engine against the game.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import random
 from bisect import bisect_right, insort
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
 from .base import DecompositionBase
-from .model import TAU, BpaSystem, Process, Rule, format_process, is_silent
+from .model import TAU, BpaSystem, Process, Rule, _cyclic_gc_paused, format_process, is_silent
 from .normalization import (
     ClosureGuardExceeded,
     GuardExceeded,
     InvalidParamsError,
+    StandardSystem,
     StateGuardExceeded,
     SystemView,
     standardize,
 )
 from . import engine as _engine
-from .strings import expand
+from .strings import drop, expand, head, join
 
 # Resource guards: exceeding one raises a GuardExceeded.  The guard errors
 # and InvalidParamsError are defined in `normalization` and re-exported here.
@@ -81,20 +80,6 @@ def silent_closure_dec(view: SystemView, p: Process) -> SilentClosure:
                         f"silent closure of {p} exceeded {CLOSURE_LIMIT} states"
                     )
     return SilentClosure(tuple(order))
-
-
-@contextmanager
-def _cyclic_gc_paused():
-    """Switch CPython's cyclic collector off for the block, then back to the
-    state it had before, on every exit path.  Strategy extraction and replay
-    run under it; `GameContext` says why that is sound."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +853,69 @@ def _sample_pairs(std, rng: random.Random, count: int) -> list[tuple[Process, Pr
     return pairs
 
 
+def lpftest_realtime(
+    std: StandardSystem,
+    base: DecompositionBase,
+    partial: DecompositionBase,
+    i: int,
+    delta: Process,
+) -> _engine.TestResult:
+    """Literal transcription of the five-step test for silent-free systems.
+
+    Kept independent of `lpftest` so the two can be compared per candidate on
+    realtime inputs (`realtime_divergences`); with no silent rules the
+    general test must take exactly these decisions.
+    """
+    if not delta or base.dcmp((i,)) != base.dcmp(delta):
+        return _engine.TestResult(False, 1)
+
+    j, d_tail = head(delta), drop(delta, 1)
+    delta_dec = [(r.label, join(r.rhs, d_tail)) for r in std.dec_rules(j)]
+    delta_inc = [(r.label, join(r.rhs, d_tail)) for r in std.inc_rules(j)]
+
+    for r in std.dec_rules(i):
+        da = partial.dcmp(r.rhs)
+        if not any(lab == r.label and da == partial.dcmp(beta) for lab, beta in delta_dec):
+            return _engine.TestResult(False, 2)
+
+    for r in std.inc_rules(i):
+        da = base.dcmp(r.rhs)
+        if not any(lab == r.label and da == base.dcmp(beta) for lab, beta in delta_inc):
+            return _engine.TestResult(False, 3)
+
+    for lab, beta in delta_dec:
+        db = partial.dcmp(beta)
+        if not any(r.label == lab and partial.dcmp(r.rhs) == db for r in std.dec_rules(i)):
+            return _engine.TestResult(False, 4)
+
+    for lab, beta in delta_inc:
+        db = base.dcmp(beta)
+        if not any(r.label == lab and base.dcmp(r.rhs) == db for r in std.inc_rules(i)):
+            return _engine.TestResult(False, 5)
+
+    return _engine.TestResult(True, 6)
+
+
+def realtime_divergences(std: StandardSystem, trace: list[_engine.IterationRecord]) -> int:
+    """Count the recorded decisions `lpftest_realtime` would have taken otherwise.
+
+    Each candidate of a pass is re-tested against that pass's old base and
+    the base it produced.  The latter stands in exactly for the partial base
+    the engine used: deciding constant i reads only constants below i, which
+    were settled before i and kept their values to the end of the pass.
+    """
+    if not std.is_realtime:
+        raise ValueError("realtime comparison requested on a system with silent rules")
+    bases = _engine.pass_bases(std, trace)
+    divergences = 0
+    for rec, old, new in zip(trace, bases, bases[1:]):
+        for c in rec.constants:
+            for cand in c.candidates:
+                if lpftest_realtime(std, old, new, c.constant, cand.delta).accepted != cand.accepted:
+                    divergences += 1
+    return divergences
+
+
 def differential_trial(
     params: GenParams,
     k_max: int = 16,
@@ -893,7 +941,7 @@ def differential_trial(
             realtime=std.is_realtime,
             engine_error=str(exc),
         )
-    divergences = _engine.realtime_divergences(std, trace) if std.is_realtime else None
+    divergences = realtime_divergences(std, trace) if std.is_realtime else None
 
     errors: list[str] = []
     ctx = GameContext(std, norm_budget=NORM_BUDGET)

@@ -13,14 +13,13 @@ from collections import Counter
 
 import pytest
 
-from tnbpa import engine
+from tnbpa import engine, oracle
 from tnbpa.base import initial_base
 from tnbpa.engine import (
     CandidateMode,
     VerdictKind,
     check_equivalence,
     compute_bisimilarity_base,
-    realtime_divergences,
 )
 from tnbpa.model import parse_system
 from tnbpa.normalization import standardize
@@ -30,6 +29,7 @@ from tnbpa.oracle import (
     GenParams,
     differential_trial,
     random_system,
+    realtime_divergences,
     replay_distinction,
 )
 
@@ -165,14 +165,14 @@ def test_criterion_8_realtime_degeneration(monkeypatch):
     # Both candidate modes: pruned traces never reach the transcription's
     # rejections at steps 1, 3 and 5, exhaustive ones do.
     outcomes = Counter()
-    transcription = engine.lpftest_realtime
+    transcription = oracle.lpftest_realtime
 
     def counted(*args):
         res = transcription(*args)
         outcomes[res] += 1
         return res
 
-    monkeypatch.setattr(engine, "lpftest_realtime", counted)
+    monkeypatch.setattr(oracle, "lpftest_realtime", counted)
     systems = 0
     decisions = Counter()
     for seed in range(50):

@@ -1,0 +1,142 @@
+"""The decision runs with CPython's cyclic collector paused.
+
+`parse_system`, `standardize` and `compute_bisimilarity_base` switch the
+collector off for their duration and put back the state it had, as strategy
+extraction and replay do (tests/test_oracle.py).  Pausing is sound only
+because the pipeline makes no reference cycles: reference counting frees all
+it drops, which `gc.collect() == 0` after it shows.
+"""
+
+import gc
+
+import pytest
+
+from conftest import chain_text
+from tnbpa import engine
+from tnbpa.engine import CandidateMode, compute_bisimilarity_base, trace_to_json
+from tnbpa.model import ParseError, parse_system, serialize_system
+from tnbpa.normalization import EngineInternalError, NotTotallyNormedError, standardize
+from tnbpa.oracle import GenParams, random_system
+
+ABC = "constants: A B C\nA -a-> eps\nB -b-> eps\nC -a-> B\nC -tau-> A B\n"
+
+
+def _parse(monkeypatch):
+    return (lambda: parse_system(ABC), lambda: parse_system("constants: A\nA -a-> B\n"), ParseError)
+
+
+def _standardize(monkeypatch):
+    good, unnormed = parse_system(ABC), parse_system("constants: A\nA -a-> A\n")
+    return (lambda: standardize(good), lambda: standardize(unnormed), NotTotallyNormedError)
+
+
+def _base(monkeypatch):
+    std = standardize(parse_system(ABC))
+
+    def failing_pass(*args):
+        raise EngineInternalError("a pass failed")
+
+    def failing_run():
+        monkeypatch.setattr(engine, "refine", failing_pass)
+        compute_bisimilarity_base(std)
+
+    return (lambda: compute_bisimilarity_base(std), failing_run, EngineInternalError)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("entry", [_parse, _standardize, _base], ids=["parse", "standardize", "base"])
+def test_each_paused_entry_point_restores_the_collector_state(entry, enabled, monkeypatch):
+    returns, raises, error = entry(monkeypatch)
+    if not enabled:
+        gc.disable()
+    try:
+        returns()
+        assert gc.isenabled() is enabled
+        with pytest.raises(error):
+            raises()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+# Random systems at n 4..1024 and the four chain families.  The exhaustive
+# mode runs up to n = 256: at n = 1024 it takes seconds per system.
+GRID = [
+    (serialize_system(random_system(GenParams(constants=n, norm_cap=cap, seed=n + cap))), n <= 256)
+    for n in (4, 16, 64, 256, 1024)
+    for cap in (1, 4, 8)
+]
+CHAINS = [(chain_text(family, 8), True) for family in ("doubling", "clone", "composite-root", "ladder")]
+BAD_INPUTS = [
+    "constants: A\nA -a-> B\n",
+    "constants: A eps\n",
+    "constants: A\nA -a- eps\n",
+    "constants: A\nA -a-> A eps\n",
+    "constants: A B\nA -a-> eps\nB -a-> B\n",
+    "constants: A\nA -a-> eps\nA -tau-> eps\n",
+]
+
+
+def _decide(text: str, exhaustive: bool) -> None:
+    std = standardize(parse_system(text))
+    for mode in CandidateMode if exhaustive else [CandidateMode.PRUNED]:
+        _, trace = compute_bisimilarity_base(std, mode)
+        trace_to_json(std, trace)
+
+
+def _reject(text: str) -> None:
+    try:
+        standardize(parse_system(text))
+    except (ParseError, NotTotallyNormedError):
+        return
+    raise AssertionError(f"accepted {text!r}")
+
+
+def test_the_decision_leaves_no_cyclic_garbage():
+    cyclic = []
+    gc.collect()
+    gc.disable()
+    try:
+        for text, exhaustive in GRID + CHAINS:
+            _decide(text, exhaustive)
+            if gc.collect():
+                cyclic.append(text.splitlines()[0][:40])
+        for text in BAD_INPUTS:
+            _reject(text)
+            if gc.collect():
+                cyclic.append(text)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert cyclic == []
+
+
+def _collections_during(call, *args):
+    """call(*args) and the generations of the collections that ran during
+    it, with the collector enabled and its counts reset first."""
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        return call(*args), started
+    finally:
+        gc.callbacks.remove(count)
+
+
+def test_deciding_a_large_system_runs_no_collection_while_paused():
+    # Unpaused, the three stages ran 302 young collections, 26 middle ones
+    # and one full one on this system.  Paused, no collection runs inside a
+    # stage; the counts it piled up start at most one young collection once
+    # the collector is back on (CPython 3.11 runs it as the block exits).
+    text = serialize_system(random_system(GenParams(constants=4096, norm_cap=4, seed=42)))
+    assert gc.isenabled()
+    sys, parse_runs = _collections_during(parse_system, text)
+    std, standardize_runs = _collections_during(standardize, sys)
+    _, base_runs = _collections_during(compute_bisimilarity_base, std)
+    for runs in (parse_runs, standardize_runs, base_runs):
+        assert runs in ([], [0])

@@ -22,16 +22,21 @@ from tnbpa.engine import (
     check_equivalence,
     compute_bisimilarity_base,
     lpftest,
-    lpftest_realtime,
     pass_bases,
-    realtime_divergences,
     refine,
     select_decreasing_rules,
     trace_to_json,
 )
 from tnbpa.model import is_silent, parse_system
 from tnbpa.normalization import standardize
-from tnbpa.oracle import GameContext, GenParams, random_system, verify_base_generators
+from tnbpa.oracle import (
+    GameContext,
+    GenParams,
+    lpftest_realtime,
+    random_system,
+    realtime_divergences,
+    verify_base_generators,
+)
 from tnbpa.strings import NormedString
 
 

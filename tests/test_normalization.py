@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import tnbpa
 import tnbpa.normalization as nz
-from conftest import brute_force_norm, naive_norm_values, reference_standardize
+from conftest import brute_force_norm, chain_text, naive_norm_values, reference_standardize
+from test_generator_sweep import SWEEP, _params
+from test_mode_agreement import WIDE_GRID
 from tnbpa.model import TAU, BpaSystem, Rule, parse_process, parse_system, serialize_system
 from tnbpa.normalization import (
     NotTotallyNormedError,
@@ -228,6 +230,44 @@ def test_norm_witness_rules_are_decreasing():
             assert std.sys.rules[std.witness[i]].lhs == i
 
 
+def _standard_form_inputs():
+    """The generator sweep, the wide grid and the four chain families."""
+    for entry in SWEEP:
+        yield random_system(_params(entry))
+    for params in WIDE_GRID:
+        yield random_system(params)
+    for family in ("doubling", "clone", "composite-root", "ladder"):
+        for n in (2, 4, 10):
+            yield parse_system(chain_text(family, n))
+
+
+def test_standard_norms_classes_and_witnesses_are_the_standard_systems_own():
+    # `standardize` computes norms once, on the original system, and takes
+    # each constant's lowest-index decreasing rule as its witness; computed
+    # afresh on the standard system, all three come out the same.
+    for sys in _standard_form_inputs():
+        std = standardize(sys)
+        table = compute_norms(std.sys)
+        assert std.norms == table.values
+        assert std.witness == table.witness
+        assert std.classes == classify_rules(std.sys, table)
+
+
+@pytest.mark.parametrize("norms, message", [
+    pytest.param((5,), "contraction changed the norm of K", id="a-rule-below-its-left-hand-norm"),
+    pytest.param((0,), "constant K has no decreasing rule (norm bug)", id="no-decreasing-rule"),
+])
+def test_standardize_checks_that_the_norms_are_the_least_fixpoint(monkeypatch, norms, message):
+    # A norm table that is no fixpoint: K -a-> eps gives K the value 1.  A
+    # constant without its representative's norm, and a decreasing rule
+    # that leaves its index prefix, are `test_cli`'s
+    # `test_standardize_checks_exit_three`.
+    monkeypatch.setattr(nz, "compute_norms", lambda sys: nz.NormTable(norms, (0,)))
+    with pytest.raises(nz.EngineInternalError) as raised:
+        standardize(parse_system("constants: K\nK -a-> eps\n"))
+    assert str(raised.value) == message
+
+
 def test_single_constant_and_empty_systems():
     std1 = standardize(parse_system("constants: K\nK -a-> eps\n"))
     assert std1.norms == (1,)
@@ -328,6 +368,8 @@ def test_standard_form_matches_the_two_pass_reference(sys):
 
 
 def test_standardize_runs_tarjan_once_and_builds_one_system(monkeypatch):
+    # One norm computation, on the original system: the standard system's
+    # norms are checked as its least fixpoint instead of computed again.
     calls = {"components": 0, "norms": 0, "systems": 0}
 
     def counted(key, fn):
@@ -350,7 +392,7 @@ def test_standardize_runs_tarjan_once_and_builds_one_system(monkeypatch):
     monkeypatch.setattr(nz, "BpaSystem", CountedSystem)
     std = standardize(sys)
     assert [c.name for c in std.sys.constants] == ["X", "Z"]
-    assert calls == {"components": 1, "norms": 2, "systems": 1}
+    assert calls == {"components": 1, "norms": 1, "systems": 1}
 
 
 LONG = 5_000
@@ -405,6 +447,24 @@ from tnbpa import GenParams, random_system
 print(random_system(GenParams(constants=3, seed=1)).n, "tnbpa.oracle" in sys.modules)
 """
     assert _python(code).splitlines() == ["[]", "3 True"]
+
+
+def test_import_adds_only_these_standard_modules():
+    # What an interpreter loads at startup depends on its version and its
+    # site packages, so the other standard modules the package uses are
+    # imported first; `import tnbpa` must then add exactly the pinned ones
+    # that are not loaded yet (gc comes with the collector pause).
+    code = """
+import sys
+import contextlib, enum, functools, itertools, math, operator, re, typing
+pinned = {"__future__", "_heapq", "gc", "heapq"}
+before = set(sys.modules)
+import tnbpa
+added = {m for m in set(sys.modules) - before if not m.startswith("tnbpa")}
+print(added == pinned - before, sorted(added ^ (pinned - before)))
+"""
+    assert _python(code) == "True []"
+    assert _python(code, "-S") == "True []"
 
 
 def test_decision_commands_leave_the_oracle_unloaded():
