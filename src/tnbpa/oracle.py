@@ -153,11 +153,14 @@ class GameContext:
     every certificate extracted in it, so once one certificate fills it
     every later extraction that adds a node is skipped.
 
-    Extraction and replay pause CPython's cyclic collector.  That is sound:
-    a strategy DAG builds every child before its parent, so it holds no
+    Extraction and replay pause CPython's cyclic collector, and
+    `differential_trial` pauses it for a whole trial.  That is sound: a
+    strategy DAG builds every child before its parent, so it holds no
     reference cycles, and neither pass makes any other cycle, so reference
     counting frees all they drop.  Left running, the collector rescans the
-    whole growing DAG at every full collection.
+    whole growing DAG at every full collection; and after a pause, the one
+    collection its allocations start scans every node the context still
+    holds, so a trial drops its context before its pause ends.
     """
 
     def __init__(self, view: SystemView, *, norm_budget: int | None = None):
@@ -923,82 +926,100 @@ def differential_trial(
     *,
     confirm_k: int | None = 24,
 ) -> TrialReport:
-    """Generate one system and cross-check the engine against the oracle."""
-    sys = random_system(params)
-    std = standardize(sys)
+    """Generate one system and cross-check the engine against the oracle.
 
-    try:
-        base, trace = _engine.compute_bisimilarity_base(std)
-        base_ex, _ = _engine.compute_bisimilarity_base(std, _engine.CandidateMode.EXHAUSTIVE)
-    except AssertionError as exc:
-        # A fuzz harness records engine failures, in either candidate mode,
-        # instead of dying on them; a non-empty engine_error fails the whole
-        # report.
-        return TrialReport(
+    The whole trial runs with CPython's cyclic collector paused: the engine
+    stages and the game make no reference cycles, so reference counting
+    frees all they drop.  The trial drops its `GameContext` before the
+    pause ends, so the strategy DAG, the level memo and the closures are
+    freed while the collector is still off; kept to the end, they would be
+    scanned by the one collection that the pause's allocations start.
+    """
+    with _cyclic_gc_paused():
+        sys = random_system(params)
+        std = standardize(sys)
+
+        try:
+            base, trace = _engine.compute_bisimilarity_base(std)
+            base_ex, _ = _engine.compute_bisimilarity_base(std, _engine.CandidateMode.EXHAUSTIVE)
+        except AssertionError as exc:
+            # A fuzz harness records engine failures, in either candidate
+            # mode, instead of dying on them; a non-empty engine_error fails
+            # the whole report.
+            return TrialReport(
+                seed=params.seed,
+                constants=std.n,
+                rules=len(std.sys.rules),
+                realtime=std.is_realtime,
+                engine_error=str(exc),
+            )
+        divergences = realtime_divergences(std, trace) if std.is_realtime else None
+
+        errors: list[str] = []
+        ctx = GameContext(std, norm_budget=NORM_BUDGET)
+        try:
+            gen_report = verify_base_generators(
+                std, base, k_max=k_max, sample_budget=GENERATOR_SAMPLES, seed=params.seed, ctx=ctx
+            )
+            generator_ok, generator_failures = gen_report.ok, len(gen_report.failures)
+        except GuardExceeded as exc:
+            # A check that did not complete did not pass.
+            generator_ok, generator_failures = False, 0
+            errors.append(f"oracle guard in generator check: {exc}")
+
+        report = TrialReport(
             seed=params.seed,
             constants=std.n,
             rules=len(std.sys.rules),
             realtime=std.is_realtime,
-            engine_error=str(exc),
+            iterations=len(trace),
+            primes=len(base.primes),
+            mode_agree=base == base_ex,
+            generator_ok=generator_ok,
+            generator_failures=generator_failures,
+            realtime_divergences=divergences,
+            errors=errors,
         )
-    divergences = realtime_divergences(std, trace) if std.is_realtime else None
 
-    errors: list[str] = []
-    ctx = GameContext(std, norm_budget=NORM_BUDGET)
-    gen_report = verify_base_generators(
-        std, base, k_max=k_max, sample_budget=GENERATOR_SAMPLES, seed=params.seed, ctx=ctx
-    )
+        def try_certificate(p: Process, q: Process, bound: int) -> str:
+            # A certificate is evidence over and above the sound level
+            # verdict; extraction can exceed the node budget on wildly
+            # pumping systems, in which case only the certificate is
+            # skipped, not the confirmation.
+            try:
+                d = ctx.find_distinction(p, q, bound)
+                if d is None:
+                    raise AssertionError(f"refuted pair {p} vs {q} yielded no distinction")
+                replay_distinction(std, d)
+                return "replayed"
+            except StateGuardExceeded:
+                return "skipped"
 
-    report = TrialReport(
-        seed=params.seed,
-        constants=std.n,
-        rules=len(std.sys.rules),
-        realtime=std.is_realtime,
-        iterations=len(trace),
-        primes=len(base.primes),
-        mode_agree=base == base_ex,
-        generator_ok=gen_report.ok,
-        generator_failures=len(gen_report.failures),
-        realtime_divergences=divergences,
-        errors=errors,
-    )
-
-    def try_certificate(p: Process, q: Process, bound: int) -> str:
-        # A certificate is evidence over and above the sound level verdict;
-        # extraction can exceed the node budget on wildly pumping systems, in
-        # which case only the certificate is skipped, not the confirmation.
-        try:
-            d = ctx.find_distinction(p, q, bound)
-            if d is None:
-                raise AssertionError(f"refuted pair {p} vs {q} yielded no distinction")
-            replay_distinction(std, d)
-            return "replayed"
-        except StateGuardExceeded:
-            return "skipped"
-
-    rng = random.Random(f"pairs-{params.seed}")
-    for p, q in _sample_pairs(std, rng, pairs_per_trial):
-        engine_verdict = "bisimilar" if base.equivalent(p, q) else "not-bisimilar"
-        oracle_verdict = "none-found"
-        level: int | None = None
-        confirmed_at: int | None = None
-        certificate: str | None = None
-        try:
-            level = ctx.refutation_level(p, q, k_max)
-            if level is not None:
-                oracle_verdict = "refuted" if engine_verdict == "bisimilar" else "confirmed"
-                certificate = try_certificate(p, q, k_max)
-            elif engine_verdict == "not-bisimilar" and confirm_k and confirm_k > k_max:
-                confirmed_at = ctx.refutation_level(p, q, confirm_k)
-                if confirmed_at is not None:
-                    certificate = try_certificate(p, q, confirm_k)
-        except GuardExceeded as exc:
-            oracle_verdict = "guard"
-            errors.append(f"oracle guard on {p} vs {q}: {exc}")
-        report.pairs.append(
-            PairCheck(p, q, engine_verdict, oracle_verdict, level, confirmed_at, certificate)
-        )
-    return report
+        rng = random.Random(f"pairs-{params.seed}")
+        for p, q in _sample_pairs(std, rng, pairs_per_trial):
+            engine_verdict = "bisimilar" if base.equivalent(p, q) else "not-bisimilar"
+            oracle_verdict = "none-found"
+            level: int | None = None
+            confirmed_at: int | None = None
+            certificate: str | None = None
+            try:
+                level = ctx.refutation_level(p, q, k_max)
+                if level is not None:
+                    oracle_verdict = "refuted" if engine_verdict == "bisimilar" else "confirmed"
+                    certificate = try_certificate(p, q, k_max)
+                elif engine_verdict == "not-bisimilar" and confirm_k and confirm_k > k_max:
+                    confirmed_at = ctx.refutation_level(p, q, confirm_k)
+                    if confirmed_at is not None:
+                        certificate = try_certificate(p, q, confirm_k)
+            except GuardExceeded as exc:
+                oracle_verdict = "guard"
+                errors.append(f"oracle guard on {p} vs {q}: {exc}")
+            report.pairs.append(
+                PairCheck(p, q, engine_verdict, oracle_verdict, level, confirmed_at, certificate)
+            )
+        # Also empties try_certificate's cell, so the context dies here.
+        del ctx
+        return report
 
 
 def differential_run(

@@ -386,6 +386,20 @@ def test_fuzz_command():
     assert summary["refutations"] == 0 and summary["ok"]
 
 
+def test_fuzz_reports_a_guard_in_a_generator_check(monkeypatch):
+    # The guard fails that trial's generator check, which fails the run;
+    # it is not an internal error.
+    from tnbpa import oracle
+
+    monkeypatch.setattr(oracle, "MEMO_LIMIT", 0)
+    code, out, err = run(["fuzz", "--trials", "3", "--pairs", "5", "--constants", "6"])
+    assert (code, err) == (1, "")
+    *trials, summary = [json.loads(line) for line in out.splitlines()]
+    assert [t["seed"] for t in trials] == [0, 1, 2]
+    assert "oracle guard in generator check: approximant memo exceeded 0 entries" in trials[2]["errors"]
+    assert not summary["summary"]["ok"]
+
+
 def test_fuzz_jobs_flag_matches_serial():
     argv = ["fuzz", "--trials", "2", "--pairs", "3", "--constants", "5", "--seed", "77"]
     _, serial, _ = run(argv, expect=0)

@@ -1,10 +1,14 @@
-"""The decision runs with CPython's cyclic collector paused.
+"""The decision and the differential trial run with CPython's cyclic
+collector paused.
 
-`parse_system`, `standardize` and `compute_bisimilarity_base` switch the
-collector off for their duration and put back the state it had, as strategy
-extraction and replay do (tests/test_oracle.py).  Pausing is sound only
-because the pipeline makes no reference cycles: reference counting frees all
-it drops, which `gc.collect() == 0` after it shows.
+`parse_system`, `standardize`, `compute_bisimilarity_base` and
+`differential_trial` switch the collector off for their duration and put
+back the state it had, as strategy extraction and replay do
+(tests/test_oracle.py).  Pausing is sound only because none of them makes
+reference cycles: reference counting frees all they drop, which
+`gc.collect() == 0` after them shows.  A trial drops its game context inside
+the pause, so the strategy DAG dies before the collector is back on, and the
+collection that the pause's allocations start does not scan it.
 """
 
 import gc
@@ -12,11 +16,12 @@ import gc
 import pytest
 
 from conftest import chain_text
-from tnbpa import engine
+from test_acceptance import CONFIRM_K, K_MAX, corpus_params
+from tnbpa import engine, oracle
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base, trace_to_json
 from tnbpa.model import ParseError, parse_system, serialize_system
 from tnbpa.normalization import EngineInternalError, NotTotallyNormedError, standardize
-from tnbpa.oracle import GenParams, random_system
+from tnbpa.oracle import GenParams, differential_trial, random_system
 
 ABC = "constants: A B C\nA -a-> eps\nB -b-> eps\nC -a-> B\nC -tau-> A B\n"
 
@@ -43,8 +48,24 @@ def _base(monkeypatch):
     return (lambda: compute_bisimilarity_base(std), failing_run, EngineInternalError)
 
 
+def _trial(monkeypatch):
+    # GenParams rejects invalid knobs before a trial starts, so the raise
+    # path is a refuted pair whose extraction yields no certificate.
+    def failing_run():
+        monkeypatch.setattr(oracle.GameContext, "find_distinction", lambda self, p, q, k_max: None)
+        differential_trial(GenParams(constants=5), k_max=8, pairs_per_trial=5)
+
+    return (
+        lambda: differential_trial(GenParams(constants=4, seed=2), k_max=8, pairs_per_trial=4),
+        failing_run,
+        AssertionError,
+    )
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-@pytest.mark.parametrize("entry", [_parse, _standardize, _base], ids=["parse", "standardize", "base"])
+@pytest.mark.parametrize(
+    "entry", [_parse, _standardize, _base, _trial], ids=["parse", "standardize", "base", "trial"]
+)
 def test_each_paused_entry_point_restores_the_collector_state(entry, enabled, monkeypatch):
     returns, raises, error = entry(monkeypatch)
     if not enabled:
@@ -140,3 +161,46 @@ def test_deciding_a_large_system_runs_no_collection_while_paused():
     _, base_runs = _collections_during(compute_bisimilarity_base, std)
     for runs in (parse_runs, standardize_runs, base_runs):
         assert runs in ([], [0])
+
+
+def test_a_trial_frees_its_game_while_the_collector_is_off(monkeypatch):
+    # At the context's death the collector is still off and has run no
+    # collection since the trial started, so the strategy DAG it held was
+    # never scanned.
+    seen = []
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(
+        oracle.GameContext, "__del__", lambda self: seen.append((gc.isenabled(), len(collections))),
+        raising=False,
+    )
+    gc.collect()
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        report = differential_trial(GenParams(constants=4, seed=2), k_max=8, pairs_per_trial=4)
+    finally:
+        gc.callbacks.remove(record)
+    assert any(p.certificate == "replayed" for p in report.pairs)
+    assert seen == [(False, 0)]
+
+
+def test_corpus_trials_leave_no_cyclic_garbage():
+    # The premise of pausing the collector for a whole trial, on the
+    # acceptance corpus's first 24 trials: every knob residue twice.
+    cyclic = []
+    gc.collect()
+    gc.disable()
+    try:
+        for params in corpus_params(24):
+            differential_trial(params, K_MAX, pairs_per_trial=20, confirm_k=CONFIRM_K)
+            if gc.collect():
+                cyclic.append(params.seed)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert cyclic == []

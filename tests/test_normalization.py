@@ -1,4 +1,5 @@
 import ast
+import os
 import random
 import subprocess
 import sys
@@ -423,10 +424,14 @@ def test_standardize_long_silent_cycle():
 
 
 def _python(code: str, *flags: str) -> str:
-    src = Path(tnbpa.__file__).resolve().parents[1]
+    # A minimal environment, so that only the code decides what is imported,
+    # but a run that asked for no bytecode writes none here either.
+    env = {"PYTHONPATH": str(Path(tnbpa.__file__).resolve().parents[1])}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     done = subprocess.run(
         [sys.executable, *flags, "-c", code],
-        env={"PYTHONPATH": str(src)},
+        env=env,
         capture_output=True,
         text=True,
         check=True,

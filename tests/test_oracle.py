@@ -487,6 +487,17 @@ def test_trial_records_an_oracle_guard(monkeypatch):
     assert all(p in report.flagged for p in guarded)
 
 
+def test_trial_records_an_oracle_guard_in_the_generator_check(monkeypatch):
+    # This base has equations, so the generator check fills the memo; the
+    # trial reports the guard, fails the check it could not complete and
+    # still checks its pairs.
+    monkeypatch.setattr(oracle, "MEMO_LIMIT", 0)
+    report = differential_trial(GenParams(constants=6, seed=2), k_max=8, pairs_per_trial=5)
+    assert report.errors == ["oracle guard in generator check: approximant memo exceeded 0 entries"]
+    assert not report.generator_ok and report.generator_failures == 0
+    assert len(report.pairs) == 5
+
+
 def test_trial_records_an_exhaustive_mode_failure(monkeypatch):
     # Exhaustive mode tests every candidate, so a candidate listed twice is
     # accepted twice and refine raises; the trial reports it, as it does for
