@@ -365,8 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         _sys.stdout.flush()
         return code
     except OSError as exc:
-        # Files named on the command line raise UnwritablePathError, so this is
-        # standard output.  The final flush then writes what is left to nowhere.
+        # Files named on the command line raise UnwritablePathError and worker
+        # pools GuardExceeded, so this is standard output.  The final flush
+        # then writes what is left to nowhere.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, _sys.stdout.fileno())
         os.close(devnull)

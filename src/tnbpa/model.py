@@ -7,9 +7,10 @@ action is spelled ``tau`` in the file format and is reserved; ``eps`` denotes
 the empty process.
 
 Systems are immutable after construction and safe to share between threads.
-`parse_system`, `standardize` and `compute_bisimilarity_base` switch off
-CPython's cyclic collector, which is process-wide, while they run (see
-`_cyclic_gc_paused`).
+`parse_system`, `standardize`, `compute_bisimilarity_base`,
+`GameContext.find_distinction`, `replay_distinction` and `differential_trial`
+switch off CPython's cyclic collector, which is process-wide, while they run
+(see `_cyclic_gc_paused`).
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ index discipline is what lets the refinement engine settle constants bottom-up.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
 from functools import cached_property
@@ -60,11 +59,6 @@ class NotTotallyNormedError(ValueError):
 
     def __init__(self, violations: list[str]):
         super().__init__("system is not totally normed:\n  " + "\n  ".join(violations))
-
-
-class RuleClass(enum.Enum):
-    DECREASING = "decreasing"
-    INCREASING = "increasing"
 
 
 class NormTable(NamedTuple):
@@ -134,30 +128,34 @@ def check_totally_normed(sys: BpaSystem, norms: NormTable) -> list[str]:
     return violations
 
 
-def classify_rules(sys: BpaSystem, norms: NormTable) -> tuple[RuleClass, ...]:
-    """Classify every rule as decreasing or increasing.
+RuleTable = tuple[tuple[Rule, ...], ...]  # per constant, a tuple of its rules
+
+
+def classify_rules(sys: BpaSystem, values: tuple[int, ...]) -> tuple[RuleTable, RuleTable]:
+    """Each constant's decreasing and increasing rules, in rule order.
 
     A rule is decreasing when a visible step drops the norm by exactly one or
-    a silent step preserves it.  Every constant must end up with at least one
-    decreasing rule (its norm witness); anything else indicates a norm bug.
-    The norms must be finite, as `view`'s are: it checks them.
-    `standardize` classifies in its own loop, which also checks the norms.
+    a silent step preserves it.  The loop also checks that `values` are the
+    system's exact least fixpoint: no rule's value is below its left-hand
+    norm, and every constant has a decreasing rule (its norm witness).
     """
-    values = norms.values
-    classes = []
-    has_dec = [False] * sys.n
-    for r in sys.rules:
-        # A plain loop, as in `SystemView.norm_of`.
-        drop = values[r.lhs]
-        for c in r.rhs:
-            drop -= values[c]
-        dec = drop == 0 if is_silent(r.label) else drop == 1
-        classes.append(RuleClass.DECREASING if dec else RuleClass.INCREASING)
-        has_dec[r.lhs] = has_dec[r.lhs] or dec
-    for c in sys.constants:
-        if not has_dec[c.id]:
-            raise EngineInternalError(f"constant {c.name} has no decreasing rule (norm bug)")
-    return tuple(classes)
+    dec, inc = [], []
+    for lhs in range(sys.n):
+        norm, down, up = values[lhs], [], []
+        for r in sys.rules_of(lhs):
+            _, label, rhs = r
+            # norm(lhs) minus the rule's value: negative for an increasing rule.
+            drop = norm if is_silent(label) else norm - 1
+            for c in rhs:
+                drop -= values[c]
+            if drop > 0:
+                raise EngineInternalError(f"contraction changed the norm of {sys.name(lhs)}")
+            (up if drop else down).append(r)
+        if not down:
+            raise EngineInternalError(f"constant {sys.name(lhs)} has no decreasing rule (norm bug)")
+        dec.append(tuple(down))
+        inc.append(tuple(up))
+    return tuple(dec), tuple(inc)
 
 
 def _silent_successors(sys: BpaSystem, norms: NormTable) -> list[list[int]]:
@@ -248,7 +246,7 @@ def contract_loops(sys: BpaSystem, norms: NormTable) -> tuple[list[int], list[in
 
 
 class SystemView:
-    """A totally normed system with its norms and per-rule classification.
+    """A totally normed system with its norms, rule classes and norm witnesses.
 
     This is the surface both the refinement engine and the game oracle work
     against.  It does not require the standard ordering, so the oracle can run
@@ -259,12 +257,14 @@ class SystemView:
         self,
         sys: BpaSystem,
         norms: tuple[int, ...],
-        classes: tuple[RuleClass, ...],
-        witness: tuple[int, ...],
+        dec: RuleTable,
+        inc: RuleTable,
+        witness: tuple[Rule, ...],
     ):
         self.sys = sys
         self.norms = norms
-        self.classes = classes
+        self.dec = dec
+        self.inc = inc
         self.witness = witness
 
     @property
@@ -281,19 +281,11 @@ class SystemView:
             total += norms[c]
         return total
 
-    @cached_property
-    def _rules_by_class(self) -> tuple[tuple[tuple[Rule, ...], ...], tuple[tuple[Rule, ...], ...]]:
-        dec: list[list[Rule]] = [[] for _ in range(self.n)]
-        inc: list[list[Rule]] = [[] for _ in range(self.n)]
-        for ri, r in enumerate(self.sys.rules):
-            (dec if self.classes[ri] is RuleClass.DECREASING else inc)[r.lhs].append(r)
-        return tuple(tuple(rs) for rs in dec), tuple(tuple(rs) for rs in inc)
-
     def dec_rules(self, cid: int) -> tuple[Rule, ...]:
-        return self._rules_by_class[0][cid]
+        return self.dec[cid]
 
     def inc_rules(self, cid: int) -> tuple[Rule, ...]:
-        return self._rules_by_class[1][cid]
+        return self.inc[cid]
 
     def transitions(self, p: Process) -> list[tuple[str, Process]]:
         return transitions_of(self.sys, p)
@@ -312,8 +304,7 @@ class SystemView:
     def witness_steps(self) -> tuple[tuple[str, Process, int], ...]:
         """Per constant, the (label, rhs, norm(rhs) - norm(constant)) of its
         norm witness rule: following it changes a process's norm by that delta."""
-        rules = [self.sys.rules[ri] for ri in self.witness]
-        return tuple((r.label, r.rhs, self.norm_of(r.rhs) - self.norms[r.lhs]) for r in rules)
+        return tuple((r.label, r.rhs, self.norm_of(r.rhs) - self.norms[r.lhs]) for r in self.witness)
 
     def silent_dec_transitions(self, p: Process) -> list[Process]:
         if not p:
@@ -338,9 +329,8 @@ def _checked_norms(sys: BpaSystem) -> NormTable:
 def view(sys: BpaSystem) -> SystemView:
     """Build a SystemView; raises NotTotallyNormedError outside the fragment."""
     table = _checked_norms(sys)
-    classes = classify_rules(sys, table)
-    norms = tuple(int(v) for v in table.values)
-    return SystemView(sys, norms, classes, tuple(table.witness))
+    witness = tuple(sys.rules[ri] for ri in table.witness)
+    return SystemView(sys, table.values, *classify_rules(sys, table.values), witness)
 
 
 class StandardSystem(SystemView):
@@ -356,11 +346,12 @@ class StandardSystem(SystemView):
         self,
         sys: BpaSystem,
         norms: tuple[int, ...],
-        classes: tuple[RuleClass, ...],
-        witness: tuple[int, ...],
+        dec: RuleTable,
+        inc: RuleTable,
+        witness: tuple[Rule, ...],
         name_map: dict[str, str],
     ):
-        super().__init__(sys, norms, classes, witness)
+        super().__init__(sys, norms, dec, inc, witness)
         self.name_map = name_map
 
     @cached_property
@@ -385,12 +376,11 @@ def standardize(sys: BpaSystem) -> StandardSystem:
 
     The norms are computed once, on the original system: every constant must
     have its representative's norm, and the standard system takes those.
-    One loop over its rules classifies them and checks that the norms are
-    its exact least fixpoint: no rule's value is below its left-hand norm,
-    and every constant has a decreasing rule, all of them into lower
-    indices.  A constant's witness is its lowest-index decreasing rule, the
-    one `compute_norms` picks in a standard system.  The cyclic collector is
-    paused while it runs (`_cyclic_gc_paused`).
+    `classify_rules` splits its rules by class and checks that the norms are
+    its exact least fixpoint; every decreasing rule must then stay below its
+    constant's index.  A constant's witness is its lowest-index decreasing
+    rule, the one `compute_norms` picks in a standard system.  The cyclic
+    collector is paused while it runs (`_cyclic_gc_paused`).
     """
     with _cyclic_gc_paused():
         table = _checked_norms(sys)
@@ -414,32 +404,12 @@ def standardize(sys: BpaSystem) -> StandardSystem:
         std_sys = BpaSystem([sys.name(c) for c in order], rules)
 
         norms = tuple([values[c] for c in order])
-        classes = []
-        witness: list[int | None] = [None] * len(order)
-        escaping = None
-        dec, inc = RuleClass.DECREASING, RuleClass.INCREASING
-        for ri, (lhs, label, rhs) in enumerate(std_sys.rules):
-            # norm(lhs) minus the rule's value: negative for an increasing rule.
-            drop = norms[lhs] if is_silent(label) else norms[lhs] - 1
-            for c in rhs:
-                drop -= norms[c]
-            if drop > 0:
-                raise EngineInternalError(f"contraction changed the norm of {std_sys.name(lhs)}")
-            if drop:
-                classes.append(inc)
-                continue
-            classes.append(dec)
-            if witness[lhs] is None:
-                witness[lhs] = ri
-            if escaping is None and rhs and max(rhs) >= lhs:
-                escaping = lhs
-        if None in witness:
-            name = std_sys.name(witness.index(None))
-            raise EngineInternalError(f"constant {name} has no decreasing rule (norm bug)")
-        if escaping is not None:
-            raise EngineInternalError(
-                f"decreasing rule of {std_sys.name(escaping)} escapes its index prefix"
-            )
+        dec, inc = classify_rules(std_sys, norms)
+        for i, rules in enumerate(dec):
+            for r in rules:
+                if r.rhs and max(r.rhs) >= i:
+                    name = std_sys.name(i)
+                    raise EngineInternalError(f"decreasing rule of {name} escapes its index prefix")
 
         name_map = {sys.name(c): sys.name(rep[c]) for c in range(sys.n)}
-        return StandardSystem(std_sys, norms, tuple(classes), tuple(witness), name_map)
+        return StandardSystem(std_sys, norms, dec, inc, tuple([rs[0] for rs in dec]), name_map)

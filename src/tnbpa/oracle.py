@@ -1030,14 +1030,20 @@ def differential_run(
     pairs_per_trial: int = 20,
     jobs: int = 1,
 ) -> DifferentialReport:
-    """Run independent trials with derived seeds; optionally in parallel."""
+    """Run independent trials with derived seeds; optionally in parallel, on
+    at most one worker process per trial.  A pool that cannot start or run
+    raises GuardExceeded, which the command line reports as a resource guard."""
     trial = partial(differential_trial, k_max=k_max, pairs_per_trial=pairs_per_trial)
     trial_params = [dataclasses.replace(params, seed=params.seed + t) for t in range(trials)]
-    if jobs > 1:
+    workers = min(jobs, trials)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(trial, trial_params))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(trial, trial_params))
+        except OSError as exc:
+            raise GuardExceeded(f"cannot run {workers} worker processes: {exc.strerror or exc}") from exc
     else:
         reports = list(map(trial, trial_params))
     return DifferentialReport(reports, k_max)

@@ -11,12 +11,10 @@ from tnbpa.model import BpaSystem, Rule, format_process, is_silent, parse_system
 from tnbpa.normalization import (
     EngineInternalError,
     NotTotallyNormedError,
-    RuleClass,
     StandardSystem,
     _components,
     _silent_successors,
     check_totally_normed,
-    classify_rules,
     compute_norms,
     standardize,
 )
@@ -231,19 +229,30 @@ def reference_standardize(sys: BpaSystem) -> StandardSystem:
 
     table3 = compute_norms(std_sys)
     norms = tuple(int(v) for v in table3.values)
-    classes = classify_rules(std_sys, table3)
 
     if any(norms[i - 1] > norms[i] for i in range(1, std_sys.n)):
         raise EngineInternalError("standard order is not sorted by norm")
-    for ri, r in enumerate(std_sys.rules):
+    # Its own classification, independent of `classify_rules`: a rule is
+    # decreasing when its value, the label's cost plus the norm of its
+    # right-hand side, equals its left-hand norm.
+    dec = [[] for _ in range(std_sys.n)]
+    inc = [[] for _ in range(std_sys.n)]
+    for r in std_sys.rules:
         if is_silent(r.label) and r.rhs == (r.lhs,):
             raise EngineInternalError(f"silent self rule of {std_sys.name(r.lhs)} survived contraction")
-        if classes[ri] is RuleClass.DECREASING and any(c >= r.lhs for c in r.rhs):
+        value = (0 if is_silent(r.label) else 1) + sum(norms[c] for c in r.rhs)
+        if value != norms[r.lhs]:
+            inc[r.lhs].append(r)
+        elif any(c >= r.lhs for c in r.rhs):
             raise EngineInternalError(
                 f"decreasing rule of {std_sys.name(r.lhs)} escapes its index prefix"
             )
+        else:
+            dec[r.lhs].append(r)
 
-    return StandardSystem(std_sys, norms, classes, tuple(table3.witness), name_map)
+    witness = tuple(std_sys.rules[ri] for ri in table3.witness)
+    dec_t, inc_t = tuple(map(tuple, dec)), tuple(map(tuple, inc))
+    return StandardSystem(std_sys, norms, dec_t, inc_t, witness, name_map)
 
 
 def reference_dcmp(base, p: tuple[int, ...]) -> tuple[int, ...]:
@@ -468,7 +477,7 @@ class ReferenceGameContext(GameContext):
             att = p if side == "left" else q
             # The norm fixpoint's witness rule of the head; witness rules form
             # a well-founded descent even on systems never standardized.
-            r = view.sys.rules[view.witness[att[0]]]
+            r = view.witness[att[0]]
             label, t = r.label, r.rhs + att[1:]
         elif k < 1:
             raise AssertionError("norm-equal pair cannot fail at level 0")

@@ -665,3 +665,35 @@ def test_closed_stdout_exits_three_without_traceback(argv, stdout):
     assert proc.wait(timeout=60) == 3, err
     assert err.startswith("error: ")
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_a_worker_pool_that_cannot_start_leaves_standard_output_open():
+    # A pool whose fork fails with EAGAIN exits 3 as a resource guard; the
+    # process can still print afterwards.  In a subprocess, as
+    # test_closed_stdout_exits_three_without_traceback, because the
+    # standard-output handler it must not reach would redirect this one's.
+    code = """
+import concurrent.futures, errno, sys
+from tnbpa.cli import main
+
+class RefusedPool:
+    def __init__(self, max_workers):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+concurrent.futures.ProcessPoolExecutor = RefusedPool
+code = main(["fuzz", "--trials", "2", "--pairs", "2", "--constants", "3", "--jobs", "5000"])
+print("still writing")
+sys.exit(code)
+"""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "resource guard: cannot run 2 worker processes: Resource temporarily unavailable\n"
+    assert done.stdout == "still writing\n"

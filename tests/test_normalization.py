@@ -17,7 +17,6 @@ from test_mode_agreement import WIDE_GRID
 from tnbpa.model import TAU, BpaSystem, Rule, parse_process, parse_system, serialize_system
 from tnbpa.normalization import (
     NotTotallyNormedError,
-    RuleClass,
     UNNORMED,
     _components,
     check_totally_normed,
@@ -71,16 +70,15 @@ def test_silent_erasing_rule_rejected():
 
 
 def test_classification_examples(ex1_sys, sysb_sys):
-    classes = classify_rules(ex1_sys, compute_norms(ex1_sys))
-    by_rule = {(ex1_sys.name(r.lhs), r.label, r.rhs): c for r, c in zip(ex1_sys.rules, classes)}
-    xp = (ex1_sys.constant_id("X'"),)
-    assert by_rule[("X", "tau", xp)] is RuleClass.DECREASING
-    assert by_rule[("X", "a", ())] is RuleClass.DECREASING
+    dec, _ = classify_rules(ex1_sys, compute_norms(ex1_sys).values)
+    x, xp = ex1_sys.constant_id("X"), ex1_sys.constant_id("X'")
+    assert Rule(x, TAU, (xp,)) in dec[x]
+    assert Rule(x, "a", ()) in dec[x]
 
-    classes_b = classify_rules(sysb_sys, compute_norms(sysb_sys))
-    x = (sysb_sys.constant_id("X"),)
-    by_rule_b = {(sysb_sys.name(r.lhs), r.label, r.rhs): c for r, c in zip(sysb_sys.rules, classes_b)}
-    assert by_rule_b[("Y", "tau", x)] is RuleClass.INCREASING
+    dec_b, inc_b = classify_rules(sysb_sys, compute_norms(sysb_sys).values)
+    y, x = sysb_sys.constant_id("Y"), sysb_sys.constant_id("X")
+    assert Rule(y, TAU, (x,)) in inc_b[y]
+    assert Rule(y, TAU, (x,)) not in dec_b[y]
 
 
 def _named_rules(sys: BpaSystem) -> list[tuple[str, str, tuple[str, ...]]]:
@@ -159,9 +157,8 @@ def test_decreasing_rules_stay_below_their_index():
     # Asserted inside standardize as well; this keeps the property visible.
     for seed in range(30):
         std = standardize(random_system(GenParams(constants=7, silent_prob=0.4, seed=seed)))
-        for ri, r in enumerate(std.sys.rules):
-            if std.classes[ri] is RuleClass.DECREASING:
-                assert all(c < r.lhs for c in r.rhs)
+        for i in range(std.n):
+            assert all(c < i for r in std.dec_rules(i) for c in r.rhs)
 
 
 def test_norm_additivity():
@@ -227,8 +224,8 @@ def test_norm_witness_rules_are_decreasing():
     for seed in range(10):
         std = standardize(random_system(GenParams(constants=6, silent_prob=0.4, seed=seed)))
         for i in range(std.n):
-            assert std.classes[std.witness[i]] is RuleClass.DECREASING
-            assert std.sys.rules[std.witness[i]].lhs == i
+            assert std.witness[i] in std.dec_rules(i)
+            assert std.witness[i].lhs == i
 
 
 def _standard_form_inputs():
@@ -245,13 +242,14 @@ def _standard_form_inputs():
 def test_standard_norms_classes_and_witnesses_are_the_standard_systems_own():
     # `standardize` computes norms once, on the original system, and takes
     # each constant's lowest-index decreasing rule as its witness; computed
-    # afresh on the standard system, all three come out the same.
+    # afresh on the standard system, by `compute_norms` in `view`, all three
+    # come out the same.
     for sys in _standard_form_inputs():
         std = standardize(sys)
-        table = compute_norms(std.sys)
-        assert std.norms == table.values
-        assert std.witness == table.witness
-        assert std.classes == classify_rules(std.sys, table)
+        fresh = view(std.sys)
+        assert std.norms == fresh.norms
+        assert std.witness == fresh.witness
+        assert (std.dec, std.inc) == (fresh.dec, fresh.inc)
 
 
 @pytest.mark.parametrize("norms, message", [
@@ -355,13 +353,14 @@ def loop_systems(draw):
 def test_standard_form_matches_the_two_pass_reference(sys):
     std, ref = standardize(sys), reference_standardize(sys)
     assert std.sys == ref.sys
-    assert (std.norms, std.classes, std.witness) == (ref.norms, ref.classes, ref.witness)
+    assert (std.norms, std.witness) == (ref.norms, ref.witness)
+    for i in range(std.n):
+        assert (std.dec_rules(i), std.inc_rules(i)) == (ref.dec_rules(i), ref.inc_rules(i))
     assert std.name_map == ref.name_map
 
     assert all(std.norms[i - 1] <= std.norms[i] for i in range(1, std.n))
-    for ri, r in enumerate(std.sys.rules):
-        if std.classes[ri] is RuleClass.DECREASING:
-            assert all(c < r.lhs for c in r.rhs)
+    for i in range(std.n):
+        assert all(c < i for r in std.dec_rules(i) for c in r.rhs)
     original = compute_norms(sys).values
     assert std.name_map.keys() == {c.name for c in sys.constants}
     for c in sys.constants:
@@ -507,7 +506,7 @@ cycle = parse_system("constants: A B\\nA -tau-> B\\nB -tau-> A\\nA -a-> eps\\n")
 single = parse_system("constants: K\\nK -a-> eps\\n")
 print(__debug__)
 print(outcome(lambda: nz.standardize(cycle)))
-print(outcome(lambda: nz.classify_rules(single, nz.NormTable((5,), (0,)))))
+print(outcome(lambda: nz.classify_rules(single, (0,))))
 """
     assert _python(code, "-O").splitlines() == [
         "False",
@@ -517,10 +516,18 @@ print(outcome(lambda: nz.classify_rules(single, nz.NormTable((5,), (0,)))))
 
 
 def test_classify_rules_finds_a_constant_without_a_decreasing_rule():
-    # A norm table that is no fixpoint: K's one rule drops the norm from 5.
+    # Norms that are no fixpoint: K's one rule has the value 1, above K's
+    # norm 0, so it is increasing.
     single = parse_system("constants: K\nK -a-> eps\n")
     with pytest.raises(nz.EngineInternalError, match=r"^constant K has no decreasing rule \(norm bug\)$"):
-        classify_rules(single, nz.NormTable((5,), (0,)))
+        classify_rules(single, (0,))
+
+
+def test_classify_rules_finds_a_rule_below_its_left_hand_norm():
+    # Norms that are no fixpoint: K's one rule has the value 1, below K's norm 5.
+    single = parse_system("constants: K\nK -a-> eps\n")
+    with pytest.raises(nz.EngineInternalError, match=r"^contraction changed the norm of K$"):
+        classify_rules(single, (5,))
 
 
 def test_no_assert_statements_in_the_package():

@@ -1,6 +1,9 @@
+import concurrent.futures
+import errno
 import gc
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from tnbpa.base import initial_base
 from tnbpa import engine
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base
-from tnbpa.model import parse_system, serialize_system
+from tnbpa.model import TAU, parse_system, serialize_system
 from tnbpa import oracle
 from tnbpa.normalization import check_totally_normed, compute_norms, standardize, view
 from tnbpa.oracle import (
@@ -444,6 +447,58 @@ def test_differential_run_parallel_matches_serial():
     serial = differential_run(params, trials=2, k_max=8, pairs_per_trial=5, jobs=1)
     parallel = differential_run(params, trials=2, k_max=8, pairs_per_trial=5, jobs=2)
     assert [t.to_json() for t in serial.trials] == [t.to_json() for t in parallel.trials]
+
+
+def test_differential_run_starts_at_most_one_worker_per_trial(monkeypatch):
+    # A stand-in pool that records its worker count and maps in this
+    # process, so no worker process starts however large `jobs` is.
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    params = GenParams(constants=5, seed=700)
+    pooled = differential_run(params, trials=2, k_max=8, pairs_per_trial=5, jobs=5000)
+    serial = differential_run(params, trials=2, k_max=8, pairs_per_trial=5, jobs=1)
+    assert requested == [2]
+    assert [t.to_json() for t in pooled.trials] == [t.to_json() for t in serial.trials]
+
+
+def test_a_worker_pool_that_cannot_start_is_a_resource_guard(monkeypatch):
+    # As when fork fails with EAGAIN; `cli.main` would take a bare OSError
+    # for a broken standard output.
+    class RefusedPool:
+        def __init__(self, max_workers):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusedPool)
+    message = r"^cannot run 2 worker processes: Resource temporarily unavailable$"
+    with pytest.raises(GuardExceeded, match=message):
+        differential_run(GenParams(constants=3, seed=1), trials=2, k_max=8, pairs_per_trial=2, jobs=3)
+
+
+def test_an_uncontracted_silent_loop_keeps_a_well_founded_norm_descent():
+    # Each constant's lowest-index decreasing rule is its silent step into
+    # the other, so a norm descent along those never ends.  `view` keeps the
+    # norm fixpoint's witnesses, which reach eps.
+    system = parse_system((Path(__file__).resolve().parents[1] / "systems" / "silent-cycle.bpa").read_text())
+    v = view(system)
+    assert [v.dec_rules(c)[0].label for c in range(v.n)] == [TAU, TAU]
+    assert v.witness == tuple(system.rules[ri] for ri in compute_norms(system).witness)
+    d = GameContext(v).find_distinction((system.constant_id("A"),), (), 8)
+    assert d is not None
+    replay_distinction(v, d)
 
 
 def test_mode_mismatch_fails_the_report():

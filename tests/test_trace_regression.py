@@ -66,6 +66,11 @@ PINNED = {
         "cdeae69cd92ceaae43805e3b14b223ef7e4c4b7761afffe422e9a924483844df",
         "9c9f48e4d11ebf6c739ad239d518281109d01214c8981abaa84f1275f20e52ff",
     ),
+    "silent-cycle.bpa": (
+        "3786eec9d485d5f3ebde9144b6506c9ce3d5362d42ee17e9308a5391b6d1d916",
+        "72ad857b2d612506b7a0e1e4720a96eb893a4c7b873dae691acaa848806cef60",
+        "38de31fae087b8d7d5f0baaa4bfb07e84dc261c2ec9f40684bcae8f9b802f096",
+    ),
     "rand-n24-cap1-s0": (
         "534ee36b68aa4ada0cbafd47f60af9ab73c48624610f0b1d676869810204cb63",
         "e851382ad5cd783a1c54b4551d328b0f6d4ce7ac69dabac766158e9a57729d35",
