@@ -173,16 +173,15 @@ def cmd_norms(args) -> int:
         print(
             json.dumps(
                 {
-                    c.name: (None if table.values[c.id] == UNNORMED else int(table.values[c.id]))
-                    for c in sys.constants
+                    name: (None if v == UNNORMED else int(v))
+                    for name, v in zip(sys.names, table.values)
                 },
                 indent=2,
             )
         )
     else:
-        for c in sys.constants:
-            v = table.values[c.id]
-            print(f"{c.name} {'inf' if v == UNNORMED else int(v)}")
+        for name, v in zip(sys.names, table.values):
+            print(f"{name} {'inf' if v == UNNORMED else int(v)}")
     violations = check_totally_normed(sys, table)
     for violation in violations:
         print(f"warning: {violation}", file=_sys.stderr)

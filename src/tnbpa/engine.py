@@ -63,14 +63,14 @@ _KINDS = (VerdictKind.NOT_BISIMILAR, VerdictKind.BISIMILAR)
 
 
 class Verdict:
-    """The engine's decision, with the final base as evidence."""
+    """The engine's decision; its evidence is the final base the caller
+    passed to `check_equivalence`, which the verdict does not repeat."""
 
     # A plain class with slots: every query builds one.
-    __slots__ = ("kind", "base")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: VerdictKind, *, base: DecompositionBase):
+    def __init__(self, kind: VerdictKind):
         self.kind = kind
-        self.base = base
 
 
 def select_decreasing_rules(std: StandardSystem) -> tuple[Rule, ...]:
@@ -81,7 +81,7 @@ def select_decreasing_rules(std: StandardSystem) -> tuple[Rule, ...]:
     classifies the rules with `classify_rules`, which checks it.
     """
     key = lambda r: (is_silent(r.label), r.label, r.rhs)
-    return tuple(min(std.dec_rules(i), key=key) for i in range(std.n))
+    return tuple(min(rules, key=key) for rules in std.dec)
 
 
 class _PartialBase(DecompositionBase):
@@ -140,8 +140,8 @@ class _PartialBase(DecompositionBase):
         if got is None:
             old, new = self.old.dcmp_memo, self.dcmp_memo
             got = self._moves[j] = (
-                [(r.label, new(r.rhs)) for r in self.std.dec_rules(j)],
-                [(r.label, old(r.rhs)) for r in self.std.inc_rules(j)],
+                [(r.label, new(r.rhs)) for r in self.std.dec[j]],
+                [(r.label, old(r.rhs)) for r in self.std.inc[j]],
             )
         return got
 
@@ -178,7 +178,11 @@ def _stripped(moves: list, tail: Process) -> list | None:
     return out
 
 
-class TestResult(NamedTuple):
+class CandidateOutcome(NamedTuple):
+    """One tested candidate: `lpftest` returns it, `candidates_for` gives it
+    for a signature hit, and `refine` records it unchanged."""
+
+    delta: Process
     accepted: bool
     step: int  # accepting step (4 early, 7 full) or the step that rejected
 
@@ -188,8 +192,9 @@ def _step_one(base: DecompositionBase, i: int, j: int, old_tail: tuple[int, ...]
     return base.dcmp_memo((i,)) == join(base.dcmp_memo((j,)), old_tail)
 
 
-def lpftest(partial: _PartialBase, i: int, delta: Process) -> TestResult:
-    """Single-transition test deciding whether delta decomposes constant i.
+def lpftest(partial: _PartialBase, i: int, delta: Process) -> CandidateOutcome:
+    """Single-transition test deciding whether delta decomposes constant i,
+    returned as delta's `CandidateOutcome`.
 
     i's moves come from the move table; delta's are its head's moves with
     delta's tail appended, decomposed over the same base (dcmp is a
@@ -208,7 +213,7 @@ def lpftest(partial: _PartialBase, i: int, delta: Process) -> TestResult:
     j, d_tail = head(delta), drop(delta, 1)
     old_tail = base.dcmp(d_tail)
     if not _step_one(base, i, j, old_tail):
-        return TestResult(False, 1)
+        return CandidateOutcome(delta, False, 1)
 
     new_tail = partial.dcmp(d_tail)
     own_dec, own_inc = map(set, partial.moves(i))
@@ -216,23 +221,23 @@ def lpftest(partial: _PartialBase, i: int, delta: Process) -> TestResult:
     delta_dec = {(label, join(beta, new_tail)) for label, beta in head_dec}
     in_place = (TAU, delta)
     if not own_dec - {in_place} <= delta_dec:
-        return TestResult(False, 2)
+        return CandidateOutcome(delta, False, 2)
     delta_inc = {(label, join(gamma, old_tail)) for label, gamma in head_inc}
     if not own_inc <= delta_inc:
-        return TestResult(False, 3)
+        return CandidateOutcome(delta, False, 3)
     if in_place in own_dec:
-        return TestResult(True, 4)
+        return CandidateOutcome(delta, True, 4)
     if not delta_dec <= own_dec:
-        return TestResult(False, 5)
+        return CandidateOutcome(delta, False, 5)
     if not delta_inc <= own_inc:
-        return TestResult(False, 6)
-    return TestResult(True, 7)
+        return CandidateOutcome(delta, False, 6)
+    return CandidateOutcome(delta, True, 7)
 
 
-def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestResult | None]]:
+def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, CandidateOutcome | None]]:
     """Candidate decompositions of constant i in the pass `partial`,
-    ascending, each with its test result when known already and None when
-    `lpftest` must decide it.
+    ascending, each with its `CandidateOutcome` when a signature hit
+    decides it already and None when `lpftest` must decide it.
 
     Let s be the decomposition of i's fixed decreasing rule (a, rhs) over the
     new base.  Step 2 of `lpftest` must match that rule: a candidate j . t
@@ -264,7 +269,7 @@ def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestRes
     k = base.lpf(i)
     old_primes = base.primes
     dec, inc = partial.moves(i)
-    found: dict[Process, TestResult | None] = {}
+    found: dict[Process, CandidateOutcome | None] = {}
     for label, alpha in dec:
         if is_silent(label):
             j = head(alpha)
@@ -285,16 +290,11 @@ def candidates_for(partial: _PartialBase, i: int) -> list[tuple[Process, TestRes
         for j in by_signature.get(_signature(dec_t, inc_t), ()):
             # An admissible head: k, or a new prime above it.
             if (j == k or j > k and j not in old_primes) and _step_one(base, i, j, old_t):
-                found.setdefault(join((j,), t), TestResult(True, 7))
+                delta = join((j,), t)
+                found.setdefault(delta, CandidateOutcome(delta, True, 7))
     if len(found) > 1:
         return sorted(found.items(), key=lambda item: order_key(item[0]))
     return list(found.items())
-
-
-class CandidateOutcome(NamedTuple):
-    delta: Process
-    accepted: bool
-    step: int
 
 
 class ConstantOutcome(NamedTuple):
@@ -334,7 +334,7 @@ def refine(
         for delta, res in candidates_for(partial, i):
             if res is None:
                 res = lpftest(partial, i, delta)
-            records.append(CandidateOutcome(delta, res.accepted, res.step))
+            records.append(res)
             if res.accepted:
                 if accepted is not None:
                     raise EngineInternalError(
@@ -412,9 +412,9 @@ def check_equivalence(
 
     `base` is the final base of `compute_bisimilarity_base(std)`.  Two
     processes are bisimilar exactly when their decompositions under it
-    coincide; the base is attached to the verdict as evidence.
+    coincide; the base is the evidence, and the verdict holds only its kind.
     """
-    return Verdict(_KINDS[base.equivalent(p1, p2)], base=base)
+    return Verdict(_KINDS[base.equivalent(p1, p2)])
 
 
 def trace_to_json(std: StandardSystem, trace: list[IterationRecord]) -> list[dict]:

@@ -70,13 +70,6 @@ def is_silent(label: str) -> bool:
     return label == TAU
 
 
-class Constant(NamedTuple):
-    """A process constant; ids are dense and follow declaration order."""
-
-    id: int
-    name: str
-
-
 class Rule(NamedTuple):
     """A transition rule ``lhs -label-> rhs``."""
 
@@ -86,21 +79,23 @@ class Rule(NamedTuple):
 
 
 class BpaSystem:
-    """An immutable BPA system: constant table and rule list.
+    """An immutable BPA system: constant names and rule list.
 
-    Duplicate rules are collapsed at construction (the rule collection is a
-    set conceptually); the surviving rule order is first-occurrence order.
+    A constant is its id, its index in `names`: ids are dense and follow
+    declaration order.  Duplicate rules are collapsed at construction (the
+    rule collection is a set conceptually); the surviving rule order is
+    first-occurrence order.
     """
 
     def __init__(self, names: Sequence[str], rules: Iterable[Rule]):
-        constants = tuple(Constant(i, n) for i, n in enumerate(names))
+        names = tuple(names)
         by_name: dict[str, int] = {}
-        for c in constants:
-            if c.name in by_name:
-                raise ValueError(f"duplicate constant {c.name!r}")
-            by_name[c.name] = c.id
+        for cid, name in enumerate(names):
+            if name in by_name:
+                raise ValueError(f"duplicate constant {name!r}")
+            by_name[name] = cid
 
-        n = len(constants)
+        n = len(names)
         kept = tuple(dict.fromkeys(rules))
         # Range-check every id at once; only a failure looks for the rule to name.
         ids = [r.lhs for r in kept]
@@ -111,17 +106,17 @@ class BpaSystem:
                 if not 0 <= r.lhs < n or any(not 0 <= c < n for c in r.rhs):
                     raise ValueError(f"rule {r} references an undeclared constant id")
 
-        self.constants: tuple[Constant, ...] = constants
+        self.names: tuple[str, ...] = names
         self.rules: tuple[Rule, ...] = kept
         self._by_name = by_name
-        rules_of: list[list[Rule]] = [[] for _ in constants]
+        rules_of: list[list[Rule]] = [[] for _ in names]
         for r in self.rules:
             rules_of[r.lhs].append(r)
         self._rules_of = tuple(tuple(rs) for rs in rules_of)
 
     @property
     def n(self) -> int:
-        return len(self.constants)
+        return len(self.names)
 
     def constant_id(self, name: str) -> int:
         try:
@@ -130,7 +125,7 @@ class BpaSystem:
             raise KeyError(f"unknown constant {name!r}") from None
 
     def name(self, cid: int) -> str:
-        return self.constants[cid].name
+        return self.names[cid]
 
     def rules_of(self, cid: int) -> tuple[Rule, ...]:
         return self._rules_of[cid]
@@ -138,7 +133,7 @@ class BpaSystem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BpaSystem):
             return NotImplemented
-        return self.constants == other.constants and self.rules == other.rules
+        return self.names == other.names and self.rules == other.rules
 
 
 def _column(line: str, toks: list[str], k: int) -> int:
@@ -215,7 +210,7 @@ def parse_system(text: str) -> BpaSystem:
 
 def serialize_system(sys: BpaSystem) -> str:
     """Render a system in the file format; round-trips through parse_system."""
-    lines = ["constants: " + " ".join(c.name for c in sys.constants)]
+    lines = ["constants: " + " ".join(sys.names)]
     for r in sys.rules:
         rhs = " ".join(sys.name(c) for c in r.rhs) if r.rhs else "eps"
         lines.append(f"{sys.name(r.lhs)} -{r.label}-> {rhs}")

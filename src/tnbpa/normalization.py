@@ -65,14 +65,14 @@ class NormTable(NamedTuple):
     """Per-constant norms plus, for each normed constant, a witness rule.
 
     ``values[c]`` is ``UNNORMED`` (``math.inf``) when ``c`` cannot reach eps.
-    ``witness[c]`` is the index of a rule realizing the minimum; following
-    witness rules from any process terminates, because a constant's witness
-    rule only mentions constants that were settled strictly earlier by the
-    fixpoint computation.
+    ``witness[c]`` is a rule of ``c`` realizing the minimum, or None when
+    ``c`` is unnormed; following witness rules from any process terminates,
+    because a constant's witness rule only mentions constants that were
+    settled strictly earlier by the fixpoint computation.
     """
 
     values: tuple[int | float, ...]
-    witness: tuple[int | None, ...]
+    witness: tuple[Rule | None, ...]
 
 
 def compute_norms(sys: BpaSystem) -> NormTable:
@@ -96,7 +96,7 @@ def compute_norms(sys: BpaSystem) -> NormTable:
             heapq.heappush(heap, (0 if is_silent(r.label) else 1, r.lhs, ri))
 
     values: list[int | float] = [UNNORMED] * n
-    witness: list[int | None] = [None] * n
+    witness: list[Rule | None] = [None] * n
     settled = [False] * n
     while heap:
         v, x, ri = heapq.heappop(heap)
@@ -104,7 +104,7 @@ def compute_norms(sys: BpaSystem) -> NormTable:
             continue
         settled[x] = True
         values[x] = v
-        witness[x] = ri
+        witness[x] = sys.rules[ri]
         for rj in occurrences[x]:
             acc[rj] += v
             pending[rj] -= 1
@@ -119,9 +119,9 @@ def compute_norms(sys: BpaSystem) -> NormTable:
 def check_totally_normed(sys: BpaSystem, norms: NormTable) -> list[str]:
     """Empty list when totally normed; otherwise one message per violation."""
     violations = []
-    for c in sys.constants:
-        if norms.values[c.id] == UNNORMED:
-            violations.append(f"constant {c.name} is unnormed (no path to eps)")
+    for name, value in zip(sys.names, norms.values):
+        if value == UNNORMED:
+            violations.append(f"constant {name} is unnormed (no path to eps)")
     for r in sys.rules:
         if is_silent(r.label) and not r.rhs:
             violations.append(f"silent erasing rule {sys.name(r.lhs)} -tau-> eps is forbidden")
@@ -250,7 +250,9 @@ class SystemView:
 
     This is the surface both the refinement engine and the game oracle work
     against.  It does not require the standard ordering, so the oracle can run
-    on systems that were never contracted or renumbered.
+    on systems that were never contracted or renumbered.  Each table is read
+    directly: ``dec[c]`` and ``inc[c]`` are c's decreasing and increasing
+    rules from `classify_rules`, and ``witness[c]`` is c's norm witness rule.
     """
 
     def __init__(
@@ -281,12 +283,6 @@ class SystemView:
             total += norms[c]
         return total
 
-    def dec_rules(self, cid: int) -> tuple[Rule, ...]:
-        return self.dec[cid]
-
-    def inc_rules(self, cid: int) -> tuple[Rule, ...]:
-        return self.inc[cid]
-
     def transitions(self, p: Process) -> list[tuple[str, Process]]:
         return transitions_of(self.sys, p)
 
@@ -306,12 +302,6 @@ class SystemView:
         norm witness rule: following it changes a process's norm by that delta."""
         return tuple((r.label, r.rhs, self.norm_of(r.rhs) - self.norms[r.lhs]) for r in self.witness)
 
-    def silent_dec_transitions(self, p: Process) -> list[Process]:
-        if not p:
-            return []
-        tail = p[1:]
-        return [r.rhs + tail for r in self.dec_rules(p[0]) if is_silent(r.label)]
-
     @cached_property
     def is_realtime(self) -> bool:
         return not any(is_silent(r.label) for r in self.sys.rules)
@@ -329,8 +319,7 @@ def _checked_norms(sys: BpaSystem) -> NormTable:
 def view(sys: BpaSystem) -> SystemView:
     """Build a SystemView; raises NotTotallyNormedError outside the fragment."""
     table = _checked_norms(sys)
-    witness = tuple(sys.rules[ri] for ri in table.witness)
-    return SystemView(sys, table.values, *classify_rules(sys, table.values), witness)
+    return SystemView(sys, table.values, *classify_rules(sys, table.values), table.witness)
 
 
 class StandardSystem(SystemView):

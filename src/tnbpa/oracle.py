@@ -63,7 +63,8 @@ class SilentClosure:
 
 
 def silent_closure_dec(view: SystemView, p: Process) -> SilentClosure:
-    """Exact BFS closure under silent norm-preserving steps.
+    """Exact BFS closure under silent norm-preserving steps: the silent rules
+    of each state's head in `view.dec`, with the state's tail appended.
 
     The guard is a tripwire, not a truncation: exceeding it raises, because a
     closure this large indicates a generator or normalization bug.
@@ -71,7 +72,8 @@ def silent_closure_dec(view: SystemView, p: Process) -> SilentClosure:
     seen = {p}
     order = [p]
     for q in order:
-        for succ in view.silent_dec_transitions(q):
+        silent = [r.rhs + q[1:] for r in view.dec[q[0]] if is_silent(r.label)] if q else ()
+        for succ in silent:
             if succ not in seen:
                 seen.add(succ)
                 order.append(succ)
@@ -862,7 +864,7 @@ def lpftest_realtime(
     partial: DecompositionBase,
     i: int,
     delta: Process,
-) -> _engine.TestResult:
+) -> _engine.CandidateOutcome:
     """Literal transcription of the five-step test for silent-free systems.
 
     Kept independent of `lpftest` so the two can be compared per candidate on
@@ -870,33 +872,33 @@ def lpftest_realtime(
     general test must take exactly these decisions.
     """
     if not delta or base.dcmp((i,)) != base.dcmp(delta):
-        return _engine.TestResult(False, 1)
+        return _engine.CandidateOutcome(delta, False, 1)
 
     j, d_tail = head(delta), drop(delta, 1)
-    delta_dec = [(r.label, join(r.rhs, d_tail)) for r in std.dec_rules(j)]
-    delta_inc = [(r.label, join(r.rhs, d_tail)) for r in std.inc_rules(j)]
+    delta_dec = [(r.label, join(r.rhs, d_tail)) for r in std.dec[j]]
+    delta_inc = [(r.label, join(r.rhs, d_tail)) for r in std.inc[j]]
 
-    for r in std.dec_rules(i):
+    for r in std.dec[i]:
         da = partial.dcmp(r.rhs)
         if not any(lab == r.label and da == partial.dcmp(beta) for lab, beta in delta_dec):
-            return _engine.TestResult(False, 2)
+            return _engine.CandidateOutcome(delta, False, 2)
 
-    for r in std.inc_rules(i):
+    for r in std.inc[i]:
         da = base.dcmp(r.rhs)
         if not any(lab == r.label and da == base.dcmp(beta) for lab, beta in delta_inc):
-            return _engine.TestResult(False, 3)
+            return _engine.CandidateOutcome(delta, False, 3)
 
     for lab, beta in delta_dec:
         db = partial.dcmp(beta)
-        if not any(r.label == lab and partial.dcmp(r.rhs) == db for r in std.dec_rules(i)):
-            return _engine.TestResult(False, 4)
+        if not any(r.label == lab and partial.dcmp(r.rhs) == db for r in std.dec[i]):
+            return _engine.CandidateOutcome(delta, False, 4)
 
     for lab, beta in delta_inc:
         db = base.dcmp(beta)
-        if not any(r.label == lab and base.dcmp(r.rhs) == db for r in std.inc_rules(i)):
-            return _engine.TestResult(False, 5)
+        if not any(r.label == lab and base.dcmp(r.rhs) == db for r in std.inc[i]):
+            return _engine.CandidateOutcome(delta, False, 5)
 
-    return _engine.TestResult(True, 6)
+    return _engine.CandidateOutcome(delta, True, 6)
 
 
 def realtime_divergences(std: StandardSystem, trace: list[_engine.IterationRecord]) -> int:

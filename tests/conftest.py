@@ -192,7 +192,7 @@ def _reference_contract_loops(sys: BpaSystem, norms) -> tuple[BpaSystem, dict[st
             continue
         rules.append(Rule(lhs, r.label, rhs))
 
-    name_map = {sys.name(c.id): sys.name(rep[c.id]) for c in sys.constants}
+    name_map = {name: sys.name(rep[c]) for c, name in enumerate(sys.names)}
     return BpaSystem(names, rules), name_map
 
 
@@ -213,9 +213,9 @@ def reference_standardize(sys: BpaSystem) -> StandardSystem:
     table2 = compute_norms(contracted)
     if check_totally_normed(contracted, table2):
         raise EngineInternalError("contraction broke total normedness")
-    for c in contracted.constants:
-        if table2.values[c.id] != table.values[sys.constant_id(c.name)]:
-            raise EngineInternalError(f"contraction changed the norm of {c.name}")
+    for c, name in enumerate(contracted.names):
+        if table2.values[c] != table.values[sys.constant_id(name)]:
+            raise EngineInternalError(f"contraction changed the norm of {name}")
 
     depth = _reference_chain_depths(_silent_successors(contracted, table2))
     order = sorted(range(contracted.n), key=lambda c: (table2.values[c], depth[c], c))
@@ -250,9 +250,8 @@ def reference_standardize(sys: BpaSystem) -> StandardSystem:
         else:
             dec[r.lhs].append(r)
 
-    witness = tuple(std_sys.rules[ri] for ri in table3.witness)
     dec_t, inc_t = tuple(map(tuple, dec)), tuple(map(tuple, inc))
-    return StandardSystem(std_sys, norms, dec_t, inc_t, witness, name_map)
+    return StandardSystem(std_sys, norms, dec_t, inc_t, table3.witness, name_map)
 
 
 def reference_dcmp(base, p: tuple[int, ...]) -> tuple[int, ...]:
@@ -344,37 +343,37 @@ def _lpftest_skipping(steps: frozenset[int]):
         std, base = partial.std, partial.old
         if 1 not in steps:
             if not delta or base.dcmp((i,)) != base.dcmp(delta):
-                return engine.TestResult(False, 1)
+                return engine.CandidateOutcome(delta, False, 1)
         d_tail = delta[1:]
-        delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec_rules(delta[0])]
-        delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc_rules(delta[0])]
+        delta_dec = [(r.label, r.rhs + d_tail) for r in std.dec[delta[0]]]
+        delta_inc = [(r.label, r.rhs + d_tail) for r in std.inc[delta[0]]]
         dnew, dold = partial.dcmp, base.dcmp
         if 2 not in steps:
-            for r in std.dec_rules(i):
+            for r in std.dec[i]:
                 da = dnew(r.rhs)
                 if is_silent(r.label) and da == delta:
                     continue
                 if not any(lab == r.label and da == dnew(beta) for lab, beta in delta_dec):
-                    return engine.TestResult(False, 2)
+                    return engine.CandidateOutcome(delta, False, 2)
         if 3 not in steps:
-            for r in std.inc_rules(i):
+            for r in std.inc[i]:
                 da = dold(r.rhs)
                 if not any(lab == r.label and da == dold(beta) for lab, beta in delta_inc):
-                    return engine.TestResult(False, 3)
+                    return engine.CandidateOutcome(delta, False, 3)
         if 4 not in steps:
-            if any(is_silent(r.label) and dnew(r.rhs) == delta for r in std.dec_rules(i)):
-                return engine.TestResult(True, 4)
+            if any(is_silent(r.label) and dnew(r.rhs) == delta for r in std.dec[i]):
+                return engine.CandidateOutcome(delta, True, 4)
         if 5 not in steps:
             for lab, beta in delta_dec:
                 db = dnew(beta)
-                if not any(r.label == lab and dnew(r.rhs) == db for r in std.dec_rules(i)):
-                    return engine.TestResult(False, 5)
+                if not any(r.label == lab and dnew(r.rhs) == db for r in std.dec[i]):
+                    return engine.CandidateOutcome(delta, False, 5)
         if 6 not in steps:
             for lab, beta in delta_inc:
                 db = dold(beta)
-                if not any(r.label == lab and dold(r.rhs) == db for r in std.inc_rules(i)):
-                    return engine.TestResult(False, 6)
-        return engine.TestResult(True, 7)
+                if not any(r.label == lab and dold(r.rhs) == db for r in std.inc[i]):
+                    return engine.CandidateOutcome(delta, False, 6)
+        return engine.CandidateOutcome(delta, True, 7)
 
     return mutant
 

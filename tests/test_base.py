@@ -188,7 +188,7 @@ def test_structural_form_of_prime_rules():
         std = standardize(random_system(GenParams(constants=7, silent_prob=0.4, seed=seed)))
         base, _ = compute_bisimilarity_base(std)
         for i in sorted(base.primes):
-            for r in std.dec_rules(i):
+            for r in std.dec[i]:
                 d = base.dcmp(r.rhs)
                 assert d != (i,)
                 assert all(c < i for c in d)

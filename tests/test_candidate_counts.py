@@ -82,7 +82,7 @@ def test_pruned_mode_tests_only_in_place_targets(monkeypatch):
     test = engine.lpftest
 
     def recording(partial, i, delta):
-        targets = {partial.dcmp(r.rhs) for r in partial.std.dec_rules(i) if is_silent(r.label)}
+        targets = {partial.dcmp(r.rhs) for r in partial.std.dec[i] if is_silent(r.label)}
         in_place.append(delta in targets)
         return test(partial, i, delta)
 

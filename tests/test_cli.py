@@ -87,7 +87,7 @@ def test_check_verify_exits_three_when_the_oracle_refutes_the_verdict(ex1_file, 
     # An engine that calls every pair bisimilar is refuted on X vs Y: the
     # certificate goes to standard error, then the internal error.
     def always_bisimilar(std, p1, p2, *, base):
-        return engine.Verdict(engine.VerdictKind.BISIMILAR, base=base)
+        return engine.Verdict(engine.VerdictKind.BISIMILAR)
 
     monkeypatch.setattr(engine, "check_equivalence", always_bisimilar)
     argv = ["check", ex1_file, "--left", "X", "--right", "Y", "--verify", "--k", "8"]
@@ -485,7 +485,7 @@ def test_invalid_base_built_by_the_engine_exits_three(tmp_path, monkeypatch):
 
     def norm_changing(partial, i):
         if partial.norms[i] != partial.norms[0]:
-            return [((0,), engine.TestResult(True, 7))]
+            return [((0,), engine.CandidateOutcome((0,), True, 7))]
         return generate(partial, i)
 
     monkeypatch.setattr(engine, "candidates_for", norm_changing)
@@ -660,8 +660,15 @@ def test_closed_stdout_exits_three_without_traceback(argv, stdout):
         stderr=subprocess.PIPE,
     )
     # Close the reading end of the pipe, or this process's copy of the device.
+    # `communicate` skips the closed standard output and closes the stderr
+    # pipe; a CLI that hangs is killed after a minute, not left to the job.
     (proc.stdout or device).close()
-    err = proc.stderr.read().decode()
+    try:
+        err = proc.communicate(timeout=60)[1].decode()
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
     assert proc.wait(timeout=60) == 3, err
     assert err.startswith("error: ")
     assert "Traceback" not in err and "Exception ignored" not in err

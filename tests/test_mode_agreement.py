@@ -101,8 +101,8 @@ def test_move_table_is_exact(monkeypatch, mode):
             cached += len(filled)
             for j in filled:
                 assert p.moves(j) == (
-                    [(r.label, new.dcmp(r.rhs)) for r in std.dec_rules(j)],
-                    [(r.label, p.old.dcmp(r.rhs)) for r in std.inc_rules(j)],
+                    [(r.label, new.dcmp(r.rhs)) for r in std.dec[j]],
+                    [(r.label, p.old.dcmp(r.rhs)) for r in std.inc[j]],
                 )
     assert cached > 0
 

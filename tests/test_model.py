@@ -20,7 +20,7 @@ from tnbpa.oracle import GenParams, random_system
 
 
 def test_parse_example_system(ex1_sys):
-    assert [c.name for c in ex1_sys.constants] == ["X", "X'", "Y", "Y'"]
+    assert list(ex1_sys.names) == ["X", "X'", "Y", "Y'"]
     assert len(ex1_sys.rules) == 7
     assert {r.label for r in ex1_sys.rules} == {"a", "b", "tau"}
 

@@ -14,7 +14,8 @@ import tnbpa.normalization as nz
 from conftest import brute_force_norm, chain_text, naive_norm_values, reference_standardize
 from test_generator_sweep import SWEEP, _params
 from test_mode_agreement import WIDE_GRID
-from tnbpa.model import TAU, BpaSystem, Rule, parse_process, parse_system, serialize_system
+from test_small_system_sweep import small_systems
+from tnbpa.model import TAU, BpaSystem, Rule, is_silent, parse_process, parse_system, serialize_system
 from tnbpa.normalization import (
     NotTotallyNormedError,
     UNNORMED,
@@ -31,15 +32,15 @@ from tnbpa.oracle import GameContext, GenParams, random_system
 
 def test_norms_example_one(ex1_sys):
     table = compute_norms(ex1_sys)
-    for c in ex1_sys.constants:
-        assert table.values[c.id] == brute_force_norm(ex1_sys, c.id) == 1
+    for c in range(ex1_sys.n):
+        assert table.values[c] == brute_force_norm(ex1_sys, c) == 1
 
 
 def test_norms_sysb(sysb_sys):
     table = compute_norms(sysb_sys)
     expected = {"A": 1, "B": 1, "Y": 1, "X": 2}
-    for c in sysb_sys.constants:
-        assert table.values[c.id] == brute_force_norm(sysb_sys, c.id) == expected[c.name]
+    for c, name in enumerate(sysb_sys.names):
+        assert table.values[c] == brute_force_norm(sysb_sys, c) == expected[name]
 
 
 def test_norms_agree_with_naive_relaxation_fuzz():
@@ -88,7 +89,7 @@ def _named_rules(sys: BpaSystem) -> list[tuple[str, str, tuple[str, ...]]]:
 def test_contract_two_cycle():
     sys = parse_system("constants: X Y\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\n")
     std = standardize(sys)
-    assert [c.name for c in std.sys.constants] == ["X"]
+    assert list(std.sys.names) == ["X"]
     assert _named_rules(std.sys) == [("X", "a", ())]
     assert std.name_map == {"X": "X", "Y": "X"}
 
@@ -99,7 +100,7 @@ def test_contract_three_cycle():
         "X -a-> eps\nY -a-> eps\nZ -b-> eps\n"
     )
     std = standardize(sys)
-    assert [c.name for c in std.sys.constants] == ["X"]
+    assert list(std.sys.names) == ["X"]
     assert set(std.name_map.values()) == {"X"}
     labels = {r.label for r in std.sys.rules}
     assert labels == {"a", "b"}
@@ -114,7 +115,7 @@ def test_contract_drops_self_loop():
 def test_contract_loop_free_unchanged(ex1_sys):
     # Nothing is contracted: standardization only renumbers.
     std = standardize(ex1_sys)
-    assert sorted(c.name for c in std.sys.constants) == sorted(c.name for c in ex1_sys.constants)
+    assert sorted(std.sys.names) == sorted(ex1_sys.names)
     assert sorted(_named_rules(std.sys)) == sorted(_named_rules(ex1_sys))
     assert all(orig == rep for orig, rep in std.name_map.items())
 
@@ -130,26 +131,26 @@ def test_contraction_preserves_behaviour():
 
 
 def test_standard_order_example_one(ex1_std):
-    assert [c.name for c in ex1_std.sys.constants] == ["X'", "Y'", "X", "Y"]
+    assert list(ex1_std.sys.names) == ["X'", "Y'", "X", "Y"]
     assert ex1_std.norms == (1, 1, 1, 1)
 
 
 def test_standard_order_sysb(sysb_std):
-    assert [c.name for c in sysb_std.sys.constants] == ["B", "Y", "A", "X"]
+    assert list(sysb_std.sys.names) == ["B", "Y", "A", "X"]
     assert sysb_std.norms == (1, 1, 1, 2)
 
 
 def test_realtime_standard_order_preserved():
     text = "constants: P Q R\nP -a-> eps\nQ -a-> P\nR -b-> Q P\n"
     std = standardize(parse_system(text))
-    assert [c.name for c in std.sys.constants] == ["P", "Q", "R"]
+    assert list(std.sys.names) == ["P", "Q", "R"]
 
 
 def test_standardize_idempotent(ex1_sys, sysb_sys):
     for sys in (ex1_sys, sysb_sys):
         std = standardize(sys)
         again = standardize(parse_system(serialize_system(std.sys)))
-        assert [c.name for c in again.sys.constants] == [c.name for c in std.sys.constants]
+        assert list(again.sys.names) == list(std.sys.names)
         assert again.norms == std.norms
 
 
@@ -158,7 +159,7 @@ def test_decreasing_rules_stay_below_their_index():
     for seed in range(30):
         std = standardize(random_system(GenParams(constants=7, silent_prob=0.4, seed=seed)))
         for i in range(std.n):
-            assert all(c < i for r in std.dec_rules(i) for c in r.rhs)
+            assert all(c < i for r in std.dec[i] for c in r.rhs)
 
 
 def test_norm_additivity():
@@ -224,8 +225,36 @@ def test_norm_witness_rules_are_decreasing():
     for seed in range(10):
         std = standardize(random_system(GenParams(constants=6, silent_prob=0.4, seed=seed)))
         for i in range(std.n):
-            assert std.witness[i] in std.dec_rules(i)
+            assert std.witness[i] in std.dec[i]
             assert std.witness[i].lhs == i
+
+
+def test_norm_witnesses_descend_to_eps_in_norm_many_visible_steps():
+    # The descent `GameContext._refute` takes on systems never standardized:
+    # each witness is a rule of its constant whose value is the norm, and
+    # rewriting the head by its witness from c reaches eps after exactly
+    # norm(c) visible steps.  The step limit turns a witness cycle into a
+    # failure instead of a hang.
+    normed = 0
+    for sys in [*small_systems(), *(random_system(_params(entry)) for entry in SWEEP)]:
+        table = compute_norms(sys)
+        for c, norm in enumerate(table.values):
+            w = table.witness[c]
+            if norm == UNNORMED:
+                assert w is None
+                continue
+            normed += 1
+            assert w in sys.rules_of(c)
+            assert (0 if is_silent(w.label) else 1) + sum(table.values[d] for d in w.rhs) == norm
+            stack, visible, steps = [c], 0, 0
+            while stack:
+                r = table.witness[stack.pop()]
+                visible += not is_silent(r.label)
+                stack.extend(reversed(r.rhs))
+                steps += 1
+                assert steps <= 2 * (sys.n + 1) * (norm + 1), (serialize_system(sys), c)
+            assert visible == norm, (serialize_system(sys), c)
+    assert normed > 10_000
 
 
 def _standard_form_inputs():
@@ -355,16 +384,16 @@ def test_standard_form_matches_the_two_pass_reference(sys):
     assert std.sys == ref.sys
     assert (std.norms, std.witness) == (ref.norms, ref.witness)
     for i in range(std.n):
-        assert (std.dec_rules(i), std.inc_rules(i)) == (ref.dec_rules(i), ref.inc_rules(i))
+        assert (std.dec[i], std.inc[i]) == (ref.dec[i], ref.inc[i])
     assert std.name_map == ref.name_map
 
     assert all(std.norms[i - 1] <= std.norms[i] for i in range(1, std.n))
     for i in range(std.n):
-        assert all(c < i for r in std.dec_rules(i) for c in r.rhs)
+        assert all(c < i for r in std.dec[i] for c in r.rhs)
     original = compute_norms(sys).values
-    assert std.name_map.keys() == {c.name for c in sys.constants}
-    for c in sys.constants:
-        assert std.norms[std.sys.constant_id(std.name_map[c.name])] == original[c.id]
+    assert std.name_map.keys() == set(sys.names)
+    for c, name in enumerate(sys.names):
+        assert std.norms[std.sys.constant_id(std.name_map[name])] == original[c]
 
 
 def test_standardize_runs_tarjan_once_and_builds_one_system(monkeypatch):
@@ -391,7 +420,7 @@ def test_standardize_runs_tarjan_once_and_builds_one_system(monkeypatch):
     monkeypatch.setattr(nz, "compute_norms", counted("norms", nz.compute_norms))
     monkeypatch.setattr(nz, "BpaSystem", CountedSystem)
     std = standardize(sys)
-    assert [c.name for c in std.sys.constants] == ["X", "Z"]
+    assert list(std.sys.names) == ["X", "Z"]
     assert calls == {"components": 1, "norms": 1, "systems": 1}
 
 
@@ -406,11 +435,11 @@ def test_standardize_long_silent_chain():
     rules = [Rule(ids["C0"], "a", ())]
     rules += [Rule(ids[f"C{i}"], TAU, (ids[f"C{i - 1}"],)) for i in range(1, LONG)]
     std = standardize(BpaSystem(names, rules))
-    assert [c.name for c in std.sys.constants] == [f"C{i}" for i in range(LONG)]
+    assert list(std.sys.names) == [f"C{i}" for i in range(LONG)]
     # Closed into one silent cycle, the chain contracts onto the constant
     # declared first.
     cycle = standardize(BpaSystem(names, rules + [Rule(ids["C0"], TAU, (ids[f"C{LONG - 1}"],))]))
-    assert [c.name for c in cycle.sys.constants] == [f"C{LONG - 1}"]
+    assert list(cycle.sys.names) == [f"C{LONG - 1}"]
     assert set(cycle.name_map.values()) == {f"C{LONG - 1}"}
 
 
@@ -418,7 +447,7 @@ def test_standardize_long_silent_cycle():
     names = [f"C{i}" for i in range(LONG)]
     rules = [Rule(0, "a", ())] + [Rule(i, TAU, ((i + 1) % LONG,)) for i in range(LONG)]
     std = standardize(BpaSystem(names, rules))
-    assert [c.name for c in std.sys.constants] == ["C0"]
+    assert list(std.sys.names) == ["C0"]
     assert set(std.name_map.values()) == {"C0"}
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tnbpa.base import initial_base
 from tnbpa import engine
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base
-from tnbpa.model import TAU, parse_system, serialize_system
+from tnbpa.model import TAU, is_silent, parse_system, serialize_system
 from tnbpa import oracle
 from tnbpa.normalization import check_totally_normed, compute_norms, standardize, view
 from tnbpa.oracle import (
@@ -292,14 +292,18 @@ def test_replay_computes_one_closure_per_defender(monkeypatch):
     assert sorted(calls) == sorted(defenders)
 
 
+def _silent_steps(std, p):
+    return [r.rhs + p[1:] for r in std.dec[p[0]] if is_silent(r.label)]
+
+
 def _two_step_silent_walks(std, max_walks=60):
     tails = [()] + [(t,) for t in range(min(2, std.n))]
     walks = []
     for c in range(std.n):
         for tail in tails:
             start = (c,) + tail
-            for mid in std.silent_dec_transitions(start):
-                for end in std.silent_dec_transitions(mid):
+            for mid in _silent_steps(std, start):
+                for end in _silent_steps(std, mid):
                     walks.append((start, mid, end))
                     if len(walks) >= max_walks:
                         return walks
@@ -418,9 +422,6 @@ def test_random_system_is_totally_normed_and_deterministic():
 
 
 def test_random_system_honours_knobs():
-    from tnbpa.model import is_silent
-    from tnbpa.normalization import compute_norms
-
     realtime = random_system(GenParams(constants=6, silent_prob=0.0, seed=5))
     assert not any(is_silent(r.label) for r in realtime.rules)
 
@@ -494,8 +495,8 @@ def test_an_uncontracted_silent_loop_keeps_a_well_founded_norm_descent():
     # norm fixpoint's witnesses, which reach eps.
     system = parse_system((Path(__file__).resolve().parents[1] / "systems" / "silent-cycle.bpa").read_text())
     v = view(system)
-    assert [v.dec_rules(c)[0].label for c in range(v.n)] == [TAU, TAU]
-    assert v.witness == tuple(system.rules[ri] for ri in compute_norms(system).witness)
+    assert [v.dec[c][0].label for c in range(v.n)] == [TAU, TAU]
+    assert v.witness == compute_norms(system).witness
     d = GameContext(v).find_distinction((system.constant_id("A"),), (), 8)
     assert d is not None
     replay_distinction(v, d)
