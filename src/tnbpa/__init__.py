@@ -34,6 +34,7 @@ _ORACLE_NAMES = frozenset({
     "differential_run",
     "random_system",
     "replay_distinction",
+    "summarize",
     "verify_base_generators",
 })
 
@@ -69,6 +70,7 @@ __all__ = [
     "replay_distinction",
     "serialize_system",
     "standardize",
+    "summarize",
     "verify_base_generators",
     "view",
 ]

@@ -24,13 +24,14 @@ from tnbpa.engine import (
 from tnbpa.model import parse_system
 from tnbpa.normalization import standardize
 from tnbpa.oracle import (
-    DifferentialReport,
     GameContext,
     GenParams,
+    TrialReport,
     differential_trial,
     random_system,
     realtime_divergences,
     replay_distinction,
+    summarize,
 )
 
 K_MAX = 16
@@ -61,12 +62,11 @@ def corpus_params(count: int = 105) -> list[GenParams]:
 
 
 @pytest.fixture(scope="module")
-def corpus_report() -> DifferentialReport:
-    trials = [
+def corpus_trials() -> list[TrialReport]:
+    return [
         differential_trial(p, K_MAX, pairs_per_trial=20, confirm_k=CONFIRM_K)
         for p in corpus_params()
     ]
-    return DifferentialReport(trials, K_MAX)
 
 
 def test_criterion_1_example_one_verdicts(ex1_std):
@@ -107,40 +107,42 @@ def test_criterion_3_initial_congruence_is_norm_equality():
     report(3, f"initial congruence equals norm equality on {pairs} random pairs")
 
 
-def test_criterion_4_iteration_bound(corpus_report):
-    for trial in corpus_report.trials:
+def test_criterion_4_iteration_bound(corpus_trials):
+    for trial in corpus_trials:
         assert trial.engine_error is None
         assert 1 <= trial.iterations <= trial.constants
-    report(4, f"all {len(corpus_report.trials)} runs converged within n passes")
+    report(4, f"all {len(corpus_trials)} runs converged within n passes")
 
 
-def test_criterion_5_pruning_validation(corpus_report):
-    assert len(corpus_report.trials) >= 100
-    assert all(t.constants <= 8 for t in corpus_report.trials)
-    agreements = [t.mode_agree for t in corpus_report.trials]
+def test_criterion_5_pruning_validation(corpus_trials):
+    assert len(corpus_trials) >= 100
+    assert all(t.constants <= 8 for t in corpus_trials)
+    agreements = [t.mode_agree for t in corpus_trials]
     assert all(a is True for a in agreements)
     report(5, f"pruned and exhaustive bases agree on all {len(agreements)} systems")
 
 
-def test_criterion_6_differential_soundness(corpus_report):
-    assert corpus_report.pairs_checked >= 100 * 20
-    assert corpus_report.refutations == 0
-    flagged = corpus_report.flagged
-    rate = corpus_report.flag_rate
+def test_criterion_6_differential_soundness(corpus_trials):
+    summary = summarize(corpus_trials, K_MAX)
+    assert summary["pairs_checked"] >= 100 * 20
+    assert summary["refutations"] == 0
+    flagged = [p for t in corpus_trials for p in t.flagged]
+    assert len(flagged) == summary["flagged"]
+    rate = summary["flag_rate"]
     assert rate < 0.05
     for pair in flagged:
         assert pair.confirmed_at is not None and pair.confirmed_at <= CONFIRM_K
     # The node budget is shared by a trial's certificates: in trial 63 one
     # extraction fills it, and that certificate and the 8 after it are
     # skipped.  A change to which certificates get built shows here.
-    certificates = [(t.seed, p) for t in corpus_report.trials for p in t.pairs if p.certificate]
+    certificates = [(t.seed, p) for t in corpus_trials for p in t.pairs if p.certificate]
     skipped = [(seed, p) for seed, p in certificates if p.certificate == "skipped"]
     assert (len(certificates) - len(skipped), len(skipped)) == (1_191, 9)
-    assert {seed for seed, _ in skipped} == {corpus_report.trials[63].seed}
+    assert {seed for seed, _ in skipped} == {corpus_trials[63].seed}
     assert (skipped[0][1].left, skipped[0][1].right) == ((1, 4, 3), (3, 3, 2))
     report(
         6,
-        f"{corpus_report.pairs_checked} pairs, 0 refutations, "
+        f"{summary['pairs_checked']} pairs, 0 refutations, "
         f"flag rate {rate:.3%} ({len(flagged)} flagged, all confirmed at k<={CONFIRM_K})",
     )
 
@@ -154,11 +156,11 @@ def test_flagged_pairs_are_confirmed_at_the_higher_bound():
     assert flagged == [("none-found", True, "replayed")] * 2
 
 
-def test_criterion_7_generator_verification(corpus_report):
-    failures = sum(t.generator_failures for t in corpus_report.trials)
+def test_criterion_7_generator_verification(corpus_trials):
+    failures = sum(t.generator_failures for t in corpus_trials)
     assert failures == 0
-    assert all(t.generator_ok for t in corpus_report.trials)
-    report(7, f"generator checks clean on all {len(corpus_report.trials)} final bases")
+    assert all(t.generator_ok for t in corpus_trials)
+    report(7, f"generator checks clean on all {len(corpus_trials)} final bases")
 
 
 def test_criterion_8_realtime_degeneration(monkeypatch):

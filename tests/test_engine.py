@@ -30,11 +30,13 @@ from tnbpa.engine import (
 from tnbpa.model import is_silent, parse_system
 from tnbpa.normalization import standardize
 from tnbpa.oracle import (
+    NORM_BUDGET,
     GameContext,
     GenParams,
     lpftest_realtime,
     random_system,
     realtime_divergences,
+    replay_distinction,
     verify_base_generators,
 )
 from tnbpa.strings import NormedString
@@ -352,8 +354,8 @@ def test_skipping_step_five_accepts_asymmetric_candidate(skip_lpftest_steps):
     bad, _ = compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)
     q = std.sys.constant_id("Q")
     assert q in bad.equations
-    report = verify_base_generators(std, bad, k_max=4, sample_budget=0)
-    assert not report.ok
+    attacked = verify_base_generators(GameContext(std, norm_budget=NORM_BUDGET), bad, 4, 0)
+    assert any(d is not None for _, _, d in attacked)
 
 
 def test_mutated_engine_is_caught_by_the_oracle(sysb_std, skip_lpftest_steps):
@@ -364,9 +366,13 @@ def test_mutated_engine_is_caught_by_the_oracle(sysb_std, skip_lpftest_steps):
     skip_lpftest_steps(3)
     bad, _ = compute_bisimilarity_base(sysb_std, CandidateMode.EXHAUSTIVE)
     assert good != bad
-    report = verify_base_generators(sysb_std, bad, k_max=8, sample_budget=5)
-    assert not report.ok
-    assert any(c.kind == "equation" and c.distinction is not None for c in report.failures)
+    attacked = verify_base_generators(GameContext(sysb_std, norm_budget=NORM_BUDGET), bad, 8, 5)
+    assert any(d is not None for _, _, d in attacked)
+    # The equations are attacked first.
+    assert any(d is not None for _, _, d in attacked[: len(bad.equations)])
+    for _, _, d in attacked:
+        if d is not None:
+            replay_distinction(sysb_std, d)
 
 
 def test_trace_records_candidate_steps(ex1_std):

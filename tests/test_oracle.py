@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from tnbpa.base import initial_base
 from tnbpa import engine
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base
-from tnbpa.model import TAU, is_silent, parse_system, serialize_system
+from tnbpa.model import TAU, format_process, is_silent, parse_system, serialize_system
 from tnbpa import oracle
 from tnbpa.normalization import check_totally_normed, compute_norms, standardize, view
 from tnbpa.oracle import (
     ClosureGuardExceeded,
     DefenderReply,
-    DifferentialReport,
     Distinction,
     GameContext,
     GenParams,
@@ -34,6 +33,7 @@ from tnbpa.oracle import (
     replay_distinction,
     sample_dcmp_equal_pair,
     silent_closure_dec,
+    summarize,
     verify_base_generators,
 )
 
@@ -362,13 +362,25 @@ def test_refute_raises_when_the_attacked_move_is_answered(ex1_std, monkeypatch):
         GameContext(ex1_std)._refute(x, x, 1, n, n)
 
 
+def _generator_check(std, base, k_max, samples):
+    return verify_base_generators(GameContext(std, norm_budget=NORM_BUDGET), base, k_max, samples)
+
+
+def _refuted(std, attacked):
+    """The attacked pairs that carry a certificate, by name."""
+    return [(format_process(std.sys, p), format_process(std.sys, q)) for p, q, d in attacked if d is not None]
+
+
 def test_verify_base_generators_clean(ex1_std, sysb_std):
     for std in (ex1_std, sysb_std):
         base, _ = compute_bisimilarity_base(std)
-        report = verify_base_generators(std, base, k_max=16, sample_budget=25)
-        assert report.ok
-        kinds = {c.kind for c in report.checks}
-        assert kinds == {"equation", "sample"}
+        attacked = _generator_check(std, base, 16, 25)
+        assert _refuted(std, attacked) == []
+        # The equations first, in constant order, then the 25 samples.
+        equations = [((i,), base.equations[i].ids) for i in sorted(base.equations)]
+        assert equations
+        assert [(p, q) for p, q, _ in attacked[: len(equations)]] == equations
+        assert len(attacked) == len(equations) + 25
 
 
 def test_verify_base_generators_catches_corruption(ex1_std):
@@ -380,18 +392,17 @@ def test_verify_base_generators_catches_corruption(ex1_std):
         {1: (0,), 3: (2,)},
         ex1_std.norms,
     )
-    report = verify_base_generators(ex1_std, corrupted, k_max=8, sample_budget=0)
-    bad = [c for c in report.failures if c.kind == "equation"]
-    assert [c.subject for c in bad] == ["Y = X"]
-    assert bad[0].distinction is not None
-    replay_distinction(ex1_std, bad[0].distinction)
+    attacked = _generator_check(ex1_std, corrupted, 8, 0)
+    assert _refuted(ex1_std, attacked) == [("Y", "X")]
+    replay_distinction(ex1_std, next(d for _, _, d in attacked if d is not None))
 
 
 def test_verify_initial_base_fails(ex1_std):
-    report = verify_base_generators(ex1_std, initial_base(ex1_std), k_max=8, sample_budget=0)
-    assert not report.ok
-    failing = {c.subject for c in report.failures}
-    assert "X = X'" in failing
+    attacked = _generator_check(ex1_std, initial_base(ex1_std), 8, 0)
+    assert ("X", "X'") in _refuted(ex1_std, attacked)
+    for _, _, d in attacked:
+        if d is not None:
+            replay_distinction(ex1_std, d)
 
 
 def test_sample_dcmp_equal_pairs_are_dcmp_equal(sysb_std):
@@ -435,19 +446,19 @@ def test_random_system_honours_knobs():
 
 
 def test_differential_run_smoke():
-    report = differential_run(GenParams(constants=6, seed=500), trials=5, k_max=12, pairs_per_trial=10)
-    assert report.ok
-    assert report.pairs_checked == 50
-    assert all(t.mode_agree for t in report.trials)
-    payload = report.to_json()
-    assert payload["refutations"] == 0
+    trials = differential_run(GenParams(constants=6, seed=500), trials=5, k_max=12, pairs_per_trial=10)
+    summary = summarize(trials, 12)
+    assert summary["ok"]
+    assert summary["pairs_checked"] == 50
+    assert all(t.mode_agree for t in trials)
+    assert summary["refutations"] == 0
 
 
 def test_differential_run_parallel_matches_serial():
     params = GenParams(constants=5, seed=700)
     serial = differential_run(params, trials=2, k_max=8, pairs_per_trial=5, jobs=1)
     parallel = differential_run(params, trials=2, k_max=8, pairs_per_trial=5, jobs=2)
-    assert [t.to_json() for t in serial.trials] == [t.to_json() for t in parallel.trials]
+    assert [t.to_json() for t in serial] == [t.to_json() for t in parallel]
 
 
 def test_differential_run_starts_at_most_one_worker_per_trial(monkeypatch):
@@ -473,7 +484,7 @@ def test_differential_run_starts_at_most_one_worker_per_trial(monkeypatch):
     pooled = differential_run(params, trials=2, k_max=8, pairs_per_trial=5, jobs=5000)
     serial = differential_run(params, trials=2, k_max=8, pairs_per_trial=5, jobs=1)
     assert requested == [2]
-    assert [t.to_json() for t in pooled.trials] == [t.to_json() for t in serial.trials]
+    assert [t.to_json() for t in pooled] == [t.to_json() for t in serial]
 
 
 def test_a_worker_pool_that_cannot_start_is_a_resource_guard(monkeypatch):
@@ -503,28 +514,28 @@ def test_an_uncontracted_silent_loop_keeps_a_well_founded_norm_descent():
 
 
 def test_mode_mismatch_fails_the_report():
-    # `fuzz` exits on `ok`, so its summary line must carry the same verdict.
+    # A mode mismatch alone fails the summary, and `fuzz` exits 1 on it.
     trial = TrialReport(
         seed=0, constants=1, rules=1, realtime=True, iterations=1, primes=1,
         mode_agree=False, generator_ok=True, generator_failures=0, realtime_divergences=0,
     )
-    report = DifferentialReport([trial], k_max=8)
-    assert not report.ok
-    assert report.to_json()["ok"] is False
-    assert report.to_json()["mode_mismatches"] == 1
+    summary = summarize([trial], 8)
+    assert summary["ok"] is False
+    assert summary["mode_mismatches"] == 1
 
 
 def test_differential_catches_mutated_engine(skip_lpftest_steps):
     # Dropping the increasing-transition step must surface somewhere across a
     # small batch: either a generator failure or an oracle refutation.
     skip_lpftest_steps(3)
-    report = differential_run(
+    trials = differential_run(
         GenParams(constants=6, silent_prob=0.5, seed=900),
         trials=10,
         k_max=12,
         pairs_per_trial=10,
     )
-    assert (not report.ok) or report.refutations > 0
+    summary = summarize(trials, 12)
+    assert (not summary["ok"]) or summary["refutations"] > 0
 
 
 def test_trial_records_an_oracle_guard(monkeypatch):

@@ -1,12 +1,16 @@
 """Byte-level pins of the game oracle's machine output.
 
-Each case runs ``tnbpa oracle FILE LEFT RIGHT --json`` or ``tnbpa fuzz`` and
-compares the exit code and the sha256 of standard output with recorded
-digests.  The strategy JSON lists every node and defender reply in extraction
-order, with shared subgames numbered once, so a change to which move the
-attacker picks, which continuation it takes, the order of the replies or the
-node numbering fails here.  The fuzz lines summarise level searches, generator
-checks and certificate replays over 20 random systems each.
+Each case runs ``tnbpa oracle FILE LEFT RIGHT --json``, ``tnbpa check ...
+--verify`` or ``tnbpa fuzz`` and compares the exit code and the sha256 of
+standard output with recorded digests.  The strategy JSON lists every node
+and defender reply in extraction order, with shared subgames numbered once,
+so a change to which move the attacker picks, which continuation it takes,
+the order of the replies or the node numbering fails here.  The fuzz lines summarise level searches, generator
+checks and certificate replays over 20 random systems each; one more fuzz
+case starves the level memo, so its trials report guards and its summary
+fails.  The check cases pin the generator check's report, in text and JSON,
+for a refuted pair, a pair with no distinction found, a bisimilar pair and a
+pair against the empty process.
 
 The oracle cases cover norm-equal pairs refuted through a silent move, by
 the defender or by the attacker, norm-unequal pairs (the norm descent, on the
@@ -23,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from conftest import chain_text
+from tnbpa import oracle
 from tnbpa.cli import main
 
 SYSTEMS_DIR = Path(__file__).resolve().parents[1] / "systems"
@@ -46,6 +51,19 @@ ORACLE_CASES = {
     # no distinction up to the bound
     ("ex1.bpa", "X'", "Y'"): (0, "75785c02e13aad2576c0a08c85c816f4da21b138918b4f02cc932a75b4fc3485"),
     ("sys-b.bpa", "A", "B"): (0, "75785c02e13aad2576c0a08c85c816f4da21b138918b4f02cc932a75b4fc3485"),
+}
+
+# (system, left, right, output flags) -> (exit code, sha256 of
+# `check --verify --k 8` stdout)
+CHECK_VERIFY_CASES = {
+    ("ex1.bpa", "X", "Y", ()): (1, "a7d5d4f55f864b6531682751452fede6c1208d37ad0a78d5a5412bd08dd64c93"),
+    ("ex1.bpa", "X", "Y", ("--json",)): (1, "c593407d2eba609343f073b547d9893fc4b67845b4ead4f3cbc64926f8cc76e8"),
+    ("ex1.bpa", "X'", "Y'", ()): (0, "01e263c1fd871fe4939201f37ea4c2ed14e943b6e1805b138b6a907d3a173215"),
+    ("ex1.bpa", "X'", "Y'", ("--json",)): (0, "b7ca8784f9a4177dcdc731063506e747240b150ecd33892ab9815d7ff0edd83f"),
+    ("sys-b.bpa", "A", "B", ()): (0, "03052a0176ab82a90f0d17b1c3fe78200cd7102c3036afd60dcce3d6bae86076"),
+    ("sys-b.bpa", "A", "B", ("--json",)): (0, "9ddf4ca898a7d85fe4e2ffe4533ba62b496e0c31ef771b1d291be526df4bfef2"),
+    ("silent-cycle.bpa", "A", "eps", ()): (1, "cc5c7c62585c56b812a6a76bcc32e58f74be23f3a3d6ee9fd046ce8a7d7db1d4"),
+    ("silent-cycle.bpa", "A", "eps", ("--json",)): (1, "70b9bc15692d61754f5688339e835635fb9985afbb6575adc57e9c1207b94995"),
 }
 
 # fuzz arguments -> (exit code, sha256 of stdout)
@@ -76,3 +94,22 @@ def test_oracle_json_is_unchanged(case, tmp_path):
 @pytest.mark.parametrize("args", list(FUZZ_CASES), ids=" ".join)
 def test_fuzz_output_is_unchanged(args):
     assert _run(["fuzz", *args]) == FUZZ_CASES[args]
+
+
+@pytest.mark.parametrize("case", list(CHECK_VERIFY_CASES), ids=lambda c: " ".join((*c[:3], *c[3])))
+def test_check_verify_output_is_unchanged(case):
+    system, left, right, flags = case
+    argv = ["check", str(SYSTEMS_DIR / system), "--left", left, "--right", right, "--verify", "--k", "8", *flags]
+    assert _run(argv) == CHECK_VERIFY_CASES[case]
+
+
+def test_failing_fuzz_summary_is_unchanged(monkeypatch):
+    # With no room in the level memo, every game that needs the memo trips
+    # its guard, in the generator checks and in the pair loops: 11
+    # not-bisimilar pairs are flagged, 24 guards are recorded and the summary
+    # reads "ok": false, so fuzz exits 1.
+    monkeypatch.setattr(oracle, "MEMO_LIMIT", 0)
+    assert _run(["fuzz", "--trials", "6", "--pairs", "8"]) == (
+        1,
+        "5244e196b340611b6fde493a530e2601541bcca806bd79e84ee2026035ba288f",
+    )
