@@ -16,7 +16,6 @@ from .engine import (
 from .model import BpaSystem, ParseError, parse_process, parse_system, serialize_system
 from .normalization import (
     NotTotallyNormedError,
-    StandardSystem,
     SystemView,
     compute_norms,
     standardize,
@@ -55,7 +54,6 @@ __all__ = [
     "NormedString",
     "NotTotallyNormedError",
     "ParseError",
-    "StandardSystem",
     "SystemView",
     "Verdict",
     "VerdictKind",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .model import Process, format_process
-from .normalization import EngineInternalError, StandardSystem
+from .normalization import EngineInternalError, SystemView
 from .strings import LONG, NormedString, head, ids_in, power, substitute
 
 
@@ -110,13 +110,13 @@ class DecompositionBase:
         return head(self._factors[cid])
 
 
-def initial_base(std: StandardSystem) -> DecompositionBase:
+def initial_base(std: SystemView) -> DecompositionBase:
     """The norm-equality congruence: X_i = X_1 ** norm(X_i) for every i > 0."""
     equations = {i: power(0, std.norms[i]) for i in range(1, std.n)}
     return DecompositionBase(std.n, [0] if std.n else [], equations, std.norms)
 
 
-def render_base(std: StandardSystem, base: DecompositionBase) -> str:
+def render_base(std: SystemView, base: DecompositionBase) -> str:
     """One line per constant in index order: 'prime X' or 'X = Y Z Z'."""
     lines = []
     for i in range(std.n):
@@ -128,7 +128,7 @@ def render_base(std: StandardSystem, base: DecompositionBase) -> str:
     return "\n".join(lines)
 
 
-def base_to_json(std: StandardSystem, base: DecompositionBase) -> dict:
+def base_to_json(std: SystemView, base: DecompositionBase) -> dict:
     return {
         "primes": [std.sys.name(i) for i in sorted(base.primes)],
         "equations": {

@@ -25,7 +25,6 @@ from .model import (
     BpaSystem,
     ParseError,
     format_process,
-    parse_process,
     parse_system,
     serialize_system,
 )
@@ -192,13 +191,11 @@ def cmd_standardize(args) -> int:
     std = standardize(sys)
     out = serialize_system(std.sys)
     out += "# standard order (index, constant, norm, merged originals):\n"
-    merged: dict[str, list[str]] = {}
-    for orig, rep in std.name_map.items():
-        merged.setdefault(rep, []).append(orig)
-    for i in range(std.n):
-        name = std.sys.name(i)
-        originals = " ".join(sorted(merged.get(name, [name])))
-        out += f"#   {i + 1}. {name} norm={std.norms[i]} <- {originals}\n"
+    merged: list[list[str]] = [[] for _ in range(std.n)]
+    for orig, i in std.ids.items():
+        merged[i].append(orig)
+    for i, (name, norm) in enumerate(zip(std.sys.names, std.norms)):
+        out += f"#   {i + 1}. {name} norm={norm} <- {' '.join(sorted(merged[i]))}\n"
     print(out, end="")
     return EXIT_OK
 
@@ -229,8 +226,8 @@ def cmd_oracle(args) -> int:
 
     sys = _load_system(args.file)
     sem = view(sys)
-    left = parse_process(args.left, sys)
-    right = parse_process(args.right, sys)
+    left = sem.parse_process(args.left)
+    right = sem.parse_process(args.right)
     distinction = oracle.GameContext(sem).find_distinction(left, right, args.k)
     if distinction is None:
         if args.json:

@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple
 
 from .base import DecompositionBase, InvalidBaseError, initial_base
 from .model import TAU, Process, Rule, _cyclic_gc_paused, is_silent
-from .normalization import EngineInternalError, StandardSystem
+from .normalization import EngineInternalError, SystemView
 from .strings import drop, expand, head, join, order_key, suffix_of_norm, width
 from .strings import strip as _strip
 
@@ -73,7 +73,7 @@ class Verdict:
         self.kind = kind
 
 
-def select_decreasing_rules(std: StandardSystem) -> tuple[Rule, ...]:
+def select_decreasing_rules(std: SystemView) -> tuple[Rule, ...]:
     """Fix one decreasing rule per constant (silent is allowed).
 
     Deterministic tie-break: visible before silent, then action name, then the
@@ -108,7 +108,7 @@ class _PartialBase(DecompositionBase):
 
     def __init__(
         self,
-        std: StandardSystem,
+        std: SystemView,
         old: DecompositionBase,
         fixed: tuple[Rule, ...],
         mode: CandidateMode = CandidateMode.PRUNED,
@@ -309,7 +309,7 @@ class IterationRecord(NamedTuple):
 
 
 def refine(
-    std: StandardSystem,
+    std: SystemView,
     base: DecompositionBase,
     fixed: tuple[Rule, ...],
     mode: CandidateMode = CandidateMode.PRUNED,
@@ -353,7 +353,7 @@ def refine(
 
 
 def _base_after(
-    std: StandardSystem, old: DecompositionBase, record: IterationRecord
+    std: SystemView, old: DecompositionBase, record: IterationRecord
 ) -> DecompositionBase:
     """The base a pass built from `old`; an invalid one is an engine bug, not bad input."""
     primes = old.primes.union(c.constant for c in record.constants if c.equation is None)
@@ -365,7 +365,7 @@ def _base_after(
 
 
 def compute_bisimilarity_base(
-    std: StandardSystem,
+    std: SystemView,
     mode: CandidateMode = CandidateMode.PRUNED,
 ) -> tuple[DecompositionBase, list[IterationRecord]]:
     """Iterate refinement from the norm-equality base until the primes freeze.
@@ -395,14 +395,14 @@ def compute_bisimilarity_base(
         raise EngineInternalError(f"no fixpoint within {std.n} refinement passes")
 
 
-def pass_bases(std: StandardSystem, trace: list[IterationRecord]) -> list[DecompositionBase]:
+def pass_bases(std: SystemView, trace: list[IterationRecord]) -> list[DecompositionBase]:
     """The bases a run went through: the initial base, then one per pass."""
     fold = accumulate(trace, lambda old, rec: _base_after(std, old, rec), initial=initial_base(std))
     return list(fold)
 
 
 def check_equivalence(
-    std: StandardSystem,
+    std: SystemView,
     p1: Process,
     p2: Process,
     *,
@@ -417,7 +417,7 @@ def check_equivalence(
     return Verdict(_KINDS[base.equivalent(p1, p2)])
 
 
-def trace_to_json(std: StandardSystem, trace: list[IterationRecord]) -> list[dict]:
+def trace_to_json(std: SystemView, trace: list[IterationRecord]) -> list[dict]:
     """The trace as JSON; each pass's number and prime lists are derived."""
     name = std.sys.name
 

@@ -82,9 +82,9 @@ class BpaSystem:
     """An immutable BPA system: constant names and rule list.
 
     A constant is its id, its index in `names`: ids are dense and follow
-    declaration order.  Duplicate rules are collapsed at construction (the
-    rule collection is a set conceptually); the surviving rule order is
-    first-occurrence order.
+    declaration order, and ``ids`` maps each name to its id.  Duplicate rules
+    are collapsed at construction (the rule collection is a set
+    conceptually); the surviving rule order is first-occurrence order.
     """
 
     def __init__(self, names: Sequence[str], rules: Iterable[Rule]):
@@ -108,7 +108,7 @@ class BpaSystem:
 
         self.names: tuple[str, ...] = names
         self.rules: tuple[Rule, ...] = kept
-        self._by_name = by_name
+        self.ids = by_name
         rules_of: list[list[Rule]] = [[] for _ in names]
         for r in self.rules:
             rules_of[r.lhs].append(r)
@@ -117,12 +117,6 @@ class BpaSystem:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def constant_id(self, name: str) -> int:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"unknown constant {name!r}") from None
 
     def name(self, cid: int) -> str:
         return self.names[cid]
@@ -217,7 +211,7 @@ def serialize_system(sys: BpaSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_process_text(text: str, ids: Mapping[str, int]) -> Process:
+def parse_process(text: str, ids: Mapping[str, int]) -> Process:
     """Parse 'eps' or whitespace-separated names, each looked up in `ids`."""
     toks = text.split()
     if not toks:
@@ -232,11 +226,6 @@ def parse_process_text(text: str, ids: Mapping[str, int]) -> Process:
             raise ParseError(f"unknown constant {tok!r}")
         out.append(ids[tok])
     return tuple(out)
-
-
-def parse_process(text: str, sys: BpaSystem) -> Process:
-    """Parse 'eps' or whitespace-separated constant names against `sys`."""
-    return parse_process_text(text, sys._by_name)
 
 
 def format_process(sys: BpaSystem, p: Process) -> str:

@@ -23,7 +23,7 @@ from .model import (
     Rule,
     _cyclic_gc_paused,
     is_silent,
-    parse_process_text,
+    parse_process,
     transitions_of,
 )
 
@@ -249,10 +249,11 @@ class SystemView:
     """A totally normed system with its norms, rule classes and norm witnesses.
 
     This is the surface both the refinement engine and the game oracle work
-    against.  It does not require the standard ordering, so the oracle can run
-    on systems that were never contracted or renumbered.  Each table is read
-    directly: ``dec[c]`` and ``inc[c]`` are c's decreasing and increasing
-    rules from `classify_rules`, and ``witness[c]`` is c's norm witness rule.
+    against.  `view` builds it on a system as given, for the oracle;
+    `standardize` builds it on the standard form, for the engine.  Each table
+    is read directly: ``dec[c]`` and ``inc[c]`` are c's decreasing and
+    increasing rules from `classify_rules`, ``witness[c]`` is c's norm witness
+    rule, and ``ids`` maps each name a user may write to a constant of `sys`.
     """
 
     def __init__(
@@ -262,12 +263,14 @@ class SystemView:
         dec: RuleTable,
         inc: RuleTable,
         witness: tuple[Rule, ...],
+        ids: dict[str, int],
     ):
         self.sys = sys
         self.norms = norms
         self.dec = dec
         self.inc = inc
         self.witness = witness
+        self.ids = ids
 
     @property
     def n(self) -> int:
@@ -285,6 +288,10 @@ class SystemView:
 
     def transitions(self, p: Process) -> list[tuple[str, Process]]:
         return transitions_of(self.sys, p)
+
+    def parse_process(self, text: str) -> Process:
+        """Parse 'eps' or whitespace-separated names, each looked up in ``ids``."""
+        return parse_process(text, self.ids)
 
     @cached_property
     def rhs_norms_by_label(self) -> tuple[dict[str, tuple[tuple[Process, int], ...]], ...]:
@@ -317,42 +324,13 @@ def _checked_norms(sys: BpaSystem) -> NormTable:
 
 
 def view(sys: BpaSystem) -> SystemView:
-    """Build a SystemView; raises NotTotallyNormedError outside the fragment."""
+    """The system as given, with its own names; raises NotTotallyNormedError
+    outside the fragment."""
     table = _checked_norms(sys)
-    return SystemView(sys, table.values, *classify_rules(sys, table.values), table.witness)
+    return SystemView(sys, table.values, *classify_rules(sys, table.values), table.witness, sys.ids)
 
 
-class StandardSystem(SystemView):
-    """A contracted system reindexed into standard order.
-
-    Constant ids double as standard indices: norms are non-decreasing in id,
-    and every decreasing rule of constant ``i`` has its right-hand side in
-    constants with id below ``i``.  ``name_map`` sends every original name to
-    the name of its (possibly contracted) representative.
-    """
-
-    def __init__(
-        self,
-        sys: BpaSystem,
-        norms: tuple[int, ...],
-        dec: RuleTable,
-        inc: RuleTable,
-        witness: tuple[Rule, ...],
-        name_map: dict[str, str],
-    ):
-        super().__init__(sys, norms, dec, inc, witness)
-        self.name_map = name_map
-
-    @cached_property
-    def _id_of_original_name(self) -> dict[str, int]:
-        return {name: self.sys.constant_id(rep) for name, rep in self.name_map.items()}
-
-    def parse_process(self, text: str) -> Process:
-        """Parse a process over the original names, mapping through contraction."""
-        return parse_process_text(text, self._id_of_original_name)
-
-
-def standardize(sys: BpaSystem) -> StandardSystem:
+def standardize(sys: BpaSystem) -> SystemView:
     """Contract loops and renumber constants into standard order, in one pass.
 
     `contract_loops` maps every constant to its representative and gives the
@@ -361,7 +339,9 @@ def standardize(sys: BpaSystem) -> StandardSystem:
     to a total order: lower norm first, and the target of a silent decreasing
     chain before its source.  One substitution, original id to standard id,
     builds the standard system; silent self rules are dropped, and
-    `BpaSystem` drops the duplicates.
+    `BpaSystem` drops the duplicates.  In the result, constant ids double as
+    standard indices, and ``ids`` sends every original name to its
+    representative's standard id.
 
     The norms are computed once, on the original system: every constant must
     have its representative's norm, and the standard system takes those.
@@ -400,5 +380,5 @@ def standardize(sys: BpaSystem) -> StandardSystem:
                     name = std_sys.name(i)
                     raise EngineInternalError(f"decreasing rule of {name} escapes its index prefix")
 
-        name_map = {sys.name(c): sys.name(rep[c]) for c in range(sys.n)}
-        return StandardSystem(std_sys, norms, dec, inc, tuple([rs[0] for rs in dec]), name_map)
+        witness = tuple([rs[0] for rs in dec])
+        return SystemView(std_sys, norms, dec, inc, witness, dict(zip(sys.names, sub)))

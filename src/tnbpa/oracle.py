@@ -30,7 +30,6 @@ from .normalization import (
     ClosureGuardExceeded,
     GuardExceeded,
     InvalidParamsError,
-    StandardSystem,
     StateGuardExceeded,
     SystemView,
     standardize,
@@ -783,7 +782,7 @@ def _sample_pairs(std, rng: random.Random, count: int) -> list[tuple[Process, Pr
 
 
 def lpftest_realtime(
-    std: StandardSystem,
+    std: SystemView,
     base: DecompositionBase,
     partial: DecompositionBase,
     i: int,
@@ -825,7 +824,7 @@ def lpftest_realtime(
     return _engine.CandidateOutcome(delta, True, 6)
 
 
-def realtime_divergences(std: StandardSystem, trace: list[_engine.IterationRecord]) -> int:
+def realtime_divergences(std: SystemView, trace: list[_engine.IterationRecord]) -> int:
     """Count the recorded decisions `lpftest_realtime` would have taken otherwise.
 
     Each candidate of a pass is re-tested against that pass's old base and

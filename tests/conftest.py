@@ -11,7 +11,7 @@ from tnbpa.model import BpaSystem, Rule, format_process, is_silent, parse_system
 from tnbpa.normalization import (
     EngineInternalError,
     NotTotallyNormedError,
-    StandardSystem,
+    SystemView,
     _components,
     _silent_successors,
     check_totally_normed,
@@ -173,7 +173,7 @@ def _reference_chain_depths(succ: list[list[int]]) -> list[int]:
     return depth
 
 
-def _reference_contract_loops(sys: BpaSystem, norms) -> tuple[BpaSystem, dict[str, str]]:
+def _reference_contract_loops(sys: BpaSystem, norms) -> tuple[BpaSystem, dict[str, int]]:
     rep = list(range(sys.n))
     for scc in _components(_silent_successors(sys, norms)):
         keep = min(scc)
@@ -192,11 +192,11 @@ def _reference_contract_loops(sys: BpaSystem, norms) -> tuple[BpaSystem, dict[st
             continue
         rules.append(Rule(lhs, r.label, rhs))
 
-    name_map = {name: sys.name(rep[c]) for c, name in enumerate(sys.names)}
-    return BpaSystem(names, rules), name_map
+    ids = {name: new_id[rep[c]] for c, name in enumerate(sys.names)}
+    return BpaSystem(names, rules), ids
 
 
-def reference_standardize(sys: BpaSystem) -> StandardSystem:
+def reference_standardize(sys: BpaSystem) -> SystemView:
     """The two-pass standardization that `standardize` replaced, kept as the
     reference its standard forms are compared against.
 
@@ -209,12 +209,12 @@ def reference_standardize(sys: BpaSystem) -> StandardSystem:
     if violations:
         raise NotTotallyNormedError(violations)
 
-    contracted, name_map = _reference_contract_loops(sys, table)
+    contracted, contracted_ids = _reference_contract_loops(sys, table)
     table2 = compute_norms(contracted)
     if check_totally_normed(contracted, table2):
         raise EngineInternalError("contraction broke total normedness")
     for c, name in enumerate(contracted.names):
-        if table2.values[c] != table.values[sys.constant_id(name)]:
+        if table2.values[c] != table.values[sys.ids[name]]:
             raise EngineInternalError(f"contraction changed the norm of {name}")
 
     depth = _reference_chain_depths(_silent_successors(contracted, table2))
@@ -251,7 +251,8 @@ def reference_standardize(sys: BpaSystem) -> StandardSystem:
             dec[r.lhs].append(r)
 
     dec_t, inc_t = tuple(map(tuple, dec)), tuple(map(tuple, inc))
-    return StandardSystem(std_sys, norms, dec_t, inc_t, table3.witness, name_map)
+    ids = {name: new_id[c] for name, c in contracted_ids.items()}
+    return SystemView(std_sys, norms, dec_t, inc_t, table3.witness, ids)
 
 
 def reference_dcmp(base, p: tuple[int, ...]) -> tuple[int, ...]:

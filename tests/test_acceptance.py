@@ -221,7 +221,7 @@ def test_criterion_9_standardization():
         "W -b-> X Y Z\n"
     ))
     assert list(three_cycle.sys.names) == ["X", "W"]
-    assert three_cycle.name_map == {"X": "X", "Y": "X", "Z": "X", "W": "W"}
+    assert three_cycle.ids == {"X": 0, "Y": 0, "Z": 0, "W": 1}
     report(9, "index discipline held corpus-wide; planted silent cycles collapsed")
 
 

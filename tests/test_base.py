@@ -79,7 +79,7 @@ def test_lpf(sysb_std):
     for i in range(1, sysb_std.n):
         assert init.lpf(i) == 0
     final, _ = compute_bisimilarity_base(sysb_std)
-    x = sysb_std.sys.constant_id("X")
+    x = sysb_std.sys.ids["X"]
     assert sysb_std.sys.name(final.lpf(x)) == "B"
 
 

@@ -44,10 +44,10 @@ from tnbpa.strings import NormedString
 
 def test_select_decreasing_rules_tie_break(ex1_std):
     fixed = select_decreasing_rules(ex1_std)
-    x = ex1_std.sys.constant_id("X")
+    x = ex1_std.sys.ids["X"]
     # X has decreasing rules b->eps, tau->X', a->eps; visible first, then 'a' < 'b'.
     assert fixed[x].label == "a" and fixed[x].rhs == ()
-    yp = ex1_std.sys.constant_id("Y'")
+    yp = ex1_std.sys.ids["Y'"]
     assert fixed[yp].label == "a"  # single decreasing rule is picked
     assert select_decreasing_rules(ex1_std) == fixed  # pure function
 
@@ -58,7 +58,7 @@ def test_first_iteration_candidates_sysb(sysb_std):
     partial = _PartialBase(sysb_std, base, fixed)
     partial.settle_prime(0)  # B settled prime
     partial.settle_prime(1)  # Y, as iteration 1 decides
-    a = sysb_std.sys.constant_id("A")
+    a = sysb_std.sys.ids["A"]
     cands = candidates_for(partial, a)
     # lpf is B; Y is a new prime between lpf and A.  A's fixed rule A -a-> eps
     # is matched by B -a-> eps and Y -a-> eps, but neither head has A's
@@ -77,7 +77,7 @@ def test_candidate_skipped_without_norm_boundary():
     partial = _PartialBase(std, base, fixed)
     for j in (0, 1):
         partial.settle_prime(j)
-    m = std.sys.constant_id("M")
+    m = std.sys.ids["M"]
     assert list(candidates_for(partial, m)) == []
 
 
@@ -102,7 +102,7 @@ def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
     for j in (0, 1):
         partial.settle_prime(j)
     for name, expected in [("N", [["B", "Y"], ["Y", "Y"]]), ("M", [["B", "Y"], ["Y", "Y"]])]:
-        i = std.sys.constant_id(name)
+        i = std.sys.ids[name]
         cands = candidates_for(partial, i)
         # Exhaustive mode leaves every candidate to `lpftest`.
         assert [([std.sys.name(c) for c in d], res) for d, res in cands] == \
@@ -140,7 +140,7 @@ def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
     partial = _PartialBase(sysb_std, base, select_decreasing_rules(sysb_std))
     for j in (0, 1):  # B prime, Y prime
         partial.settle_prime(j)
-    a = sysb_std.sys.constant_id("A")
+    a = sysb_std.sys.ids["A"]
     delta = (0,)  # B
     res = lpftest(partial, a, delta)
     # A's silent decreasing step lands exactly on B, so the early accept fires.
@@ -153,7 +153,7 @@ def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
     partial.settle_prime(0)  # X'
     partial.settle_equation(1, (0,))  # Y' = X'
     partial.settle_prime(2)  # X became prime earlier in the pass
-    y = ex1_std.sys.constant_id("Y")
+    y = ex1_std.sys.ids["Y"]
     delta = (2,)  # X
     res = lpftest(partial, y, delta)
     # X's a->eps has no decreasing answer from Y with the same decomposition.
@@ -291,7 +291,7 @@ def test_lpftest_matches_realtime_directly():
     partial = _PartialBase(std, base, select_decreasing_rules(std))
     for j in (0, 1):
         partial.settle_prime(j)
-    n = std.sys.constant_id("N")
+    n = std.sys.ids["N"]
     for delta in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         assert lpftest(partial, n, delta).accepted == \
             lpftest_realtime(std, base, partial, n, delta).accepted
@@ -317,7 +317,7 @@ SPLIT_TEXT = "constants: P Q R S\nP -a-> eps\nQ -b-> eps\nR -a-> eps\nS -a-> eps
 
 def refine_over_split_base():
     std = standardize(parse_system(SPLIT_TEXT))
-    p, q, r, s = (std.sys.constant_id(name) for name in "PQRS")
+    p, q, r, s = (std.sys.ids[name] for name in "PQRS")
     base = DecompositionBase(std.n, [p, q], {r: (q,), s: (p,)}, std.norms)
     return std, refine(std, base, select_decreasing_rules(std))[0]
 
@@ -335,8 +335,8 @@ def test_lpftest_step_one_rejects_old_base_mismatch(ex1_std):
     final, _ = compute_bisimilarity_base(ex1_std)
     partial = _PartialBase(ex1_std, final, select_decreasing_rules(ex1_std))
     partial.settle_prime(0)
-    yp = ex1_std.sys.constant_id("Y'")
-    delta = (ex1_std.sys.constant_id("X"),)
+    yp = ex1_std.sys.ids["Y'"]
+    delta = (ex1_std.sys.ids["X"],)
     res = lpftest(partial, yp, delta)
     assert not res.accepted and res.step == 1
 
@@ -352,7 +352,7 @@ def test_skipping_step_five_accepts_asymmetric_candidate(skip_lpftest_steps):
     assert compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)[0] == good
     skip_lpftest_steps(5)
     bad, _ = compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)
-    q = std.sys.constant_id("Q")
+    q = std.sys.ids["Q"]
     assert q in bad.equations
     attacked = verify_base_generators(GameContext(std, norm_budget=NORM_BUDGET), bad, 4, 0)
     assert any(d is not None for _, _, d in attacked)
@@ -378,7 +378,7 @@ def test_mutated_engine_is_caught_by_the_oracle(sysb_std, skip_lpftest_steps):
 def test_trace_records_candidate_steps(ex1_std):
     _, trace = compute_bisimilarity_base(ex1_std)
     first = trace[0]
-    y = ex1_std.sys.constant_id("Y")
+    y = ex1_std.sys.ids["Y"]
     rec = next(c for c in first.constants if c.constant == y)
     assert rec.equation is None
     # Y's silent move Y -tau-> Y' lands on X' (Y' = X' in this pass), so X'
@@ -566,14 +566,14 @@ def test_doubling_and_clone_chains_at_n12():
     std = _doubling_chain(n)
     base, trace = compute_bisimilarity_base(std)
     assert len(trace) == 2 and len(base.primes) == n
-    x = [std.sys.constant_id(f"X{i}") for i in range(n)]
+    x = [std.sys.ids[f"X{i}"] for i in range(n)]
     for i in range(1, n):
         assert check_equivalence(std, (x[i],), (x[i - 1], x[i - 1]), base=base).kind is \
             VerdictKind.NOT_BISIMILAR
 
     std = _clone_chain(n)
     base, trace = compute_bisimilarity_base(std)
-    y = [std.sys.constant_id(f"Y{i}") for i in range(n)]
+    y = [std.sys.ids[f"Y{i}"] for i in range(n)]
     assert len(trace) == 1 and base.primes == {y[0]}
     for i in range(1, n):
         assert base.equations[y[i]].ids == (y[0],) * 2 ** i
@@ -610,7 +610,7 @@ def test_interpreter_work_on_the_chains_grows_slowly():
         std = build(18)
         large, (base, _) = _traced_base(std)
         assert large < 2 * small, (build.__name__, small, large)
-    y = [std.sys.constant_id(f"Y{i}") for i in range(18)]
+    y = [std.sys.ids[f"Y{i}"] for i in range(18)]
     assert base.primes == {y[0]}
     for i in range(1, 18):
         assert base.equations[y[i]].ids == (y[0],) * 2 ** i
@@ -639,7 +639,7 @@ def test_chains_far_past_explicit_words(n):
         exhaustive, _ = compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)
         assert base == exhaustive
         letter = "X" if build is _doubling_chain else "Y"
-        c = [std.sys.constant_id(f"{letter}{i}") for i in range(n)]
+        c = [std.sys.ids[f"{letter}{i}"] for i in range(n)]
         want = VerdictKind.BISIMILAR if bisimilar else VerdictKind.NOT_BISIMILAR
         for i in range(1, n):
             assert check_equivalence(std, (c[i],), (c[i - 1], c[i - 1]), base=base).kind is want

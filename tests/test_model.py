@@ -38,9 +38,8 @@ def test_vacuous_rule_set_parses():
 def test_constant_names_are_unique_and_looked_up(ex1_sys):
     with pytest.raises(ValueError, match="^duplicate constant 'A'$"):
         BpaSystem(["A", "A"], [])
-    assert ex1_sys.constant_id("Y") == 2
-    with pytest.raises(KeyError, match="unknown constant 'Q'"):
-        ex1_sys.constant_id("Q")
+    assert ex1_sys.ids == {"X": 0, "X'": 1, "Y": 2, "Y'": 3}
+    assert "Q" not in ex1_sys.ids
 
 
 @pytest.mark.parametrize(
@@ -145,18 +144,18 @@ def test_serialize_round_trip_property(sys):
 
 
 def test_parse_process(ex1_sys):
-    assert parse_process("eps", ex1_sys) == ()
-    x, y = ex1_sys.constant_id("X"), ex1_sys.constant_id("Y")
-    assert parse_process("X Y", ex1_sys) == (x, y)
+    assert parse_process("eps", ex1_sys.ids) == ()
+    x, y = ex1_sys.ids["X"], ex1_sys.ids["Y"]
+    assert parse_process("X Y", ex1_sys.ids) == (x, y)
     with pytest.raises(ParseError, match="unknown constant 'Q'"):
-        parse_process("X Q", ex1_sys)
+        parse_process("X Q", ex1_sys.ids)
     with pytest.raises(ParseError):
-        parse_process("", ex1_sys)
+        parse_process("", ex1_sys.ids)
 
 
 def test_format_process(ex1_sys):
     assert format_process(ex1_sys, ()) == "eps"
-    assert format_process(ex1_sys, parse_process("X Y'", ex1_sys)) == "X Y'"
+    assert format_process(ex1_sys, parse_process("X Y'", ex1_sys.ids)) == "X Y'"
 
 
 def test_empty_process_has_no_transitions(ex1_sys):
@@ -165,15 +164,15 @@ def test_empty_process_has_no_transitions(ex1_sys):
 
 def test_transitions_example_one(ex1_sys):
     # X's three rules fire in rule order, each dragging the Y suffix along.
-    p = parse_process("X Y", ex1_sys)
-    y = parse_process("Y", ex1_sys)
-    xp_y = parse_process("X' Y", ex1_sys)
+    p = parse_process("X Y", ex1_sys.ids)
+    y = parse_process("Y", ex1_sys.ids)
+    xp_y = parse_process("X' Y", ex1_sys.ids)
     assert transitions_of(ex1_sys, p) == [("b", y), ("tau", xp_y), ("a", y)]
 
 
 def test_transitions_sysb(sysb_sys):
-    p = parse_process("B Y", sysb_sys)
-    assert transitions_of(sysb_sys, p) == [("a", parse_process("Y", sysb_sys))]
+    p = parse_process("B Y", sysb_sys.ids)
+    assert transitions_of(sysb_sys, p) == [("a", parse_process("Y", sysb_sys.ids))]
 
 
 def test_head_locality_property():
@@ -189,6 +188,6 @@ def test_head_locality_property():
 
 def test_epsilon_identity():
     sys = parse_system(SYSB_TEXT)
-    p = parse_process("X Y", sys)
+    p = parse_process("X Y", sys.ids)
     assert transitions_of(sys, p + ()) == transitions_of(sys, p)
     assert () + p == p

@@ -15,7 +15,7 @@ from conftest import brute_force_norm, chain_text, naive_norm_values, reference_
 from test_generator_sweep import SWEEP, _params
 from test_mode_agreement import WIDE_GRID
 from test_small_system_sweep import small_systems
-from tnbpa.model import TAU, BpaSystem, Rule, is_silent, parse_process, parse_system, serialize_system
+from tnbpa.model import TAU, BpaSystem, ParseError, Rule, is_silent, parse_system, serialize_system
 from tnbpa.normalization import (
     NotTotallyNormedError,
     UNNORMED,
@@ -72,12 +72,12 @@ def test_silent_erasing_rule_rejected():
 
 def test_classification_examples(ex1_sys, sysb_sys):
     dec, _ = classify_rules(ex1_sys, compute_norms(ex1_sys).values)
-    x, xp = ex1_sys.constant_id("X"), ex1_sys.constant_id("X'")
+    x, xp = ex1_sys.ids["X"], ex1_sys.ids["X'"]
     assert Rule(x, TAU, (xp,)) in dec[x]
     assert Rule(x, "a", ()) in dec[x]
 
     dec_b, inc_b = classify_rules(sysb_sys, compute_norms(sysb_sys).values)
-    y, x = sysb_sys.constant_id("Y"), sysb_sys.constant_id("X")
+    y, x = sysb_sys.ids["Y"], sysb_sys.ids["X"]
     assert Rule(y, TAU, (x,)) in inc_b[y]
     assert Rule(y, TAU, (x,)) not in dec_b[y]
 
@@ -91,7 +91,7 @@ def test_contract_two_cycle():
     std = standardize(sys)
     assert list(std.sys.names) == ["X"]
     assert _named_rules(std.sys) == [("X", "a", ())]
-    assert std.name_map == {"X": "X", "Y": "X"}
+    assert std.ids == {"X": 0, "Y": 0}
 
 
 def test_contract_three_cycle():
@@ -101,7 +101,7 @@ def test_contract_three_cycle():
     )
     std = standardize(sys)
     assert list(std.sys.names) == ["X"]
-    assert set(std.name_map.values()) == {"X"}
+    assert std.ids == {"X": 0, "Y": 0, "Z": 0}
     labels = {r.label for r in std.sys.rules}
     assert labels == {"a", "b"}
 
@@ -117,7 +117,7 @@ def test_contract_loop_free_unchanged(ex1_sys):
     std = standardize(ex1_sys)
     assert sorted(std.sys.names) == sorted(ex1_sys.names)
     assert sorted(_named_rules(std.sys)) == sorted(_named_rules(ex1_sys))
-    assert all(orig == rep for orig, rep in std.name_map.items())
+    assert all(std.sys.name(i) == orig for orig, i in std.ids.items())
 
 
 def test_contraction_preserves_behaviour():
@@ -126,7 +126,7 @@ def test_contraction_preserves_behaviour():
     # distinction between them at any tested level.
     sys = parse_system("constants: X Y\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\n")
     ctx = GameContext(view(sys))
-    x, y = (sys.constant_id("X"),), (sys.constant_id("Y"),)
+    x, y = (sys.ids["X"],), (sys.ids["Y"],)
     assert ctx.find_distinction(x, y, 12) is None
 
 
@@ -208,12 +208,28 @@ def test_moves_and_norms_agree_with_their_definitions(case):
     assert v.norm_of(p) == total
 
 
-def test_name_map_resolves_contracted_processes():
+def test_ids_resolve_contracted_processes():
     sys = parse_system(
         "constants: X Y Z\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\nZ -b-> X Y\n"
     )
     std = standardize(sys)
     assert std.parse_process("Y Z") == std.parse_process("X Z")
+
+
+def test_view_parses_every_name_to_its_own_id():
+    # The raw view keeps both constants of silent-cycle's loop, which the
+    # standard form merges into A: B is id 1 on the view, id 0 on the standard
+    # form.
+    sys = parse_system((Path(__file__).resolve().parents[1] / "systems" / "silent-cycle.bpa").read_text())
+    v = view(sys)
+    assert v.ids is sys.ids
+    for cid, name in enumerate(sys.names):
+        assert v.parse_process(name) == (cid,)
+    assert v.parse_process("B A B") == (1, 0, 1)
+    assert v.parse_process("B") == (1,)
+    assert standardize(sys).parse_process("B") == (0,)
+    with pytest.raises(ParseError, match="unknown constant 'Q'"):
+        v.parse_process("A Q")
 
 
 def test_view_requires_totally_normed():
@@ -385,15 +401,15 @@ def test_standard_form_matches_the_two_pass_reference(sys):
     assert (std.norms, std.witness) == (ref.norms, ref.witness)
     for i in range(std.n):
         assert (std.dec[i], std.inc[i]) == (ref.dec[i], ref.inc[i])
-    assert std.name_map == ref.name_map
+    assert std.ids == ref.ids
 
     assert all(std.norms[i - 1] <= std.norms[i] for i in range(1, std.n))
     for i in range(std.n):
         assert all(c < i for r in std.dec[i] for c in r.rhs)
     original = compute_norms(sys).values
-    assert std.name_map.keys() == set(sys.names)
+    assert std.ids.keys() == set(sys.names)
     for c, name in enumerate(sys.names):
-        assert std.norms[std.sys.constant_id(std.name_map[name])] == original[c]
+        assert std.norms[std.ids[name]] == original[c]
 
 
 def test_standardize_runs_tarjan_once_and_builds_one_system(monkeypatch):
@@ -440,7 +456,7 @@ def test_standardize_long_silent_chain():
     # declared first.
     cycle = standardize(BpaSystem(names, rules + [Rule(ids["C0"], TAU, (ids[f"C{LONG - 1}"],))]))
     assert list(cycle.sys.names) == [f"C{LONG - 1}"]
-    assert set(cycle.name_map.values()) == {f"C{LONG - 1}"}
+    assert set(cycle.ids.values()) == {0}
 
 
 def test_standardize_long_silent_cycle():
@@ -448,7 +464,7 @@ def test_standardize_long_silent_cycle():
     rules = [Rule(0, "a", ())] + [Rule(i, TAU, ((i + 1) % LONG,)) for i in range(LONG)]
     std = standardize(BpaSystem(names, rules))
     assert list(std.sys.names) == ["C0"]
-    assert set(std.name_map.values()) == {"C0"}
+    assert set(std.ids.values()) == {0}
 
 
 def _python(code: str, *flags: str) -> str:

@@ -508,7 +508,7 @@ def test_an_uncontracted_silent_loop_keeps_a_well_founded_norm_descent():
     v = view(system)
     assert [v.dec[c][0].label for c in range(v.n)] == [TAU, TAU]
     assert v.witness == compute_norms(system).witness
-    d = GameContext(v).find_distinction((system.constant_id("A"),), (), 8)
+    d = GameContext(v).find_distinction((system.ids["A"],), (), 8)
     assert d is not None
     replay_distinction(v, d)
 

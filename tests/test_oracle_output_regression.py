@@ -10,7 +10,10 @@ checks and certificate replays over 20 random systems each; one more fuzz
 case starves the level memo, so its trials report guards and its summary
 fails.  The check cases pin the generator check's report, in text and JSON,
 for a refuted pair, a pair with no distinction found, a bisimilar pair and a
-pair against the empty process.
+pair against the empty process.  Two more check cases name the two original
+constants of silent-cycle's contracted loop, which the standard form reads as
+one constant, and one oracle case names a raw constant that the standard form
+merges away.
 
 The oracle cases cover norm-equal pairs refuted through a silent move, by
 the defender or by the attacker, norm-unequal pairs (the norm descent, on the
@@ -51,6 +54,15 @@ ORACLE_CASES = {
     # no distinction up to the bound
     ("ex1.bpa", "X'", "Y'"): (0, "75785c02e13aad2576c0a08c85c816f4da21b138918b4f02cc932a75b4fc3485"),
     ("sys-b.bpa", "A", "B"): (0, "75785c02e13aad2576c0a08c85c816f4da21b138918b4f02cc932a75b4fc3485"),
+    # B is a raw constant: the oracle runs on the uncontracted system
+    ("silent-cycle.bpa", "B", "eps"): (1, "f60519b240efdb6d9f008ec803ccd55cab19b7e3c39b2dfcbfedf6cc68c951f0"),
+}
+
+# (left, right) -> (exit code, sha256 of `check silent-cycle.bpa --json`
+# stdout); A and B are merged into A by the standard form
+CONTRACTED_CHECK_CASES = {
+    ("A", "B"): (0, "90684ce47c8c948ebda7178eac20d5b2a608d1b5943c1a1b5784f8ea2c4470f4"),
+    ("B A", "A B"): (0, "c2243898337e781b2825a687305a259cc5125f02f943b6764c844323b10ee51b"),
 }
 
 # (system, left, right, output flags) -> (exit code, sha256 of
@@ -101,6 +113,13 @@ def test_check_verify_output_is_unchanged(case):
     system, left, right, flags = case
     argv = ["check", str(SYSTEMS_DIR / system), "--left", left, "--right", right, "--verify", "--k", "8", *flags]
     assert _run(argv) == CHECK_VERIFY_CASES[case]
+
+
+@pytest.mark.parametrize("case", list(CONTRACTED_CHECK_CASES), ids=" / ".join)
+def test_check_on_contracted_names_is_unchanged(case):
+    left, right = case
+    argv = ["check", str(SYSTEMS_DIR / "silent-cycle.bpa"), "--left", left, "--right", right, "--json"]
+    assert _run(argv) == CONTRACTED_CHECK_CASES[case]
 
 
 def test_failing_fuzz_summary_is_unchanged(monkeypatch):

@@ -13,6 +13,10 @@ signature, so that its traces list only accepted and in-place candidates.  The r
 cases also depend on `random_system`'s output for their parameters.  A change
 that means to alter a trace updates the digests in the same commit and says
 why.
+
+``tnbpa standardize FILE`` is pinned the same way, on every system file and on
+a planted three-cycle: its comment lines list, for each standard constant, the
+original names merged into it.
 """
 
 import hashlib
@@ -134,6 +138,23 @@ PINNED = {
 }
 
 
+# The silent cycle X -> Y -> Z -> X collapses into X; W mentions all three.
+THREE_CYCLE = (
+    "constants: X Y Z W\n"
+    "X -tau-> Y\nY -tau-> Z\nZ -tau-> X\n"
+    "X -a-> eps\nY -a-> eps\nZ -a-> eps\n"
+    "W -b-> X Y Z\n"
+)
+
+# name -> sha256 of `standardize` stdout
+STANDARDIZE_PINNED = {
+    "ex1.bpa": "2ac31458c0fdf13d6733adc292c32a464d2526ce56faf9ed89902604764901f4",
+    "silent-cycle.bpa": "33cbbc54f057700fa238114f74a2f0e640cc710969a0816a88c66e3ea53d5835",
+    "sys-b.bpa": "58062d770189c5d7b3acbcb6f4405419383effceade0efcc1169d223c28ea1ea",
+    "three-cycle": "14f09fd3ee99f900042bdc7d3b6551861e381799283c1ca909f1ac914d776399",
+}
+
+
 def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
@@ -175,3 +196,23 @@ def test_every_case_is_pinned():
 def test_base_output_and_trace_are_unchanged(name, tmp_path):
     got = base_digests(case_file(name, tmp_path), tmp_path / "trace.json")
     assert got == PINNED[name]
+
+
+STANDARDIZE_CASES = sorted(p.name for p in SYSTEMS_DIR.glob("*.bpa")) + ["three-cycle"]
+
+
+def test_every_standardize_case_is_pinned():
+    assert sorted(STANDARDIZE_PINNED) == sorted(STANDARDIZE_CASES)
+
+
+@pytest.mark.parametrize("name", STANDARDIZE_CASES)
+def test_standardize_output_is_unchanged(name, tmp_path):
+    path = SYSTEMS_DIR / name
+    if name == "three-cycle":
+        path = tmp_path / "three-cycle.bpa"
+        path.write_text(THREE_CYCLE)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["standardize", str(path)])
+    assert code == 0
+    assert _sha(out.getvalue()) == STANDARDIZE_PINNED[name]
