@@ -52,7 +52,7 @@ class UnwritablePathError(ValueError):
 
 def _load_system(path: str) -> BpaSystem:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_system(text)

@@ -206,8 +206,7 @@ def serialize_system(sys: BpaSystem) -> str:
     """Render a system in the file format; round-trips through parse_system."""
     lines = ["constants: " + " ".join(sys.names)]
     for r in sys.rules:
-        rhs = " ".join(sys.name(c) for c in r.rhs) if r.rhs else "eps"
-        lines.append(f"{sys.name(r.lhs)} -{r.label}-> {rhs}")
+        lines.append(f"{sys.name(r.lhs)} -{r.label}-> {format_process(sys, r.rhs)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,13 +1,21 @@
-"""Shared fixtures: the two worked systems and independent test oracles."""
+"""Shared inputs and fixtures: the worked systems, the named families, the
+generated grids and corpora, the command-line runner and independent test
+oracles.  Every input more than one test module reads is defined here once."""
 
 import heapq
+import io
+import json
 from bisect import bisect_left
-from itertools import accumulate
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import accumulate, combinations
+from pathlib import Path
 
 import pytest
 
 from tnbpa import engine
-from tnbpa.model import BpaSystem, Rule, format_process, is_silent, parse_system, transitions_of
+from tnbpa.base import DecompositionBase
+from tnbpa.cli import main
+from tnbpa.model import TAU, BpaSystem, Rule, format_process, is_silent, parse_system, transitions_of
 from tnbpa.normalization import (
     EngineInternalError,
     NotTotallyNormedError,
@@ -24,6 +32,7 @@ from tnbpa.oracle import (
     DefenderReply,
     Distinction,
     GameContext,
+    GenParams,
     StateGuardExceeded,
     random_system,
     silent_closure_dec,
@@ -83,6 +92,8 @@ def chain_text(family: str, n: int) -> str:
     composite-root: the clone chain over a composite root, P -a-> eps,
     Q -b-> eps and Wi -a-> Q W0 ... W(i-1), so Wi ~ (P Q)^(2^i), a word of
     2^(i+1) runs.  Norms grow as 2^i on all three.
+    unit-step: W0 -a-> eps and Wi -a-> W(i-1), so Wi = W0^(i+1); norms grow
+    as i, and every word is one run.
     ladder: pairs Ak, Bk of norm 1 with -a-> eps, Ak -c-> A(k+1) A(k+1) and
     Bk -c-> B(k+1) B(k+1) below the top, and a top pair that differs on -d->
     against -e->; the difference travels down one rung per refinement pass.
@@ -103,6 +114,9 @@ def chain_text(family: str, n: int) -> str:
         names = ["P", "Q", *(f"W{i}" for i in range(n))]
         lines = ["P -a-> eps", "Q -b-> eps"]
         lines += [f"W{i} -a-> {' '.join(['Q', *names[2:2 + i]])}" for i in range(n)]
+    elif family == "unit-step":
+        names = [f"W{i}" for i in range(n)]
+        lines = ["W0 -a-> eps", *(f"W{i} -a-> W{i - 1}" for i in range(1, n))]
     elif family == "ladder":
         top = n // 2 - 1
         names = [f"{s}{k}" for k in range(top + 1) for s in "AB"]
@@ -116,6 +130,110 @@ def chain_text(family: str, n: int) -> str:
     else:
         raise ValueError(f"unknown family {family!r}")
     return f"constants: {' '.join(names)}\n" + "\n".join(lines) + "\n"
+
+
+# Criterion 9's planted silent cycle: X -> Y -> Z -> X collapses into X, and
+# W mentions all three.
+THREE_CYCLE = (
+    "constants: X Y Z W\n"
+    "X -tau-> Y\nY -tau-> Z\nZ -tau-> X\n"
+    "X -a-> eps\nY -a-> eps\nZ -a-> eps\n"
+    "W -b-> X Y Z\n"
+)
+
+# P, R and S have the same moves, and Q has another.  The hand-built old base
+# of `refine_over_split_base` is no refinement iterate: it puts R under Q and
+# S under P.
+SPLIT_TEXT = "constants: P Q R S\nP -a-> eps\nQ -b-> eps\nR -a-> eps\nS -a-> eps\n"
+
+
+def refine_over_split_base():
+    std = standardize(parse_system(SPLIT_TEXT))
+    p, q, r, s = (std.sys.ids[name] for name in "PQRS")
+    base = DecompositionBase(std.n, [p, q], {r: (q,), s: (p,)}, std.norms)
+    return std, engine.refine(std, base, engine.select_decreasing_rules(std))[0]
+
+
+def run_cli(argv, expect=None):
+    """`tnbpa argv` in process: (exit code, standard output, standard error)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if expect is not None:
+        assert code == expect, f"exit {code}, stderr: {err.getvalue()}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def engine_random_params(n: int, cap: int, seed: int) -> GenParams:
+    """The generator settings of the benchmark's engine-random workload."""
+    return GenParams(
+        constants=n, max_rhs_len=3, alphabet=2, silent_prob=0.3,
+        norm_cap=cap, extra_rules=2, composite_prob=0.4, seed=seed,
+    )
+
+
+# The acceptance corpus is cross-checked against the game oracle at K_MAX
+# rounds, and its flagged pairs are re-examined at CONFIRM_K.
+K_MAX = 16
+CONFIRM_K = 24
+
+
+def corpus_params(count: int = 105) -> list[GenParams]:
+    """The acceptance corpus: constants <= 8, norms <= 5, silent-action rates
+    from 0 to 0.45."""
+    silent_levels = (0.0, 0.15, 0.3, 0.45)
+    out = []
+    for t in range(count):
+        out.append(
+            GenParams(
+                constants=3 + t % 6,            # 3..8
+                max_rhs_len=2 + t % 2,
+                alphabet=1 + t % 3,
+                silent_prob=silent_levels[t % 4],
+                norm_cap=2 + t % 4,             # 2..5
+                extra_rules=2,
+                composite_prob=0.4,
+                seed=10_000 + t,
+            )
+        )
+    return out
+
+
+# Systems well above the acceptance corpus (n <= 8, caps <= 5), where an old
+# leftmost prime factor whose decreasing rule reaches a constant made prime in
+# the same pass is common.
+WIDE_GRID = [
+    GenParams(constants=n, norm_cap=cap, silent_prob=sp, seed=seed)
+    for n in (16, 32, 64)
+    for cap in (2, 5, 8)
+    for sp in (0.0, 0.3)
+    for seed in range(10)
+]
+
+# The generator sweep: about 200 parameter sets, each with the sha256 of
+# `serialize_system(random_system(params))` (tests/test_generator_sweep.py).
+SWEEP = json.loads(Path(__file__).with_name("generator_sweep.json").read_text())
+
+
+def sweep_params(entry: dict) -> GenParams:
+    return GenParams(**{k: v for k, v in entry.items() if k != "sha256"})
+
+
+# The small-system rule pool: labels a, b and tau, right-hand sides eps, P, Q
+# and P Q, with no tau -> eps.
+_RHS = [(), (0,), (1,), (0, 1)]
+_POOL = [(lab, rhs) for lab in ("a", "b", TAU) for rhs in _RHS if not (lab == TAU and rhs == ())]
+
+
+def small_systems():
+    """Every system over P and Q in which each constant takes one or two
+    rules of the pool, totally normed or not."""
+    rule_sets = [rules for count in (1, 2) for rules in combinations(_POOL, count)]
+    for rules_p in rule_sets:
+        for rules_q in rule_sets:
+            rules = [Rule(0, lab, rhs) for lab, rhs in rules_p]
+            rules += [Rule(1, lab, rhs) for lab, rhs in rules_q]
+            yield BpaSystem(["P", "Q"], rules)
 
 
 def brute_force_norm(sys: BpaSystem, cid: int, cap: int = 10_000) -> float:

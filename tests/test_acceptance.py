@@ -13,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import CONFIRM_K, K_MAX, THREE_CYCLE, corpus_params, engine_random_params
 from tnbpa import oracle
 from tnbpa.base import initial_base
 from tnbpa.engine import (
@@ -34,31 +35,9 @@ from tnbpa.oracle import (
     summarize,
 )
 
-K_MAX = 16
-CONFIRM_K = 24
-
 
 def report(criterion: int, text: str) -> None:
     print(f"[acceptance {criterion}] PASS - {text}")
-
-
-def corpus_params(count: int = 105) -> list[GenParams]:
-    silent_levels = (0.0, 0.15, 0.3, 0.45)
-    out = []
-    for t in range(count):
-        out.append(
-            GenParams(
-                constants=3 + t % 6,            # 3..8
-                max_rhs_len=2 + t % 2,
-                alphabet=1 + t % 3,
-                silent_prob=silent_levels[t % 4],
-                norm_cap=2 + t % 4,             # 2..5
-                extra_rules=2,
-                composite_prob=0.4,
-                seed=10_000 + t,
-            )
-        )
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -214,12 +193,7 @@ def test_criterion_9_standardization():
     ))
     assert list(two_cycle.sys.names) == ["X"]
 
-    three_cycle = standardize(parse_system(
-        "constants: X Y Z W\n"
-        "X -tau-> Y\nY -tau-> Z\nZ -tau-> X\n"
-        "X -a-> eps\nY -a-> eps\nZ -a-> eps\n"
-        "W -b-> X Y Z\n"
-    ))
+    three_cycle = standardize(parse_system(THREE_CYCLE))
     assert list(three_cycle.sys.names) == ["X", "W"]
     assert three_cycle.ids == {"X": 0, "Y": 0, "Z": 0, "W": 1}
     report(9, "index discipline held corpus-wide; planted silent cycles collapsed")
@@ -229,11 +203,7 @@ def test_criterion_10_scaling_smoke():
     sizes = (8, 16, 32, 64)
     timings = {}
     for n in sizes:
-        params = GenParams(
-            constants=n, max_rhs_len=3, alphabet=2, silent_prob=0.3,
-            norm_cap=1, extra_rules=2, composite_prob=0.4, seed=42,
-        )
-        sys = random_system(params)
+        sys = random_system(engine_random_params(n, 1, 42))
         samples = []
         for _ in range(3):
             t0 = time.perf_counter()

@@ -1,16 +1,14 @@
 import json
-import io
 import os
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1_TEXT, SYSB_TEXT, chain_text
+from conftest import EX1_TEXT, SYSB_TEXT, chain_text, run_cli
 from tnbpa import strings
 from tnbpa import engine
 from tnbpa.base import DecompositionBase, initial_base
@@ -18,15 +16,6 @@ from tnbpa.cli import main
 from tnbpa.model import parse_system, serialize_system
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
-
-
-def run(argv, expect=None):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    if expect is not None:
-        assert code == expect, f"exit {code}, stderr: {err.getvalue()}"
-    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture()
@@ -44,18 +33,18 @@ def sysb_file(tmp_path) -> str:
 
 
 def test_check_exit_codes(ex1_file):
-    run(["check", ex1_file, "--left", "X", "--right", "Y"], expect=1)
-    run(["check", ex1_file, "--left", "X'", "--right", "Y'"], expect=0)
-    run(["check", ex1_file, "--left", "X", "--right", "X"], expect=0)
+    run_cli(["check", ex1_file, "--left", "X", "--right", "Y"], expect=1)
+    run_cli(["check", ex1_file, "--left", "X'", "--right", "Y'"], expect=0)
+    run_cli(["check", ex1_file, "--left", "X", "--right", "X"], expect=0)
 
 
 def test_check_text_output(ex1_file):
-    _, out, _ = run(["check", ex1_file, "--left", "X", "--right", "Y"], expect=1)
+    _, out, _ = run_cli(["check", ex1_file, "--left", "X", "--right", "Y"], expect=1)
     assert out.splitlines()[0] == "verdict: not-bisimilar"
 
 
 def test_check_json_output(ex1_file):
-    _, out, _ = run(["check", ex1_file, "--left", "X'", "--right", "Y'", "--json"], expect=0)
+    _, out, _ = run_cli(["check", ex1_file, "--left", "X'", "--right", "Y'", "--json"], expect=0)
     payload = json.loads(out)
     assert payload["verdict"] == "bisimilar"
     assert payload["dcmp_left"] == payload["dcmp_right"] == ["X'"]
@@ -64,7 +53,7 @@ def test_check_json_output(ex1_file):
 
 
 def test_check_verify(ex1_file):
-    _, out, _ = run(
+    _, out, _ = run_cli(
         ["check", ex1_file, "--left", "X", "--right", "Y", "--verify", "--json"],
         expect=1,
     )
@@ -74,10 +63,10 @@ def test_check_verify(ex1_file):
     assert payload["verification"]["distinction"]["nodes"]
 
     # Both oracle outcomes in the text form.
-    _, out, _ = run(["check", ex1_file, "--left", "X", "--right", "Y", "--verify"], expect=1)
+    _, out, _ = run_cli(["check", ex1_file, "--left", "X", "--right", "Y", "--verify"], expect=1)
     assert out.splitlines()[-1] == "verification: generator checks ok; oracle confirmed"
     argv = ["check", ex1_file, "--left", "X'", "--right", "Y'", "--verify", "--k", "8"]
-    _, out, _ = run(argv, expect=0)
+    _, out, _ = run_cli(argv, expect=0)
     assert out.splitlines()[-1] == (
         "verification: generator checks ok; oracle no distinction found up to k=8"
     )
@@ -91,7 +80,7 @@ def test_check_verify_exits_three_when_the_oracle_refutes_the_verdict(ex1_file, 
 
     monkeypatch.setattr(engine, "check_equivalence", always_bisimilar)
     argv = ["check", ex1_file, "--left", "X", "--right", "Y", "--verify", "--k", "8"]
-    code, out, err = run(argv)
+    code, out, err = run_cli(argv)
     assert code == 3 and out == ""
     certificate, message = err.split("internal error: ")
     assert json.loads(certificate)["nodes"]
@@ -103,26 +92,26 @@ def test_check_verify_exits_three_on_a_failed_generator_check(ex1_file, monkeypa
     # so its generator checks fail; the pair X, X is never refuted.
     monkeypatch.setattr(engine, "compute_bisimilarity_base", lambda std: (initial_base(std), []))
     argv = ["check", ex1_file, "--left", "X", "--right", "X", "--verify", "--k", "8"]
-    code, out, err = run(argv)
+    code, out, err = run_cli(argv)
     assert code == 3 and out == ""
     assert err == "internal error: 27 generator check(s) failed on the final base\n"
 
 
 def test_check_bad_process(ex1_file):
-    code, _, err = run(["check", ex1_file, "--left", "Q", "--right", "X"])
+    code, _, err = run_cli(["check", ex1_file, "--left", "Q", "--right", "X"])
     assert code == 2 and "unknown constant" in err
 
 
 def test_base_output(ex1_file, sysb_file):
-    _, out, _ = run(["base", ex1_file], expect=0)
+    _, out, _ = run_cli(["base", ex1_file], expect=0)
     assert out.splitlines() == ["prime X'", "Y' = X'", "prime X", "prime Y"]
-    _, out, _ = run(["base", sysb_file], expect=0)
+    _, out, _ = run_cli(["base", sysb_file], expect=0)
     assert out.splitlines() == ["prime B", "prime Y", "A = B", "X = B Y"]
 
 
 def test_base_iterations_and_trace(ex1_file, tmp_path):
     trace_path = tmp_path / "trace.json"
-    _, out, _ = run(["base", ex1_file, "--iterations", "--trace", str(trace_path)], expect=0)
+    _, out, _ = run_cli(["base", ex1_file, "--iterations", "--trace", str(trace_path)], expect=0)
     assert "== initial base ==" in out
     assert "== after iteration 1 ==" in out
     trace = json.loads(trace_path.read_text())
@@ -133,7 +122,7 @@ def test_base_iterations_and_trace(ex1_file, tmp_path):
 def test_base_single_constant(tmp_path):
     f = tmp_path / "one.bpa"
     f.write_text("constants: K\nK -a-> eps\n")
-    _, out, _ = run(["base", str(f)], expect=0)
+    _, out, _ = run_cli(["base", str(f)], expect=0)
     assert out.splitlines() == ["prime K"]
 
 
@@ -146,9 +135,9 @@ def _exhaustive_engine(monkeypatch):
 
 
 def test_base_exhaustive_mode(sysb_file, monkeypatch):
-    _, pruned, _ = run(["base", sysb_file], expect=0)
+    _, pruned, _ = run_cli(["base", sysb_file], expect=0)
     _exhaustive_engine(monkeypatch)
-    _, exhaustive, _ = run(["base", sysb_file], expect=0)
+    _, exhaustive, _ = run_cli(["base", sysb_file], expect=0)
     assert pruned == exhaustive
 
 
@@ -157,38 +146,38 @@ def test_base_exhaustive_mode_on_a_generated_system(tmp_path, monkeypatch):
     # constant's norm would test 406,725 candidates for C15 alone.
     target = tmp_path / "n64.bpa"
     gen = ["gen", "--constants", "64", "--norm-cap", "8", "--seed", "34", "-o", str(target)]
-    run(gen, expect=0)
-    _, pruned, _ = run(["base", str(target), "--iterations"], expect=0)
+    run_cli(gen, expect=0)
+    _, pruned, _ = run_cli(["base", str(target), "--iterations"], expect=0)
     _exhaustive_engine(monkeypatch)
-    _, exhaustive, _ = run(["base", str(target), "--iterations"], expect=0)
+    _, exhaustive, _ = run_cli(["base", str(target), "--iterations"], expect=0)
     assert pruned == exhaustive
 
 
-def test_mode_flag_is_gone(sysb_file):
+def test_mode_flag_is_gone(sysb_file, capsys):
     # Candidate modes are compared through the API (`test_mode_agreement`).
     for argv in (["base", sysb_file, "--mode", "exhaustive"],
                  ["check", sysb_file, "--left", "X", "--right", "Y", "--mode", "pruned"]):
-        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()) as err:
+        with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2 and "--mode" in err.getvalue()
+        assert exc.value.code == 2 and "--mode" in capsys.readouterr().err
 
 
 def test_norms_output(ex1_file, sysb_file, tmp_path):
-    _, out, _ = run(["norms", ex1_file], expect=0)
+    _, out, _ = run_cli(["norms", ex1_file], expect=0)
     assert out.splitlines() == ["X 1", "X' 1", "Y 1", "Y' 1"]
-    _, out, _ = run(["norms", sysb_file, "--json"], expect=0)
+    _, out, _ = run_cli(["norms", sysb_file, "--json"], expect=0)
     assert json.loads(out) == {"A": 1, "B": 1, "X": 2, "Y": 1}
 
     unnormed = tmp_path / "u.bpa"
     unnormed.write_text("constants: X\nX -a-> X\n")
-    code, out, err = run(["norms", str(unnormed)])
+    code, out, err = run_cli(["norms", str(unnormed)])
     assert code == 0
     assert out.splitlines() == ["X inf"]
     assert "unnormed" in err
 
 
 def test_standardize_output_reparses(ex1_file):
-    _, out, _ = run(["standardize", ex1_file], expect=0)
+    _, out, _ = run_cli(["standardize", ex1_file], expect=0)
     lines = out.splitlines()
     assert lines[0] == "constants: X' Y' X Y"
     assert "# standard order" in out
@@ -206,26 +195,26 @@ def test_standardize_output_reparses(ex1_file):
 def test_standardize_merges_loops(tmp_path):
     f = tmp_path / "loop.bpa"
     f.write_text("constants: X Y\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\n")
-    _, out, _ = run(["standardize", str(f)], expect=0)
+    _, out, _ = run_cli(["standardize", str(f)], expect=0)
     assert out.splitlines()[0] == "constants: X"
     assert "<- X Y" in out
 
 
 def test_gen_deterministic_and_valid(tmp_path):
     args = ["gen", "--constants", "6", "--seed", "7"]
-    _, out1, _ = run(args, expect=0)
-    _, out2, _ = run(args, expect=0)
+    _, out1, _ = run_cli(args, expect=0)
+    _, out2, _ = run_cli(args, expect=0)
     assert out1 == out2
 
     target = tmp_path / "g.bpa"
-    run(["gen", "--constants", "6", "--seed", "7", "-o", str(target)], expect=0)
+    run_cli(["gen", "--constants", "6", "--seed", "7", "-o", str(target)], expect=0)
     assert target.read_text() == out1
 
-    code, _, _ = run(["norms", str(target)])
+    code, _, _ = run_cli(["norms", str(target)])
     assert code == 0
 
     # The command line keeps no generator defaults of its own.
-    _, out, _ = run(["gen", "--seed", "7"], expect=0)
+    _, out, _ = run_cli(["gen", "--seed", "7"], expect=0)
     assert out == serialize_system(random_system(GenParams(seed=7)))
 
 
@@ -236,23 +225,23 @@ def test_unwritable_output_path_is_an_input_error(command, sysb_file, tmp_path):
         argv = ["gen", "--constants", "3", "-o", target]
     else:
         argv = ["base", sysb_file, "--trace", target]
-    code, _, err = run(argv)
+    code, _, err = run_cli(argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_oracle_command(ex1_file, sysb_file):
-    code, out, _ = run(["oracle", ex1_file, "X", "Y", "--k", "8", "--json"])
+    code, out, _ = run_cli(["oracle", ex1_file, "X", "Y", "--k", "8", "--json"])
     assert code == 1
     payload = json.loads(out)
     assert payload["result"] == "distinction"
     assert payload["strategy"]["nodes"]
 
-    code, out, _ = run(["oracle", sysb_file, "A", "B", "--k", "8"])
+    code, out, _ = run_cli(["oracle", sysb_file, "A", "B", "--k", "8"])
     assert code == 0
     assert "no distinction found up to k=8" in out
 
-    code, out, _ = run(["oracle", ex1_file, "X", "Y", "--k", "8"])
+    code, out, _ = run_cli(["oracle", ex1_file, "X", "Y", "--k", "8"])
     assert code == 1
     assert out == "distinction found (strategy tree of 2 nodes); attacker opens with left -a-> eps\n"
 
@@ -261,7 +250,7 @@ def test_oracle_guard_exits_three(ex1_file, monkeypatch):
     from tnbpa import oracle
 
     monkeypatch.setattr(oracle, "NODE_LIMIT", 0)
-    code, _, err = run(["oracle", ex1_file, "X", "Y", "--k", "8"])
+    code, _, err = run_cli(["oracle", ex1_file, "X", "Y", "--k", "8"])
     assert code == 3 and err.startswith("resource guard: strategy extraction exceeded")
 
 
@@ -269,11 +258,8 @@ def test_deep_recursion_exits_three(tmp_path):
     # The norm-doubling chain: X11 and X10 differ in norm by 1024, and the
     # recursive norm descent that refutes them runs out of stack.
     f = tmp_path / "doubling.bpa"
-    rules = ["X0 -a-> eps"]
-    for i in range(1, 14):
-        rules += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
-    f.write_text("constants: " + " ".join(f"X{i}" for i in range(14)) + "\n" + "\n".join(rules) + "\n")
-    code, _, err = run(["oracle", str(f), "X11", "X10", "--k", "4"])
+    f.write_text(chain_text("doubling", 14))
+    code, _, err = run_cli(["oracle", str(f), "X11", "X10", "--k", "4"])
     assert code == 3 and err.startswith("resource guard: maximum recursion depth exceeded")
 
 
@@ -312,7 +298,7 @@ def test_huge_word_exits_three_before_allocating(tmp_path):
 def test_doubling_chain_at_n40_decides_and_prints(tmp_path):
     path = tmp_path / "doubling40.bpa"
     path.write_text(chain_text("doubling", 40))
-    code, out, _ = run(["check", str(path), "--left", "X3", "--right", "X2"], expect=1)
+    code, out, _ = run_cli(["check", str(path), "--left", "X3", "--right", "X2"], expect=1)
     assert out == "verdict: not-bisimilar\ndcmp(left)  = X3\ndcmp(right) = X2\n"
 
 
@@ -321,9 +307,9 @@ def test_word_guard_is_read_at_call_time(tmp_path, monkeypatch):
     path = tmp_path / "clone10.bpa"
     path.write_text(chain_text("clone", 10))
     argv = ["check", str(path), "--left", "Y9", "--right", "Y8 Y8"]
-    run(argv, expect=0)
+    run_cli(argv, expect=0)
     monkeypatch.setattr(strings, "EXPAND_LIMIT", 511)
-    code, _, err = run(argv)
+    code, _, err = run_cli(argv)
     assert code == 3 and err == "resource guard: a word of 512 ids is wider than the limit of 511\n"
 
 
@@ -333,7 +319,7 @@ def test_memory_error_exits_three(ex1_file, monkeypatch):
 
     monkeypatch.setattr(engine, "compute_bisimilarity_base", exhausted)
     for argv in (["check", ex1_file, "--left", "X", "--right", "Y"], ["base", ex1_file]):
-        code, _, err = run(argv)
+        code, _, err = run_cli(argv)
         assert code == 3 and err == "resource guard: out of memory\n"
 
 
@@ -353,7 +339,7 @@ def test_memory_error_exits_three(ex1_file, monkeypatch):
     ],
 )
 def test_bad_generator_flags_are_input_errors(argv, field):
-    code, out, err = run(argv)
+    code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field} must ")
 
@@ -370,13 +356,13 @@ def test_bad_generator_flags_are_input_errors(argv, field):
     ],
 )
 def test_numeric_flags_below_range_are_input_errors(argv, flag, ex1_file):
-    code, out, err = run([a.format(ex1=ex1_file) for a in argv])
+    code, out, err = run_cli([a.format(ex1=ex1_file) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} must be at least ")
 
 
 def test_fuzz_command():
-    code, out, _ = run([
+    code, out, _ = run_cli([
         "fuzz", "--trials", "2", "--pairs", "4", "--constants", "5", "--seed", "31",
     ])
     assert code == 0
@@ -392,7 +378,7 @@ def test_fuzz_reports_a_guard_in_a_generator_check(monkeypatch):
     from tnbpa import oracle
 
     monkeypatch.setattr(oracle, "MEMO_LIMIT", 0)
-    code, out, err = run(["fuzz", "--trials", "3", "--pairs", "5", "--constants", "6"])
+    code, out, err = run_cli(["fuzz", "--trials", "3", "--pairs", "5", "--constants", "6"])
     assert (code, err) == (1, "")
     *trials, summary = [json.loads(line) for line in out.splitlines()]
     assert [t["seed"] for t in trials] == [0, 1, 2]
@@ -402,42 +388,48 @@ def test_fuzz_reports_a_guard_in_a_generator_check(monkeypatch):
 
 def test_fuzz_jobs_flag_matches_serial():
     argv = ["fuzz", "--trials", "2", "--pairs", "3", "--constants", "5", "--seed", "77"]
-    _, serial, _ = run(argv, expect=0)
-    _, parallel, _ = run(argv + ["--jobs", "2"], expect=0)
+    _, serial, _ = run_cli(argv, expect=0)
+    _, parallel, _ = run_cli(argv + ["--jobs", "2"], expect=0)
     assert serial == parallel
 
 
 def test_input_errors(tmp_path, ex1_file):
     bad = tmp_path / "bad.bpa"
     bad.write_text("constants: X\nX -a-> Q\n")
-    code, _, err = run(["check", str(bad), "--left", "X", "--right", "X"])
+    code, _, err = run_cli(["check", str(bad), "--left", "X", "--right", "X"])
     assert code == 2 and "undeclared" in err
 
     nontn = tmp_path / "nontn.bpa"
     nontn.write_text("constants: X\nX -a-> eps\nX -tau-> eps\n")
-    code, _, err = run(["base", str(nontn)])
+    code, _, err = run_cli(["base", str(nontn)])
     assert code == 2 and "totally normed" in err
 
-    code, _, err = run(["check", str(tmp_path / "missing.bpa"), "--left", "X", "--right", "X"])
+    code, _, err = run_cli(["check", str(tmp_path / "missing.bpa"), "--left", "X", "--right", "X"])
     assert code == 2
 
     # A file that is not UTF-8 cannot be read either: one error line.
     latin = tmp_path / "latin.bpa"
     latin.write_bytes(b"constants: X\nX -a-> eps \xff\n")
-    code, _, err = run(["base", str(latin)])
+    code, _, err = run_cli(["base", str(latin)])
     assert code == 2 and err.startswith(f"error: cannot read {latin}: ") and err.count("\n") == 1
+
+    # A leading byte-order mark, as some editors write, is not part of the text.
+    bom = tmp_path / "bom.bpa"
+    bom.write_bytes(b"\xef\xbb\xbf" + EX1_TEXT.encode())
+    for argv in (["check", "--left", "X", "--right", "Y"], ["base", "--json"], ["norms"]):
+        assert run_cli([argv[0], str(bom), *argv[1:]]) == run_cli([argv[0], ex1_file, *argv[1:]])
 
     # check and oracle parse processes alike: eps must stand alone.
     for argv in (["check", ex1_file, "--left", "X eps", "--right", "X"],
                  ["oracle", ex1_file, "X eps", "X"]):
-        code, _, err = run(argv)
+        code, _, err = run_cli(argv)
         assert code == 2 and "'eps' must stand alone in a process" in err
 
 
 def test_output_determinism(ex1_file):
     argv = ["check", ex1_file, "--left", "X", "--right", "Y", "--json"]
-    _, out1, _ = run(argv, expect=1)
-    _, out2, _ = run(argv, expect=1)
+    _, out1, _ = run_cli(argv, expect=1)
+    _, out2, _ = run_cli(argv, expect=1)
     assert out1 == out2
 
 
@@ -448,13 +440,13 @@ def test_check_resolves_contracted_names(tmp_path):
     f.write_text(
         "constants: X Y Z\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\nZ -b-> X\n"
     )
-    run(["check", str(f), "--left", "Y", "--right", "X"], expect=0)
-    run(["check", str(f), "--left", "Z", "--right", "Y X"], expect=1)
+    run_cli(["check", str(f), "--left", "Y", "--right", "X"], expect=0)
+    run_cli(["check", str(f), "--left", "Z", "--right", "Y X"], expect=1)
 
 
 def test_check_trace_flag(ex1_file, tmp_path):
     trace_path = tmp_path / "check-trace.json"
-    run(
+    run_cli(
         ["check", ex1_file, "--left", "X", "--right", "Y", "--trace", str(trace_path)],
         expect=1,
     )
@@ -469,7 +461,7 @@ def test_internal_failures_exit_three(ex1_file, monkeypatch):
         raise AssertionError("synthetic internal failure")
 
     monkeypatch.setattr(cli_module.engine, "compute_bisimilarity_base", boom)
-    code, _, err = run(["base", ex1_file])
+    code, _, err = run_cli(["base", ex1_file])
     assert code == 3 and "internal error" in err
 
 
@@ -490,12 +482,12 @@ def test_invalid_base_built_by_the_engine_exits_three(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine, "candidates_for", norm_changing)
     for argv in (["check", str(path), "--left", "A", "--right", "B"], ["base", str(path)]):
-        code, _, err = run(argv)
+        code, _, err = run_cli(argv)
         assert code == 3, err
         assert err.startswith("internal error:") and "not norm-preserving" in err
     report = differential_trial(GenParams(constants=6, seed=3), k_max=4, pairs_per_trial=2)
     assert "not norm-preserving" in report.engine_error
-    code, out, _ = run(["fuzz", "--trials", "2", "--pairs", "2", "--constants", "5"])
+    code, out, _ = run_cli(["fuzz", "--trials", "2", "--pairs", "2", "--constants", "5"])
     assert code == 1 and "not norm-preserving" in out
 
 
@@ -519,7 +511,7 @@ def test_equations_changed_at_the_fixpoint_exit_three(tmp_path, monkeypatch):
     path = tmp_path / "abc.bpa"
     path.write_text(ABC_TEXT)
     monkeypatch.setattr(engine, "refine", moving)
-    code, out, err = run(["base", str(path)])
+    code, out, err = run_cli(["base", str(path)])
     assert (code, out) == (3, "")
     assert err == "internal error: prime set stabilized but equations changed\n"
 
@@ -535,7 +527,7 @@ def test_no_fixpoint_within_n_passes_exits_three(tmp_path, monkeypatch):
     path = tmp_path / "abc.bpa"
     path.write_text(ABC_TEXT)
     monkeypatch.setattr(engine, "refine", alternating)
-    code, out, err = run(["base", str(path)])
+    code, out, err = run_cli(["base", str(path)])
     assert (code, out) == (3, "")
     assert err == "internal error: no fixpoint within 3 refinement passes\n"
 
@@ -562,7 +554,7 @@ def test_standardize_checks_exit_three(tmp_path, monkeypatch, text, contraction,
     path = tmp_path / "sys.bpa"
     path.write_text(text)
     monkeypatch.setattr(normalization, "contract_loops", contraction)
-    code, out, err = run(["base", str(path)])
+    code, out, err = run_cli(["base", str(path)])
     assert (code, out) == (3, "")
     assert err == f"internal error: {message}\n"
 
@@ -572,7 +564,7 @@ def test_a_refuted_pair_without_a_certificate_exits_three(monkeypatch):
     from tnbpa import oracle
 
     monkeypatch.setattr(oracle.GameContext, "find_distinction", lambda self, p, q, k_max: None)
-    code, out, err = run(["fuzz", "--trials", "1", "--pairs", "5", "--constants", "5"])
+    code, out, err = run_cli(["fuzz", "--trials", "1", "--pairs", "5", "--constants", "5"])
     assert (code, out) == (3, "")
     assert err == "internal error: refuted pair (1, 2, 1) vs (4, 1) yielded no distinction\n"
 
@@ -581,8 +573,8 @@ def test_repo_sample_files():
     root = Path(__file__).resolve().parent.parent
     ex1 = root / "systems" / "ex1.bpa"
     sysb = root / "systems" / "sys-b.bpa"
-    run(["check", str(ex1), "--left", "X", "--right", "Y"], expect=1)
-    run(["check", str(sysb), "--left", "A", "--right", "B"], expect=0)
+    run_cli(["check", str(ex1), "--left", "X", "--right", "Y"], expect=1)
+    run_cli(["check", str(sysb), "--left", "A", "--right", "B"], expect=0)
 
 
 SAMPLES = [
@@ -632,7 +624,7 @@ def test_mutated_samples_keep_the_exit_code_contract(tmp_path_factory, text, lef
         ["norms", str(path)],
         ["standardize", str(path)],
     ):
-        code, _, err = run(argv)
+        code, _, err = run_cli(argv)
         assert code in (0, 1, 2), (argv, text, err)
 
 

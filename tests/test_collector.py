@@ -15,8 +15,7 @@ import gc
 
 import pytest
 
-from conftest import chain_text
-from test_acceptance import CONFIRM_K, K_MAX, corpus_params
+from conftest import CONFIRM_K, K_MAX, chain_text, corpus_params
 from tnbpa import engine, oracle
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base, trace_to_json
 from tnbpa.model import ParseError, parse_system, serialize_system

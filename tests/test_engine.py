@@ -10,6 +10,7 @@ from conftest import (
     base_as_names,
     chain_text,
     names_of,
+    refine_over_split_base,
 )
 from tnbpa import engine
 from tnbpa.base import DecompositionBase, initial_base
@@ -310,18 +311,6 @@ def test_equations_satisfy_branching_expansion():
             assert ctx.expansion_holds(relate, (i,), rhs.ids)
 
 
-# P, R and S have the same moves, and Q has another.  The hand-built old base
-# below is no refinement iterate: it puts R under Q and S under P.
-SPLIT_TEXT = "constants: P Q R S\nP -a-> eps\nQ -b-> eps\nR -a-> eps\nS -a-> eps\n"
-
-
-def refine_over_split_base():
-    std = standardize(parse_system(SPLIT_TEXT))
-    p, q, r, s = (std.sys.ids[name] for name in "PQRS")
-    base = DecompositionBase(std.n, [p, q], {r: (q,), s: (p,)}, std.norms)
-    return std, refine(std, base, select_decreasing_rules(std))[0]
-
-
 def test_signature_keeps_heads_apart_that_the_old_base_separates():
     # R turns prime (its old lpf Q has no a-move) and has S's moves, but
     # old(R) = Q while old(S) = P: `lpftest` rejects S = R at step 1, so the
@@ -551,19 +540,11 @@ def test_refinement_builds_one_string_per_equation(monkeypatch):
     assert all(b._memo.keys() <= keys for b in bases.values())
 
 
-def _doubling_chain(n: int):
-    return standardize(parse_system(chain_text("doubling", n)))
-
-
-def _clone_chain(n: int):
-    return standardize(parse_system(chain_text("clone", n)))
-
-
 def test_doubling_and_clone_chains_at_n12():
     # The two norm-blowup families of the benchmark, at n = 12.  Norms grow
     # as 2^i, so the factor table holds exponentially long entries.
     n = 12
-    std = _doubling_chain(n)
+    std = standardize(parse_system(chain_text("doubling", n)))
     base, trace = compute_bisimilarity_base(std)
     assert len(trace) == 2 and len(base.primes) == n
     x = [std.sys.ids[f"X{i}"] for i in range(n)]
@@ -571,7 +552,7 @@ def test_doubling_and_clone_chains_at_n12():
         assert check_equivalence(std, (x[i],), (x[i - 1], x[i - 1]), base=base).kind is \
             VerdictKind.NOT_BISIMILAR
 
-    std = _clone_chain(n)
+    std = standardize(parse_system(chain_text("clone", n)))
     base, trace = compute_bisimilarity_base(std)
     y = [std.sys.ids[f"Y{i}"] for i in range(n)]
     assert len(trace) == 1 and base.primes == {y[0]}
@@ -605,40 +586,26 @@ def test_interpreter_work_on_the_chains_grows_slowly():
     # From n = 12 to n = 18 the words grow 64-fold.  Summing norms,
     # validating equations and decomposing prime strings run in C, so the
     # interpreter's work must not follow the words' length.
-    for build in (_doubling_chain, _clone_chain):
-        small, _ = _traced_base(build(12))
-        std = build(18)
+    for family in ("doubling", "clone"):
+        small, _ = _traced_base(standardize(parse_system(chain_text(family, 12))))
+        std = standardize(parse_system(chain_text(family, 18)))
         large, (base, _) = _traced_base(std)
-        assert large < 2 * small, (build.__name__, small, large)
+        assert large < 2 * small, (family, small, large)
     y = [std.sys.ids[f"Y{i}"] for i in range(18)]
     assert base.primes == {y[0]}
     for i in range(1, 18):
         assert base.equations[y[i]].ids == (y[0],) * 2 ** i
 
 
-def test_stored_words_grow_linearly_on_the_chains():
-    # Norms reach 2^n, but every wide word on both chains is one run, so the
-    # entries the run's bases store, summed over the initial base and every
-    # pass's base, grow linearly in n.  Explicit words would store about 2^n.
-    # Ascending n, so that exponential storage fails at the smallest size.
-    for n in (16, 32, 64, 128):
-        for build in (_doubling_chain, _clone_chain):
-            std = build(n)
-            _, trace = compute_bisimilarity_base(std)
-            stored = sum(len(w) for b in pass_bases(std, trace) for w in b._factors.values())
-            assert stored <= 16 * n, (build.__name__, n, stored)
-
-
 @pytest.mark.parametrize("n", [40, 64, 128])
 def test_chains_far_past_explicit_words(n):
     # Norms near 2^n: both candidate modes agree, Xi and X(i-1) X(i-1) differ
     # in norm, and Yi is Y(i-1) Y(i-1).
-    for build, bisimilar in ((_doubling_chain, False), (_clone_chain, True)):
-        std = build(n)
+    for family, letter, bisimilar in (("doubling", "X", False), ("clone", "Y", True)):
+        std = standardize(parse_system(chain_text(family, n)))
         base, _ = compute_bisimilarity_base(std)
         exhaustive, _ = compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)
         assert base == exhaustive
-        letter = "X" if build is _doubling_chain else "Y"
         c = [std.sys.ids[f"{letter}{i}"] for i in range(n)]
         want = VerdictKind.BISIMILAR if bisimilar else VerdictKind.NOT_BISIMILAR
         for i in range(1, n):

@@ -11,23 +11,15 @@ generator, so a moved digest moves their inputs too.
 """
 
 import hashlib
-import json
 import tracemalloc
-from pathlib import Path
 
+from conftest import SWEEP, sweep_params
 from tnbpa.model import serialize_system
 from tnbpa.normalization import check_totally_normed, compute_norms
 from tnbpa.oracle import GenParams, random_system
 
-SWEEP = json.loads(Path(__file__).with_name("generator_sweep.json").read_text())
-
-
-def _params(entry: dict) -> GenParams:
-    return GenParams(**{k: v for k, v in entry.items() if k != "sha256"})
-
-
 def test_the_sweep_covers_its_ranges():
-    params = [_params(entry) for entry in SWEEP]
+    params = [sweep_params(entry) for entry in SWEEP]
     assert len(params) == 200
     assert {p.constants for p in params} >= {1, 256}
     assert {p.norm_cap for p in params} == {1, 2, 4, 8, 10**9}
@@ -42,7 +34,7 @@ def test_generator_output_is_unchanged_on_the_sweep():
     # checks every one of the sweep.
     moved, not_totally_normed = [], []
     for entry in SWEEP:
-        sys = random_system(_params(entry))
+        sys = random_system(sweep_params(entry))
         if hashlib.sha256(serialize_system(sys).encode()).hexdigest() != entry["sha256"]:
             moved.append(entry["seed"])
         if check_totally_normed(sys, compute_norms(sys)):

@@ -10,9 +10,14 @@ strings kept in `conftest`.
 
 import pytest
 
-from conftest import SYSB_TEXT, _candidates_enumerated, missed_clones
-from test_acceptance import corpus_params
-from test_engine import refine_over_split_base
+from conftest import (
+    SYSB_TEXT,
+    WIDE_GRID,
+    _candidates_enumerated,
+    corpus_params,
+    missed_clones,
+    refine_over_split_base,
+)
 from tnbpa import engine
 from tnbpa.engine import (
     CandidateMode,
@@ -27,18 +32,6 @@ from tnbpa.engine import (
 from tnbpa.model import parse_system
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
-
-# Systems well above the acceptance corpus (n <= 8, caps <= 5), where an old
-# leftmost prime factor whose decreasing rule reaches a constant made prime in
-# the same pass is common.
-WIDE_GRID = [
-    GenParams(constants=n, norm_cap=cap, silent_prob=sp, seed=seed)
-    for n in (16, 32, 64)
-    for cap in (2, 5, 8)
-    for sp in (0.0, 0.3)
-    for seed in range(10)
-]
-
 
 def _mode_mismatches(grid):
     """The parameters whose pruned and exhaustive final bases differ.

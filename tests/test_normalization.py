@@ -11,10 +11,16 @@ from hypothesis import strategies as st
 
 import tnbpa
 import tnbpa.normalization as nz
-from conftest import brute_force_norm, chain_text, naive_norm_values, reference_standardize
-from test_generator_sweep import SWEEP, _params
-from test_mode_agreement import WIDE_GRID
-from test_small_system_sweep import small_systems
+from conftest import (
+    SWEEP,
+    WIDE_GRID,
+    brute_force_norm,
+    chain_text,
+    naive_norm_values,
+    reference_standardize,
+    small_systems,
+    sweep_params,
+)
 from tnbpa.model import TAU, BpaSystem, ParseError, Rule, is_silent, parse_system, serialize_system
 from tnbpa.normalization import (
     NotTotallyNormedError,
@@ -252,7 +258,7 @@ def test_norm_witnesses_descend_to_eps_in_norm_many_visible_steps():
     # norm(c) visible steps.  The step limit turns a witness cycle into a
     # failure instead of a hang.
     normed = 0
-    for sys in [*small_systems(), *(random_system(_params(entry)) for entry in SWEEP)]:
+    for sys in [*small_systems(), *(random_system(sweep_params(entry)) for entry in SWEEP)]:
         table = compute_norms(sys)
         for c, norm in enumerate(table.values):
             w = table.witness[c]
@@ -276,7 +282,7 @@ def test_norm_witnesses_descend_to_eps_in_norm_many_visible_steps():
 def _standard_form_inputs():
     """The generator sweep, the wide grid and the four chain families."""
     for entry in SWEEP:
-        yield random_system(_params(entry))
+        yield random_system(sweep_params(entry))
     for params in WIDE_GRID:
         yield random_system(params)
     for family in ("doubling", "clone", "composite-root", "ladder"):

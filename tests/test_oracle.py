@@ -694,12 +694,7 @@ def test_extraction_and_replay_restore_the_cyclic_collector(ex1_std, monkeypatch
 def test_extraction_restores_the_cyclic_collector_after_a_recursion_error():
     # The norm-doubling chain of the CLI's deep recursion test: the descent
     # refuting X11 against X10 runs out of stack.
-    rules = ["X0 -a-> eps"]
-    for i in range(1, 14):
-        rules += [f"X{i} -a-> X{i - 1} X{i - 1}", f"X{i} -b-> X{i - 1} X{i - 1}"]
-    std = standardize(parse_system(
-        "constants: " + " ".join(f"X{i}" for i in range(14)) + "\n" + "\n".join(rules) + "\n"
-    ))
+    std = standardize(parse_system(chain_text("doubling", 14)))
     with pytest.raises(RecursionError):
         GameContext(std).find_distinction(std.parse_process("X11"), std.parse_process("X10"), 4)
     assert gc.isenabled()

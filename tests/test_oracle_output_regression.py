@@ -23,15 +23,12 @@ says why.
 """
 
 import hashlib
-import io
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from conftest import chain_text
+from conftest import chain_text, run_cli
 from tnbpa import oracle
-from tnbpa.cli import main
 
 SYSTEMS_DIR = Path(__file__).resolve().parents[1] / "systems"
 
@@ -85,11 +82,10 @@ FUZZ_CASES = {
 }
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+def _digest(argv: list[str]) -> tuple[int, str]:
+    """The exit code and the sha256 of standard output."""
+    code, out, _ = run_cli(argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES), ids=" ".join)
@@ -100,26 +96,26 @@ def test_oracle_json_is_unchanged(case, tmp_path):
         path.write_text(chain_text("doubling", 6))
     else:
         path = SYSTEMS_DIR / system
-    assert _run(["oracle", str(path), left, right, "--json"]) == ORACLE_CASES[case]
+    assert _digest(["oracle", str(path), left, right, "--json"]) == ORACLE_CASES[case]
 
 
 @pytest.mark.parametrize("args", list(FUZZ_CASES), ids=" ".join)
 def test_fuzz_output_is_unchanged(args):
-    assert _run(["fuzz", *args]) == FUZZ_CASES[args]
+    assert _digest(["fuzz", *args]) == FUZZ_CASES[args]
 
 
 @pytest.mark.parametrize("case", list(CHECK_VERIFY_CASES), ids=lambda c: " ".join((*c[:3], *c[3])))
 def test_check_verify_output_is_unchanged(case):
     system, left, right, flags = case
     argv = ["check", str(SYSTEMS_DIR / system), "--left", left, "--right", right, "--verify", "--k", "8", *flags]
-    assert _run(argv) == CHECK_VERIFY_CASES[case]
+    assert _digest(argv) == CHECK_VERIFY_CASES[case]
 
 
 @pytest.mark.parametrize("case", list(CONTRACTED_CHECK_CASES), ids=" / ".join)
 def test_check_on_contracted_names_is_unchanged(case):
     left, right = case
     argv = ["check", str(SYSTEMS_DIR / "silent-cycle.bpa"), "--left", left, "--right", right, "--json"]
-    assert _run(argv) == CONTRACTED_CHECK_CASES[case]
+    assert _digest(argv) == CONTRACTED_CHECK_CASES[case]
 
 
 def test_failing_fuzz_summary_is_unchanged(monkeypatch):
@@ -128,7 +124,7 @@ def test_failing_fuzz_summary_is_unchanged(monkeypatch):
     # not-bisimilar pairs are flagged, 24 guards are recorded and the summary
     # reads "ok": false, so fuzz exits 1.
     monkeypatch.setattr(oracle, "MEMO_LIMIT", 0)
-    assert _run(["fuzz", "--trials", "6", "--pairs", "8"]) == (
+    assert _digest(["fuzz", "--trials", "6", "--pairs", "8"]) == (
         1,
         "5244e196b340611b6fde493a530e2601541bcca806bd79e84ee2026035ba288f",
     )

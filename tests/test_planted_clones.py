@@ -10,9 +10,7 @@ it must.
 
 import pytest
 
-from conftest import missed_clones, planted_clones
-from test_candidate_counts import family_params
-from test_mode_agreement import WIDE_GRID
+from conftest import WIDE_GRID, engine_random_params, missed_clones, planted_clones
 from tnbpa.oracle import random_system
 
 
@@ -25,5 +23,6 @@ def test_no_planted_clone_is_missed_on_the_wide_grid():
 @pytest.mark.parametrize("n", [256, 512, 1024])
 @pytest.mark.parametrize("cap", [1, 4, 8])
 def test_no_planted_clone_is_missed_on_the_random_family(n, cap):
-    assert planted_clones(random_system(family_params(n, cap)))
-    assert missed_clones(family_params(n, cap)) == []
+    params = engine_random_params(n, cap, 42)
+    assert planted_clones(random_system(params))
+    assert missed_clones(params) == []

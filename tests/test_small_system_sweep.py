@@ -7,31 +7,12 @@ pushed through both candidate modes and cross-checked against the game
 oracle on four process pairs.
 """
 
-import itertools
-
+from conftest import small_systems
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base
-from tnbpa.model import BpaSystem, Rule, TAU
 from tnbpa.normalization import check_totally_normed, compute_norms, standardize
 from tnbpa.oracle import GameContext
 
-RHS = [(), (0,), (1,), (0, 1)]
-LABELS = ["a", "b", TAU]
-POOL = [(lab, rhs) for lab in LABELS for rhs in RHS if not (lab == TAU and rhs == ())]
 PAIR_TEXTS = [("P", "Q"), ("P", "P Q"), ("Q", "Q Q"), ("P Q", "Q P")]
-
-
-def _rule_sets():
-    for count in (1, 2):
-        yield from itertools.combinations(POOL, count)
-
-
-def small_systems():
-    """Every system of the sweep, totally normed or not."""
-    for rules_p in _rule_sets():
-        for rules_q in _rule_sets():
-            rules = [Rule(0, lab, rhs) for lab, rhs in rules_p]
-            rules += [Rule(1, lab, rhs) for lab, rhs in rules_q]
-            yield BpaSystem(["P", "Q"], rules)
 
 
 def test_every_small_system_agrees_with_the_oracle():

@@ -20,14 +20,11 @@ original names merged into it.
 """
 
 import hashlib
-import io
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from conftest import chain_text
-from tnbpa.cli import main
+from conftest import THREE_CYCLE, chain_text, engine_random_params, run_cli
 from tnbpa.model import serialize_system
 from tnbpa.oracle import GenParams, random_system
 
@@ -43,14 +40,8 @@ RANDOM_CASES = {
     "rand-n64-cap8-s0": GenParams(constants=64, norm_cap=8, silent_prob=0.0, composite_prob=0.4, seed=34),
     # The benchmark's engine-random settings, where cuts of several lengths
     # and signatures shared by several primes occur.
-    "rand-n256-cap4-s30": GenParams(
-        constants=256, max_rhs_len=3, alphabet=2, silent_prob=0.3, norm_cap=4,
-        extra_rules=2, composite_prob=0.4, seed=55,
-    ),
-    "rand-n512-cap8-s30": GenParams(
-        constants=512, max_rhs_len=3, alphabet=2, silent_prob=0.3, norm_cap=8,
-        extra_rules=2, composite_prob=0.4, seed=89,
-    ),
+    "rand-n256-cap4-s30": engine_random_params(256, 4, 55),
+    "rand-n512-cap8-s30": engine_random_params(512, 8, 89),
 }
 
 # The norm-blowup families: at n = 6 every word is narrower than 64 ids, at
@@ -137,15 +128,6 @@ PINNED = {
     ),
 }
 
-
-# The silent cycle X -> Y -> Z -> X collapses into X; W mentions all three.
-THREE_CYCLE = (
-    "constants: X Y Z W\n"
-    "X -tau-> Y\nY -tau-> Z\nZ -tau-> X\n"
-    "X -a-> eps\nY -a-> eps\nZ -a-> eps\n"
-    "W -b-> X Y Z\n"
-)
-
 # name -> sha256 of `standardize` stdout
 STANDARDIZE_PINNED = {
     "ex1.bpa": "2ac31458c0fdf13d6733adc292c32a464d2526ce56faf9ed89902604764901f4",
@@ -159,17 +141,10 @@ def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-def _base_stdout(argv: list[str]) -> str:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(["base", *argv])
-    assert code == 0, f"tnbpa base exited {code} on {argv[0]}"
-    return out.getvalue()
-
-
 def base_digests(system_file: Path, trace_file: Path) -> tuple[str, str, str]:
-    json_out = _base_stdout([str(system_file), "--json", "--iterations", "--trace", str(trace_file)])
-    text_out = _base_stdout([str(system_file), "--iterations"])
+    argv = ["base", str(system_file), "--iterations"]
+    _, json_out, _ = run_cli([*argv, "--json", "--trace", str(trace_file)], expect=0)
+    _, text_out, _ = run_cli(argv, expect=0)
     return _sha(json_out), _sha(trace_file.read_text()), _sha(text_out)
 
 
@@ -211,8 +186,5 @@ def test_standardize_output_is_unchanged(name, tmp_path):
     if name == "three-cycle":
         path = tmp_path / "three-cycle.bpa"
         path.write_text(THREE_CYCLE)
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(["standardize", str(path)])
-    assert code == 0
-    assert _sha(out.getvalue()) == STANDARDIZE_PINNED[name]
+    _, out, _ = run_cli(["standardize", str(path)], expect=0)
+    assert _sha(out) == STANDARDIZE_PINNED[name]
