@@ -1,7 +1,9 @@
 """Shared inputs and fixtures: the worked systems, the named families, the
-generated grids and corpora, the command-line runner and independent test
-oracles.  Every input more than one test module reads is defined here once."""
+generated grids and corpora, the session's corpus run, the command-line
+runner, the pass builders and independent test oracles.  Every input and
+mechanism more than one test reads is defined here once."""
 
+import gc
 import heapq
 import io
 import json
@@ -34,34 +36,21 @@ from tnbpa.oracle import (
     GameContext,
     GenParams,
     StateGuardExceeded,
+    TrialReport,
+    differential_trial,
     random_system,
     silent_closure_dec,
 )
 
-# The two-process system where every action matches yet the silent step on
-# one side is a genuine change of state.
-EX1_TEXT = """\
-constants: X X' Y Y'
-X -b-> eps
-X -tau-> X'
-X' -a-> eps
-X -a-> eps
-Y -b-> eps
-Y -tau-> Y'
-Y' -a-> eps
-"""
+ROOT = Path(__file__).resolve().parent.parent
+SYSTEMS = ROOT / "systems"
 
-# A pair of norm-1 constants related through a state-preserving silent step,
-# plus a norm-2 constant that decomposes as a product.
-SYSB_TEXT = """\
-constants: A B X Y
-X -a-> Y
-Y -a-> eps
-Y -tau-> X
-A -a-> eps
-A -tau-> B
-B -a-> eps
-"""
+# The worked systems.  Example one: two processes where every action
+# matches, yet the silent step on one side is a genuine change of state.
+# System B: a pair of norm-1 constants related through a state-preserving
+# silent step, plus a norm-2 constant that decomposes as a product.
+EX1_FILE, SYSB_FILE = str(SYSTEMS / "ex1.bpa"), str(SYSTEMS / "sys-b.bpa")
+EX1_TEXT, SYSB_TEXT = Path(EX1_FILE).read_text(), Path(SYSB_FILE).read_text()
 
 
 @pytest.fixture(scope="session")
@@ -141,6 +130,12 @@ THREE_CYCLE = (
     "W -b-> X Y Z\n"
 )
 
+# The smallest silent cycle, which contraction collapses into X.
+TWO_CYCLE = "constants: X Y\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\n"
+
+# One constant with one visible step.
+ONE_CONSTANT = "constants: K\nK -a-> eps\n"
+
 # P, R and S have the same moves, and Q has another.  The hand-built old base
 # of `refine_over_split_base` is no refinement iterate: it puts R under Q and
 # S under P.
@@ -164,6 +159,13 @@ def run_cli(argv, expect=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def write_system(directory: Path, text: str) -> str:
+    """text written as the system file of a directory; the file's path."""
+    path = directory / "system.bpa"
+    path.write_text(text)
+    return str(path)
+
+
 def engine_random_params(n: int, cap: int, seed: int) -> GenParams:
     """The generator settings of the benchmark's engine-random workload."""
     return GenParams(
@@ -178,12 +180,12 @@ K_MAX = 16
 CONFIRM_K = 24
 
 
-def corpus_params(count: int = 105) -> list[GenParams]:
-    """The acceptance corpus: constants <= 8, norms <= 5, silent-action rates
-    from 0 to 0.45."""
+def corpus_params() -> list[GenParams]:
+    """The acceptance corpus: 105 systems with constants <= 8, norms <= 5,
+    silent-action rates from 0 to 0.45."""
     silent_levels = (0.0, 0.15, 0.3, 0.45)
     out = []
-    for t in range(count):
+    for t in range(105):
         out.append(
             GenParams(
                 constants=3 + t % 6,            # 3..8
@@ -197,6 +199,28 @@ def corpus_params(count: int = 105) -> list[GenParams]:
             )
         )
     return out
+
+
+@pytest.fixture(scope="session")
+def corpus_run() -> tuple[list[TrialReport], int]:
+    """The corpus's differential trials, run once with the cyclic collector
+    off, and the number of unreachable objects one collection after them
+    found."""
+    gc.collect()
+    gc.disable()
+    try:
+        trials = [
+            differential_trial(p, K_MAX, pairs_per_trial=20, confirm_k=CONFIRM_K)
+            for p in corpus_params()
+        ]
+        return trials, gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(scope="session")
+def corpus_trials(corpus_run) -> list[TrialReport]:
+    return corpus_run[0]
 
 
 # Systems well above the acceptance corpus (n <= 8, caps <= 5), where an old
@@ -446,6 +470,42 @@ def missed_clones(params) -> list[tuple[int, int, tuple[int, ...]]]:
         for clone, head, tail in planted_clones(sys)
         if not base.equivalent(ids((clone,)), ids((head, *tail)))
     ]
+
+
+def partial_pass(std, old, primes, equations=None, mode=engine.CandidateMode.PRUNED):
+    """A refinement pass over the old base, built by hand: the constants of
+    `primes` settled prime and those of `equations` settled by theirs, in
+    index order."""
+    equations = equations or {}
+    partial = engine._PartialBase(std, old, engine.select_decreasing_rules(std), mode)
+    for j in sorted({*primes, *equations}):
+        if j in equations:
+            partial.settle_equation(j, equations[j])
+        else:
+            partial.settle_prime(j)
+    return partial
+
+
+@pytest.fixture
+def recorded_run(monkeypatch):
+    """Call with a system and a candidate mode: the run's final base, its
+    trace and the partial bases its passes built, in order."""
+    partials = []
+
+    class Recording(engine._PartialBase):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            partials.append(self)
+
+    def run(std, mode):
+        partials.clear()
+        final, trace = engine.compute_bisimilarity_base(std, mode)
+        return final, trace, list(partials)
+
+    monkeypatch.setattr(engine, "_PartialBase", Recording)
+    return run
 
 
 def _lpftest_skipping(steps: frozenset[int]):

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, one printed PASS line each.
 
-The heavy criteria share a single differential corpus of 105 generated
-systems (constants <= 8, norms <= 5, silent-action rates from 0 to 0.45),
-each cross-checked in both candidate modes against the game oracle at 16
-rounds with flagged pairs re-examined at 24.
+The heavy criteria read the session's one run of the differential corpus
+(`conftest.corpus_run`): 105 generated systems (constants <= 8, norms <= 5,
+silent-action rates from 0 to 0.45), each cross-checked in both candidate
+modes against the game oracle at 16 rounds with flagged pairs re-examined
+at 24.  The same run is the cyclic-garbage check of `test_collector.py`.
 """
 
 import random
@@ -11,9 +12,7 @@ import statistics
 import time
 from collections import Counter
 
-import pytest
-
-from conftest import CONFIRM_K, K_MAX, THREE_CYCLE, corpus_params, engine_random_params
+from conftest import CONFIRM_K, K_MAX, THREE_CYCLE, TWO_CYCLE, corpus_params, engine_random_params
 from tnbpa import oracle
 from tnbpa.base import initial_base
 from tnbpa.engine import (
@@ -27,7 +26,6 @@ from tnbpa.normalization import standardize
 from tnbpa.oracle import (
     GameContext,
     GenParams,
-    TrialReport,
     differential_trial,
     random_system,
     realtime_divergences,
@@ -38,14 +36,6 @@ from tnbpa.oracle import (
 
 def report(criterion: int, text: str) -> None:
     print(f"[acceptance {criterion}] PASS - {text}")
-
-
-@pytest.fixture(scope="module")
-def corpus_trials() -> list[TrialReport]:
-    return [
-        differential_trial(p, K_MAX, pairs_per_trial=20, confirm_k=CONFIRM_K)
-        for p in corpus_params()
-    ]
 
 
 def test_criterion_1_example_one_verdicts(ex1_std):
@@ -188,9 +178,7 @@ def test_criterion_9_standardization():
     for params in corpus_params():
         standardize(random_system(params))
 
-    two_cycle = standardize(parse_system(
-        "constants: X Y\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\n"
-    ))
+    two_cycle = standardize(parse_system(TWO_CYCLE))
     assert list(two_cycle.sys.names) == ["X"]
 
     three_cycle = standardize(parse_system(THREE_CYCLE))

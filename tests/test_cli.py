@@ -2,13 +2,12 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1_TEXT, SYSB_TEXT, chain_text, run_cli
+from conftest import EX1_FILE, EX1_TEXT, ONE_CONSTANT, ROOT, SYSB_FILE, SYSB_TEXT, TWO_CYCLE, chain_text, run_cli, write_system
 from tnbpa import strings
 from tnbpa import engine
 from tnbpa.base import DecompositionBase, initial_base
@@ -18,33 +17,19 @@ from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
 
 
-@pytest.fixture()
-def ex1_file(tmp_path) -> str:
-    path = tmp_path / "ex1.bpa"
-    path.write_text(EX1_TEXT)
-    return str(path)
+def test_check_exit_codes():
+    run_cli(["check", EX1_FILE, "--left", "X", "--right", "Y"], expect=1)
+    run_cli(["check", EX1_FILE, "--left", "X'", "--right", "Y'"], expect=0)
+    run_cli(["check", EX1_FILE, "--left", "X", "--right", "X"], expect=0)
 
 
-@pytest.fixture()
-def sysb_file(tmp_path) -> str:
-    path = tmp_path / "sys-b.bpa"
-    path.write_text(SYSB_TEXT)
-    return str(path)
-
-
-def test_check_exit_codes(ex1_file):
-    run_cli(["check", ex1_file, "--left", "X", "--right", "Y"], expect=1)
-    run_cli(["check", ex1_file, "--left", "X'", "--right", "Y'"], expect=0)
-    run_cli(["check", ex1_file, "--left", "X", "--right", "X"], expect=0)
-
-
-def test_check_text_output(ex1_file):
-    _, out, _ = run_cli(["check", ex1_file, "--left", "X", "--right", "Y"], expect=1)
+def test_check_text_output():
+    _, out, _ = run_cli(["check", EX1_FILE, "--left", "X", "--right", "Y"], expect=1)
     assert out.splitlines()[0] == "verdict: not-bisimilar"
 
 
-def test_check_json_output(ex1_file):
-    _, out, _ = run_cli(["check", ex1_file, "--left", "X'", "--right", "Y'", "--json"], expect=0)
+def test_check_json_output():
+    _, out, _ = run_cli(["check", EX1_FILE, "--left", "X'", "--right", "Y'", "--json"], expect=0)
     payload = json.loads(out)
     assert payload["verdict"] == "bisimilar"
     assert payload["dcmp_left"] == payload["dcmp_right"] == ["X'"]
@@ -52,9 +37,9 @@ def test_check_json_output(ex1_file):
     assert payload["base"]["equations"] == {"Y'": ["X'"]}
 
 
-def test_check_verify(ex1_file):
+def test_check_verify():
     _, out, _ = run_cli(
-        ["check", ex1_file, "--left", "X", "--right", "Y", "--verify", "--json"],
+        ["check", EX1_FILE, "--left", "X", "--right", "Y", "--verify", "--json"],
         expect=1,
     )
     payload = json.loads(out)
@@ -63,23 +48,23 @@ def test_check_verify(ex1_file):
     assert payload["verification"]["distinction"]["nodes"]
 
     # Both oracle outcomes in the text form.
-    _, out, _ = run_cli(["check", ex1_file, "--left", "X", "--right", "Y", "--verify"], expect=1)
+    _, out, _ = run_cli(["check", EX1_FILE, "--left", "X", "--right", "Y", "--verify"], expect=1)
     assert out.splitlines()[-1] == "verification: generator checks ok; oracle confirmed"
-    argv = ["check", ex1_file, "--left", "X'", "--right", "Y'", "--verify", "--k", "8"]
+    argv = ["check", EX1_FILE, "--left", "X'", "--right", "Y'", "--verify", "--k", "8"]
     _, out, _ = run_cli(argv, expect=0)
     assert out.splitlines()[-1] == (
         "verification: generator checks ok; oracle no distinction found up to k=8"
     )
 
 
-def test_check_verify_exits_three_when_the_oracle_refutes_the_verdict(ex1_file, monkeypatch):
+def test_check_verify_exits_three_when_the_oracle_refutes_the_verdict(monkeypatch):
     # An engine that calls every pair bisimilar is refuted on X vs Y: the
     # certificate goes to standard error, then the internal error.
     def always_bisimilar(std, p1, p2, *, base):
         return engine.Verdict(engine.VerdictKind.BISIMILAR)
 
     monkeypatch.setattr(engine, "check_equivalence", always_bisimilar)
-    argv = ["check", ex1_file, "--left", "X", "--right", "Y", "--verify", "--k", "8"]
+    argv = ["check", EX1_FILE, "--left", "X", "--right", "Y", "--verify", "--k", "8"]
     code, out, err = run_cli(argv)
     assert code == 3 and out == ""
     certificate, message = err.split("internal error: ")
@@ -87,31 +72,31 @@ def test_check_verify_exits_three_when_the_oracle_refutes_the_verdict(ex1_file, 
     assert message == "oracle refutes the engine's bisimilar verdict for 'X' vs 'Y'\n"
 
 
-def test_check_verify_exits_three_on_a_failed_generator_check(ex1_file, monkeypatch):
+def test_check_verify_exits_three_on_a_failed_generator_check(monkeypatch):
     # The norm-equality base relates X and Y, which the oracle tells apart,
     # so its generator checks fail; the pair X, X is never refuted.
     monkeypatch.setattr(engine, "compute_bisimilarity_base", lambda std: (initial_base(std), []))
-    argv = ["check", ex1_file, "--left", "X", "--right", "X", "--verify", "--k", "8"]
+    argv = ["check", EX1_FILE, "--left", "X", "--right", "X", "--verify", "--k", "8"]
     code, out, err = run_cli(argv)
     assert code == 3 and out == ""
     assert err == "internal error: 27 generator check(s) failed on the final base\n"
 
 
-def test_check_bad_process(ex1_file):
-    code, _, err = run_cli(["check", ex1_file, "--left", "Q", "--right", "X"])
+def test_check_bad_process():
+    code, _, err = run_cli(["check", EX1_FILE, "--left", "Q", "--right", "X"])
     assert code == 2 and "unknown constant" in err
 
 
-def test_base_output(ex1_file, sysb_file):
-    _, out, _ = run_cli(["base", ex1_file], expect=0)
+def test_base_output():
+    _, out, _ = run_cli(["base", EX1_FILE], expect=0)
     assert out.splitlines() == ["prime X'", "Y' = X'", "prime X", "prime Y"]
-    _, out, _ = run_cli(["base", sysb_file], expect=0)
+    _, out, _ = run_cli(["base", SYSB_FILE], expect=0)
     assert out.splitlines() == ["prime B", "prime Y", "A = B", "X = B Y"]
 
 
-def test_base_iterations_and_trace(ex1_file, tmp_path):
+def test_base_iterations_and_trace(tmp_path):
     trace_path = tmp_path / "trace.json"
-    _, out, _ = run_cli(["base", ex1_file, "--iterations", "--trace", str(trace_path)], expect=0)
+    _, out, _ = run_cli(["base", EX1_FILE, "--iterations", "--trace", str(trace_path)], expect=0)
     assert "== initial base ==" in out
     assert "== after iteration 1 ==" in out
     trace = json.loads(trace_path.read_text())
@@ -120,9 +105,7 @@ def test_base_iterations_and_trace(ex1_file, tmp_path):
 
 
 def test_base_single_constant(tmp_path):
-    f = tmp_path / "one.bpa"
-    f.write_text("constants: K\nK -a-> eps\n")
-    _, out, _ = run_cli(["base", str(f)], expect=0)
+    _, out, _ = run_cli(["base", write_system(tmp_path, ONE_CONSTANT)], expect=0)
     assert out.splitlines() == ["prime K"]
 
 
@@ -134,10 +117,10 @@ def _exhaustive_engine(monkeypatch):
     )
 
 
-def test_base_exhaustive_mode(sysb_file, monkeypatch):
-    _, pruned, _ = run_cli(["base", sysb_file], expect=0)
+def test_base_exhaustive_mode(monkeypatch):
+    _, pruned, _ = run_cli(["base", SYSB_FILE], expect=0)
     _exhaustive_engine(monkeypatch)
-    _, exhaustive, _ = run_cli(["base", sysb_file], expect=0)
+    _, exhaustive, _ = run_cli(["base", SYSB_FILE], expect=0)
     assert pruned == exhaustive
 
 
@@ -153,31 +136,29 @@ def test_base_exhaustive_mode_on_a_generated_system(tmp_path, monkeypatch):
     assert pruned == exhaustive
 
 
-def test_mode_flag_is_gone(sysb_file, capsys):
+def test_mode_flag_is_gone(capsys):
     # Candidate modes are compared through the API (`test_mode_agreement`).
-    for argv in (["base", sysb_file, "--mode", "exhaustive"],
-                 ["check", sysb_file, "--left", "X", "--right", "Y", "--mode", "pruned"]):
+    for argv in (["base", SYSB_FILE, "--mode", "exhaustive"],
+                 ["check", SYSB_FILE, "--left", "X", "--right", "Y", "--mode", "pruned"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2 and "--mode" in capsys.readouterr().err
 
 
-def test_norms_output(ex1_file, sysb_file, tmp_path):
-    _, out, _ = run_cli(["norms", ex1_file], expect=0)
+def test_norms_output(tmp_path):
+    _, out, _ = run_cli(["norms", EX1_FILE], expect=0)
     assert out.splitlines() == ["X 1", "X' 1", "Y 1", "Y' 1"]
-    _, out, _ = run_cli(["norms", sysb_file, "--json"], expect=0)
+    _, out, _ = run_cli(["norms", SYSB_FILE, "--json"], expect=0)
     assert json.loads(out) == {"A": 1, "B": 1, "X": 2, "Y": 1}
 
-    unnormed = tmp_path / "u.bpa"
-    unnormed.write_text("constants: X\nX -a-> X\n")
-    code, out, err = run_cli(["norms", str(unnormed)])
+    code, out, err = run_cli(["norms", write_system(tmp_path, "constants: X\nX -a-> X\n")])
     assert code == 0
     assert out.splitlines() == ["X inf"]
     assert "unnormed" in err
 
 
-def test_standardize_output_reparses(ex1_file):
-    _, out, _ = run_cli(["standardize", ex1_file], expect=0)
+def test_standardize_output_reparses():
+    _, out, _ = run_cli(["standardize", EX1_FILE], expect=0)
     lines = out.splitlines()
     assert lines[0] == "constants: X' Y' X Y"
     assert "# standard order" in out
@@ -193,9 +174,7 @@ def test_standardize_output_reparses(ex1_file):
 
 
 def test_standardize_merges_loops(tmp_path):
-    f = tmp_path / "loop.bpa"
-    f.write_text("constants: X Y\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\n")
-    _, out, _ = run_cli(["standardize", str(f)], expect=0)
+    _, out, _ = run_cli(["standardize", write_system(tmp_path, TWO_CYCLE)], expect=0)
     assert out.splitlines()[0] == "constants: X"
     assert "<- X Y" in out
 
@@ -219,47 +198,46 @@ def test_gen_deterministic_and_valid(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["gen", "base"])
-def test_unwritable_output_path_is_an_input_error(command, sysb_file, tmp_path):
+def test_unwritable_output_path_is_an_input_error(command, tmp_path):
     target = str(tmp_path / "missing" / "out")
     if command == "gen":
         argv = ["gen", "--constants", "3", "-o", target]
     else:
-        argv = ["base", sysb_file, "--trace", target]
+        argv = ["base", SYSB_FILE, "--trace", target]
     code, _, err = run_cli(argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_oracle_command(ex1_file, sysb_file):
-    code, out, _ = run_cli(["oracle", ex1_file, "X", "Y", "--k", "8", "--json"])
+def test_oracle_command():
+    code, out, _ = run_cli(["oracle", EX1_FILE, "X", "Y", "--k", "8", "--json"])
     assert code == 1
     payload = json.loads(out)
     assert payload["result"] == "distinction"
     assert payload["strategy"]["nodes"]
 
-    code, out, _ = run_cli(["oracle", sysb_file, "A", "B", "--k", "8"])
+    code, out, _ = run_cli(["oracle", SYSB_FILE, "A", "B", "--k", "8"])
     assert code == 0
     assert "no distinction found up to k=8" in out
 
-    code, out, _ = run_cli(["oracle", ex1_file, "X", "Y", "--k", "8"])
+    code, out, _ = run_cli(["oracle", EX1_FILE, "X", "Y", "--k", "8"])
     assert code == 1
     assert out == "distinction found (strategy tree of 2 nodes); attacker opens with left -a-> eps\n"
 
 
-def test_oracle_guard_exits_three(ex1_file, monkeypatch):
+def test_oracle_guard_exits_three(monkeypatch):
     from tnbpa import oracle
 
     monkeypatch.setattr(oracle, "NODE_LIMIT", 0)
-    code, _, err = run_cli(["oracle", ex1_file, "X", "Y", "--k", "8"])
+    code, _, err = run_cli(["oracle", EX1_FILE, "X", "Y", "--k", "8"])
     assert code == 3 and err.startswith("resource guard: strategy extraction exceeded")
 
 
 def test_deep_recursion_exits_three(tmp_path):
     # The norm-doubling chain: X11 and X10 differ in norm by 1024, and the
     # recursive norm descent that refutes them runs out of stack.
-    f = tmp_path / "doubling.bpa"
-    f.write_text(chain_text("doubling", 14))
-    code, _, err = run_cli(["oracle", str(f), "X11", "X10", "--k", "4"])
+    path = write_system(tmp_path, chain_text("doubling", 14))
+    code, _, err = run_cli(["oracle", path, "X11", "X10", "--k", "4"])
     assert code == 3 and err.startswith("resource guard: maximum recursion depth exceeded")
 
 
@@ -267,14 +245,12 @@ def _limited_run(argv: list[str], address_space: int) -> subprocess.CompletedPro
     """`python -m tnbpa.cli argv` in a child whose address space is capped."""
     import resource
 
-    root = Path(__file__).resolve().parent.parent
-
     def cap() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     return subprocess.run(
         [sys.executable, "-m", "tnbpa.cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         preexec_fn=cap,
         capture_output=True,
         text=True,
@@ -287,38 +263,35 @@ def test_huge_word_exits_three_before_allocating(tmp_path):
     # On the n = 40 clone chain, dcmp(Y39) is Y0^(2^39): the engine keeps it
     # as one run, and printing it would expand it.  The guard trips before
     # any allocation, well inside a 1.5 GB address space.
-    path = tmp_path / "clone40.bpa"
-    path.write_text(chain_text("clone", 40))
-    done = _limited_run(["check", str(path), "--left", "Y39", "--right", "Y38 Y38"], 1_500_000 * 1024)
+    path = write_system(tmp_path, chain_text("clone", 40))
+    done = _limited_run(["check", path, "--left", "Y39", "--right", "Y38 Y38"], 1_500_000 * 1024)
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("resource guard: a word of 549755813888 ids")
     assert "Traceback" not in done.stderr
 
 
 def test_doubling_chain_at_n40_decides_and_prints(tmp_path):
-    path = tmp_path / "doubling40.bpa"
-    path.write_text(chain_text("doubling", 40))
-    code, out, _ = run_cli(["check", str(path), "--left", "X3", "--right", "X2"], expect=1)
+    path = write_system(tmp_path, chain_text("doubling", 40))
+    code, out, _ = run_cli(["check", path, "--left", "X3", "--right", "X2"], expect=1)
     assert out == "verdict: not-bisimilar\ndcmp(left)  = X3\ndcmp(right) = X2\n"
 
 
 def test_word_guard_is_read_at_call_time(tmp_path, monkeypatch):
     # dcmp(Y9) on the n = 10 clone chain is 512 ids wide.
-    path = tmp_path / "clone10.bpa"
-    path.write_text(chain_text("clone", 10))
-    argv = ["check", str(path), "--left", "Y9", "--right", "Y8 Y8"]
+    path = write_system(tmp_path, chain_text("clone", 10))
+    argv = ["check", path, "--left", "Y9", "--right", "Y8 Y8"]
     run_cli(argv, expect=0)
     monkeypatch.setattr(strings, "EXPAND_LIMIT", 511)
     code, _, err = run_cli(argv)
     assert code == 3 and err == "resource guard: a word of 512 ids is wider than the limit of 511\n"
 
 
-def test_memory_error_exits_three(ex1_file, monkeypatch):
+def test_memory_error_exits_three(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(engine, "compute_bisimilarity_base", exhausted)
-    for argv in (["check", ex1_file, "--left", "X", "--right", "Y"], ["base", ex1_file]):
+    for argv in (["check", EX1_FILE, "--left", "X", "--right", "Y"], ["base", EX1_FILE]):
         code, _, err = run_cli(argv)
         assert code == 3 and err == "resource guard: out of memory\n"
 
@@ -355,8 +328,8 @@ def test_bad_generator_flags_are_input_errors(argv, field):
         (["fuzz", "--jobs", "0"], "--jobs"),
     ],
 )
-def test_numeric_flags_below_range_are_input_errors(argv, flag, ex1_file):
-    code, out, err = run_cli([a.format(ex1=ex1_file) for a in argv])
+def test_numeric_flags_below_range_are_input_errors(argv, flag):
+    code, out, err = run_cli([a.format(ex1=EX1_FILE) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag} must be at least ")
 
@@ -393,15 +366,13 @@ def test_fuzz_jobs_flag_matches_serial():
     assert serial == parallel
 
 
-def test_input_errors(tmp_path, ex1_file):
-    bad = tmp_path / "bad.bpa"
-    bad.write_text("constants: X\nX -a-> Q\n")
-    code, _, err = run_cli(["check", str(bad), "--left", "X", "--right", "X"])
+def test_input_errors(tmp_path):
+    bad = write_system(tmp_path, "constants: X\nX -a-> Q\n")
+    code, _, err = run_cli(["check", bad, "--left", "X", "--right", "X"])
     assert code == 2 and "undeclared" in err
 
-    nontn = tmp_path / "nontn.bpa"
-    nontn.write_text("constants: X\nX -a-> eps\nX -tau-> eps\n")
-    code, _, err = run_cli(["base", str(nontn)])
+    nontn = write_system(tmp_path, "constants: X\nX -a-> eps\nX -tau-> eps\n")
+    code, _, err = run_cli(["base", nontn])
     assert code == 2 and "totally normed" in err
 
     code, _, err = run_cli(["check", str(tmp_path / "missing.bpa"), "--left", "X", "--right", "X"])
@@ -417,17 +388,17 @@ def test_input_errors(tmp_path, ex1_file):
     bom = tmp_path / "bom.bpa"
     bom.write_bytes(b"\xef\xbb\xbf" + EX1_TEXT.encode())
     for argv in (["check", "--left", "X", "--right", "Y"], ["base", "--json"], ["norms"]):
-        assert run_cli([argv[0], str(bom), *argv[1:]]) == run_cli([argv[0], ex1_file, *argv[1:]])
+        assert run_cli([argv[0], str(bom), *argv[1:]]) == run_cli([argv[0], EX1_FILE, *argv[1:]])
 
     # check and oracle parse processes alike: eps must stand alone.
-    for argv in (["check", ex1_file, "--left", "X eps", "--right", "X"],
-                 ["oracle", ex1_file, "X eps", "X"]):
+    for argv in (["check", EX1_FILE, "--left", "X eps", "--right", "X"],
+                 ["oracle", EX1_FILE, "X eps", "X"]):
         code, _, err = run_cli(argv)
         assert code == 2 and "'eps' must stand alone in a process" in err
 
 
-def test_output_determinism(ex1_file):
-    argv = ["check", ex1_file, "--left", "X", "--right", "Y", "--json"]
+def test_output_determinism():
+    argv = ["check", EX1_FILE, "--left", "X", "--right", "Y", "--json"]
     _, out1, _ = run_cli(argv, expect=1)
     _, out2, _ = run_cli(argv, expect=1)
     assert out1 == out2
@@ -436,32 +407,31 @@ def test_output_determinism(ex1_file):
 def test_check_resolves_contracted_names(tmp_path):
     # X and Y sit on a silent norm-preserving loop and get merged; the CLI
     # must still accept both original names.
-    f = tmp_path / "loop.bpa"
-    f.write_text(
-        "constants: X Y Z\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\nZ -b-> X\n"
+    path = write_system(
+        tmp_path, "constants: X Y Z\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\nZ -b-> X\n"
     )
-    run_cli(["check", str(f), "--left", "Y", "--right", "X"], expect=0)
-    run_cli(["check", str(f), "--left", "Z", "--right", "Y X"], expect=1)
+    run_cli(["check", path, "--left", "Y", "--right", "X"], expect=0)
+    run_cli(["check", path, "--left", "Z", "--right", "Y X"], expect=1)
 
 
-def test_check_trace_flag(ex1_file, tmp_path):
+def test_check_trace_flag(tmp_path):
     trace_path = tmp_path / "check-trace.json"
     run_cli(
-        ["check", ex1_file, "--left", "X", "--right", "Y", "--trace", str(trace_path)],
+        ["check", EX1_FILE, "--left", "X", "--right", "Y", "--trace", str(trace_path)],
         expect=1,
     )
     trace = json.loads(trace_path.read_text())
     assert trace and trace[0]["iteration"] == 1
 
 
-def test_internal_failures_exit_three(ex1_file, monkeypatch):
+def test_internal_failures_exit_three(monkeypatch):
     from tnbpa import cli as cli_module
 
     def boom(*args, **kwargs):
         raise AssertionError("synthetic internal failure")
 
     monkeypatch.setattr(cli_module.engine, "compute_bisimilarity_base", boom)
-    code, _, err = run_cli(["base", ex1_file])
+    code, _, err = run_cli(["base", EX1_FILE])
     assert code == 3 and "internal error" in err
 
 
@@ -471,8 +441,7 @@ def test_invalid_base_built_by_the_engine_exits_three(tmp_path, monkeypatch):
     # base exit 3 with the validation message, and a fuzz trial records it.
     from tnbpa.oracle import GenParams, differential_trial
 
-    path = tmp_path / "ab.bpa"
-    path.write_text("constants: A B\nA -a-> eps\nB -a-> A\n")
+    path = write_system(tmp_path, "constants: A B\nA -a-> eps\nB -a-> A\n")
     generate = engine.candidates_for
 
     def norm_changing(partial, i):
@@ -481,7 +450,7 @@ def test_invalid_base_built_by_the_engine_exits_three(tmp_path, monkeypatch):
         return generate(partial, i)
 
     monkeypatch.setattr(engine, "candidates_for", norm_changing)
-    for argv in (["check", str(path), "--left", "A", "--right", "B"], ["base", str(path)]):
+    for argv in (["check", path, "--left", "A", "--right", "B"], ["base", path]):
         code, _, err = run_cli(argv)
         assert code == 3, err
         assert err.startswith("internal error:") and "not norm-preserving" in err
@@ -508,10 +477,8 @@ def test_equations_changed_at_the_fixpoint_exit_three(tmp_path, monkeypatch):
             refined = DecompositionBase(std.n, refined.primes, equations, std.norms)
         return refined, record
 
-    path = tmp_path / "abc.bpa"
-    path.write_text(ABC_TEXT)
     monkeypatch.setattr(engine, "refine", moving)
-    code, out, err = run_cli(["base", str(path)])
+    code, out, err = run_cli(["base", write_system(tmp_path, ABC_TEXT)])
     assert (code, out) == (3, "")
     assert err == "internal error: prime set stabilized but equations changed\n"
 
@@ -524,10 +491,8 @@ def test_no_fixpoint_within_n_passes_exits_three(tmp_path, monkeypatch):
     def alternating(std, base, fixed, mode):
         return (final if base == initial else initial), engine.IterationRecord([])
 
-    path = tmp_path / "abc.bpa"
-    path.write_text(ABC_TEXT)
     monkeypatch.setattr(engine, "refine", alternating)
-    code, out, err = run_cli(["base", str(path)])
+    code, out, err = run_cli(["base", write_system(tmp_path, ABC_TEXT)])
     assert (code, out) == (3, "")
     assert err == "internal error: no fixpoint within 3 refinement passes\n"
 
@@ -551,10 +516,8 @@ def test_standardize_checks_exit_three(tmp_path, monkeypatch, text, contraction,
     # different norms.
     from tnbpa import normalization
 
-    path = tmp_path / "sys.bpa"
-    path.write_text(text)
     monkeypatch.setattr(normalization, "contract_loops", contraction)
-    code, out, err = run_cli(["base", str(path)])
+    code, out, err = run_cli(["base", write_system(tmp_path, text)])
     assert (code, out) == (3, "")
     assert err == f"internal error: {message}\n"
 
@@ -570,17 +533,11 @@ def test_a_refuted_pair_without_a_certificate_exits_three(monkeypatch):
 
 
 def test_repo_sample_files():
-    root = Path(__file__).resolve().parent.parent
-    ex1 = root / "systems" / "ex1.bpa"
-    sysb = root / "systems" / "sys-b.bpa"
-    run_cli(["check", str(ex1), "--left", "X", "--right", "Y"], expect=1)
-    run_cli(["check", str(sysb), "--left", "A", "--right", "B"], expect=0)
+    run_cli(["check", EX1_FILE, "--left", "X", "--right", "Y"], expect=1)
+    run_cli(["check", SYSB_FILE, "--left", "A", "--right", "B"], expect=0)
 
 
-SAMPLES = [
-    (Path(__file__).resolve().parent.parent / "systems" / name).read_text().splitlines()
-    for name in ("ex1.bpa", "sys-b.bpa")
-]
+SAMPLES = [EX1_TEXT.splitlines(), SYSB_TEXT.splitlines()]
 
 
 @st.composite
@@ -616,13 +573,12 @@ def mutated_sample(draw):
 def test_mutated_samples_keep_the_exit_code_contract(tmp_path_factory, text, left, right):
     # In process, so no example pays for a subprocess: every command returns
     # 0, 1 or 2 on a broken input, and no exception escapes `main`.
-    path = tmp_path_factory.getbasetemp() / "mutated.bpa"
-    path.write_text(text)
+    path = write_system(tmp_path_factory.getbasetemp(), text)
     for argv in (
-        ["check", str(path), "--left", left, "--right", right],
-        ["base", str(path)],
-        ["norms", str(path)],
-        ["standardize", str(path)],
+        ["check", path, "--left", left, "--right", right],
+        ["base", path],
+        ["norms", path],
+        ["standardize", path],
     ):
         code, _, err = run_cli(argv)
         assert code in (0, 1, 2), (argv, text, err)
@@ -642,12 +598,11 @@ def test_closed_stdout_exits_three_without_traceback(argv, stdout):
     # fails every write.
     if stdout is not None and not os.path.exists(stdout):
         pytest.skip(f"no {stdout} here")
-    root = Path(__file__).resolve().parent.parent
     device = open(stdout, "wb") if stdout else subprocess.PIPE
     proc = subprocess.Popen(
         [sys.executable, "-m", "tnbpa.cli", *argv],
-        cwd=root,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         stdout=device,
         stderr=subprocess.PIPE,
     )
@@ -684,11 +639,10 @@ code = main(["fuzz", "--trials", "2", "--pairs", "2", "--constants", "3", "--job
 print("still writing")
 sys.exit(code)
 """
-    root = Path(__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, "-c", code],
-        cwd=root,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=60,

@@ -1,26 +1,38 @@
 """The decision and the differential trial run with CPython's cyclic
 collector paused.
 
-`parse_system`, `standardize`, `compute_bisimilarity_base` and
-`differential_trial` switch the collector off for their duration and put
-back the state it had, as strategy extraction and replay do
-(tests/test_oracle.py).  Pausing is sound only because none of them makes
-reference cycles: reference counting frees all they drop, which
-`gc.collect() == 0` after them shows.  A trial drops its game context inside
-the pause, so the strategy DAG dies before the collector is back on, and the
-collection that the pause's allocations start does not scan it.
+`parse_system`, `standardize`, `compute_bisimilarity_base`,
+`differential_trial`, strategy extraction and replay switch the collector
+off for their duration and put back the state it had, on return and on each
+way they raise; one table checks every entry point with the collector on and
+off.  Pausing is sound only because none of them makes reference cycles:
+reference counting frees all they drop, which `gc.collect() == 0` after them
+shows, on the decision grid here and on the session's run of the acceptance
+corpus, whose trials extract and replay every certificate.  A trial drops
+its game context inside the pause, so the strategy DAG dies before the
+collector is back on, and the collection that the pause's allocations start
+does not scan it.
 """
 
 import gc
 
 import pytest
 
-from conftest import CONFIRM_K, K_MAX, chain_text, corpus_params
+from conftest import EX1_TEXT, chain_text
 from tnbpa import engine, oracle
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base, trace_to_json
 from tnbpa.model import ParseError, parse_system, serialize_system
 from tnbpa.normalization import EngineInternalError, NotTotallyNormedError, standardize
-from tnbpa.oracle import GenParams, differential_trial, random_system
+from tnbpa.oracle import (
+    Distinction,
+    GameContext,
+    GenParams,
+    ReplayError,
+    StateGuardExceeded,
+    differential_trial,
+    random_system,
+    replay_distinction,
+)
 
 ABC = "constants: A B C\nA -a-> eps\nB -b-> eps\nC -a-> B\nC -tau-> A B\n"
 
@@ -61,9 +73,40 @@ def _trial(monkeypatch):
     )
 
 
+def _extract(monkeypatch):
+    std = standardize(parse_system(EX1_TEXT))
+    x, y = std.parse_process("X"), std.parse_process("Y")
+
+    def guarded_run():
+        monkeypatch.setattr(oracle, "NODE_LIMIT", 0)
+        GameContext(std).find_distinction(x, y, 16)
+
+    return (lambda: GameContext(std).find_distinction(x, y, 16), guarded_run, StateGuardExceeded)
+
+
+def _deep_extract(monkeypatch):
+    # The norm-doubling chain of the CLI's deep recursion test: the descent
+    # refuting X11 against X10 runs out of stack.
+    std = standardize(parse_system(chain_text("doubling", 14)))
+
+    def extract(left, right):
+        return GameContext(std).find_distinction(std.parse_process(left), std.parse_process(right), 4)
+
+    return (lambda: extract("X2", "X1"), lambda: extract("X11", "X10"), RecursionError)
+
+
+def _replay(monkeypatch):
+    std = standardize(parse_system(EX1_TEXT))
+    d = GameContext(std).find_distinction(std.parse_process("X"), std.parse_process("Y"), 16)
+    tampered = Distinction(d.left, d.right, d.side, d.action, d.target, ())
+    return (lambda: replay_distinction(std, d), lambda: replay_distinction(std, tampered), ReplayError)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize(
-    "entry", [_parse, _standardize, _base, _trial], ids=["parse", "standardize", "base", "trial"]
+    "entry",
+    [_parse, _standardize, _base, _trial, _extract, _deep_extract, _replay],
+    ids=["parse", "standardize", "base", "trial", "extract", "deep-extract", "replay"],
 )
 def test_each_paused_entry_point_restores_the_collector_state(entry, enabled, monkeypatch):
     returns, raises, error = entry(monkeypatch)
@@ -188,18 +231,9 @@ def test_a_trial_frees_its_game_while_the_collector_is_off(monkeypatch):
     assert seen == [(False, 0)]
 
 
-def test_corpus_trials_leave_no_cyclic_garbage():
-    # The premise of pausing the collector for a whole trial, on the
-    # acceptance corpus's first 24 trials: every knob residue twice.
-    cyclic = []
-    gc.collect()
-    gc.disable()
-    try:
-        for params in corpus_params(24):
-            differential_trial(params, K_MAX, pairs_per_trial=20, confirm_k=CONFIRM_K)
-            if gc.collect():
-                cyclic.append(params.seed)
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
-    assert cyclic == []
+def test_corpus_trials_leave_no_cyclic_garbage(corpus_run):
+    # The premise of pausing the collector for a whole trial, on all 105
+    # trials of the acceptance corpus: one collection after them finds
+    # nothing.
+    _, cyclic = corpus_run
+    assert cyclic == 0

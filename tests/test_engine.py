@@ -4,12 +4,14 @@ import sys
 import pytest
 
 from conftest import (
+    ONE_CONSTANT,
     _candidates_unfiltered,
     _lpftest_skipping,
     _norm_strings,
     base_as_names,
     chain_text,
     names_of,
+    partial_pass,
     refine_over_split_base,
 )
 from tnbpa import engine
@@ -18,7 +20,6 @@ from tnbpa.engine import (
     CandidateMode,
     EngineInternalError,
     VerdictKind,
-    _PartialBase,
     candidates_for,
     check_equivalence,
     compute_bisimilarity_base,
@@ -54,11 +55,8 @@ def test_select_decreasing_rules_tie_break(ex1_std):
 
 
 def test_first_iteration_candidates_sysb(sysb_std):
-    fixed = select_decreasing_rules(sysb_std)
-    base = initial_base(sysb_std)
-    partial = _PartialBase(sysb_std, base, fixed)
-    partial.settle_prime(0)  # B settled prime
-    partial.settle_prime(1)  # Y, as iteration 1 decides
+    # B settled prime, and Y, as iteration 1 decides.
+    partial = partial_pass(sysb_std, initial_base(sysb_std), [0, 1])
     a = sysb_std.sys.ids["A"]
     cands = candidates_for(partial, a)
     # lpf is B; Y is a new prime between lpf and A.  A's fixed rule A -a-> eps
@@ -73,11 +71,8 @@ def test_candidate_skipped_without_norm_boundary():
     # a suffix of norm 1 inside the one-constant string Z, which has no cut.
     # Z's own rule Z -a-> P does not match M -a-> Z either: P is no prefix of Z.
     std = standardize(parse_system("constants: P Z M\nP -a-> eps\nZ -a-> P\nM -a-> Z\n"))
-    fixed = select_decreasing_rules(std)
     base = DecompositionBase(3, [0, 1], {2: (1, 0)}, std.norms)
-    partial = _PartialBase(std, base, fixed)
-    for j in (0, 1):
-        partial.settle_prime(j)
+    partial = partial_pass(std, base, [0, 1])
     m = std.sys.ids["M"]
     assert list(candidates_for(partial, m)) == []
 
@@ -98,10 +93,7 @@ def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
     std = standardize(parse_system(
         "constants: B Y N M\nB -a-> eps\nY -b-> eps\nN -a-> Y\nM -tau-> B Y\n"
     ))
-    fixed = select_decreasing_rules(std)
-    partial = _PartialBase(std, initial_base(std), fixed, CandidateMode.EXHAUSTIVE)
-    for j in (0, 1):
-        partial.settle_prime(j)
+    partial = partial_pass(std, initial_base(std), [0, 1], mode=CandidateMode.EXHAUSTIVE)
     for name, expected in [("N", [["B", "Y"], ["Y", "Y"]]), ("M", [["B", "Y"], ["Y", "Y"]])]:
         i = std.sys.ids[name]
         cands = candidates_for(partial, i)
@@ -110,24 +102,13 @@ def test_exhaustive_candidates_end_in_a_suffix_of_the_fixed_rule():
             [(names, None) for names in expected]
 
 
-def test_exhaustive_passes_file_no_signatures(monkeypatch):
+def test_exhaustive_passes_file_no_signatures(recorded_run):
     # Exhaustive candidates are read from norms alone, so its partial bases
     # need no signature index.  A mode given by its value is the same mode.
-    partials = []
-
-    class Recording(_PartialBase):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            partials.append(self)
-
-    monkeypatch.setattr(engine, "_PartialBase", Recording)
     std = standardize(random_system(GenParams(constants=32, norm_cap=4, seed=5)))
     runs = []
     for mode in [*CandidateMode, *(m.value for m in CandidateMode)]:
-        partials.clear()
-        final, trace = compute_bisimilarity_base(std, mode)
+        final, trace, partials = recorded_run(std, mode)
         runs.append(pass_bases(std, trace))
         assert runs[-1][-1] == final
         filed = [bool(p._by_signature or p._cut_lengths) for p in partials]
@@ -137,10 +118,7 @@ def test_exhaustive_passes_file_no_signatures(monkeypatch):
 
 
 def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
-    base = initial_base(sysb_std)
-    partial = _PartialBase(sysb_std, base, select_decreasing_rules(sysb_std))
-    for j in (0, 1):  # B prime, Y prime
-        partial.settle_prime(j)
+    partial = partial_pass(sysb_std, initial_base(sysb_std), [0, 1])  # B prime, Y prime
     a = sysb_std.sys.ids["A"]
     delta = (0,)  # B
     res = lpftest(partial, a, delta)
@@ -149,11 +127,8 @@ def test_lpftest_sysb_accepts_a_equals_b_at_step_four(sysb_std):
 
 
 def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
-    base = initial_base(ex1_std)
-    partial = _PartialBase(ex1_std, base, select_decreasing_rules(ex1_std))
-    partial.settle_prime(0)  # X'
-    partial.settle_equation(1, (0,))  # Y' = X'
-    partial.settle_prime(2)  # X became prime earlier in the pass
+    # X' prime, Y' = X', and X became prime earlier in the pass.
+    partial = partial_pass(ex1_std, initial_base(ex1_std), [0, 2], {1: (0,)})
     y = ex1_std.sys.ids["Y"]
     delta = (2,)  # X
     res = lpftest(partial, y, delta)
@@ -162,7 +137,7 @@ def test_lpftest_example_one_rejects_y_equals_x_at_step_five(ex1_std):
 
 
 def test_partial_base_rejects_unsettled_lookup(ex1_std):
-    partial = _PartialBase(ex1_std, initial_base(ex1_std), select_decreasing_rules(ex1_std))
+    partial = partial_pass(ex1_std, initial_base(ex1_std), [])
     repr(partial)
     with pytest.raises(EngineInternalError, match="unsettled"):
         partial.dcmp((3,))
@@ -192,7 +167,7 @@ def test_final_base_sysb(sysb_std):
 
 
 def test_single_constant_converges_immediately():
-    std = standardize(parse_system("constants: K\nK -a-> eps\n"))
+    std = standardize(parse_system(ONE_CONSTANT))
     base, trace = compute_bisimilarity_base(std)
     assert base == initial_base(std)
     assert len(trace) == 1
@@ -230,15 +205,6 @@ def test_prime_set_equality_implies_base_equality():
         for b1, b2 in zip(bases, bases[1:]):
             if b1.primes == b2.primes:
                 assert b1 == b2
-
-
-def test_check_equivalence_verdicts(ex1_std):
-    base, _ = compute_bisimilarity_base(ex1_std)
-    x, y = ex1_std.parse_process("X"), ex1_std.parse_process("Y")
-    xp, yp = ex1_std.parse_process("X'"), ex1_std.parse_process("Y'")
-    assert check_equivalence(ex1_std, x, y, base=base).kind is VerdictKind.NOT_BISIMILAR
-    assert check_equivalence(ex1_std, xp, yp, base=base).kind is VerdictKind.BISIMILAR
-    assert check_equivalence(ex1_std, x, x, base=base).kind is VerdictKind.BISIMILAR
 
 
 def test_mode_agreement():
@@ -289,9 +255,7 @@ def test_lpftest_matches_realtime_directly():
         "constants: B Y N\nB -a-> eps\nY -b-> eps\nN -a-> Y\nN -a-> B\n"
     ))
     base = initial_base(std)
-    partial = _PartialBase(std, base, select_decreasing_rules(std))
-    for j in (0, 1):
-        partial.settle_prime(j)
+    partial = partial_pass(std, base, [0, 1])
     n = std.sys.ids["N"]
     for delta in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         assert lpftest(partial, n, delta).accepted == \
@@ -322,8 +286,7 @@ def test_signature_keeps_heads_apart_that_the_old_base_separates():
 
 def test_lpftest_step_one_rejects_old_base_mismatch(ex1_std):
     final, _ = compute_bisimilarity_base(ex1_std)
-    partial = _PartialBase(ex1_std, final, select_decreasing_rules(ex1_std))
-    partial.settle_prime(0)
+    partial = partial_pass(ex1_std, final, [0])
     yp = ex1_std.sys.ids["Y'"]
     delta = (ex1_std.sys.ids["X"],)
     res = lpftest(partial, yp, delta)

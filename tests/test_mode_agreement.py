@@ -22,7 +22,6 @@ from tnbpa import engine
 from tnbpa.engine import (
     CandidateMode,
     EngineInternalError,
-    _PartialBase,
     _signature,
     _strip,
     candidates_for,
@@ -66,25 +65,14 @@ def test_modes_go_through_the_same_bases():
 
 
 @pytest.mark.parametrize("mode", list(CandidateMode))
-def test_move_table_is_exact(monkeypatch, mode):
+def test_move_table_is_exact(recorded_run, mode):
     # A pass caches each constant's moves while constants above it are still
     # unsettled; after the pass every entry must still be the moves decomposed
     # over the old base and over the base the pass produced.
-    partials = []
-
-    class Recording(_PartialBase):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            partials.append(self)
-
-    monkeypatch.setattr(engine, "_PartialBase", Recording)
     cached = 0
     for params in WIDE_GRID[::9]:
         std = standardize(random_system(params))
-        partials.clear()
-        _, trace = compute_bisimilarity_base(std, mode)
+        _, trace, partials = recorded_run(std, mode)
         bases = pass_bases(std, trace)
         assert len(partials) == len(trace)
         for p, new in zip(partials, bases[1:]):

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 import tnbpa
 import tnbpa.normalization as nz
 from conftest import (
+    EX1_FILE,
+    ONE_CONSTANT,
+    ROOT,
     SWEEP,
+    SYSTEMS,
+    TWO_CYCLE,
     WIDE_GRID,
     brute_force_norm,
     chain_text,
@@ -93,7 +98,7 @@ def _named_rules(sys: BpaSystem) -> list[tuple[str, str, tuple[str, ...]]]:
 
 
 def test_contract_two_cycle():
-    sys = parse_system("constants: X Y\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\n")
+    sys = parse_system(TWO_CYCLE)
     std = standardize(sys)
     assert list(std.sys.names) == ["X"]
     assert _named_rules(std.sys) == [("X", "a", ())]
@@ -130,7 +135,7 @@ def test_contraction_preserves_behaviour():
     # The collapsed constants were related by silent norm-preserving loops;
     # the game oracle, run on the original uncontracted system, must find no
     # distinction between them at any tested level.
-    sys = parse_system("constants: X Y\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\n")
+    sys = parse_system(TWO_CYCLE)
     ctx = GameContext(view(sys))
     x, y = (sys.ids["X"],), (sys.ids["Y"],)
     assert ctx.find_distinction(x, y, 12) is None
@@ -226,7 +231,7 @@ def test_view_parses_every_name_to_its_own_id():
     # The raw view keeps both constants of silent-cycle's loop, which the
     # standard form merges into A: B is id 1 on the view, id 0 on the standard
     # form.
-    sys = parse_system((Path(__file__).resolve().parents[1] / "systems" / "silent-cycle.bpa").read_text())
+    sys = parse_system((SYSTEMS / "silent-cycle.bpa").read_text())
     v = view(sys)
     assert v.ids is sys.ids
     for cid, name in enumerate(sys.names):
@@ -314,12 +319,12 @@ def test_standardize_checks_that_the_norms_are_the_least_fixpoint(monkeypatch, n
     # `test_standardize_checks_exit_three`.
     monkeypatch.setattr(nz, "compute_norms", lambda sys: nz.NormTable(norms, (0,)))
     with pytest.raises(nz.EngineInternalError) as raised:
-        standardize(parse_system("constants: K\nK -a-> eps\n"))
+        standardize(parse_system(ONE_CONSTANT))
     assert str(raised.value) == message
 
 
 def test_single_constant_and_empty_systems():
-    std1 = standardize(parse_system("constants: K\nK -a-> eps\n"))
+    std1 = standardize(parse_system(ONE_CONSTANT))
     assert std1.norms == (1,)
     std0 = standardize(parse_system("constants:\n"))
     assert std0.n == 0
@@ -476,7 +481,7 @@ def test_standardize_long_silent_cycle():
 def _python(code: str, *flags: str) -> str:
     # A minimal environment, so that only the code decides what is imported,
     # but a run that asked for no bytecode writes none here either.
-    env = {"PYTHONPATH": str(Path(tnbpa.__file__).resolve().parents[1])}
+    env = {"PYTHONPATH": str(ROOT / "src")}
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     done = subprocess.run(
@@ -523,13 +528,12 @@ print(added == pinned - before, sorted(added ^ (pinned - before)))
 
 
 def test_decision_commands_leave_the_oracle_unloaded():
-    ex1 = Path(__file__).resolve().parents[1] / "systems" / "ex1.bpa"
     code = f"""
 import contextlib, io, sys
 from tnbpa.cli import main
 codes = []
-for argv in (["check", {str(ex1)!r}, "--left", "X", "--right", "Y"], ["base", {str(ex1)!r}],
-             ["norms", {str(ex1)!r}], ["standardize", {str(ex1)!r}]):
+for argv in (["check", {EX1_FILE!r}, "--left", "X", "--right", "Y"], ["base", {EX1_FILE!r}],
+             ["norms", {EX1_FILE!r}], ["standardize", {EX1_FILE!r}]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
 print(codes, "tnbpa.oracle" in sys.modules)
@@ -541,7 +545,7 @@ def test_invariant_checks_survive_python_o():
     # With contraction disabled a silent 2-cycle reaches the standard order,
     # where its decreasing rule escapes the index prefix, and a wrong norm
     # table leaves a constant without a decreasing rule.
-    code = """
+    code = f"""
 from tnbpa import normalization as nz
 from tnbpa.model import parse_system
 
@@ -549,12 +553,12 @@ def outcome(call):
     try:
         call()
     except nz.EngineInternalError as exc:
-        return f"raised: {exc}"
+        return "raised: " + str(exc)
     return "passed"
 
 nz.contract_loops = lambda sys, norms: (list(range(sys.n)), [0] * sys.n)
 cycle = parse_system("constants: A B\\nA -tau-> B\\nB -tau-> A\\nA -a-> eps\\n")
-single = parse_system("constants: K\\nK -a-> eps\\n")
+single = parse_system({ONE_CONSTANT!r})
 print(__debug__)
 print(outcome(lambda: nz.standardize(cycle)))
 print(outcome(lambda: nz.classify_rules(single, (0,))))
@@ -569,14 +573,14 @@ print(outcome(lambda: nz.classify_rules(single, (0,))))
 def test_classify_rules_finds_a_constant_without_a_decreasing_rule():
     # Norms that are no fixpoint: K's one rule has the value 1, above K's
     # norm 0, so it is increasing.
-    single = parse_system("constants: K\nK -a-> eps\n")
+    single = parse_system(ONE_CONSTANT)
     with pytest.raises(nz.EngineInternalError, match=r"^constant K has no decreasing rule \(norm bug\)$"):
         classify_rules(single, (0,))
 
 
 def test_classify_rules_finds_a_rule_below_its_left_hand_norm():
     # Norms that are no fixpoint: K's one rule has the value 1, below K's norm 5.
-    single = parse_system("constants: K\nK -a-> eps\n")
+    single = parse_system(ONE_CONSTANT)
     with pytest.raises(nz.EngineInternalError, match=r"^contraction changed the norm of K$"):
         classify_rules(single, (5,))
 

@@ -1,9 +1,7 @@
 import concurrent.futures
 import errno
-import gc
 import random
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +35,7 @@ from tnbpa.oracle import (
     verify_base_generators,
 )
 
-from conftest import ReferenceGameContext, chain_text, strategy_table
+from conftest import SYSTEMS, TWO_CYCLE, ReferenceGameContext, chain_text, strategy_table
 
 
 def test_closure_without_silent_rules():
@@ -70,7 +68,7 @@ def test_closure_skips_increasing_silent_steps(sysb_std):
 
 
 def test_closure_handles_uncontracted_cycles():
-    v = view(parse_system("constants: X Y\nX -tau-> Y\nY -tau-> X\nX -a-> eps\nY -a-> eps\n"))
+    v = view(parse_system(TWO_CYCLE))
     closure = silent_closure_dec(v, (0,))
     assert set(closure.states) == {(0,), (1,)}
 
@@ -504,7 +502,7 @@ def test_an_uncontracted_silent_loop_keeps_a_well_founded_norm_descent():
     # Each constant's lowest-index decreasing rule is its silent step into
     # the other, so a norm descent along those never ends.  `view` keeps the
     # norm fixpoint's witnesses, which reach eps.
-    system = parse_system((Path(__file__).resolve().parents[1] / "systems" / "silent-cycle.bpa").read_text())
+    system = parse_system((SYSTEMS / "silent-cycle.bpa").read_text())
     v = view(system)
     assert [v.dec[c][0].label for c in range(v.n)] == [TAU, TAU]
     assert v.witness == compute_norms(system).witness
@@ -675,42 +673,3 @@ def test_head_derived_closure_matches_the_bfs(seed, constants, data):
     assert ctx.closure(()) == ((),)
     # The cache holds each constant's closure only; longer ones are derived.
     assert all(type(key) is int for key in ctx._closures)
-
-
-def test_extraction_and_replay_restore_the_cyclic_collector(ex1_std, monkeypatch):
-    x, y = ex1_std.parse_process("X"), ex1_std.parse_process("Y")
-    d = GameContext(ex1_std).find_distinction(x, y, 16)
-    assert gc.isenabled()
-    tampered = Distinction(d.left, d.right, d.side, d.action, d.target, ())
-    with pytest.raises(ReplayError):
-        replay_distinction(ex1_std, tampered)
-    assert gc.isenabled()
-    monkeypatch.setattr(oracle, "NODE_LIMIT", 0)
-    with pytest.raises(StateGuardExceeded):
-        GameContext(ex1_std).find_distinction(x, y, 16)
-    assert gc.isenabled()
-
-
-def test_extraction_restores_the_cyclic_collector_after_a_recursion_error():
-    # The norm-doubling chain of the CLI's deep recursion test: the descent
-    # refuting X11 against X10 runs out of stack.
-    std = standardize(parse_system(chain_text("doubling", 14)))
-    with pytest.raises(RecursionError):
-        GameContext(std).find_distinction(std.parse_process("X11"), std.parse_process("X10"), 4)
-    assert gc.isenabled()
-
-
-def test_extraction_and_replay_leave_a_disabled_collector_disabled(ex1_std):
-    # They also leave no cyclic garbage behind, which is what makes pausing
-    # the collector sound: reference counting alone frees what they drop.
-    x, y = ex1_std.parse_process("X"), ex1_std.parse_process("X X")
-    gc.collect()
-    gc.disable()
-    try:
-        d = GameContext(ex1_std).find_distinction(x, y, 16)
-        assert not gc.isenabled()
-        replay_distinction(ex1_std, d)
-        assert not gc.isenabled()
-        assert gc.collect() == 0
-    finally:
-        gc.enable()

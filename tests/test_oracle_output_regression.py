@@ -23,15 +23,11 @@ says why.
 """
 
 import hashlib
-from pathlib import Path
 
 import pytest
 
-from conftest import chain_text, run_cli
+from conftest import SYSTEMS, chain_text, run_cli, write_system
 from tnbpa import oracle
-
-SYSTEMS_DIR = Path(__file__).resolve().parents[1] / "systems"
-
 
 # (system, left, right) -> (exit code, sha256 of `oracle --json` stdout)
 ORACLE_CASES = {
@@ -92,11 +88,10 @@ def _digest(argv: list[str]) -> tuple[int, str]:
 def test_oracle_json_is_unchanged(case, tmp_path):
     system, left, right = case
     if system == "doubling":
-        path = tmp_path / "doubling.bpa"
-        path.write_text(chain_text("doubling", 6))
+        path = write_system(tmp_path, chain_text("doubling", 6))
     else:
-        path = SYSTEMS_DIR / system
-    assert _digest(["oracle", str(path), left, right, "--json"]) == ORACLE_CASES[case]
+        path = str(SYSTEMS / system)
+    assert _digest(["oracle", path, left, right, "--json"]) == ORACLE_CASES[case]
 
 
 @pytest.mark.parametrize("args", list(FUZZ_CASES), ids=" ".join)
@@ -107,14 +102,14 @@ def test_fuzz_output_is_unchanged(args):
 @pytest.mark.parametrize("case", list(CHECK_VERIFY_CASES), ids=lambda c: " ".join((*c[:3], *c[3])))
 def test_check_verify_output_is_unchanged(case):
     system, left, right, flags = case
-    argv = ["check", str(SYSTEMS_DIR / system), "--left", left, "--right", right, "--verify", "--k", "8", *flags]
+    argv = ["check", str(SYSTEMS / system), "--left", left, "--right", right, "--verify", "--k", "8", *flags]
     assert _digest(argv) == CHECK_VERIFY_CASES[case]
 
 
 @pytest.mark.parametrize("case", list(CONTRACTED_CHECK_CASES), ids=" / ".join)
 def test_check_on_contracted_names_is_unchanged(case):
     left, right = case
-    argv = ["check", str(SYSTEMS_DIR / "silent-cycle.bpa"), "--left", left, "--right", right, "--json"]
+    argv = ["check", str(SYSTEMS / "silent-cycle.bpa"), "--left", left, "--right", right, "--json"]
     assert _digest(argv) == CONTRACTED_CHECK_CASES[case]
 
 

@@ -7,13 +7,12 @@ run without failing any other test.  Building a `Tracer` resolves every hook;
 an exhaustive run and a corpus trial under it run every one of them.
 """
 
-from pathlib import Path
-
+from conftest import ROOT
 from tnbpa import base, engine, oracle
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_tracer_hooks_resolve_and_count(monkeypatch):

@@ -24,11 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import THREE_CYCLE, chain_text, engine_random_params, run_cli
+from conftest import SYSTEMS, THREE_CYCLE, chain_text, engine_random_params, run_cli, write_system
 from tnbpa.model import serialize_system
 from tnbpa.oracle import GenParams, random_system
-
-SYSTEMS_DIR = Path(__file__).resolve().parents[1] / "systems"
 
 # Random systems spanning silent-free to silent-heavy, unit to large norms.
 RANDOM_CASES = {
@@ -148,19 +146,15 @@ def base_digests(system_file: Path, trace_file: Path) -> tuple[str, str, str]:
     return _sha(json_out), _sha(trace_file.read_text()), _sha(text_out)
 
 
-def case_file(name: str, tmp_path: Path) -> Path:
+def case_file(name: str, tmp_path: Path) -> str:
     if name in RANDOM_CASES:
-        path = tmp_path / f"{name}.bpa"
-        path.write_text(serialize_system(random_system(RANDOM_CASES[name])))
-        return path
+        return write_system(tmp_path, serialize_system(random_system(RANDOM_CASES[name])))
     if name in CHAIN_CASES:
-        path = tmp_path / f"{name}.bpa"
-        path.write_text(chain_text(*CHAIN_CASES[name]))
-        return path
-    return SYSTEMS_DIR / name
+        return write_system(tmp_path, chain_text(*CHAIN_CASES[name]))
+    return str(SYSTEMS / name)
 
 
-CASES = sorted(p.name for p in SYSTEMS_DIR.glob("*.bpa")) + list(RANDOM_CASES) + list(CHAIN_CASES)
+CASES = sorted(p.name for p in SYSTEMS.glob("*.bpa")) + list(RANDOM_CASES) + list(CHAIN_CASES)
 
 
 def test_every_case_is_pinned():
@@ -173,7 +167,7 @@ def test_base_output_and_trace_are_unchanged(name, tmp_path):
     assert got == PINNED[name]
 
 
-STANDARDIZE_CASES = sorted(p.name for p in SYSTEMS_DIR.glob("*.bpa")) + ["three-cycle"]
+STANDARDIZE_CASES = sorted(p.name for p in SYSTEMS.glob("*.bpa")) + ["three-cycle"]
 
 
 def test_every_standardize_case_is_pinned():
@@ -182,9 +176,6 @@ def test_every_standardize_case_is_pinned():
 
 @pytest.mark.parametrize("name", STANDARDIZE_CASES)
 def test_standardize_output_is_unchanged(name, tmp_path):
-    path = SYSTEMS_DIR / name
-    if name == "three-cycle":
-        path = tmp_path / "three-cycle.bpa"
-        path.write_text(THREE_CYCLE)
-    _, out, _ = run_cli(["standardize", str(path)], expect=0)
+    path = write_system(tmp_path, THREE_CYCLE) if name == "three-cycle" else str(SYSTEMS / name)
+    _, out, _ = run_cli(["standardize", path], expect=0)
     assert _sha(out) == STANDARDIZE_PINNED[name]
