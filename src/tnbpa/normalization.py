@@ -34,15 +34,11 @@ class EngineInternalError(AssertionError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-# The oracle raises the next four.  They live here so that the command line
+# The oracle raises the next three.  They live here so that the command line
 # can catch them without importing the oracle.
 
 
 class GuardExceeded(RuntimeError):
-    pass
-
-
-class ClosureGuardExceeded(GuardExceeded):
     pass
 
 

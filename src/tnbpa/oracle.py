@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 from .base import DecompositionBase
 from .model import TAU, BpaSystem, Process, Rule, _cyclic_gc_paused, format_process, is_silent
 from .normalization import (
-    ClosureGuardExceeded,
     GuardExceeded,
     InvalidParamsError,
     StateGuardExceeded,
@@ -79,7 +78,7 @@ def silent_closure_dec(view: SystemView, p: Process) -> SilentClosure:
                 seen.add(succ)
                 order.append(succ)
                 if len(order) > CLOSURE_LIMIT:
-                    raise ClosureGuardExceeded(
+                    raise GuardExceeded(
                         f"silent closure of {p} exceeded {CLOSURE_LIMIT} states"
                     )
     return SilentClosure(tuple(order))

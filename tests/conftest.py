@@ -11,6 +11,7 @@ from bisect import bisect_left
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import accumulate, combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -234,6 +235,36 @@ WIDE_GRID = [
     for seed in range(10)
 ]
 
+
+class GridRun(NamedTuple):
+    """A generated system, its standard form and its final bases in pruned
+    and exhaustive mode."""
+
+    params: GenParams
+    sys: BpaSystem
+    std: SystemView
+    pruned: DecompositionBase
+    exhaustive: DecompositionBase
+
+
+def grid_run(params: GenParams) -> GridRun:
+    """The system params generate, decided in both modes.  Both modes test
+    every candidate, so a second acceptance for one constant raises instead
+    of passing unnoticed."""
+    sys = random_system(params)
+    std = standardize(sys)
+    pruned, _ = engine.compute_bisimilarity_base(std)
+    exhaustive, _ = engine.compute_bisimilarity_base(std, engine.CandidateMode.EXHAUSTIVE)
+    return GridRun(params, sys, std, pruned, exhaustive)
+
+
+@pytest.fixture(scope="session")
+def wide_grid() -> list[GridRun]:
+    """The wide grid, generated, standardized and decided once; a test that
+    patches the engine makes its own runs."""
+    return [grid_run(params) for params in WIDE_GRID]
+
+
 # The generator sweep: about 200 parameter sets, each with the sha256 of
 # `serialize_system(random_system(params))` (tests/test_generator_sweep.py).
 SWEEP = json.loads(Path(__file__).with_name("generator_sweep.json").read_text())
@@ -455,12 +486,16 @@ def planted_clones(sys: BpaSystem) -> list[tuple[int, int, tuple[int, ...]]]:
     return found
 
 
-def missed_clones(params) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The planted clones of the generated system that the final base does
-    not relate to head . tail."""
-    sys = random_system(params)
-    std = standardize(sys)
-    base, _ = engine.compute_bisimilarity_base(std)
+def missed_clones(run: GenParams | GridRun) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The planted clones of the generated system that the final pruned base
+    does not relate to head . tail; params are generated and decided
+    afresh."""
+    if isinstance(run, GridRun):
+        sys, std, base = run.sys, run.std, run.pruned
+    else:
+        sys = random_system(run)
+        std = standardize(sys)
+        base, _ = engine.compute_bisimilarity_base(std)
 
     def ids(process):
         return std.parse_process(format_process(sys, process))

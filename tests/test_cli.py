@@ -21,6 +21,7 @@ def test_check_exit_codes():
     run_cli(["check", EX1_FILE, "--left", "X", "--right", "Y"], expect=1)
     run_cli(["check", EX1_FILE, "--left", "X'", "--right", "Y'"], expect=0)
     run_cli(["check", EX1_FILE, "--left", "X", "--right", "X"], expect=0)
+    run_cli(["check", SYSB_FILE, "--left", "A", "--right", "B"], expect=0)
 
 
 def test_check_text_output():
@@ -530,11 +531,6 @@ def test_a_refuted_pair_without_a_certificate_exits_three(monkeypatch):
     code, out, err = run_cli(["fuzz", "--trials", "1", "--pairs", "5", "--constants", "5"])
     assert (code, out) == (3, "")
     assert err == "internal error: refuted pair (1, 2, 1) vs (4, 1) yielded no distinction\n"
-
-
-def test_repo_sample_files():
-    run_cli(["check", EX1_FILE, "--left", "X", "--right", "Y"], expect=1)
-    run_cli(["check", SYSB_FILE, "--left", "A", "--right", "B"], expect=0)
 
 
 SAMPLES = [EX1_TEXT.splitlines(), SYSB_TEXT.splitlines()]

@@ -207,14 +207,6 @@ def test_prime_set_equality_implies_base_equality():
                 assert b1 == b2
 
 
-def test_mode_agreement():
-    for seed in range(20):
-        std = standardize(random_system(GenParams(constants=7, norm_cap=4, seed=seed)))
-        pruned, _ = compute_bisimilarity_base(std, CandidateMode.PRUNED)
-        exhaustive, _ = compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)
-        assert pruned == exhaustive
-
-
 def test_pass_bases_follow_the_run(ex1_std):
     final, trace = compute_bisimilarity_base(ex1_std)
     bases = pass_bases(ex1_std, trace)
@@ -222,14 +214,6 @@ def test_pass_bases_follow_the_run(ex1_std):
     assert bases[-1] == final
     assert [names_of(ex1_std, sorted(b.primes)) for b in bases[1:]] == \
         [rec["primes_after"] for rec in trace_to_json(ex1_std, trace)]
-
-
-def test_realtime_decisions_match_figure_transcription():
-    for seed in range(20):
-        std = standardize(random_system(GenParams(constants=7, silent_prob=0.0, seed=seed)))
-        assert std.is_realtime
-        _, trace = compute_bisimilarity_base(std)
-        assert realtime_divergences(std, trace) == 0
 
 
 def test_realtime_audit_counts_divergent_decisions(skip_lpftest_steps):

@@ -15,6 +15,7 @@ from conftest import (
     WIDE_GRID,
     _candidates_enumerated,
     corpus_params,
+    grid_run,
     missed_clones,
     refine_over_split_base,
 )
@@ -32,22 +33,8 @@ from tnbpa.model import parse_system
 from tnbpa.normalization import standardize
 from tnbpa.oracle import GenParams, random_system
 
-def _mode_mismatches(grid):
-    """The parameters whose pruned and exhaustive final bases differ.
-
-    Both modes test every candidate, so a second acceptance for one constant
-    raises instead of passing unnoticed.
-    """
-    for params in grid:
-        std = standardize(random_system(params))
-        pruned, _ = compute_bisimilarity_base(std)
-        exhaustive, _ = compute_bisimilarity_base(std, CandidateMode.EXHAUSTIVE)
-        if pruned != exhaustive:
-            yield params
-
-
-def test_modes_agree_on_the_wide_grid():
-    assert list(_mode_mismatches(WIDE_GRID)) == []
+def test_modes_agree_on_the_wide_grid(wide_grid):
+    assert [run.params for run in wide_grid if run.pruned != run.exhaustive] == []
 
 
 def test_modes_go_through_the_same_bases():
@@ -114,9 +101,10 @@ def _first_catch(grid):
     clone is missed, or a constant accepts two candidates."""
     for params in grid:
         try:
-            if next(_mode_mismatches([params]), None) is not None:
+            run = grid_run(params)
+            if run.pruned != run.exhaustive:
                 return "mode agreement"
-            if missed_clones(params):
+            if missed_clones(run):
                 return "planted clones"
         except EngineInternalError as exc:
             assert "two candidates accepted" in str(exc)

@@ -18,7 +18,6 @@ from conftest import (
     SWEEP,
     SYSTEMS,
     TWO_CYCLE,
-    WIDE_GRID,
     brute_force_norm,
     chain_text,
     naive_norm_values,
@@ -284,24 +283,24 @@ def test_norm_witnesses_descend_to_eps_in_norm_many_visible_steps():
     assert normed > 10_000
 
 
-def _standard_form_inputs():
-    """The generator sweep, the wide grid and the four chain families."""
+def _standard_forms(wide_grid):
+    """The standard forms of the generator sweep, the wide grid and the four
+    chain families."""
     for entry in SWEEP:
-        yield random_system(sweep_params(entry))
-    for params in WIDE_GRID:
-        yield random_system(params)
+        yield standardize(random_system(sweep_params(entry)))
+    for run in wide_grid:
+        yield run.std
     for family in ("doubling", "clone", "composite-root", "ladder"):
         for n in (2, 4, 10):
-            yield parse_system(chain_text(family, n))
+            yield standardize(parse_system(chain_text(family, n)))
 
 
-def test_standard_norms_classes_and_witnesses_are_the_standard_systems_own():
+def test_standard_norms_classes_and_witnesses_are_the_standard_systems_own(wide_grid):
     # `standardize` computes norms once, on the original system, and takes
     # each constant's lowest-index decreasing rule as its witness; computed
     # afresh on the standard system, by `compute_norms` in `view`, all three
     # come out the same.
-    for sys in _standard_form_inputs():
-        std = standardize(sys)
+    for std in _standard_forms(wide_grid):
         fresh = view(std.sys)
         assert std.norms == fresh.norms
         assert std.witness == fresh.witness

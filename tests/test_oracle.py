@@ -14,7 +14,6 @@ from tnbpa.model import TAU, format_process, is_silent, parse_system, serialize_
 from tnbpa import oracle
 from tnbpa.normalization import check_totally_normed, compute_norms, standardize, view
 from tnbpa.oracle import (
-    ClosureGuardExceeded,
     DefenderReply,
     Distinction,
     GameContext,
@@ -75,7 +74,7 @@ def test_closure_handles_uncontracted_cycles():
 
 def test_closure_guard(ex1_std, monkeypatch):
     monkeypatch.setattr(oracle, "CLOSURE_LIMIT", 1)
-    with pytest.raises(ClosureGuardExceeded):
+    with pytest.raises(GuardExceeded, match="silent closure of .* exceeded 1 states"):
         silent_closure_dec(ex1_std, ex1_std.parse_process("X"))
 
 

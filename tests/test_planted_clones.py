@@ -10,14 +10,13 @@ it must.
 
 import pytest
 
-from conftest import WIDE_GRID, engine_random_params, missed_clones, planted_clones
+from conftest import engine_random_params, missed_clones, planted_clones
 from tnbpa.oracle import random_system
 
 
-def test_no_planted_clone_is_missed_on_the_wide_grid():
-    clones = sum(len(planted_clones(random_system(p))) for p in WIDE_GRID)
-    assert clones > 1000
-    assert [(p, missed) for p in WIDE_GRID if (missed := missed_clones(p))] == []
+def test_no_planted_clone_is_missed_on_the_wide_grid(wide_grid):
+    assert sum(len(planted_clones(run.sys)) for run in wide_grid) > 1000
+    assert [(run.params, missed) for run in wide_grid if (missed := missed_clones(run))] == []
 
 
 @pytest.mark.parametrize("n", [256, 512, 1024])
