@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .base import DecompositionBase
 from .model import TAU, BpaSystem, Process, Rule, _cyclic_gc_paused, format_process, is_silent
@@ -45,6 +45,12 @@ NODE_LIMIT = 200_000
 # `GameContext`), and its generator check samples this many pairs.
 NORM_BUDGET = 24
 GENERATOR_SAMPLES = 10
+
+# The two constant positions of a `GameContext`: a child pair related at
+# every level, and one related at none.  Their bounds make them read as such,
+# so the game tests every child the same way.
+RELATED, UNRELATED = 0, 1
+_UNBOUNDED = float("inf")
 
 
 class ReplayError(AssertionError):
@@ -141,6 +147,29 @@ class GameContext:
     context caches per constant only.  Failure at any finite level refutes
     bisimilarity; success at a bound proves nothing.
 
+    The game is played over a table of positions.  A position is a pair
+    reduced as far as play allows: its common suffix cancelled, its two
+    sides distinct, norm-equal and within the budget, and keyed in sorted
+    order; any other pair is one of the constants RELATED and UNRELATED.
+    Each position has an int index.  It is created only on the way to
+    deciding a level of at least 1: for a query, or as a child of a round
+    being compiled.  When first expanded, it compiles its prefix-tail child
+    and its round: for each move of either side, in transition order, the
+    stay child of a silent move and the (mid, result) children of each
+    reply, every child reduced to an index.  Every later level reads that
+    round instead of rebuilding transitions, closures and words.  Its bounds
+    `lo` and `hi` say that it is related at every level up to `lo` and
+    unrelated at every level from `hi` on.  They are exact because level
+    k + 1 is contained in level k, so a query between them expands the
+    position and moves one of them, and any other query costs no round.
+
+    `MEMO_LIMIT` bounds the entries the table stores, positions plus
+    compiled children: a round holds a handful of children, so a bound on
+    positions alone would let the table's memory grow several times over.
+    The table holds ints, tuples of ints and the keys' processes only.  A
+    child is an index, not an object, so the table has no reference cycles
+    and reference counting frees it.
+
     `norm_budget`, when set, treats pairs whose norm exceeds it as related
     without exploring them.  That only coarsens the levels, so refutations
     stay sound and extracted certificates still replay; it bounds the blowup
@@ -169,7 +198,18 @@ class GameContext:
         self.view = view
         self.norm_budget = norm_budget
         self._closures: dict[int, tuple[Process, ...]] = {}
-        self._memo: dict[tuple[Process, Process, int], bool] = {}
+        # Per position index: its key, its bounds and its compiled round
+        # (prefix-tail child, the first side's move count, the moves), or
+        # None until the position is first expanded.  Indices 0 and 1 are
+        # the constants RELATED and UNRELATED, which their bounds decide at
+        # every level; their rounds have no moves, so an attack on one finds
+        # none unanswered.
+        self._positions: dict[tuple[Process, Process], int] = {}
+        self._pairs: list[tuple[Process, Process]] = [((), ()), ((), ())]
+        self._lo: list[int | float] = [_UNBOUNDED, -1]
+        self._hi: list[int | float] = [_UNBOUNDED, 0]
+        self._rounds: list[tuple | None] = [(UNRELATED, 0, ()), (UNRELATED, 0, ())]
+        self._entries = 0
         self._strategies: dict[tuple[Process, Process, int | None], Distinction] = {}
 
     def closure(self, p: Process) -> tuple[Process, ...]:
@@ -190,10 +230,27 @@ class GameContext:
         return (p, *[s + tail for s in head[1:]])
 
     def related(self, p: Process, q: Process, k: int) -> bool:
+        """Whether p and q are related at level k."""
+        if k <= 0:
+            return self.view.norm_of(p) == self.view.norm_of(q)
+        return self._holds(self._position(p, q), k)
+
+    def _holds(self, at: int, k: int) -> bool:
+        return k <= self._lo[at] or k < self._hi[at] and self.expansion_holds(at, k)
+
+    def _reserve(self, entries: int) -> None:
+        """Count `entries` more stored round entries against `MEMO_LIMIT`."""
+        if self._entries + entries > MEMO_LIMIT:
+            raise StateGuardExceeded(f"approximant memo exceeded {MEMO_LIMIT} entries")
+        self._entries += entries
+
+    def _position(self, p: Process, q: Process) -> int:
+        """The position of the pair (p, q), created on first sight, or the
+        constant RELATED or UNRELATED when the pair needs no game."""
         # Shared suffixes cancel exactly at every level: silent steps never
         # erase, so play over "alpha tail" vs "beta tail" projects onto play
         # over "alpha" vs "beta" and back.  Stripping them collapses the
-        # pumped pairs that otherwise blow up the memo table.
+        # pumped pairs that otherwise blow up the table.
         common = 0
         limit = min(len(p), len(q))
         while common < limit and p[-1 - common] == q[-1 - common]:
@@ -201,74 +258,112 @@ class GameContext:
         if common:
             p, q = p[: len(p) - common], q[: len(q) - common]
         if p == q:
-            return True
+            return RELATED
         norm = self.view.norm_of(p)
         if norm != self.view.norm_of(q):
-            return False
-        if k <= 0:
-            return True
+            return UNRELATED
         if self.norm_budget is not None and norm > self.norm_budget:
-            return True
+            return RELATED
+        key = (p, q) if p <= q else (q, p)
+        at = self._positions.get(key)
+        if at is None:
+            self._reserve(1)
+            at = self._positions[key] = len(self._pairs)
+            self._pairs.append(key)
+            self._lo.append(0)
+            self._hi.append(_UNBOUNDED)
+            self._rounds.append(None)
+        return at
+
+    def _round(self, at: int) -> tuple[int, int, tuple]:
+        """Compile position at's prefix tail and round, and store them."""
+        p, q = self._pairs[at]
         # Shared prefixes are sound one way only: play on "head tail1" vs
         # "head tail2" can mirror the head move-for-move without spending
         # rounds, so related tails imply related wholes.  Failing tails imply
-        # nothing (cancelling a prefix may cost rounds), so fall through.
+        # nothing (cancelling a prefix may cost rounds), so the round decides.
+        tail = UNRELATED
         if p[0] == q[0]:
             common = 1
             limit = min(len(p), len(q))
             while common < limit and p[common] == q[common]:
                 common += 1
-            if self.related(p[common:], q[common:], k):
-                return True
-        key = (p, q, k) if p <= q else (q, p, k)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if len(self._memo) >= MEMO_LIMIT:
-            raise StateGuardExceeded(f"approximant memo exceeded {MEMO_LIMIT} entries")
-        relate = lambda a, b: self.related(a, b, k - 1)
-        res = self.expansion_holds(relate, p, q)
-        self._memo[key] = res
-        return res
+            tail = self._position(p[common:], q[common:])
+        first = self._moves(p, q)
+        moves = first + self._moves(q, p)
+        children = 1
+        for _, replies in moves:
+            children += 1
+            for _, results in replies:
+                children += 1 + len(results)
+        self._reserve(children)
+        compiled = self._rounds[at] = (tail, len(first), moves)
+        return compiled
 
-    def expansion_holds(
-        self, relate: Callable[[Process, Process], bool], p: Process, q: Process
-    ) -> bool:
-        """One full round of the branching game with a given relatedness.
+    def _moves(self, mover: Process, defender: Process) -> tuple:
+        """mover's moves against defender, in transition order, each as
+        (stay, replies): the silent move's stay child, or UNRELATED for a
+        visible move, and per closure state mid of the defender that has
+        matching moves, (mid's child, the children of its results)."""
+        position = self._position
+        by_label = self.view.rhs_norms_by_label
+        states = self.closure(defender)
+        moves = []
+        for label, t in self.view.transitions(mover):
+            replies = []
+            for mid in states:
+                rules = by_label[mid[0]].get(label)
+                if rules:
+                    rest = mid[1:]
+                    results = tuple([position(t, beta + rest) for beta, _ in rules])
+                    replies.append((position(mover, mid), results))
+            stay = position(t, defender) if is_silent(label) else UNRELATED
+            moves.append((stay, tuple(replies)))
+        return tuple(moves)
+
+    def expansion_holds(self, at: int, k: int) -> bool:
+        """Whether position at, which its bounds leave open at level k, is
+        related at k: its prefix tail is, or the defender wins one full round
+        of the branching game over level k - 1.  Records the answer in the
+        bounds.
 
         Every move of either process must be matched: a silent move vacuously
         (successor related to the opponent) or by a closure-then-action reply
         whose pre-action state is related to the mover's source and whose
-        post-action state is related to the mover's target.
+        post-action state is related to the mover's target.  Each child is
+        tested against its bounds first, and only an open one recurses, so
+        the recursion spends one frame per level.
         """
-        return self._unanswered(relate, p, q) is None and self._unanswered(
-            lambda b, a: relate(a, b), q, p
-        ) is None
+        lo, hi = self._lo, self._hi
+        tail, _, moves = self._rounds[at] or self._round(at)
+        if not (k <= lo[tail] or k < hi[tail] and self.expansion_holds(tail, k)):
+            j = k - 1
+            for stay, replies in moves:
+                if j <= lo[stay] or j < hi[stay] and self.expansion_holds(stay, j):
+                    continue
+                for mid, results in replies:
+                    if j <= lo[mid] or j < hi[mid] and self.expansion_holds(mid, j):
+                        for res in results:
+                            if j <= lo[res] or j < hi[res] and self.expansion_holds(res, j):
+                                break
+                        else:
+                            continue
+                        break
+                else:
+                    if k < hi[at]:
+                        hi[at] = k
+                    return False
+        lo[at] = k
+        return True
 
-    def _unanswered(self, relate, mover: Process, defender: Process) -> tuple[str, Process] | None:
-        """The first move of `mover` that `defender` cannot match, or None."""
-        for label, t in self.view.transitions(mover):
-            if is_silent(label) and relate(t, defender):
-                continue
-            if not self._has_reply(relate, mover, t, label, defender):
-                return label, t
-        return None
-
-    def _has_reply(self, relate, mover, target, label, defender) -> bool:
-        # `related` recurses through this frame, and CPython 3.11 unmaps a
-        # frame-stack chunk each time a return crosses the chunk's start, so
-        # this frame's size moves where that happens.  As written (9 locals,
-        # a stack of 6) the 105-trial corpus under `perfbench/run.py` took
-        # 120k page faults on a 2-CPU VM with Python 3.11.7; a frame two
-        # slots larger took 150k, and its median trial ran 14% slower.
-        for mid in self.closure(defender):
-            if not relate(mover, mid):
-                continue
-            for res, _ in self.view.rhs_norms_by_label[mid[0]].get(label, ()):
-                res += mid[1:]
-                if relate(target, res):
-                    return True
-        return False
+    def _answered(self, move: tuple, j: int) -> bool:
+        """Whether the defender matches a compiled move at level j, as
+        `expansion_holds` tests it."""
+        stay, replies = move
+        holds = self._holds
+        return holds(stay, j) or any(
+            holds(mid, j) and any(holds(res, j) for res in results) for mid, results in replies
+        )
 
     # -- certificate extraction ------------------------------------------
 
@@ -333,10 +428,20 @@ class GameContext:
         else:
             km1 = k - 1
             relate = lambda a, b: self.related(a, b, km1)
-            for left, att, dfd in ((True, p, q), (False, q, p)):
-                move = self._unanswered(relate, att, dfd)
+            # The attack is the first move of the pair's round that the level
+            # below leaves unanswered.  The round lists the moves of its key's
+            # first process, then the other's; p is either the first process
+            # with the cancelled suffix appended, or the second.
+            at = self._position(p, q)
+            _, split, moves = self._rounds[at] or self._round(at)
+            first, second = self._pairs[at]
+            sides = moves[:split], moves[split:]
+            if len(p) - len(first) != len(q) - len(second) or p[: len(first)] != first:
+                sides = sides[::-1]
+            for left, att, dfd, side in ((True, p, q, sides[0]), (False, q, p, sides[1])):
+                move = next((i for i, move in enumerate(side) if not self._answered(move, km1)), None)
                 if move is not None:
-                    label, t = move
+                    label, t = view.transitions(att)[move]
                     break
             else:
                 raise AssertionError("approximant failed but every transition is matched")
@@ -855,7 +960,7 @@ def differential_trial(
     The whole trial runs with CPython's cyclic collector paused: the engine
     stages and the game make no reference cycles, so reference counting
     frees all they drop.  The trial drops its `GameContext` before the
-    pause ends, so the strategy DAG, the level memo and the closures are
+    pause ends, so the strategy DAG, the position table and the closures are
     freed while the collector is still off; kept to the end, they would be
     scanned by the one collection that the pause's allocations start.
     """

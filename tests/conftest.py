@@ -658,12 +658,20 @@ def skip_lpftest_steps(monkeypatch):
 
 
 class ReferenceGameContext(GameContext):
-    """The game context with a reference extractor, kept to compare strategy
-    tables against: it recomputes every norm, reads moves off `transitions`
-    and runs the closure BFS for every process.  `NODE_LIMIT` is read from
-    the oracle module, so a test that patches it there patches both
-    builders.
+    """The game context with the reference game and extractor, kept to
+    compare levels and strategy tables against.
+
+    Its game decides each level on its own: `related` memoizes every
+    (p, q, k) it decides, and `expansion_holds` plays one round over any
+    relatedness, reading moves off `transitions` and running the closure
+    BFS for every process.  Its extractor recomputes every norm.
+    `MEMO_LIMIT` and `NODE_LIMIT` are read from the oracle module, so a test
+    that patches one there patches both contexts.
     """
+
+    def __init__(self, view, *, norm_budget=None):
+        super().__init__(view, norm_budget=norm_budget)
+        self._memo = {}
 
     def closure(self, p):
         hit = self._closures.get(p)
@@ -671,6 +679,57 @@ class ReferenceGameContext(GameContext):
             hit = silent_closure_dec(self.view, p).states
             self._closures[p] = hit
         return hit
+
+    def related(self, p, q, k):
+        # Shared suffixes cancel exactly; shared prefixes only one way, so
+        # related tails decide the pair and failing ones fall through.
+        common = 0
+        while common < min(len(p), len(q)) and p[-1 - common] == q[-1 - common]:
+            common += 1
+        p, q = p[: len(p) - common], q[: len(q) - common]
+        if p == q:
+            return True
+        norm = self.view.norm_of(p)
+        if norm != self.view.norm_of(q):
+            return False
+        if k <= 0 or (self.norm_budget is not None and norm > self.norm_budget):
+            return True
+        if p[0] == q[0]:
+            common = 1
+            while common < min(len(p), len(q)) and p[common] == q[common]:
+                common += 1
+            if self.related(p[common:], q[common:], k):
+                return True
+        key = (p, q, k) if p <= q else (q, p, k)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if len(self._memo) >= oracle.MEMO_LIMIT:
+            raise StateGuardExceeded(f"approximant memo exceeded {oracle.MEMO_LIMIT} entries")
+        res = self._memo[key] = self.expansion_holds(lambda a, b: self.related(a, b, k - 1), p, q)
+        return res
+
+    def expansion_holds(self, relate, p, q):
+        """One full round of the branching game with a given relatedness:
+        every move of either process is matched, a silent move vacuously
+        (successor related to the opponent) or by a closure-then-action
+        reply whose pre-action state is related to the mover's source and
+        whose post-action state is related to the mover's target."""
+        return self._unanswered(relate, p, q) is None and self._unanswered(
+            lambda b, a: relate(a, b), q, p
+        ) is None
+
+    def _unanswered(self, relate, mover, defender):
+        """The first move of `mover` that `defender` cannot match, or None."""
+        for label, t in self.view.transitions(mover):
+            if is_silent(label) and relate(t, defender):
+                continue
+            if not any(
+                relate(mover, mid) and any(relate(t, res) for lab, res in self.view.transitions(mid) if lab == label)
+                for mid in self.closure(defender)
+            ):
+                return label, t
+        return None
 
     def _refute(self, p, q, k, *carried_norms):
         # The norms the builder carries are recomputed here.

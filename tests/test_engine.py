@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     ONE_CONSTANT,
+    ReferenceGameContext,
     _candidates_unfiltered,
     _lpftest_skipping,
     _norm_strings,
@@ -254,7 +255,7 @@ def test_equations_satisfy_branching_expansion():
         std = standardize(random_system(GenParams(constants=7, silent_prob=0.35, seed=seed)))
         base, _ = compute_bisimilarity_base(std)
         relate = base.equivalent
-        ctx = GameContext(std)
+        ctx = ReferenceGameContext(std)
         for i, rhs in base.equations.items():
             assert ctx.expansion_holds(relate, (i,), rhs.ids)
 

@@ -2,8 +2,9 @@
 
 Under CPython 3.11 the oracle's times depend on the sizes of the frames its
 recursion runs through, not only on the work done: CHANGES.md's FOUND lines
-on frame sizes record two slots more in `_has_reply` costing up to 14% on the
-benchmark's `oracle-differential` workload, and `tests/stack_sweep.py` shows
+on frame sizes record two slots more in the game's reply search, then
+`_has_reply`, costing up to 14% on the benchmark's `oracle-differential`
+workload, and `tests/stack_sweep.py` shows
 the decision and the corpus moving with the stack depth alone.  A change to
 one of these frames is then a change to the benchmark, so it must be made on
 purpose: this test pins, for each function and every code object nested in
@@ -28,19 +29,25 @@ G = oracle.GameContext
 # function -> {qualified name: (locals, cells, free variables, stack size)}
 # for the function's code and each code object nested in it.
 FRAMES = {
-    G.related: {
-        "GameContext.related": (11, 2, 0, 6),
-        "GameContext.related.<locals>.<lambda>": (2, 0, 2, 6),
+    G.related: {"GameContext.related": (4, 0, 0, 6)},
+    G._holds: {"GameContext._holds": (3, 0, 0, 4)},
+    G._reserve: {"GameContext._reserve": (2, 0, 0, 5)},
+    G._position: {"GameContext._position": (8, 0, 0, 6)},
+    G._round: {"GameContext._round": (14, 0, 0, 7)},
+    G._moves: {
+        "GameContext._moves": (12, 3, 0, 8),
+        "GameContext._moves.<locals>.<listcomp>": (3, 0, 3, 7),
     },
-    G.expansion_holds: {
-        "GameContext.expansion_holds": (4, 1, 0, 5),
-        "GameContext.expansion_holds.<locals>.<lambda>": (2, 0, 1, 4),
+    G.expansion_holds: {"GameContext.expansion_holds": (14, 0, 0, 7)},
+    G._answered: {
+        "GameContext._answered": (5, 2, 0, 4),
+        "GameContext._answered.<locals>.<genexpr>": (3, 0, 2, 5),
+        "GameContext._answered.<locals>.<genexpr>.<genexpr>": (2, 0, 2, 5),
     },
-    G._unanswered: {"GameContext._unanswered": (6, 0, 0, 8)},
-    G._has_reply: {"GameContext._has_reply": (9, 0, 0, 6)},
     G._refute: {
-        "GameContext._refute": (36, 2, 0, 10),
+        "GameContext._refute": (43, 2, 0, 10),
         "GameContext._refute.<locals>.<lambda>": (2, 0, 2, 5),
+        "GameContext._refute.<locals>.<genexpr>": (3, 0, 2, 5),
     },
     G.find_distinction: {"GameContext.find_distinction": (5, 0, 0, 10)},
     G.refutation_level: {"GameContext.refutation_level": (5, 0, 0, 5)},

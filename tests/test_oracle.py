@@ -2,6 +2,7 @@ import concurrent.futures
 import errno
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -86,6 +87,26 @@ def test_memo_guard(ex1_std, monkeypatch):
         ctx.related(x, y, 16)
 
 
+def test_memo_guard_bounds_the_table_as_it_bounds_the_reference_memo(monkeypatch):
+    # The guard counts positions and their compiled children, so the ladder,
+    # whose game outgrows it, trips with no more memory allocated than the
+    # reference game's per-level memo at the same limit.
+    monkeypatch.setattr(oracle, "MEMO_LIMIT", 2000)
+    peaks = []
+    for context in (ReferenceGameContext, GameContext):
+        std = standardize(parse_system(chain_text("ladder", 64)))
+        a, b = std.parse_process("A0"), std.parse_process("B0")
+        ctx = context(std)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateGuardExceeded, match="^approximant memo exceeded 2000 entries$"):
+                ctx.related(a, b, 40)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+
+
 def test_node_guard_skips_only_the_certificate(monkeypatch):
     # Extraction trips the node guard, but the level search that confirms
     # the engine's verdict is unaffected, so the pair stays confirmed.
@@ -129,6 +150,37 @@ def test_anti_monotone_in_rounds():
             for k in range(5):
                 if ctx.related(p, q, k + 1):
                     assert ctx.related(p, q, k)
+
+
+def test_levels_agree_with_the_reference_game():
+    # A position's bounds answer every level as the reference game's
+    # per-level memo does, whichever order the levels are asked in.  Every
+    # pair shares a head, so the prefix-tail child is taken; without it,
+    # the table outgrows the memo guard on some of these systems.
+    rng = random.Random(7)
+    levels = range(17)
+    changing = 0
+    for seed in range(30):
+        std = standardize(random_system(GenParams(
+            constants=2 + seed % 6, silent_prob=(0.0, 0.15, 0.3, 0.45)[seed % 4], seed=seed
+        )))
+        word = lambda: tuple(rng.randrange(std.n) for _ in range(rng.randint(1, 3)))
+        pairs = []
+        for _ in range(6):
+            head = word()
+            pairs.append((head + word(), head + word()))
+        for budget in (None, NORM_BUDGET):
+            ref = ReferenceGameContext(std, norm_budget=budget)
+            want = [[ref.related(p, q, k) for k in levels] for p, q in pairs]
+            changing += sum(True in w and False in w for w in want)
+            for order in (levels, levels[::-1]):
+                ctx = GameContext(std, norm_budget=budget)
+                got = [{k: ctx.related(p, q, k) for k in order} for p, q in pairs]
+                assert [[g[k] for k in levels] for g in got] == want
+                assert [ctx.refutation_level(p, q, 16) for p, q in pairs] == [
+                    ref.refutation_level(p, q, 16) for p, q in pairs
+                ]
+    assert changing > 10
 
 
 def test_find_distinction_example_one(ex1_std):
@@ -347,16 +399,13 @@ def test_refute_raises_on_a_pair_the_level_does_not_refute(ex1_std):
 
 
 def test_refute_raises_when_the_attacked_move_is_answered(ex1_std, monkeypatch):
-    # A mutant that attacks with the mover's first move, X -b-> eps, which
-    # the defender, X itself, answers.
-    def first_move(self, relate, mover, defender):
-        return self.view.transitions(mover)[0]
-
-    monkeypatch.setattr(GameContext, "_unanswered", first_move)
-    x = ex1_std.parse_process("X")
-    n = ex1_std.norm_of(x)
+    # A mutant that attacks with the mover's first move, X' -a-> eps, which
+    # the defender, Y', answers.
+    monkeypatch.setattr(GameContext, "_answered", lambda self, move, j: False)
+    xp, yp = ex1_std.parse_process("X'"), ex1_std.parse_process("Y'")
+    n = ex1_std.norm_of(xp)
     with pytest.raises(AssertionError, match="^attacked move has an answered reply$"):
-        GameContext(ex1_std)._refute(x, x, 1, n, n)
+        GameContext(ex1_std)._refute(xp, yp, 1, n, n)
 
 
 def _generator_check(std, base, k_max, samples):
