@@ -486,69 +486,121 @@ def replay_distinction(view: SystemView, d: Distinction) -> None:
     pair is one the rules of the game allow, and that leaves really are stuck
     defender positions.  The strategy may share subgames; a cycle would let
     the defender survive forever, so cycles are rejected, after which one
-    check per distinct node covers every play.  Replies are compared with the
-    options as multisets.  Each defender's closure is computed once per call,
-    by this function's own BFS.  Raises ReplayError otherwise.
+    check per distinct node covers every play.  Raises ReplayError otherwise.
+
+    Two facts of the semantics let the call check every node against tables
+    it builds once per head constant.  The transitions of X.w are X's
+    transitions with w appended.  Silent closure steps rewrite the head and
+    never erase it, so the closure of X.w is X's closure with w appended, in
+    the same BFS order.  When X first attacks, the call reads X's
+    transitions once.  When X first defends, it runs `silent_closure_dec` on
+    X alone and builds X's option tables: for each action, the pairs (s, t)
+    of a closure state s and the target t of one of s's transitions with
+    that action, in closure and then transition order.  A defender X.w has
+    the options (s.w, t.w), after the stay reply to a silent attack.  Replies
+    listed in that order are checked by direct comparison; any other list is
+    compared with the options as a multiset, so replies may come in any
+    order.  The tables live in the call; replay reads nothing but
+    `view.transitions` and `silent_closure_dec`.
     """
     with _cyclic_gc_paused():
-        _replay_node(view, d, set(), set(), {})
+        _replay_node(view, d, {}, {}, {})
 
 
 def _replay_node(
     view: SystemView,
     node: Distinction,
-    verified: set[int],
-    on_path: set[int],
-    closures: dict[Process, tuple[Process, ...]],
+    marks: dict[int, bool],
+    moves: dict[int, set[tuple[str, Process]]],
+    options: dict[int, dict[str, list[tuple[Process, Process]]]],
 ) -> None:
     """`replay_distinction`'s check of one node and, depth first, the nodes
-    below it.  A module-level function, not a closure over the call's
-    tables: a nested function that calls itself forms a reference cycle,
-    which would keep its closure table alive until the cyclic collector ran.
+    below it.  `marks` maps the id of each node on the current path to True
+    and of each verified node to False; `moves` and `options` hold the
+    transitions and the option tables of each head constant seen so far.
+
+    A module-level function, not a closure over the call's tables: a nested
+    function that calls itself forms a reference cycle, which would keep its
+    tables alive until the cyclic collector ran.
     """
-    if id(node) in on_path:
+    mark = marks.get(id(node))
+    if mark:
         raise ReplayError("strategy contains a cycle; the defender could play it forever")
-    if id(node) in verified:
+    if mark is not None:
         return
-    on_path.add(id(node))
+    marks[id(node)] = True
 
-    att, dfd = (node.left, node.right) if node.side == "left" else (node.right, node.left)
-    if (node.action, node.target) not in view.transitions(att):
-        raise ReplayError(f"attacked transition {node.action} not available from {att}")
+    left = node.side == "left"
+    att, dfd = (node.left, node.right) if left else (node.right, node.left)
+    action, target = node.action, node.target
+    # The attacked transition is one of the head's with the tail appended:
+    # the target ends with the tail, and the rest is a right-hand side.
+    if att:
+        head_moves = moves.get(att[0])
+        if head_moves is None:
+            head_moves = moves[att[0]] = set(view.transitions(att[:1]))
+        cut = len(target) - len(att) + 1
+    if not att or cut < 0 or target[cut:] != att[1:] or (action, target[:cut]) not in head_moves:
+        raise ReplayError(f"attacked transition {action} not available from {att}")
 
-    options: list[tuple[str, Process | None, Process | None]] = []
-    if is_silent(node.action):
-        options.append(("stay", None, None))
-    states = closures.get(dfd)
-    if states is None:
-        states = closures[dfd] = silent_closure_dec(view, dfd).states
-    for mid in states:
-        for lab, res in view.transitions(mid):
-            if lab == node.action:
-                options.append(("move", mid, res))
+    table = ()
+    if dfd:
+        by_action = options.get(dfd[0])
+        if by_action is None:
+            by_action = options[dfd[0]] = _option_tables(view, dfd[0])
+        table = by_action.get(action, ())
+    tail, replies, stay = dfd[1:], node.replies, is_silent(action)
+    in_order = len(replies) == stay + len(table)
+    if in_order and stay:
+        in_order = (replies[0].kind, replies[0].intermediate, replies[0].result) == ("stay", None, None)
+    if in_order:
+        for r, (s, t) in zip(replies[stay:], table):
+            if r.kind != "move" or r.intermediate != s + tail or r.result != t + tail:
+                in_order = False
+                break
+    if not in_order:
+        _compare_options(replies, stay, table, tail)
 
-    listed = [(r.kind, r.intermediate, r.result) for r in node.replies]
-    if listed != options:
-        want, got = Counter(options), Counter(listed)
-        if want != got:
-            missing = list((want - got).elements())
-            extra = list((got - want).elements())
-            raise ReplayError(f"defender options mismatch: missing={missing} extra={extra}")
-
-    for r in node.replies:
-        child_pair = (r.child.left, r.child.right)
+    for r in replies:
+        child = r.child
+        a, b = (child.left, child.right) if left else (child.right, child.left)
         if r.kind == "stay":
-            legal = [(node.target, node.right) if node.side == "left" else (node.left, node.target)]
-        elif node.side == "left":
-            legal = [(node.left, r.intermediate), (node.target, r.result)]
+            legal = a == target and b == dfd
         else:
-            legal = [(r.intermediate, node.right), (r.result, node.target)]
-        if child_pair not in legal:
-            raise ReplayError(f"continuation {child_pair} is not a legal game position")
-        _replay_node(view, r.child, verified, on_path, closures)
+            legal = a == att and b == r.intermediate or a == target and b == r.result
+        if not legal:
+            raise ReplayError(f"continuation {(child.left, child.right)} is not a legal game position")
+        _replay_node(view, child, marks, moves, options)
 
-    on_path.discard(id(node))
-    verified.add(id(node))
+    marks[id(node)] = False
+
+
+def _option_tables(view: SystemView, c: int) -> dict[str, list[tuple[Process, Process]]]:
+    """Per action, the pairs (s, t) of a state s of constant c's silent
+    closure and the target t of one of s's transitions with that action, in
+    closure and then transition order."""
+    tables: dict[str, list[tuple[Process, Process]]] = {}
+    for s in silent_closure_dec(view, (c,)).states:
+        for lab, t in view.transitions(s):
+            tables.setdefault(lab, []).append((s, t))
+    return tables
+
+
+def _compare_options(
+    replies: tuple[DefenderReply, ...],
+    stay: bool,
+    table: Sequence[tuple[Process, Process]],
+    tail: Process,
+) -> None:
+    """Compare replies not listed in option order with the options as
+    multisets; raises ReplayError on any difference."""
+    want = Counter([("stay", None, None)] if stay else [])
+    want.update(("move", s + tail, t + tail) for s, t in table)
+    got = Counter((r.kind, r.intermediate, r.result) for r in replies)
+    if want != got:
+        missing = list((want - got).elements())
+        extra = list((got - want).elements())
+        raise ReplayError(f"defender options mismatch: missing={missing} extra={extra}")
 
 
 def distinction_to_json(view: SystemView, d: Distinction) -> dict:
@@ -598,19 +650,24 @@ def verify_base_generators(
     finding none is strong evidence, not a proof.
     """
     rng = random.Random(seed)
-    equations = [((i,), base.equations[i].ids) for i in sorted(base.equations)]
-    sampled = (sample_dcmp_equal_pair(ctx.view, base, rng) for _ in range(samples))
+    patterns = composite_patterns(base)
+    equations = [((i,), pat) for i, pat in patterns]
+    sampled = (sample_dcmp_equal_pair(ctx.view, base, patterns, rng) for _ in range(samples))
     return [(p, q, ctx.find_distinction(p, q, k_max)) for p, q in chain(equations, sampled)]
 
 
-def _fold_composites(base: DecompositionBase, ids: Sequence[int], rng: random.Random) -> Process:
+def composite_patterns(base: DecompositionBase) -> list[tuple[int, Process]]:
+    """Each composite constant of `base`, in increasing order, with its
+    equation's right-hand side expanded."""
+    return [(i, base.equations[i].ids) for i in sorted(base.equations)]
+
+
+def _fold_composites(patterns: list[tuple[int, Process]], ids: Sequence[int], rng: random.Random) -> Process:
     cur = list(ids)
-    composites = sorted(base.equations)
-    if not composites:
+    if not patterns:
         return tuple(cur)
     for _ in range(4):
-        x = rng.choice(composites)
-        pat = base.equations[x].ids
+        x, pat = rng.choice(patterns)
         width = len(pat)
         spots = [j for j in range(len(cur) - width + 1) if tuple(cur[j : j + width]) == pat]
         if not spots:
@@ -620,15 +677,18 @@ def _fold_composites(base: DecompositionBase, ids: Sequence[int], rng: random.Ra
     return tuple(cur)
 
 
-def sample_dcmp_equal_pair(std, base: DecompositionBase, rng: random.Random) -> tuple[Process, Process]:
-    """Two processes with equal decompositions: independent refoldings of one."""
+def sample_dcmp_equal_pair(
+    std, base: DecompositionBase, patterns: list[tuple[int, Process]], rng: random.Random
+) -> tuple[Process, Process]:
+    """Two processes with equal decompositions: independent refoldings of one
+    by `patterns`, which is `composite_patterns(base)`."""
     if std.n == 0:
         return (), ()
     seed_proc = tuple(rng.randrange(std.n) for _ in range(rng.randint(0, 3)))
     prime_form = expand(base.dcmp(seed_proc))
     return (
-        _fold_composites(base, prime_form, rng),
-        _fold_composites(base, prime_form, rng),
+        _fold_composites(patterns, prime_form, rng),
+        _fold_composites(patterns, prime_form, rng),
     )
 
 
@@ -870,10 +930,14 @@ def _sample_pairs(std, rng: random.Random, count: int) -> list[tuple[Process, Pr
     for _ in range(4 * count):
         length = rng.randint(0, 3)
         pool.append(tuple(rng.randrange(n) for _ in range(length)))
-    pool = [p for p in pool if std.norm_of(p) <= 12]
     buckets: dict[int, list[Process]] = {}
+    kept = []
     for p in pool:
-        buckets.setdefault(std.norm_of(p), []).append(p)
+        norm = std.norm_of(p)
+        if norm <= 12:
+            kept.append(p)
+            buckets.setdefault(norm, []).append(p)
+    pool = kept
     rich = [b for b in buckets.values() if len(b) >= 2]
     pairs = []
     for _ in range(count):

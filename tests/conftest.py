@@ -8,6 +8,7 @@ import heapq
 import io
 import json
 from bisect import bisect_left
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import accumulate, combinations
 from pathlib import Path
@@ -18,7 +19,16 @@ import pytest
 from tnbpa import engine
 from tnbpa.base import DecompositionBase
 from tnbpa.cli import main
-from tnbpa.model import TAU, BpaSystem, Rule, format_process, is_silent, parse_system, transitions_of
+from tnbpa.model import (
+    TAU,
+    BpaSystem,
+    Rule,
+    _cyclic_gc_paused,
+    format_process,
+    is_silent,
+    parse_system,
+    transitions_of,
+)
 from tnbpa.normalization import (
     EngineInternalError,
     NotTotallyNormedError,
@@ -36,6 +46,7 @@ from tnbpa.oracle import (
     Distinction,
     GameContext,
     GenParams,
+    ReplayError,
     StateGuardExceeded,
     TrialReport,
     differential_trial,
@@ -783,6 +794,61 @@ class ReferenceGameContext(GameContext):
         if len(self._strategies) > oracle.NODE_LIMIT:
             raise StateGuardExceeded(f"strategy extraction exceeded {oracle.NODE_LIMIT} nodes")
         return node
+
+
+def reference_replay_distinction(view, d):
+    """The reference replay, kept to compare `replay_distinction`'s verdicts
+    and messages against.  Every node rebuilds the attacker's transitions
+    and its defender's options from `view.transitions`, and runs the closure
+    BFS once per distinct defender process."""
+    with _cyclic_gc_paused():
+        _reference_replay_node(view, d, set(), set(), {})
+
+
+def _reference_replay_node(view, node, verified, on_path, closures):
+    if id(node) in on_path:
+        raise ReplayError("strategy contains a cycle; the defender could play it forever")
+    if id(node) in verified:
+        return
+    on_path.add(id(node))
+
+    att, dfd = (node.left, node.right) if node.side == "left" else (node.right, node.left)
+    if (node.action, node.target) not in view.transitions(att):
+        raise ReplayError(f"attacked transition {node.action} not available from {att}")
+
+    options = []
+    if is_silent(node.action):
+        options.append(("stay", None, None))
+    states = closures.get(dfd)
+    if states is None:
+        states = closures[dfd] = silent_closure_dec(view, dfd).states
+    for mid in states:
+        for lab, res in view.transitions(mid):
+            if lab == node.action:
+                options.append(("move", mid, res))
+
+    listed = [(r.kind, r.intermediate, r.result) for r in node.replies]
+    if listed != options:
+        want, got = Counter(options), Counter(listed)
+        if want != got:
+            missing = list((want - got).elements())
+            extra = list((got - want).elements())
+            raise ReplayError(f"defender options mismatch: missing={missing} extra={extra}")
+
+    for r in node.replies:
+        child_pair = (r.child.left, r.child.right)
+        if r.kind == "stay":
+            legal = [(node.target, node.right) if node.side == "left" else (node.left, node.target)]
+        elif node.side == "left":
+            legal = [(node.left, r.intermediate), (node.target, r.result)]
+        else:
+            legal = [(r.intermediate, node.right), (r.result, node.target)]
+        if child_pair not in legal:
+            raise ReplayError(f"continuation {child_pair} is not a legal game position")
+        _reference_replay_node(view, r.child, verified, on_path, closures)
+
+    on_path.discard(id(node))
+    verified.add(id(node))
 
 
 def strategy_table(ctx):

@@ -16,9 +16,12 @@ frame stack.  Two op sets run at every offset:
   acceptance corpus at its k and confirmation k.
 
 For each set it prints the median op time and the minor page faults
-(`ru_minflt`) the set took.  Under CPython 3.11 both move with the depth
-alone, so a timing change of a few percent in the oracle can be a frame
-that moved rather than work that changed.
+(`ru_minflt`) the set took, and for the corpus also its ops/s: the ops over
+their summed time, as the benchmark's `ops_per_s` reads it.  The corpus's
+sum is dominated by a few deep-recursing trials, so its ops/s can move
+where its median does not.  Under CPython 3.11 all of these move with the
+depth alone, so a timing change of a few percent in the oracle can be a
+frame that moved rather than work that changed.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def _padding_function():
 
 
 def _timed(ops: list) -> dict:
-    """The median op time in ms and the minor page faults of all the ops."""
+    """The median op time in ms, the ops per second of summed op time and
+    the minor page faults of all the ops."""
     times = []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for op in ops:
@@ -57,7 +61,7 @@ def _timed(ops: list) -> dict:
         op()
         times.append(time.perf_counter() - t0)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return {"median_ms": statistics.median(times) * 1e3, "minflt": faults}
+    return {"median_ms": statistics.median(times) * 1e3, "ops_per_s": len(times) / sum(times), "minflt": faults}
 
 
 def run_offset(offset: int) -> dict:
@@ -95,15 +99,18 @@ def main(argv: list[str]) -> int:
     if argv:  # one offset, in the fresh interpreter the sweep started
         print(json.dumps(run_offset(int(argv[0]))))
         return 0
-    print(f"{'offset':>6} {'engine-random ms':>17} {'minflt':>8} {'corpus ms':>10} {'minflt':>8}")
+    print(f"{'offset':>6} {'engine-random ms':>17} {'minflt':>8} {'corpus ms':>10} {'ops/s':>7} {'minflt':>8}")
     for offset in OFFSETS:
         done = subprocess.run(
             [sys.executable, __file__, str(offset)], capture_output=True, text=True, check=True
         )
         row = json.loads(done.stdout)
         er, co = row["engine-random"], row["corpus"]
-        print(f"{offset:>6} {er['median_ms']:>17.2f} {er['minflt']:>8} {co['median_ms']:>10.2f} {co['minflt']:>8}",
-              flush=True)
+        print(
+            f"{offset:>6} {er['median_ms']:>17.2f} {er['minflt']:>8}"
+            f" {co['median_ms']:>10.2f} {co['ops_per_s']:>7.1f} {co['minflt']:>8}",
+            flush=True,
+        )
     return 0
 
 

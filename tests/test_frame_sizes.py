@@ -60,9 +60,11 @@ FRAMES = {
         "silent_closure_dec.<locals>.<listcomp>": (2, 0, 1, 6),
     },
     oracle.replay_distinction: {"replay_distinction": (2, 0, 0, 8)},
-    oracle._replay_node: {
-        "_replay_node": (20, 0, 0, 8),
-        "_replay_node.<locals>.<listcomp>": (2, 0, 0, 5),
+    oracle._replay_node: {"_replay_node": (26, 0, 0, 8)},
+    oracle._option_tables: {"_option_tables": (6, 0, 0, 6)},
+    oracle._compare_options: {
+        "_compare_options": (8, 1, 0, 6),
+        "_compare_options.<locals>.<genexpr>": (2, 0, 0, 4),
     },
     oracle.differential_trial: {
         "differential_trial": (25, 2, 0, 14),

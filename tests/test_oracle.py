@@ -3,6 +3,7 @@ import errno
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,7 @@ from tnbpa import engine
 from tnbpa.engine import CandidateMode, compute_bisimilarity_base
 from tnbpa.model import TAU, format_process, is_silent, parse_system, serialize_system
 from tnbpa import oracle
-from tnbpa.normalization import check_totally_normed, compute_norms, standardize, view
+from tnbpa.normalization import SystemView, check_totally_normed, compute_norms, standardize, view
 from tnbpa.oracle import (
     DefenderReply,
     Distinction,
@@ -24,6 +25,7 @@ from tnbpa.oracle import (
     ReplayError,
     StateGuardExceeded,
     TrialReport,
+    composite_patterns,
     differential_run,
     differential_trial,
     distinction_to_json,
@@ -35,7 +37,14 @@ from tnbpa.oracle import (
     verify_base_generators,
 )
 
-from conftest import SYSTEMS, TWO_CYCLE, ReferenceGameContext, chain_text, strategy_table
+from conftest import (
+    SYSTEMS,
+    TWO_CYCLE,
+    ReferenceGameContext,
+    chain_text,
+    reference_replay_distinction,
+    strategy_table,
+)
 
 
 def test_closure_without_silent_rules():
@@ -324,12 +333,23 @@ def test_replay_accepts_replies_in_any_order():
     replay_distinction(v, Distinction(d.left, d.right, d.side, d.action, d.target, d.replies[::-1]))
 
 
-def test_replay_computes_one_closure_per_defender(monkeypatch):
-    # On this system's certificate, 16 nodes share 8 defenders.
+def test_replay_rejects_an_attack_from_the_empty_process(ex1_std):
+    # The empty process has no transitions, so it has no head to look up.
+    node = Distinction((), ex1_std.parse_process("X"), "left", "a", (), ())
+    for replay in (replay_distinction, reference_replay_distinction):
+        with pytest.raises(ReplayError, match=r"^attacked transition a not available from \(\)$"):
+            replay(ex1_std, node)
+
+
+def test_replay_computes_one_closure_per_defender_head(monkeypatch):
+    # On this system's certificate, 16 nodes share 8 defenders, whose heads
+    # are 3 constants.  Closures of longer defenders are the head's with the
+    # tail appended, so replay runs the BFS on those 3 constants alone.
     std = standardize(random_system(GenParams(constants=6, seed=29)))
     d = GameContext(std, norm_budget=20).find_distinction((1,), (3,), 8)
     defenders = {n.right if n.side == "left" else n.left for n in d.nodes()}
-    assert len(defenders) < d.size()
+    heads = {(p[0],) for p in defenders if p}
+    assert (d.size(), len(defenders), len(heads)) == (16, 8, 3)
     calls = []
 
     def counting(view, p):
@@ -338,7 +358,116 @@ def test_replay_computes_one_closure_per_defender(monkeypatch):
 
     monkeypatch.setattr(oracle, "silent_closure_dec", counting)
     replay_distinction(std, d)
-    assert sorted(calls) == sorted(defenders)
+    assert sorted(calls) == sorted(heads)
+
+
+def test_replay_reads_none_of_the_games_tables(monkeypatch):
+    # Replay checks a certificate against the transition semantics alone: on
+    # a fresh view whose game tables raise, certificates extracted on another
+    # view replay, and tampered ones are rejected.
+    sys_ = random_system(GenParams(constants=6, silent_prob=0.3, seed=3))
+    ctx = GameContext(view(sys_), norm_budget=20)
+    rng = random.Random(5)
+    certificates = []
+    while len(certificates) < 10:
+        p, q = (tuple(rng.randrange(sys_.n) for _ in range(rng.randint(0, 3))) for _ in "pq")
+        d = ctx.find_distinction(p, q, 10)
+        if d is not None and d.replies:
+            certificates.append(d)
+
+    def forbidden(self):
+        raise AssertionError("replay read a table of the game")
+
+    monkeypatch.setattr(SystemView, "rhs_norms_by_label", property(forbidden))
+    monkeypatch.setattr(SystemView, "witness_steps", property(forbidden))
+    fresh = view(sys_)
+    for d in certificates:
+        replay_distinction(fresh, d)
+        dropped = Distinction(d.left, d.right, d.side, d.action, d.target, d.replies[1:])
+        with pytest.raises(ReplayError, match="^defender options mismatch"):
+            replay_distinction(fresh, dropped)
+        wrong_action = Distinction(d.left, d.right, d.side, "zzz", d.target, d.replies)
+        with pytest.raises(ReplayError, match="^attacked transition zzz not available"):
+            replay_distinction(fresh, wrong_action)
+
+
+TAMPERINGS = [
+    "none", "drop", "duplicate", "reorder", "swap-children", "action",
+    "target", "intermediate", "result", "stay", "cycle",
+]
+
+
+def _tamper(std, d, how, data):
+    """Apply one tampering to one node of the certificate d, in place: to a
+    node with replies, if d has one."""
+    node = data.draw(st.sampled_from([n for n in d.nodes() if n.replies] or d.nodes()))
+    replies = list(node.replies)
+    process = st.lists(st.integers(0, std.n - 1), max_size=3).map(tuple)
+    pick = lambda: data.draw(st.integers(0, len(replies) - 1))
+    if how == "drop" and replies:
+        del replies[pick()]
+    elif how == "duplicate" and replies:
+        i = pick()
+        replies.insert(data.draw(st.integers(0, len(replies))), replies[i])
+    elif how == "reorder":
+        replies = data.draw(st.permutations(replies))
+    elif how == "swap-children" and len(replies) >= 2:
+        i, j = data.draw(st.lists(st.integers(0, len(replies) - 1), min_size=2, max_size=2, unique=True))
+        a, b = replies[i], replies[j]
+        replies[i], replies[j] = replace(a, child=b.child), replace(b, child=a.child)
+    elif how == "action":
+        labels = sorted({r.label for r in std.sys.rules} | {TAU, "zzz"})
+        node.action = data.draw(st.sampled_from(labels))
+    elif how == "target":
+        att = node.left if node.side == "left" else node.right
+        node.target = data.draw(st.sampled_from([t for _, t in std.transitions(att)]) | process)
+    elif how in ("intermediate", "result") and replies:
+        i = pick()
+        old = getattr(replies[i], how) or ()
+        new = data.draw(process | st.integers(0, std.n - 1).map(lambda c: old + (c,)) | st.just(old[1:]))
+        replies[i] = replace(replies[i], **{how: new})
+    elif how == "stay":
+        child = data.draw(st.sampled_from(d.nodes()))
+        replies.insert(data.draw(st.integers(0, len(replies))), DefenderReply("stay", None, None, child))
+    elif how == "cycle" and replies:
+        i = pick()
+        replies[i] = replace(replies[i], child=data.draw(st.sampled_from([d, node])))
+    node.replies = tuple(replies)
+
+
+def _replay_message(replay, std, d):
+    try:
+        replay(std, d)
+    except ReplayError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    constants=st.integers(2, 7),
+    silent_prob=st.floats(0.0, 0.45),
+    data=st.data(),
+)
+def test_replay_decides_as_the_reference_replay(seed, constants, silent_prob, data):
+    # Each certificate replays untampered under both replays, and after one
+    # random tampering both accept it or both reject it with one message.
+    std = standardize(random_system(GenParams(constants=constants, silent_prob=silent_prob, seed=seed)))
+    process = st.lists(st.integers(0, std.n - 1), max_size=3).map(tuple)
+    pairs = data.draw(st.lists(st.tuples(process, process), min_size=1, max_size=4))
+    for p, q in pairs:
+        # A context per certificate, as contexts share nodes between them.
+        try:
+            d = GameContext(std, norm_budget=20).find_distinction(p, q, 10)
+        except GuardExceeded:
+            continue
+        if d is None:
+            continue
+        assert _replay_message(replay_distinction, std, d) is None
+        assert _replay_message(reference_replay_distinction, std, d) is None
+        _tamper(std, d, data.draw(st.sampled_from(TAMPERINGS)), data)
+        assert _replay_message(replay_distinction, std, d) == _replay_message(reference_replay_distinction, std, d)
 
 
 def _silent_steps(std, p):
@@ -454,13 +583,14 @@ def test_verify_initial_base_fails(ex1_std):
 def test_sample_dcmp_equal_pairs_are_dcmp_equal(sysb_std):
     base, _ = compute_bisimilarity_base(sysb_std)
     rng = random.Random(14)
+    patterns = composite_patterns(base)
     for _ in range(50):
-        p, q = sample_dcmp_equal_pair(sysb_std, base, rng)
+        p, q = sample_dcmp_equal_pair(sysb_std, base, patterns, rng)
         assert base.equivalent(p, q)
 
     empty = standardize(parse_system(""))
     base, _ = compute_bisimilarity_base(empty)
-    assert sample_dcmp_equal_pair(empty, base, rng) == ((), ())
+    assert sample_dcmp_equal_pair(empty, base, composite_patterns(base), rng) == ((), ())
 
 
 def test_oracle_names_load_on_first_use():
